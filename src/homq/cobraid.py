@@ -8,6 +8,9 @@ alpha-invariance check, and the power twist that composes the stored
 form with iterates of the structure map.
 """
 
+from functools import cache, lru_cache
+from itertools import product
+
 from .linalg import kernel_basis
 from .ncpoly import NCPoly, PresentationError
 from .report import Report, timed
@@ -38,9 +41,6 @@ class CobraidingForm:
     first slot, unit_right in the second.  Generators present in both
     unit maps form the covered set; verification ranges over monomials
     in covered generators only.
-
-    The memo cache assumes every owner extends the form through the
-    same comultiplication tables.
     """
 
     def __init__(self, pres, gen_table, unit_left, unit_right, unit_unit=1):
@@ -68,8 +68,6 @@ class CobraidingForm:
                 raise PresentationError(
                     f"gen_table mentions {bad} but the unit tables do not "
                     "cover it")
-        self.cache = {}
-        self._alt_cache = {}
 
     def covers(self, indices):
         return all(i in self.covered for i in indices)
@@ -125,7 +123,9 @@ class CobraidedHomBialgebra:
     The form tables are always the untwisted ones; alpha_power records
     how many times the structure map is applied to both slots before
     the tables are consulted (the power-twisted family keeps H fixed
-    and replaces the form by its composite with alpha^n).
+    and replaces the form by its composite with alpha^n).  The memos of
+    the form's extension live here, because the extension goes through
+    this host's comultiplication.
     """
 
     def __init__(self, H, form, alpha_power=0, name=""):
@@ -137,6 +137,8 @@ class CobraidedHomBialgebra:
         self.alpha_power = alpha_power
         self.name = name or H.name
         self._value_cache = {}
+        self._word_cache = {}
+        self._alt_cache = {}
 
     def word_pair_value(self, m, n):
         """Instance form on two monomial words (power twist applied)."""
@@ -178,7 +180,7 @@ def word_value(C, m, n, second_slot_first=False):
     image whenever both slots are composite.  The two orders agree on
     well-formed instances, which is itself a certified property.
     """
-    memo = C.form._alt_cache if second_slot_first else C.form.cache
+    memo = C._alt_cache if second_slot_first else C._word_cache
     return _eval(C, m, n, second_slot_first, memo)
 
 
@@ -263,214 +265,177 @@ def covered_basis(C, degree):
             if all(i in covered for i in w)]
 
 
+def _scan(rep, name, degree, names, slots, sides):
+    """Add the check `name` to rep.  Tuples of basis indices are visited
+    in lexicographic order, outermost slot first, with one slot per
+    letter of `slots` ("zxy": z outermost); the first tuple whose two
+    sides(*indices) differ is the witness, with both sides rendered."""
+    with timed() as tm:
+        witness = None
+        for idx in product(range(len(names)), repeat=len(slots)):
+            left, right = sides(*idx)
+            if left != right:
+                witness = {s: names[i] for s, i in sorted(zip(slots, idx))}
+                witness["left"] = left.render()
+                witness["right"] = right.render()
+                break
+    rep.add(name, "fail" if witness else "pass", witness=witness,
+            degree=degree, wall_time=tm.seconds)
+
+
 def verify_cobraided(C, degree):
     """Check the three cobraided axioms on all covered basis monomials
-    of degree <= degree, with the instance's own product, coproduct,
-    and structure map."""
+    of degree <= degree, with the instance's own product xy, coproduct
+    x1 (x) x2 and structure map alpha:
+
+    first_slot_product_expansion
+        R(xy, alpha z) = sum R(alpha x, z1) R(alpha y, z2)
+    second_slot_product_expansion
+        R(alpha x, yz) = sum R(x1, alpha z) R(x2, alpha y)
+    braided_commutation
+        sum y1 x1 R(x2, y2) = sum R(x1, y1) x2 y2
+
+    Both expansions read two memos filled once per call, R(alpha x_i, w)
+    and R(w, alpha x_k) for a basis index and a word w: a product side
+    sums one of them over the terms of a product, a coproduct side sums
+    products of two of them over the legs.
+    """
     H = C.H
     pres = H.pres
+    zero = pres.field.zero
+    one = pres.field.one
     rep = Report(f"cobraided axioms on {C.name or 'instance'}")
     basis = covered_basis(C, degree)
-    one = pres.field.one
     mono = [NCPoly(pres, {w: one}, _trusted=True) for w in basis]
     names = [pres.word_text(w) for w in basis]
-    n = len(basis)
-
     alpha_of = [H.alpha_poly(p) for p in mono]
     delta_of = [list(H.delta(p).terms.items()) for p in mono]
-    prod = {}
 
-    def get_prod(i, j):
-        p = prod.get((i, j))
-        if p is None:
-            p = prod[(i, j)] = H.product(mono[i], mono[j])
-        return p
+    @cache
+    def word_product(u, v):
+        return H.product(NCPoly(pres, {u: one}, _trusted=True),
+                         NCPoly(pres, {v: one}, _trusted=True))
 
-    with timed() as tm:
-        witness = None
-        for k in range(n):
-            az = alpha_of[k]
-            dz = delta_of[k]
-            for i in range(n):
-                ax = alpha_of[i]
-                for j in range(n):
-                    left = eval_R(C, get_prod(i, j), az)
-                    right = pres.field.zero
-                    for (z1, z2), c in dz:
-                        right = right + c * (_eval_poly_word(C, ax, z1)
-                                             * _eval_poly_word(C, alpha_of[j], z2))
-                    if left != right:
-                        witness = {"x": names[i], "y": names[j], "z": names[k],
-                                   "left": render(left), "right": render(right)}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    rep.add("first_slot_product_expansion", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
+    @cache
+    def alpha_left(i, w):
+        return _eval_poly_word(C, alpha_of[i], w)
 
-    with timed() as tm:
-        witness = None
-        for i in range(n):
-            ax = alpha_of[i]
-            dx = delta_of[i]
-            for j in range(n):
-                ay = alpha_of[j]
-                for k in range(n):
-                    left = eval_R(C, ax, get_prod(j, k))
-                    right = pres.field.zero
-                    for (x1, x2), c in dx:
-                        right = right + c * (_eval_word_poly(C, x1, alpha_of[k])
-                                             * _eval_word_poly(C, x2, ay))
-                    if left != right:
-                        witness = {"x": names[i], "y": names[j], "z": names[k],
-                                   "left": render(left), "right": render(right)}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    rep.add("second_slot_product_expansion", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
+    @cache
+    def alpha_right(w, k):
+        return _eval_word_poly(C, w, alpha_of[k])
 
-    with timed() as tm:
-        witness = None
-        pw = {}
+    def first_expansion(k, i, j):
+        xy = word_product(basis[i], basis[j]).terms.items()
+        left = sum((c * alpha_right(w, k) for w, c in xy), zero)
+        right = sum((c * (alpha_left(i, z1) * alpha_left(j, z2))
+                     for (z1, z2), c in delta_of[k]), zero)
+        return left, right
 
-        def wprod(u, v):
-            p = pw.get((u, v))
-            if p is None:
-                pu = NCPoly(pres, {u: one}, _trusted=True)
-                pv = NCPoly(pres, {v: one}, _trusted=True)
-                p = pw[(u, v)] = H.product(pu, pv)
-            return p
+    def second_expansion(i, j, k):
+        yz = word_product(basis[j], basis[k]).terms.items()
+        left = sum((c * alpha_left(i, w) for w, c in yz), zero)
+        right = sum((c * (alpha_right(x1, k) * alpha_right(x2, j))
+                     for (x1, x2), c in delta_of[i]), zero)
+        return left, right
 
-        for i in range(n):
-            dx = delta_of[i]
-            for j in range(n):
-                dy = delta_of[j]
-                left = pres.zero_poly()
-                right = pres.zero_poly()
-                for (x1, x2), cx in dx:
-                    for (y1, y2), cy in dy:
-                        c = cx * cy
-                        lc = c * C.word_pair_value(x2, y2)
-                        if not lc.is_zero():
-                            left = left + wprod(y1, x1).scale(lc)
-                        rc = c * C.word_pair_value(x1, y1)
-                        if not rc.is_zero():
-                            right = right + wprod(x2, y2).scale(rc)
-                if left != right:
-                    witness = {"x": names[i], "y": names[j],
-                               "left": left.render(), "right": right.render()}
-                    break
-            if witness:
-                break
-    rep.add("braided_commutation", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
+    def commutation(i, j):
+        left = right = pres.zero_poly()
+        for (x1, x2), cx in delta_of[i]:
+            for (y1, y2), cy in delta_of[j]:
+                c = cx * cy
+                lc = c * C.word_pair_value(x2, y2)
+                if not lc.is_zero():
+                    left = left + word_product(y1, x1).scale(lc)
+                rc = c * C.word_pair_value(x1, y1)
+                if not rc.is_zero():
+                    right = right + word_product(x2, y2).scale(rc)
+        return left, right
+
+    _scan(rep, "first_slot_product_expansion", degree, names, "zxy",
+          first_expansion)
+    _scan(rep, "second_slot_product_expansion", degree, names, "xyz",
+          second_expansion)
+    _scan(rep, "braided_commutation", degree, names, "xy", commutation)
     return rep
 
 
 def verify_oqhybe(C, degree):
     """Check the two scalar Hom-Yang-Baxter identities implied by the
-    cobraided axioms on all covered basis-monomial triples."""
+    cobraided axioms on all covered basis-monomial triples (x, y, z),
+    with coproduct x1 (x) x2 and structure map alpha:
+
+    operator_ybe_first_form
+        sum R(x1, alpha y1) R(x2, alpha z1) R(y2, z2)
+            = sum R(y1, z1) R(x1, alpha z2) R(x2, alpha y2)
+    operator_ybe_second_form
+        sum R(x1, y1) R(alpha x2, z1) R(alpha y2, z2)
+            = sum R(alpha y1, z1) R(alpha x1, z2) R(x2, y2)
+
+    Both read sum f(x1, y1) g(x2, z1) h(y2, z2) = sum h(y1, z1) g(x1, z2)
+    f(x2, y2), and each side is a partial contraction.  For a pair (x, y)
+    the fold U_xy contracts the legs of x and y that f takes, (x1, y1) on
+    the left and (x2, y2) on the right, and keeps its non-zero entries by
+    the other two legs.  For z, V_z contracts the coproduct of z with the
+    two other factors at those legs; the factor on z1 is memoised per
+    (z, leg) on first use, so V_z costs one product per leg z2.  Each
+    triple is the sparse dot product of U_xy with V_z.
+    """
     H = C.H
     pres = H.pres
-    field = pres.field
+    zero = pres.field.zero
+    one = pres.field.one
     rep = Report(f"operator Yang-Baxter identities on {C.name or 'instance'}")
     basis = covered_basis(C, degree)
-    one = field.one
-    mono = [NCPoly(pres, {w: one}, _trusted=True) for w in basis]
     names = [pres.word_text(w) for w in basis]
-    n = len(basis)
-    delta_of = [list(H.delta(p).terms.items()) for p in mono]
+    delta_of = [list(H.delta(NCPoly(pres, {w: one}, _trusted=True))
+                     .terms.items()) for w in basis]
+    R = C.word_pair_value
 
-    ra = {}
+    @cache
+    def R_alpha(m, w):
+        return _eval_word_poly(C, m, H.alpha_word(w))
 
-    def r_plain_alpha(m, w):
-        # R(m, alpha(w)) for monomial words
-        v = ra.get((m, w))
-        if v is None:
-            v = ra[(m, w)] = _eval_word_poly(C, m, H.alpha_word(w))
-        return v
+    @cache
+    def alpha_R(w, m):
+        return _eval_poly_word(C, H.alpha_word(w), m)
 
-    la = {}
+    @cache
+    def z1_fold(k, g, a):
+        return [(z2, c * v) for (z1, z2), c in delta_of[k] if (v := g(a, z1))]
 
-    def r_alpha_plain(w, m):
-        # R(alpha(w), m)
-        v = la.get((w, m))
-        if v is None:
-            v = la[(w, m)] = _eval_poly_word(C, H.alpha_word(w), m)
-        return v
+    def contract_z(k, g, a, h, b):
+        # sum of cz g(a, z1) h(b, z2) over the coproduct of z_k
+        return sum((w * v for z2, w in z1_fold(k, g, a) if (v := h(b, z2))),
+                   zero)
 
-    with timed() as tm:
-        witness = None
-        for i in range(n):
-            dx = delta_of[i]
-            for j in range(n):
-                dy = delta_of[j]
-                for k in range(n):
-                    dz = delta_of[k]
-                    left = field.zero
-                    right = field.zero
-                    for (x1, x2), cx in dx:
-                        for (y1, y2), cy in dy:
-                            cxy = cx * cy
-                            for (z1, z2), cz in dz:
-                                c = cxy * cz
-                                left = left + c * (
-                                    r_plain_alpha(x1, y1)
-                                    * r_plain_alpha(x2, z1)
-                                    * C.word_pair_value(y2, z2))
-                                right = right + c * (
-                                    C.word_pair_value(y1, z1)
-                                    * r_plain_alpha(x1, z2)
-                                    * r_plain_alpha(x2, y2))
-                    if left != right:
-                        witness = {"x": names[i], "y": names[j], "z": names[k],
-                                   "left": render(left), "right": render(right)}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    rep.add("operator_ybe_first_form", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
+    def ybe_form(f, g, h):
+        @lru_cache(maxsize=1)
+        def fold(i, j):
+            left, right = {}, {}
+            for (x1, x2), cx in delta_of[i]:
+                for (y1, y2), cy in delta_of[j]:
+                    c = cx * cy
+                    u = f(x1, y1)
+                    if u:
+                        left[x2, y2] = left.get((x2, y2), zero) + c * u
+                    u = f(x2, y2)
+                    if u:
+                        right[x1, y1] = right.get((x1, y1), zero) + c * u
+            return ([(a, b, u) for (a, b), u in left.items() if u],
+                    [(a, b, u) for (a, b), u in right.items() if u])
 
-    with timed() as tm:
-        witness = None
-        for i in range(n):
-            dx = delta_of[i]
-            for j in range(n):
-                dy = delta_of[j]
-                for k in range(n):
-                    dz = delta_of[k]
-                    left = field.zero
-                    right = field.zero
-                    for (x1, x2), cx in dx:
-                        for (y1, y2), cy in dy:
-                            cxy = cx * cy
-                            for (z1, z2), cz in dz:
-                                c = cxy * cz
-                                left = left + c * (
-                                    C.word_pair_value(x1, y1)
-                                    * r_alpha_plain(x2, z1)
-                                    * r_alpha_plain(y2, z2))
-                                right = right + c * (
-                                    r_alpha_plain(y1, z1)
-                                    * r_alpha_plain(x1, z2)
-                                    * C.word_pair_value(x2, y2))
-                    if left != right:
-                        witness = {"x": names[i], "y": names[j], "z": names[k],
-                                   "left": render(left), "right": render(right)}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    rep.add("operator_ybe_second_form", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
+        def sides(i, j, k):
+            left, right = fold(i, j)
+            return (sum((u * v for a, b, u in left
+                         if (v := contract_z(k, g, a, h, b))), zero),
+                    sum((u * v for a, b, u in right
+                         if (v := contract_z(k, h, b, g, a))), zero))
+        return sides
+
+    _scan(rep, "operator_ybe_first_form", degree, names, "xyz",
+          ybe_form(R_alpha, R_alpha, R))
+    _scan(rep, "operator_ybe_second_form", degree, names, "xyz",
+          ybe_form(R, alpha_R, alpha_R))
     return rep
 
 
@@ -481,23 +446,10 @@ def check_alpha_invariance(C, degree):
     pres = H.pres
     rep = Report(f"alpha invariance on {C.name or 'instance'}")
     basis = covered_basis(C, degree)
-    names = [pres.word_text(w) for w in basis]
     alpha_of = [H.alpha_word(w) for w in basis]
-    n = len(basis)
-    with timed() as tm:
-        witness = None
-        for i in range(n):
-            for j in range(n):
-                left = eval_R(C, alpha_of[i], alpha_of[j])
-                right = C.word_pair_value(basis[i], basis[j])
-                if left != right:
-                    witness = {"x": names[i], "y": names[j],
-                               "left": render(left), "right": render(right)}
-                    break
-            if witness:
-                break
-    rep.add("alpha_invariance", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
+    _scan(rep, "alpha_invariance", degree, [pres.word_text(w) for w in basis],
+          "xy", lambda i, j: (eval_R(C, alpha_of[i], alpha_of[j]),
+                              C.word_pair_value(basis[i], basis[j])))
     return rep
 
 

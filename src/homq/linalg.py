@@ -6,7 +6,7 @@ Scalars; there is no matrix class.
 """
 
 
-def rref(rows, field):
+def rref(rows):
     """Reduced row echelon form.
 
     Returns (reduced_rows, pivot_columns); zero rows are dropped.  Column
@@ -41,13 +41,9 @@ def rref(rows, field):
     return rows[:r], pivots
 
 
-def rank(rows, field):
-    return len(rref(rows, field)[1])
-
-
 def kernel_basis(rows, ncols, field):
     """Basis of the right kernel {v : M v = 0}, one vector per free column."""
-    red, pivots = rref(rows, field)
+    red, pivots = rref(rows)
     in_pivots = set(pivots)
     basis = []
     for fc in range(ncols):

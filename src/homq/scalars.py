@@ -210,9 +210,6 @@ class _CycNumBase:
             return type(self)(tuple(other * c for c in inv.v))
         return NotImplemented
 
-    def is_rational(self):
-        return not any(self.v[1:])
-
     def __repr__(self):  # debugging aid only
         return f"cyc{self.ORDER}{tuple(str(c) for c in self.v)}"
 
@@ -612,50 +609,6 @@ class ScalarField:
 
     def parse(self, text):
         return parse_scalar(text, self)
-
-    # canonical constructor -------------------------------------------------
-
-    def _make(self, num, den):
-        if not den:
-            raise ScalarZeroDivision()
-        if not num:
-            return self.zero
-        one = self._coef_one()
-        # strip the common monomial factor
-        if self.nvars:
-            mins = None
-            for e in num:
-                mins = list(e) if mins is None else [min(a, b) for a, b in zip(mins, e)]
-                if not any(mins):
-                    break
-            if any(mins):
-                for e in den:
-                    mins = [min(a, b) for a, b in zip(mins, e)]
-                    if not any(mins):
-                        break
-            if any(mins):
-                shift = tuple(mins)
-                num = {tuple(a - b for a, b in zip(e, shift)): c for e, c in num.items()}
-                den = {tuple(a - b for a, b in zip(e, shift)): c for e, c in den.items()}
-        if len(den) == 1:
-            ((de, dc),) = den.items()
-            if dc != one:
-                inv = 1 / dc
-                num = _p_scale(num, inv)
-                den = {de: one}
-            return Scalar(self, num, den)
-        g = _p_gcd(num, den, self)
-        if len(g) > 1 or any(_p_lead(g)):
-            num = _p_div_exact(num, g)
-            den = _p_div_exact(den, g)
-            if len(den) == 1:
-                return self._make(num, den)
-        lc = den[_p_lead(den)]
-        if lc != one:
-            inv = 1 / lc
-            num = _p_scale(num, inv)
-            den = _p_scale(den, inv)
-        return Scalar(self, num, den)
 
     def _coprime_make(self, num, den):
         """Construct from an already coprime pair, normalizing the unit."""

@@ -1,13 +1,17 @@
+import json
+
 import pytest
 
-from homq.scalars import ScalarField
-from homq.ncpoly import Presentation, PresentationError
+from homq.scalars import ScalarField, render
+from homq.ncpoly import NCPoly, Presentation, PresentationError
 from homq.hombialg import HomBialgebra, twist_hom_bialgebra
+from homq.report import Report, timed
 from homq.cobraid import (CobraidingForm, CobraidedHomBialgebra,
                           CobraidingError, InjectivityError, eval_R,
                           word_value, verify_cobraided, verify_oqhybe,
                           check_alpha_invariance, twist_R_power,
-                          alpha_kernel_witness)
+                          alpha_kernel_witness, covered_basis,
+                          _eval_word_poly, _eval_poly_word)
 
 
 F = ScalarField(("t", "lambda"))
@@ -171,6 +175,12 @@ def test_twisted_instance_oqhybe():
     assert rep.passed, rep.to_json()
 
 
+def test_twisted_instance_oqhybe_degree_3():
+    # every cobraided Hom-bialgebra solves both identities, at any degree
+    rep = verify_oqhybe(twisted_instance(), 3)
+    assert rep.passed, rep.to_json()
+
+
 def test_corrupted_form_fails_commutation():
     C = plain_instance(override={("b", "c"): 0})
     rep = verify_cobraided(C, 2)
@@ -202,6 +212,23 @@ def test_uncovered_pair_raises():
     P = C.H.pres
     with pytest.raises(CobraidingError, match=r"\(d, d\)"):
         eval_R(C, P.gen("d"), P.gen("d"))
+
+
+def test_form_memo_is_per_host():
+    # one form on two hosts whose coproducts of g differ: R(g, gh) goes
+    # through the coproduct of g, so a value cached for one host is
+    # wrong for the other
+    FT = ScalarField(("t",))
+    P = Presentation("gh", [], FT, max_degree=3)
+    form = CobraidingForm(
+        P, {("g", "g"): 1, ("g", "h"): "t", ("h", "g"): 2, ("h", "h"): 1},
+        {"g": 1, "h": 1}, {"g": 1, "h": 1})
+    hosts = [CobraidedHomBialgebra(
+        HomBialgebra(P, {"g": {legs: 1}, "h": {("h", "h"): 1}}), form)
+        for legs in (("g", "g"), ("g", "h"))]
+    g, gh = P.gen("g"), P.poly({"gh": 1})
+    assert eval_R(hosts[0], g, gh) == FT.parse("t")
+    assert eval_R(hosts[1], g, gh) == FT.parse("2*t")
 
 
 def test_gen_table_outside_units_rejected():
@@ -341,3 +368,251 @@ def test_integer_group_power_twist():
     C1 = twist_R_power(C, 1)
     assert C1.word_pair_value(P.word("u"), P.word("u")) == q ** 9
     assert verify_cobraided(C1, 3).passed
+
+
+# the contractions against the loops they replaced ----------------------------
+
+
+def _power_twisted_zn(k):
+    return lambda: twist_R_power(zn_instance(k), 1)
+
+
+def _corrupted(pair, value):
+    return lambda: twisted_instance(override={pair: value})
+
+
+REFERENCE_CASES = [
+    ("qm2", twisted_instance, "oqhybe", 1),
+    ("qm2", twisted_instance, "cobraided", 2),
+    ("dd=q_half^-1", _corrupted(("d", "d"), "q_half^-1"), "oqhybe", 2),
+    ("dd=q", _corrupted(("d", "d"), "q"), "oqhybe", 2),
+    ("dd=2", _corrupted(("d", "d"), "2"), "oqhybe", 2),
+    ("aa=q", _corrupted(("a", "a"), "q"), "cobraided", 3),
+    ("bc=0", _corrupted(("b", "c"), 0), "cobraided", 2),
+    ("z5k4", _power_twisted_zn(4), "cobraided", 3),
+    ("z5k4", _power_twisted_zn(4), "oqhybe", 2),
+    ("z5k2", _power_twisted_zn(2), "cobraided", 3),
+    ("z5k2", _power_twisted_zn(2), "oqhybe", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "build, verifier, degree",
+    [pytest.param(b, v, d, id=f"{name}-{v}-{d}")
+     for name, b, v, d in REFERENCE_CASES])
+def test_contractions_match_reference_loops(build, verifier, degree):
+    new, old = {"oqhybe": (verify_oqhybe, reference_verify_oqhybe),
+                "cobraided": (verify_cobraided,
+                              reference_verify_cobraided)}[verifier]
+    got = json.dumps(new(build(), degree).to_json())
+    assert got == json.dumps(old(build(), degree).to_json())
+
+
+def reference_verify_cobraided(C, degree):
+    """verify_cobraided as basis-triple loops that expand every sum for
+    every triple."""
+    H = C.H
+    pres = H.pres
+    rep = Report(f"cobraided axioms on {C.name or 'instance'}")
+    basis = covered_basis(C, degree)
+    one = pres.field.one
+    mono = [NCPoly(pres, {w: one}, _trusted=True) for w in basis]
+    names = [pres.word_text(w) for w in basis]
+    n = len(basis)
+
+    alpha_of = [H.alpha_poly(p) for p in mono]
+    delta_of = [list(H.delta(p).terms.items()) for p in mono]
+    prod = {}
+
+    def get_prod(i, j):
+        p = prod.get((i, j))
+        if p is None:
+            p = prod[(i, j)] = H.product(mono[i], mono[j])
+        return p
+
+    with timed() as tm:
+        witness = None
+        for k in range(n):
+            az = alpha_of[k]
+            dz = delta_of[k]
+            for i in range(n):
+                ax = alpha_of[i]
+                for j in range(n):
+                    left = eval_R(C, get_prod(i, j), az)
+                    right = pres.field.zero
+                    for (z1, z2), c in dz:
+                        right = right + c * (_eval_poly_word(C, ax, z1)
+                                             * _eval_poly_word(C, alpha_of[j], z2))
+                    if left != right:
+                        witness = {"x": names[i], "y": names[j], "z": names[k],
+                                   "left": render(left), "right": render(right)}
+                        break
+                if witness:
+                    break
+            if witness:
+                break
+    rep.add("first_slot_product_expansion", "fail" if witness else "pass",
+            witness=witness, degree=degree, wall_time=tm.seconds)
+
+    with timed() as tm:
+        witness = None
+        for i in range(n):
+            ax = alpha_of[i]
+            dx = delta_of[i]
+            for j in range(n):
+                ay = alpha_of[j]
+                for k in range(n):
+                    left = eval_R(C, ax, get_prod(j, k))
+                    right = pres.field.zero
+                    for (x1, x2), c in dx:
+                        right = right + c * (_eval_word_poly(C, x1, alpha_of[k])
+                                             * _eval_word_poly(C, x2, ay))
+                    if left != right:
+                        witness = {"x": names[i], "y": names[j], "z": names[k],
+                                   "left": render(left), "right": render(right)}
+                        break
+                if witness:
+                    break
+            if witness:
+                break
+    rep.add("second_slot_product_expansion", "fail" if witness else "pass",
+            witness=witness, degree=degree, wall_time=tm.seconds)
+
+    with timed() as tm:
+        witness = None
+        pw = {}
+
+        def wprod(u, v):
+            p = pw.get((u, v))
+            if p is None:
+                pu = NCPoly(pres, {u: one}, _trusted=True)
+                pv = NCPoly(pres, {v: one}, _trusted=True)
+                p = pw[(u, v)] = H.product(pu, pv)
+            return p
+
+        for i in range(n):
+            dx = delta_of[i]
+            for j in range(n):
+                dy = delta_of[j]
+                left = pres.zero_poly()
+                right = pres.zero_poly()
+                for (x1, x2), cx in dx:
+                    for (y1, y2), cy in dy:
+                        c = cx * cy
+                        lc = c * C.word_pair_value(x2, y2)
+                        if not lc.is_zero():
+                            left = left + wprod(y1, x1).scale(lc)
+                        rc = c * C.word_pair_value(x1, y1)
+                        if not rc.is_zero():
+                            right = right + wprod(x2, y2).scale(rc)
+                if left != right:
+                    witness = {"x": names[i], "y": names[j],
+                               "left": left.render(), "right": right.render()}
+                    break
+            if witness:
+                break
+    rep.add("braided_commutation", "fail" if witness else "pass",
+            witness=witness, degree=degree, wall_time=tm.seconds)
+    return rep
+
+
+def reference_verify_oqhybe(C, degree):
+    """verify_oqhybe as basis-triple loops that expand the full
+    |Delta x| |Delta y| |Delta z| sum for every triple."""
+    H = C.H
+    pres = H.pres
+    field = pres.field
+    rep = Report(f"operator Yang-Baxter identities on {C.name or 'instance'}")
+    basis = covered_basis(C, degree)
+    one = field.one
+    mono = [NCPoly(pres, {w: one}, _trusted=True) for w in basis]
+    names = [pres.word_text(w) for w in basis]
+    n = len(basis)
+    delta_of = [list(H.delta(p).terms.items()) for p in mono]
+
+    ra = {}
+
+    def r_plain_alpha(m, w):
+        # R(m, alpha(w)) for monomial words
+        v = ra.get((m, w))
+        if v is None:
+            v = ra[(m, w)] = _eval_word_poly(C, m, H.alpha_word(w))
+        return v
+
+    la = {}
+
+    def r_alpha_plain(w, m):
+        # R(alpha(w), m)
+        v = la.get((w, m))
+        if v is None:
+            v = la[(w, m)] = _eval_poly_word(C, H.alpha_word(w), m)
+        return v
+
+    with timed() as tm:
+        witness = None
+        for i in range(n):
+            dx = delta_of[i]
+            for j in range(n):
+                dy = delta_of[j]
+                for k in range(n):
+                    dz = delta_of[k]
+                    left = field.zero
+                    right = field.zero
+                    for (x1, x2), cx in dx:
+                        for (y1, y2), cy in dy:
+                            cxy = cx * cy
+                            for (z1, z2), cz in dz:
+                                c = cxy * cz
+                                left = left + c * (
+                                    r_plain_alpha(x1, y1)
+                                    * r_plain_alpha(x2, z1)
+                                    * C.word_pair_value(y2, z2))
+                                right = right + c * (
+                                    C.word_pair_value(y1, z1)
+                                    * r_plain_alpha(x1, z2)
+                                    * r_plain_alpha(x2, y2))
+                    if left != right:
+                        witness = {"x": names[i], "y": names[j], "z": names[k],
+                                   "left": render(left), "right": render(right)}
+                        break
+                if witness:
+                    break
+            if witness:
+                break
+    rep.add("operator_ybe_first_form", "fail" if witness else "pass",
+            witness=witness, degree=degree, wall_time=tm.seconds)
+
+    with timed() as tm:
+        witness = None
+        for i in range(n):
+            dx = delta_of[i]
+            for j in range(n):
+                dy = delta_of[j]
+                for k in range(n):
+                    dz = delta_of[k]
+                    left = field.zero
+                    right = field.zero
+                    for (x1, x2), cx in dx:
+                        for (y1, y2), cy in dy:
+                            cxy = cx * cy
+                            for (z1, z2), cz in dz:
+                                c = cxy * cz
+                                left = left + c * (
+                                    C.word_pair_value(x1, y1)
+                                    * r_alpha_plain(x2, z1)
+                                    * r_alpha_plain(y2, z2))
+                                right = right + c * (
+                                    r_alpha_plain(y1, z1)
+                                    * r_alpha_plain(x1, z2)
+                                    * C.word_pair_value(x2, y2))
+                    if left != right:
+                        witness = {"x": names[i], "y": names[j], "z": names[k],
+                                   "left": render(left), "right": render(right)}
+                        break
+                if witness:
+                    break
+            if witness:
+                break
+    rep.add("operator_ybe_second_form", "fail" if witness else "pass",
+            witness=witness, degree=degree, wall_time=tm.seconds)
+    return rep
