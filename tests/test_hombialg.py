@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from homq.scalars import ScalarField
@@ -240,3 +242,94 @@ def test_report_shape():
     assert all(c["wall_time"] is None for c in data["checks"])
     timed_data = rep.to_json(timings=True)
     assert all(isinstance(c["wall_time"], float) for c in timed_data["checks"])
+
+
+# pinned failure reports ----------------------------------------------
+
+
+def non_morphism_twist():
+    # alpha that rescales b but not c, built directly as a twisted structure
+    bad = dict(ALPHA, c={"c": 1})
+    return HomBialgebra(qm2_presentation(), DELTA, bad, twisted=True)
+
+
+SWAP_BC = {"a": {"a": 1}, "b": {"c": 1}, "c": {"b": 1}, "d": {"d": 1}}
+
+
+def text(rep):
+    return json.dumps(rep.to_json())
+
+
+# Report.to_json() text with timings off, recorded from the per-check
+# loops that preceded the shared witness scan.
+CASES = {
+    "non_morphism_twist_2":
+        lambda: text(verify_hom_bialgebra(non_morphism_twist(), 2)),
+    "morphism_breaks_relations":
+        lambda: text(verify_morphism(dict(ALPHA, c={"c": 1}), plain())),
+    "morphism_breaks_coproduct":
+        lambda: text(verify_morphism(SWAP_BC, plain())),
+}
+
+PINNED = {
+    'morphism_breaks_coproduct': (
+        '{"checks": [{"name": "comultiplication_preserved", "status": '
+        '"fail", "degree": null, "wall_time": null, "witness": '
+        '{"generator": "a", "left": "(1)*[a (x) a] + (1)*[b (x) c]", '
+        '"right": "(1)*[a (x) a] + (1)*[c (x) b]"}}, {"name": '
+        '"relations_preserved", "status": "pass", "degree": null, '
+        '"wall_time": null}], "passed": false, "title": "morphism on qm2"}'
+    ),
+    'morphism_breaks_relations': (
+        '{"checks": [{"name": "comultiplication_preserved", "status": '
+        '"fail", "degree": null, "wall_time": null, "witness": '
+        '{"generator": "a", "left": "(1)*[a (x) a] + (1)*[b (x) c]", '
+        '"right": "(1)*[a (x) a] + (lambda)*[b (x) c]"}}, {"name": '
+        '"relations_preserved", "status": "fail", "degree": null, '
+        '"wall_time": null, "witness": {"rule": "da", "left": "(1)*ad + '
+        '((t^4 - 1)/t^2)*bc", "right": "(1)*ad + ((t^4*lambda - '
+        'lambda)/t^2)*bc"}}], "passed": false, "title": "morphism on qm2"}'
+    ),
+    'non_morphism_twist_2': (
+        '{"checks": [{"name": "comultiplicativity", "status": "fail", '
+        '"degree": 2, "wall_time": null, "witness": {"x": "a", "left": '
+        '"(1)*[a (x) a] + (1)*[b (x) c]", "right": "(1)*[a (x) a] + '
+        '(lambda)*[b (x) c]"}}, {"name": "hom_associativity", "status": '
+        '"fail", "degree": 2, "wall_time": null, "witness": {"x": "1", "y": '
+        '"d", "z": "a", "left": "(1)*ad + ((t^4*lambda^2 - '
+        'lambda^2)/t^2)*bc", "right": "(1)*ad + ((t^4*lambda - '
+        'lambda)/t^2)*bc"}}, {"name": "hom_coassociativity", "status": '
+        '"fail", "degree": 2, "wall_time": null, "witness": {"x": "a", '
+        '"left": "(1)*[a (x) a (x) a] + (1)*[a (x) b (x) c] + (lambda)*[b '
+        '(x) c (x) a] + (lambda)*[b (x) d (x) c]", "right": "(1)*[a (x) a '
+        '(x) a] + (lambda)*[a (x) b (x) c] + (1)*[b (x) c (x) a] + '
+        '(lambda)*[b (x) d (x) c]"}}, {"name": "multiplicativity", '
+        '"status": "fail", "degree": 2, "wall_time": null, "witness": {"x": '
+        '"d", "y": "a", "left": "(1)*ad + ((t^4*lambda^2 - '
+        'lambda^2)/t^2)*bc", "right": "(1)*ad + ((t^4*lambda - '
+        'lambda)/t^2)*bc"}}, {"name": "product_coproduct_compatibility", '
+        '"status": "fail", "degree": 2, "wall_time": null, "witness": {"x": '
+        '"1", "y": "a", "left": "(1)*[a (x) a] + (1)*[b (x) c]", "right": '
+        '"(1)*[a (x) a] + (lambda)*[b (x) c]"}}], "passed": false, "title": '
+        '"hom-bialgebra axioms on qm2"}'
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_pinned_report(case):
+    assert CASES[case]() == PINNED[case]
+
+
+def test_non_morphism_twist_fails_every_axiom():
+    rep = verify_hom_bialgebra(non_morphism_twist(), 2)
+    located = {c.name: {k: v for k, v in c.witness.items()
+                        if k not in ("left", "right")}
+               for c in rep.failures()}
+    assert located == {
+        "multiplicativity": {"x": "d", "y": "a"},
+        "hom_associativity": {"x": "1", "y": "d", "z": "a"},
+        "comultiplicativity": {"x": "a"},
+        "hom_coassociativity": {"x": "a"},
+        "product_coproduct_compatibility": {"x": "1", "y": "a"},
+    }
