@@ -9,11 +9,10 @@ form with iterates of the structure map.
 """
 
 from functools import cache, lru_cache
-from itertools import product
 
 from .linalg import kernel_basis
 from .ncpoly import NCPoly, PresentationError
-from .report import Report, timed
+from .report import Report, _at, _scan
 from .scalars import render
 
 
@@ -265,24 +264,6 @@ def covered_basis(C, degree):
             if all(i in covered for i in w)]
 
 
-def _scan(rep, name, degree, names, slots, sides):
-    """Add the check `name` to rep.  Tuples of basis indices are visited
-    in lexicographic order, outermost slot first, with one slot per
-    letter of `slots` ("zxy": z outermost); the first tuple whose two
-    sides(*indices) differ is the witness, with both sides rendered."""
-    with timed() as tm:
-        witness = None
-        for idx in product(range(len(names)), repeat=len(slots)):
-            left, right = sides(*idx)
-            if left != right:
-                witness = {s: names[i] for s, i in sorted(zip(slots, idx))}
-                witness["left"] = left.render()
-                witness["right"] = right.render()
-                break
-    rep.add(name, "fail" if witness else "pass", witness=witness,
-            degree=degree, wall_time=tm.seconds)
-
-
 def verify_cobraided(C, degree):
     """Check the three cobraided axioms on all covered basis monomials
     of degree <= degree, with the instance's own product xy, coproduct
@@ -351,11 +332,13 @@ def verify_cobraided(C, degree):
                     right = right + word_product(x2, y2).scale(rc)
         return left, right
 
-    _scan(rep, "first_slot_product_expansion", degree, names, "zxy",
-          first_expansion)
-    _scan(rep, "second_slot_product_expansion", degree, names, "xyz",
-          second_expansion)
-    _scan(rep, "braided_commutation", degree, names, "xy", commutation)
+    idx = range(len(basis))
+    _scan(rep, "first_slot_product_expansion", [idx] * 3, first_expansion,
+          _at(names, "zxy"), degree)
+    _scan(rep, "second_slot_product_expansion", [idx] * 3, second_expansion,
+          _at(names, "xyz"), degree)
+    _scan(rep, "braided_commutation", [idx] * 2, commutation,
+          _at(names, "xy"), degree)
     return rep
 
 
@@ -432,10 +415,11 @@ def verify_oqhybe(C, degree):
                          if (v := contract_z(k, h, b, g, a))), zero))
         return sides
 
-    _scan(rep, "operator_ybe_first_form", degree, names, "xyz",
-          ybe_form(R_alpha, R_alpha, R))
-    _scan(rep, "operator_ybe_second_form", degree, names, "xyz",
-          ybe_form(R, alpha_R, alpha_R))
+    idx = [range(len(basis))] * 3
+    _scan(rep, "operator_ybe_first_form", idx, ybe_form(R_alpha, R_alpha, R),
+          _at(names, "xyz"), degree)
+    _scan(rep, "operator_ybe_second_form", idx, ybe_form(R, alpha_R, alpha_R),
+          _at(names, "xyz"), degree)
     return rep
 
 
@@ -447,9 +431,10 @@ def check_alpha_invariance(C, degree):
     rep = Report(f"alpha invariance on {C.name or 'instance'}")
     basis = covered_basis(C, degree)
     alpha_of = [H.alpha_word(w) for w in basis]
-    _scan(rep, "alpha_invariance", degree, [pres.word_text(w) for w in basis],
-          "xy", lambda i, j: (eval_R(C, alpha_of[i], alpha_of[j]),
-                              C.word_pair_value(basis[i], basis[j])))
+    _scan(rep, "alpha_invariance", [range(len(basis))] * 2,
+          lambda i, j: (eval_R(C, alpha_of[i], alpha_of[j]),
+                        C.word_pair_value(basis[i], basis[j])),
+          _at([pres.word_text(w) for w in basis], "xy"), degree)
     return rep
 
 

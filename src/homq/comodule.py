@@ -12,11 +12,11 @@ of the same instance.
 """
 
 from .cobraid import CobraidedHomBialgebra, check_alpha_invariance
-from .hombialg import (HomBialgebra, MorphismError, twist_hom_bialgebra,
-                       verify_morphism)
-from .ncpoly import (NCPoly, Presentation, PresentationError, word_image,
-                     word_key)
-from .report import Report, timed
+from .hombialg import (MorphismError, _relations_preserved,
+                       twist_hom_bialgebra, verify_morphism)
+from .ncpoly import (NCPoly, Presentation, PresentationError, _bump,
+                     generator_table, word_image, word_key)
+from .report import Report, _scan, timed
 from .scalars import render
 
 
@@ -32,15 +32,6 @@ class ComoduleError(Exception):
 def host_hom(host):
     """Unwrap a host that may carry a bilinear form."""
     return host.H if isinstance(host, CobraidedHomBialgebra) else host
-
-
-def _bump(acc, key, c):
-    cur = acc.get(key)
-    cur = c if cur is None else cur + c
-    if cur.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = cur
 
 
 # mixed host (x) carrier tensors ----------------------------------------------
@@ -230,37 +221,16 @@ class ComoduleAlgebra:
             raise PresentationError(
                 "host and carrier must share one scalar field")
 
-        self.rho_gen = [None] * len(carrier.generators)
-        for gspec, entries in rho_table.items():
-            w = carrier.word(gspec)
-            if len(w) != 1:
-                raise PresentationError(f"{gspec!r} is not a generator")
-            self.rho_gen[w[0]] = MixedTensor(hpres, carrier, dict(entries))
-        for i, t in enumerate(self.rho_gen):
-            if t is None:
-                raise PresentationError(
-                    f"generator {carrier.generators[i]} missing from rho table")
-
+        self.rho_gen = generator_table(
+            carrier, rho_table, "rho table",
+            lambda t: t if isinstance(t, MixedTensor)
+            else MixedTensor(hpres, carrier, dict(t)))
         if alpha_table is None:
-            self.alpha_gen = [carrier.gen(g) for g in carrier.generators]
-            self.alpha_is_identity = True
-        else:
-            images = [None] * len(carrier.generators)
-            for gspec, val in alpha_table.items():
-                w = carrier.word(gspec)
-                if len(w) != 1:
-                    raise PresentationError(f"{gspec!r} is not a generator")
-                images[w[0]] = (val if isinstance(val, NCPoly)
-                                else carrier.poly(val))
-            for i, p in enumerate(images):
-                if p is None:
-                    raise PresentationError(
-                        f"generator {carrier.generators[i]} missing from "
-                        "alpha table")
-            self.alpha_gen = images
-            self.alpha_is_identity = all(
-                p.terms == {(i,): carrier.field.one}
-                for i, p in enumerate(images))
+            alpha_table = [carrier.gen(g) for g in carrier.generators]
+        self.alpha_gen = generator_table(carrier, alpha_table, "alpha table")
+        self.alpha_is_identity = all(
+            p.terms == {(i,): carrier.field.one}
+            for i, p in enumerate(self.alpha_gen))
 
         self._alpha_cache = {}
         self._base_rho_cache = {(): MixedTensor(
@@ -272,10 +242,8 @@ class ComoduleAlgebra:
     def alpha_word(self, w):
         hit = self._alpha_cache.get(w)
         if hit is None:
-            acc = self.carrier.unit(1)
-            for i in w:
-                acc = acc * self.alpha_gen[i]
-            hit = self._alpha_cache[w] = acc
+            hit = self._alpha_cache[w] = word_image(w, self.alpha_gen,
+                                                    self.carrier.unit(1))
         return hit
 
     def alpha_poly(self, p):
@@ -428,102 +396,83 @@ def _verify_comodule_finite(M):
     H = M.hom
     pres = H.pres
     rep = Report(f"comodule axioms on {M.name or 'carrier'}")
-    ident = str
 
-    with timed() as tm:
-        witness = None
-        for lab in M.labels:
-            lhs, rhs = {}, {}
-            for (hw, mid), c in M.rho[lab].items():
-                for (w1, w2), dc in H.delta_word(hw).terms.items():
-                    cd = c * dc
-                    for k, ac in M.alpha[mid].items():
-                        _bump(lhs, (w1, w2, k), cd * ac)
-                ap = H.alpha_word(hw)
-                for (hw2, k), c2 in M.rho[mid].items():
-                    cc = c * c2
-                    for w1, c1 in ap.terms.items():
-                        _bump(rhs, (w1, hw2, k), cc * c1)
-            if lhs != rhs:
-                witness = {"element": lab,
-                           "left": _render_triple(pres, lhs, ident),
-                           "right": _render_triple(pres, rhs, ident)}
-                break
-    rep.add("coaction_hom_coassociativity", "fail" if witness else "pass",
-            witness=witness, wall_time=tm.seconds)
-
-    with timed() as tm:
-        witness = None
-        for lab in M.labels:
-            lhs, rhs = {}, {}
-            for (hw, mid), c in M.rho[lab].items():
-                ap = H.alpha_word(hw)
+    def hom_coassociativity(lab):
+        lhs, rhs = {}, {}
+        for (hw, mid), c in M.rho[lab].items():
+            for (w1, w2), dc in H.delta_word(hw).terms.items():
+                cd = c * dc
                 for k, ac in M.alpha[mid].items():
-                    ca = c * ac
-                    for w1, c1 in ap.terms.items():
-                        _bump(lhs, (w1, k), ca * c1)
-            for mid, ac in M.alpha[lab].items():
-                for key, c in M.rho[mid].items():
-                    _bump(rhs, key, ac * c)
-            if lhs != rhs:
-                witness = {"element": lab,
-                           "left": _render_pair(pres, lhs, ident),
-                           "right": _render_pair(pres, rhs, ident)}
-                break
-    rep.add("coaction_comultiplicativity", "fail" if witness else "pass",
-            witness=witness, wall_time=tm.seconds)
+                    _bump(lhs, (w1, w2, k), cd * ac)
+            ap = H.alpha_word(hw)
+            for (hw2, k), c2 in M.rho[mid].items():
+                cc = c * c2
+                for w1, c1 in ap.terms.items():
+                    _bump(rhs, (w1, hw2, k), cc * c1)
+        return lhs, rhs
+
+    def comultiplicativity(lab):
+        lhs, rhs = {}, {}
+        for (hw, mid), c in M.rho[lab].items():
+            ap = H.alpha_word(hw)
+            for k, ac in M.alpha[mid].items():
+                ca = c * ac
+                for w1, c1 in ap.terms.items():
+                    _bump(lhs, (w1, k), ca * c1)
+        for mid, ac in M.alpha[lab].items():
+            for key, c in M.rho[mid].items():
+                _bump(rhs, key, ac * c)
+        return lhs, rhs
+
+    def where(lab):
+        return {"element": lab}
+
+    _scan(rep, "coaction_hom_coassociativity", [M.labels], hom_coassociativity,
+          where, render=lambda t: _render_triple(pres, t, str))
+    _scan(rep, "coaction_comultiplicativity", [M.labels], comultiplicativity,
+          where, render=lambda t: _render_pair(pres, t, str))
     return rep
 
 
 def _verify_comodule_algebra(M, degree):
     H = M.hom
     pres = H.pres
-    carrier = M.carrier
     rep = Report(f"comodule axioms on {M.name or 'carrier'}")
-    words = carrier.graded_basis(degree)
-    ctext = carrier.word_text
+    ctext = M.carrier.word_text
 
-    with timed() as tm:
-        witness = None
-        for w in words:
-            lhs, rhs = {}, {}
-            for (hw, cw), c in M.rho_word(w).terms.items():
-                dt = H.delta_word(hw).terms
-                for v, ac in M.alpha_word(cw).terms.items():
-                    ca = c * ac
-                    for (w1, w2), dc in dt.items():
-                        _bump(lhs, (w1, w2, v), ca * dc)
-                ap = H.alpha_word(hw)
-                for (hw2, cw2), c2 in M.rho_word(cw).terms.items():
-                    cc = c * c2
-                    for w1, c1 in ap.terms.items():
-                        _bump(rhs, (w1, hw2, cw2), cc * c1)
-            if lhs != rhs:
-                witness = {"element": ctext(w),
-                           "left": _render_triple(pres, lhs, ctext),
-                           "right": _render_triple(pres, rhs, ctext)}
-                break
-    rep.add("coaction_hom_coassociativity", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
+    def hom_coassociativity(w):
+        lhs, rhs = {}, {}
+        for (hw, cw), c in M.rho_word(w).terms.items():
+            dt = H.delta_word(hw).terms
+            for v, ac in M.alpha_word(cw).terms.items():
+                ca = c * ac
+                for (w1, w2), dc in dt.items():
+                    _bump(lhs, (w1, w2, v), ca * dc)
+            ap = H.alpha_word(hw)
+            for (hw2, cw2), c2 in M.rho_word(cw).terms.items():
+                cc = c * c2
+                for w1, c1 in ap.terms.items():
+                    _bump(rhs, (w1, hw2, cw2), cc * c1)
+        return lhs, rhs
 
-    with timed() as tm:
-        witness = None
-        for w in words:
-            lhs = {}
-            for (hw, cw), c in M.rho_word(w).terms.items():
-                ap = H.alpha_word(hw)
-                for v, ac in M.alpha_word(cw).terms.items():
-                    ca = c * ac
-                    for w1, c1 in ap.terms.items():
-                        _bump(lhs, (w1, v), ca * c1)
-            rhs = M.rho(M.alpha_word(w)).terms
-            if lhs != rhs:
-                witness = {"element": ctext(w),
-                           "left": _render_pair(pres, lhs, ctext),
-                           "right": _render_pair(pres, dict(rhs), ctext)}
-                break
-    rep.add("coaction_comultiplicativity", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
+    def comultiplicativity(w):
+        lhs = {}
+        for (hw, cw), c in M.rho_word(w).terms.items():
+            ap = H.alpha_word(hw)
+            for v, ac in M.alpha_word(cw).terms.items():
+                ca = c * ac
+                for w1, c1 in ap.terms.items():
+                    _bump(lhs, (w1, v), ca * c1)
+        return lhs, M.rho(M.alpha_word(w)).terms
+
+    def where(w):
+        return {"element": ctext(w)}
+
+    words = M.carrier.graded_basis(degree)
+    _scan(rep, "coaction_hom_coassociativity", [words], hom_coassociativity,
+          where, degree, render=lambda t: _render_triple(pres, t, ctext))
+    _scan(rep, "coaction_comultiplicativity", [words], comultiplicativity,
+          where, degree, render=lambda t: _render_pair(pres, t, ctext))
     return rep
 
 
@@ -680,71 +629,60 @@ def _render_state(terms):
                       for k in sorted(terms))
 
 
-def verify_hybe(B, alpha=None):
+def _triple(i, j, k):
+    return {"triple": f"{i} (x) {j} (x) {k}"}
+
+
+def _braid_sides(lhs_stages, rhs_stages, one):
+    def sides(i, j, k):
+        start = {(i, j, k): one}
+        return _chain(start, lhs_stages), _chain(start, rhs_stages)
+    return sides
+
+
+def verify_hybe(B):
     """Check the square operator against the twisted braid identity on
-    triple tensors, plus commutation with the doubled carrier map."""
+    triple tensors, plus commutation with the doubled carrier map.  The
+    carrier map of the first factor, B.alpha_v, acts on every leg."""
     if B.v_labels != B.w_labels:
         raise ComoduleError("operator must act on a square carrier pair")
     labels = B.v_labels
-    alpha = B.alpha_v if alpha is None else alpha
+    alpha = B.alpha_v
     rep = Report(f"Yang-Baxter operator checks on {B.name or 'operator'}")
     ent = B.entries
 
-    with timed() as tm:
-        witness = None
-        lhs_stages = [(_apply_back, ent, alpha), (_apply_front, ent, alpha),
-                      (_apply_back, ent, alpha)]
-        rhs_stages = [(_apply_front, ent, alpha), (_apply_back, ent, alpha),
-                      (_apply_front, ent, alpha)]
-        one = B.field.one
-        for i in labels:
-            for j in labels:
-                for k in labels:
-                    start = {(i, j, k): one}
-                    left = _chain(start, lhs_stages)
-                    right = _chain(start, rhs_stages)
-                    if left != right:
-                        witness = {"triple": f"{i} (x) {j} (x) {k}",
-                                   "left": _render_state(left),
-                                   "right": _render_state(right)}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    rep.add("hybe", "fail" if witness else "pass", witness=witness,
-            wall_time=tm.seconds)
+    back, front = (_apply_back, ent, alpha), (_apply_front, ent, alpha)
+    _scan(rep, "hybe", [labels] * 3,
+          _braid_sides([back, front, back], [front, back, front],
+                       B.field.one),
+          _triple, render=_render_state)
 
-    rep.add(*_alpha_commutation_check(B, alpha, alpha))
-    return rep
-
-
-def _alpha_commutation_check(B, alpha_v=None, alpha_w=None):
-    alpha_v = B.alpha_v if alpha_v is None else alpha_v
-    alpha_w = B.alpha_w if alpha_w is None else alpha_w
+    # the commutation witness names the pair and has no sides to render,
+    # so this check keeps its own loop
     witness = None
     with timed() as tm:
-        for i in B.v_labels:
-            for j in B.w_labels:
+        for i in labels:
+            for j in labels:
                 after = {}
-                for (k, l), c in B.entries.get((i, j), {}).items():
-                    for k2, c1 in alpha_w.get(k, {}).items():
+                for (k, l), c in ent.get((i, j), {}).items():
+                    for k2, c1 in alpha.get(k, {}).items():
                         cc = c * c1
-                        for l2, c2 in alpha_v.get(l, {}).items():
+                        for l2, c2 in alpha.get(l, {}).items():
                             _bump(after, (k2, l2), cc * c2)
                 before = {}
-                for i2, c1 in alpha_v.get(i, {}).items():
-                    for j2, c2 in alpha_w.get(j, {}).items():
+                for i2, c1 in alpha.get(i, {}).items():
+                    for j2, c2 in alpha.get(j, {}).items():
                         cc = c1 * c2
-                        for key, c in B.entries.get((i2, j2), {}).items():
+                        for key, c in ent.get((i2, j2), {}).items():
                             _bump(before, key, cc * c)
                 if after != before:
                     witness = {"pair": f"{i} (x) {j}"}
                     break
             if witness:
                 break
-    return ("alpha_commutation", "fail" if witness else "pass",
-            witness, None, tm.seconds)
+    rep.add("alpha_commutation", "fail" if witness else "pass", witness,
+            wall_time=tm.seconds)
+    return rep
 
 
 def verify_mixed_hybe(U, V, W, invariance_degree=2):
@@ -769,50 +707,13 @@ def verify_mixed_hybe(U, V, W, invariance_degree=2):
                   (_apply_back, b_uv, W.alpha)]
     rhs_stages = [(_apply_front, b_uv, W.alpha), (_apply_back, b_uw, V.alpha),
                   (_apply_front, b_vw, U.alpha)]
-    one = C.H.pres.field.one
-
-    with timed() as tm:
-        witness = None
-        for i in U.labels:
-            for j in V.labels:
-                for k in W.labels:
-                    start = {(i, j, k): one}
-                    left = _chain(start, lhs_stages)
-                    right = _chain(start, rhs_stages)
-                    if left != right:
-                        witness = {"triple": f"{i} (x) {j} (x) {k}",
-                                   "left": _render_state(left),
-                                   "right": _render_state(right)}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    rep.add("mixed_hybe", "fail" if witness else "pass", witness=witness,
-            wall_time=tm.seconds)
+    _scan(rep, "mixed_hybe", [U.labels, V.labels, W.labels],
+          _braid_sides(lhs_stages, rhs_stages, C.H.pres.field.one),
+          _triple, render=_render_state)
     return rep
 
 
 # comodule algebras and their twisting --------------------------------------------
-
-
-def _algebra_morphism_report(pres, images, name=""):
-    rep = Report(f"algebra morphism on {name or 'carrier'}")
-    unit = pres.unit(1)
-    with timed() as tm:
-        witness = None
-        for lw, rp in pres.rules:
-            left = word_image(lw, images, unit)
-            right = pres.zero_poly()
-            for v, c in rp.items():
-                right = right + word_image(v, images, unit).scale(c)
-            if left != right:
-                witness = {"rule": pres.word_text(lw), "left": left.render(),
-                           "right": right.render()}
-                break
-    rep.add("relations_preserved", "fail" if witness else "pass",
-            witness=witness, wall_time=tm.seconds)
-    return rep
 
 
 def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
@@ -832,26 +733,13 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
     if not hrep.passed:
         raise MorphismError(hrep)
 
-    a_images = [None] * len(carrier.generators)
-    for gspec, val in alpha_a.items():
-        w = carrier.word(gspec)
-        if len(w) != 1:
-            raise PresentationError(f"{gspec!r} is not a generator")
-        a_images[w[0]] = (val if isinstance(val, NCPoly)
-                          else carrier.poly(val))
-    for i, p in enumerate(a_images):
-        if p is None:
-            raise PresentationError(
-                f"generator {carrier.generators[i]} missing from alpha table")
-    arep = _algebra_morphism_report(carrier, a_images, name=carrier.name)
+    a_images = generator_table(carrier, alpha_a, "alpha table")
+    arep = Report(f"algebra morphism on {carrier.name or 'carrier'}")
+    _relations_preserved(arep, carrier, a_images)
     if not arep.passed:
         raise MorphismError(arep)
 
-    h_images = [H.alpha_poly(hpres.gen(g)) for g in hpres.generators] \
-        if False else None
-    # host endomorphism images for the intertwining check
-    from .hombialg import _endo_images
-    h_images = _endo_images(alpha_h, hpres)
+    h_images = generator_table(hpres, alpha_h, "endomorphism table")
     hunit = hpres.unit(1)
     aunit = carrier.unit(1)
     for gi, g in enumerate(carrier.generators):
@@ -879,12 +767,7 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
                                      name=A.host.name)
     else:
         host = twisted_h
-    rho_table = {carrier.generators[i]: dict(t.terms)
-                 for i, t in enumerate(A.rho_gen)}
-    alpha_table = {carrier.generators[i]: p
-                   for i, p in enumerate(a_images)}
-    return ComoduleAlgebra(host, carrier, rho_table, alpha_table,
-                           twisted=True,
+    return ComoduleAlgebra(host, carrier, A.rho_gen, a_images, twisted=True,
                            name=name or (A.name and A.name + "_twisted"))
 
 
@@ -896,26 +779,19 @@ def verify_comodule_hom_algebra(M, degree):
     one = carrier.field.one
     words = carrier.graded_basis(degree)
     rep = Report(f"comodule algebra on {M.name or 'carrier'}")
-    with timed() as tm:
-        witness = None
-        for u in words:
-            pu = NCPoly(carrier, {u: one}, _trusted=True)
-            ru = M.rho_word(u)
-            for v in words:
-                if len(u) + len(v) > degree:
-                    continue
-                pv = NCPoly(carrier, {v: one}, _trusted=True)
-                lhs = M.rho(M.product(pu, pv))
-                rhs = M.pair_product(ru, M.rho_word(v))
-                if lhs != rhs:
-                    witness = {"left_factor": carrier.word_text(u),
-                               "right_factor": carrier.word_text(v),
-                               "left": lhs.render(), "right": rhs.render()}
-                    break
-            if witness:
-                break
-    rep.add("coaction_multiplicativity", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
+    pairs = [(u, v) for u in words for v in words
+             if len(u) + len(v) <= degree]
+    rho = {w: M.rho_word(w) for w in words}
+
+    def multiplicativity(pair):
+        u, v = pair
+        lhs = M.rho(M.product(NCPoly(carrier, {u: one}, _trusted=True),
+                              NCPoly(carrier, {v: one}, _trusted=True)))
+        return lhs, M.pair_product(rho[u], rho[v])
+
+    _scan(rep, "coaction_multiplicativity", [pairs], multiplicativity,
+          lambda pair: {"left_factor": carrier.word_text(pair[0]),
+                        "right_factor": carrier.word_text(pair[1])}, degree)
     return rep
 
 
@@ -1038,8 +914,7 @@ def closed_form_coaction(A, kind, i, j, xi="xi", lam="lambda"):
         else:
             outer = lam_inv * (xi ** (i + 1))
             raw[("a" * i + "c", "x" * (i + 1))] = outer
-            _bump_spec = outer  # a^i d term always present
-            raw[("a" * i + "d", "x" * i + "y")] = _bump_spec
+            raw[("a" * i + "d", "x" * i + "y")] = outer
             if i >= 1:
                 raw[("a" * (i - 1) + "bc", "x" * i + "y")] = \
                     outer * q * q_squared_int(field, i)

@@ -9,8 +9,11 @@ twisted reading where the product is alpha after multiplication and the
 coproduct is the table extension after alpha.
 """
 
-from .ncpoly import NCPoly, TensorElement, PresentationError, word_key
-from .report import Report, timed
+from functools import cache
+
+from .ncpoly import (NCPoly, TensorElement, PresentationError, _bump,
+                     generator_table, word_image, word_key)
+from .report import Report, _at, _scan
 from .scalars import render
 
 
@@ -20,7 +23,7 @@ class MorphismError(Exception):
     def __init__(self, report):
         self.report = report
         bad = ", ".join(c.name for c in report.failures())
-        super().__init__(f"twisting map is not a bialgebra morphism: {bad}")
+        super().__init__(f"{report.title}: twisting map fails {bad}")
 
 
 class HomBialgebra:
@@ -30,46 +33,21 @@ class HomBialgebra:
         self.pres = pres
         self.name = name or pres.name
         self.twisted = twisted
-        ng = len(pres.generators)
 
-        self.delta_gen = [None] * ng
-        for gspec, val in delta_table.items():
-            w = pres.word(gspec)
-            if len(w) != 1:
-                raise PresentationError(f"delta table key {gspec!r} is not a "
-                                        "generator")
-            if isinstance(val, TensorElement):
-                te = val
-            else:
-                te = pres.tensor(2, val)
+        def two_legs(val):
+            te = val if isinstance(val, TensorElement) else pres.tensor(2, val)
             if te.arity != 2:
-                raise PresentationError("delta table values must have two legs")
-            self.delta_gen[w[0]] = te
-        for i, te in enumerate(self.delta_gen):
-            if te is None:
-                raise PresentationError(
-                    f"generator {pres.generators[i]} missing from delta table")
+                raise PresentationError("delta table values need two legs")
+            return te
 
+        self.delta_gen = generator_table(pres, delta_table, "delta table",
+                                         two_legs)
         if alpha_table is None:
-            self.alpha_gen = [pres.gen(g) for g in pres.generators]
-            self.alpha_is_identity = True
-        else:
-            self.alpha_gen = [None] * ng
-            for gspec, val in alpha_table.items():
-                w = pres.word(gspec)
-                if len(w) != 1:
-                    raise PresentationError(f"alpha table key {gspec!r} is not "
-                                            "a generator")
-                p = val if isinstance(val, NCPoly) else pres.poly(val)
-                self.alpha_gen[w[0]] = p
-            for i, p in enumerate(self.alpha_gen):
-                if p is None:
-                    raise PresentationError(
-                        f"generator {pres.generators[i]} missing from alpha "
-                        "table")
-            self.alpha_is_identity = all(
-                p.terms == {(i,): pres.field.one}
-                for i, p in enumerate(self.alpha_gen))
+            alpha_table = [pres.gen(g) for g in pres.generators]
+        self.alpha_gen = generator_table(pres, alpha_table, "alpha table")
+        self.alpha_is_identity = all(
+            p.terms == {(i,): pres.field.one}
+            for i, p in enumerate(self.alpha_gen))
 
         self._alpha_word_cache = {}
         self._delta_word_cache = {}
@@ -79,10 +57,8 @@ class HomBialgebra:
     def alpha_word(self, w):
         hit = self._alpha_word_cache.get(w)
         if hit is None:
-            acc = self.pres.unit(1)
-            for i in w:
-                acc = acc * self.alpha_gen[i]
-            hit = self._alpha_word_cache[w] = acc
+            hit = self._alpha_word_cache[w] = word_image(
+                w, self.alpha_gen, self.pres.unit(1))
         return hit
 
     def alpha_poly(self, p):
@@ -113,10 +89,8 @@ class HomBialgebra:
     def untwisted_delta_word(self, w):
         hit = self._delta_word_cache.get(w)
         if hit is None:
-            acc = self.pres.unit_tensor(2)
-            for i in w:
-                acc = acc * self.delta_gen[i]
-            hit = self._delta_word_cache[w] = acc
+            hit = self._delta_word_cache[w] = word_image(
+                w, self.delta_gen, self.pres.unit_tensor(2))
         return hit
 
     def untwisted_delta(self, p):
@@ -135,9 +109,6 @@ class HomBialgebra:
         if self.twisted:
             return self.untwisted_delta(self.alpha_word(w))
         return self.untwisted_delta_word(w)
-
-    def _delta_slot(self, w):
-        return self.delta_word(w)
 
     # serialization ---------------------------------------------------------------
 
@@ -209,81 +180,48 @@ def pairwise_product(H, t1, t2):
             raw = {}
             for lw, lc in left.terms.items():
                 for rw, rc in right.terms.items():
-                    sc = c * lc * rc
-                    acc = raw.get((lw, rw))
-                    acc = sc if acc is None else acc + sc
-                    if acc.is_zero():
-                        raw.pop((lw, rw), None)
-                    else:
-                        raw[(lw, rw)] = acc
+                    _bump(raw, (lw, rw), c * lc * rc)
             total = total + TensorElement(pres, 2, raw, _trusted=True)
     return total
 
 
-def verify_morphism(endo, H, degree=None):
+def _relations_preserved(rep, pres, images):
+    """Add the check that the generator images satisfy every defining
+    relation of pres, the first violated rule being the witness."""
+    unit = pres.unit(1)
+
+    def sides(rule):
+        lw, rp = rule
+        left = word_image(lw, images, unit)
+        right = pres.zero_poly()
+        for v, c in rp.items():
+            right = right + word_image(v, images, unit).scale(c)
+        return left, right
+
+    _scan(rep, "relations_preserved", [pres.rules], sides,
+          lambda rule: {"rule": pres.word_text(rule[0])})
+
+
+def verify_morphism(endo, H):
     """Check that the generator table endo defines a bialgebra morphism:
     it preserves every defining relation and commutes with the coproduct."""
     pres = H.pres
-    images = _endo_images(endo, pres)
+    images = generator_table(pres, endo, "endomorphism table")
     rep = Report(f"morphism on {H.name or 'instance'}")
-
-    def img_word(w):
-        acc = pres.unit(1)
-        for i in w:
-            acc = acc * images[i]
-        return acc
-
-    with timed() as tm:
-        witness = None
-        for k, (lw, rp) in enumerate(pres.rules):
-            left = img_word(lw)
-            right = pres.zero_poly()
-            for v, c in rp.items():
-                right = right + img_word(v).scale(c)
-            if left != right:
-                witness = {"rule": pres.word_text(lw),
-                           "left": left.render(), "right": right.render()}
-                break
-    rep.add("relations_preserved", "fail" if witness else "pass",
-            witness=witness, wall_time=tm.seconds)
+    _relations_preserved(rep, pres, images)
+    unit = pres.unit(1)
 
     def endo_slot(w):
-        img = img_word(w)
+        img = word_image(w, images, unit)
         return TensorElement(pres, 1, {(v,): c for v, c in img.terms.items()},
                              _trusted=True)
 
-    with timed() as tm:
-        witness = None
-        for i, g in enumerate(pres.generators):
-            left = H.untwisted_delta(images[i])
-            right = H.untwisted_delta_word((i,)).map_slots([endo_slot,
-                                                            endo_slot])
-            if left != right:
-                witness = {"generator": g, "left": left.render(),
-                           "right": right.render()}
-                break
-    rep.add("comultiplication_preserved", "fail" if witness else "pass",
-            witness=witness, wall_time=tm.seconds)
+    _scan(rep, "comultiplication_preserved", [range(len(images))],
+          lambda i: (H.untwisted_delta(images[i]),
+                     H.untwisted_delta_word((i,)).map_slots([endo_slot,
+                                                             endo_slot])),
+          lambda i: {"generator": pres.generators[i]})
     return rep
-
-
-def _endo_images(endo, pres):
-    if isinstance(endo, (list, tuple)):
-        images = list(endo)
-        if len(images) != len(pres.generators):
-            raise PresentationError("endomorphism table has wrong length")
-        return [p if isinstance(p, NCPoly) else pres.poly(p) for p in images]
-    images = [None] * len(pres.generators)
-    for gspec, val in endo.items():
-        w = pres.word(gspec)
-        if len(w) != 1:
-            raise PresentationError(f"table key {gspec!r} is not a generator")
-        images[w[0]] = val if isinstance(val, NCPoly) else pres.poly(val)
-    for i, p in enumerate(images):
-        if p is None:
-            raise PresentationError(
-                f"generator {pres.generators[i]} missing from table")
-    return images
 
 
 def twist_hom_bialgebra(B, endo, name=""):
@@ -295,12 +233,7 @@ def twist_hom_bialgebra(B, endo, name=""):
     rep = verify_morphism(endo, B)
     if not rep.passed:
         raise MorphismError(rep)
-    pres = B.pres
-    delta_table = {pres.generators[i]: te
-                   for i, te in enumerate(B.delta_gen)}
-    images = _endo_images(endo, pres)
-    alpha_table = {pres.generators[i]: p for i, p in enumerate(images)}
-    return HomBialgebra(pres, delta_table, alpha_table, twisted=True,
+    return HomBialgebra(B.pres, B.delta_gen, endo, twisted=True,
                         name=name or (B.name + "_twisted" if B.name else ""))
 
 
@@ -313,90 +246,35 @@ def verify_hom_bialgebra(H, degree):
     basis = pres.graded_basis(degree)
     one = pres.field.one
     mono = [NCPoly(pres, {w: one}, _trusted=True) for w in basis]
-    names = [pres.word_text(w) for w in basis]
-    n = len(basis)
-
+    at = _at([pres.word_text(w) for w in basis], "xyz")
+    idx = range(len(basis))
     alpha_of = [H.alpha_poly(p) for p in mono]
-    prod = {}
 
-    def get_prod(i, j):
-        p = prod.get((i, j))
-        if p is None:
-            p = prod[(i, j)] = H.product(mono[i], mono[j])
-        return p
+    @cache
+    def prod(i, j):
+        return H.product(mono[i], mono[j])
 
-    with timed() as tm:
-        witness = None
-        for i in range(n):
-            for j in range(n):
-                left = H.alpha_poly(get_prod(i, j))
-                right = H.product(alpha_of[i], alpha_of[j])
-                if left != right:
-                    witness = {"x": names[i], "y": names[j],
-                               "left": left.render(), "right": right.render()}
-                    break
-            if witness:
-                break
-    rep.add("multiplicativity", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
+    @cache
+    def delta_of(i):
+        return H.delta(mono[i])
 
-    with timed() as tm:
-        witness = None
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    left = H.product(alpha_of[i], get_prod(j, k))
-                    right = H.product(get_prod(i, j), alpha_of[k])
-                    if left != right:
-                        witness = {"x": names[i], "y": names[j], "z": names[k],
-                                   "left": left.render(),
-                                   "right": right.render()}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    rep.add("hom_associativity", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
+    def hom_coassociativity(i):
+        D = delta_of(i)
+        return (D.map_slots([H._alpha_slot, H.delta_word]),
+                D.map_slots([H.delta_word, H._alpha_slot]))
 
-    with timed() as tm:
-        witness = None
-        for i in range(n):
-            left = H.delta(alpha_of[i])
-            right = H.alpha_tensor(H.delta(mono[i]))
-            if left != right:
-                witness = {"x": names[i], "left": left.render(),
-                           "right": right.render()}
-                break
-    rep.add("comultiplicativity", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
-
-    with timed() as tm:
-        witness = None
-        for i in range(n):
-            D = H.delta(mono[i])
-            left = D.map_slots([H._alpha_slot, H._delta_slot])
-            right = D.map_slots([H._delta_slot, H._alpha_slot])
-            if left != right:
-                witness = {"x": names[i], "left": left.render(),
-                           "right": right.render()}
-                break
-    rep.add("hom_coassociativity", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
-
-    with timed() as tm:
-        witness = None
-        for i in range(n):
-            di = H.delta(mono[i])
-            for j in range(n):
-                left = H.delta(get_prod(i, j))
-                right = pairwise_product(H, di, H.delta(mono[j]))
-                if left != right:
-                    witness = {"x": names[i], "y": names[j],
-                               "left": left.render(), "right": right.render()}
-                    break
-            if witness:
-                break
-    rep.add("product_coproduct_compatibility", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
+    _scan(rep, "multiplicativity", [idx] * 2,
+          lambda i, j: (H.alpha_poly(prod(i, j)),
+                        H.product(alpha_of[i], alpha_of[j])), at, degree)
+    _scan(rep, "hom_associativity", [idx] * 3,
+          lambda i, j, k: (H.product(alpha_of[i], prod(j, k)),
+                           H.product(prod(i, j), alpha_of[k])), at, degree)
+    _scan(rep, "comultiplicativity", [idx],
+          lambda i: (H.delta(alpha_of[i]), H.alpha_tensor(delta_of(i))),
+          at, degree)
+    _scan(rep, "hom_coassociativity", [idx], hom_coassociativity, at, degree)
+    _scan(rep, "product_coproduct_compatibility", [idx] * 2,
+          lambda i, j: (H.delta(prod(i, j)),
+                        pairwise_product(H, delta_of(i), delta_of(j))),
+          at, degree)
     return rep

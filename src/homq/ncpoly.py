@@ -29,6 +29,16 @@ def _heap_key(w):
     return (-len(w), tuple(-x for x in w), w)
 
 
+def _bump(acc, key, c):
+    """Add c to acc[key], dropping the entry when the sum is zero."""
+    cur = acc.get(key)
+    cur = c if cur is None else cur + c
+    if cur.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = cur
+
+
 class Presentation:
     """An algebra given by generators and a terminating rewrite system.
 
@@ -121,14 +131,7 @@ class Presentation:
         """Dict word -> Scalar without normal-forming, zero terms dropped."""
         out = {}
         for wspec, c in spec.items():
-            w = self.word(wspec)
-            s = self.coef(c)
-            if w in out:
-                s = out[w] + s
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            _bump(out, self.word(wspec), self.coef(c))
         return out
 
     # rewriting -------------------------------------------------------------
@@ -161,21 +164,11 @@ class Presentation:
                 sub = self._nf_cache.get(u)
                 if sub is not None:
                     for v, sc in sub.items():
-                        acc = out.get(v)
-                        acc = c * sc if acc is None else acc + c * sc
-                        if acc.is_zero():
-                            out.pop(v, None)
-                        else:
-                            out[v] = acc
+                        _bump(out, v, c * sc)
                     continue
             m = self._find_match(u)
             if m is None:
-                acc = out.get(u)
-                acc = c if acc is None else acc + c
-                if acc.is_zero():
-                    out.pop(u, None)
-                else:
-                    out[u] = acc
+                _bump(out, u, c)
                 continue
             i, lw, rp = m
             pre, post = u[:i], u[i + len(lw):]
@@ -272,12 +265,7 @@ class Presentation:
         out = {}
         for w, c in raw.items():
             for v, sc in self.normal_word(w).items():
-                acc = out.get(v)
-                acc = c * sc if acc is None else acc + c * sc
-                if acc.is_zero():
-                    out.pop(v, None)
-                else:
-                    out[v] = acc
+                _bump(out, v, c * sc)
         return out
 
     def check_local_confluence(self, degree):
@@ -405,12 +393,7 @@ class NCPoly:
             self._check(other)
             out = dict(self.terms)
             for w, c in other.terms.items():
-                acc = out.get(w)
-                acc = c if acc is None else acc + c
-                if acc.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = acc
+                _bump(out, w, c)
             return NCPoly(self.pres, out, _trusted=True)
         if isinstance(other, (int, Scalar)):
             return self + self.pres.unit(other)
@@ -451,12 +434,7 @@ class NCPoly:
             for w2, c2 in other.terms.items():
                 c = c1 * c2
                 for v, sc in pres.normal_word(w1 + w2).items():
-                    acc = out.get(v)
-                    acc = c * sc if acc is None else acc + c * sc
-                    if acc.is_zero():
-                        out.pop(v, None)
-                    else:
-                        out[v] = acc
+                    _bump(out, v, c * sc)
         return NCPoly(pres, out, _trusted=True)
 
     def __rmul__(self, other):
@@ -496,9 +474,7 @@ class NCPoly:
     def from_json(cls, data, pres):
         raw = {}
         for t in data:
-            w = pres.word(t["mono"])
-            c = pres.coef(t["coef"])
-            raw[w] = raw.get(w, pres.field.zero) + c
+            _bump(raw, pres.word(t["mono"]), pres.coef(t["coef"]))
         return cls(pres, raw)
 
 
@@ -527,12 +503,7 @@ class TensorElement:
                 sc = c
                 for t in combo:
                     sc = sc * t[1]
-                acc = out.get(v)
-                acc = sc if acc is None else acc + sc
-                if acc.is_zero():
-                    out.pop(v, None)
-                else:
-                    out[v] = acc
+                _bump(out, v, sc)
         self.terms = out
 
     def is_zero(self):
@@ -550,12 +521,7 @@ class TensorElement:
         self._check(other)
         out = dict(self.terms)
         for ws, c in other.terms.items():
-            acc = out.get(ws)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(ws, None)
-            else:
-                out[ws] = acc
+            _bump(out, ws, c)
         return TensorElement(self.pres, self.arity, out, _trusted=True)
 
     def __neg__(self):
@@ -593,12 +559,7 @@ class TensorElement:
                     sc = c
                     for t in combo:
                         sc = sc * t[1]
-                    acc = out.get(u)
-                    acc = sc if acc is None else acc + sc
-                    if acc.is_zero():
-                        out.pop(u, None)
-                    else:
-                        out[u] = acc
+                    _bump(out, u, sc)
         return TensorElement(pres, self.arity, out, _trusted=True)
 
     def __rmul__(self, other):
@@ -673,6 +634,30 @@ def check_local_confluence(pres, degree):
 
 def graded_basis(pres, degree):
     return pres.graded_basis(degree)
+
+
+def generator_table(pres, table, what, convert=None):
+    """The images of the generators, in generator order, under a table
+    keyed by generator (a list or tuple is read in generator order).
+    Each value goes through convert; by default a value that is not an
+    NCPoly is read as a polynomial of pres."""
+    if convert is None:
+        def convert(val):
+            return val if isinstance(val, NCPoly) else pres.poly(val)
+    if isinstance(table, (list, tuple)):
+        if len(table) != len(pres.generators):
+            raise PresentationError(f"{what} has wrong length")
+        table = {(i,): val for i, val in enumerate(table)}
+    images = [None] * len(pres.generators)
+    for gspec, val in table.items():
+        w = pres.word(gspec)
+        if len(w) != 1:
+            raise PresentationError(f"{what} key {gspec!r} is not a generator")
+        images[w[0]] = convert(val)
+    for g, img in zip(pres.generators, images):
+        if img is None:
+            raise PresentationError(f"generator {g} missing from {what}")
+    return images
 
 
 def word_image(w, images, unit):

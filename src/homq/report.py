@@ -5,6 +5,7 @@ stable byte-for-byte.
 
 import json
 import time
+from itertools import product
 
 
 class Check:
@@ -89,3 +90,30 @@ class timed:
     def __exit__(self, *exc):
         self.seconds = time.monotonic() - self._t0
         return False
+
+
+def _scan(rep, name, slots, sides, where, degree=None, render=None):
+    """Add the check `name` to rep.  Case tuples take one case from each
+    sequence in `slots` and are visited in lexicographic order, first
+    slot outermost; the first tuple whose two sides(*case) differ is the
+    witness.  It holds the location where(*case), then both sides
+    rendered by `render`, or by their own render() when none is given."""
+    with timed() as tm:
+        witness = None
+        for case in product(*slots):
+            left, right = sides(*case)
+            if left != right:
+                show = render or (lambda side: side.render())
+                witness = where(*case)
+                witness["left"] = show(left)
+                witness["right"] = show(right)
+                break
+    rep.add(name, "fail" if witness else "pass", witness=witness,
+            degree=degree, wall_time=tm.seconds)
+
+
+def _at(names, letters):
+    """The location of a tuple of basis indices: the i-th letter keys
+    the name of the i-th index, keys in sorted order.  Letters past the
+    length of the tuple go unused."""
+    return lambda *idx: {s: names[i] for s, i in sorted(zip(letters, idx))}

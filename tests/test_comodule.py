@@ -353,6 +353,23 @@ def test_twist_requires_untwisted_base():
         twist_comodule_algebra(plane("standard"), ALPHA, PLANE_ALPHA)
 
 
+def test_carrier_map_refusal_names_the_algebra_morphism():
+    with pytest.raises(MorphismError) as info:
+        twist_comodule_algebra(plane("standard", twisted=False), ALPHA,
+                               {"x": {"y": 1}, "y": {"y": 1}})
+    assert str(info.value) == ("algebra morphism on standard_plane: twisting "
+                               "map fails relations_preserved")
+
+
+def test_host_map_refusal_names_the_morphism():
+    with pytest.raises(MorphismError) as info:
+        twist_comodule_algebra(plane("standard", twisted=False),
+                               dict(ALPHA, c={"c": 1}), PLANE_ALPHA)
+    assert str(info.value) == (
+        "morphism on qm2: twisting map fails relations_preserved, "
+        "comultiplication_preserved")
+
+
 # closed forms ----------------------------------------------------------------
 
 

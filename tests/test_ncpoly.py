@@ -6,7 +6,7 @@ from homq.scalars import ScalarField, render
 from homq.ncpoly import (Presentation, PresentationError, NCPoly,
                          TensorElement, normal_form, multiply,
                          check_local_confluence, graded_basis, word_key,
-                         word_image, poly_image)
+                         word_image, poly_image, generator_table)
 
 
 F = ScalarField(("t",))
@@ -347,3 +347,30 @@ def test_render_stable():
     p = P.poly({"da": 1})
     # scalar rendering is canonical in t with q = t^2
     assert p.render() == "(1)*ad + ((t^4 - 1)/t^2)*bc"
+
+
+def test_poly_json_cancelling_terms():
+    P = plane_standard()
+    data = [{"mono": "yx", "coef": "1"}, {"mono": "yx", "coef": "-1"},
+            {"mono": "x", "coef": "2"}]
+    assert NCPoly.from_json(data, P) == P.poly({"x": 2})
+
+
+# generator tables ---------------------------------------------------------------
+
+
+def test_generator_table_dict_and_list_agree():
+    P = plane_standard()
+    by_name = generator_table(P, {"y": {"x": 1}, "x": {"y": "q"}}, "map")
+    by_order = generator_table(P, [{"y": "q"}, P.gen("x")], "map")
+    assert by_name == by_order == [P.poly({"y": "q"}), P.gen("x")]
+
+
+@pytest.mark.parametrize("table, message", [
+    ({"xy": {"x": 1}, "y": {"y": 1}}, "map key 'xy' is not a generator"),
+    ({"x": {"x": 1}}, "generator y missing from map"),
+    ([{"x": 1}], "map has wrong length"),
+])
+def test_generator_table_rejects(table, message):
+    with pytest.raises(PresentationError, match=message):
+        generator_table(plane_standard(), table, "map")
