@@ -12,8 +12,7 @@ of the same instance.
 """
 
 from .cobraid import CobraidedHomBialgebra, check_alpha_invariance
-from .hombialg import (MorphismError, _relations_preserved,
-                       twist_hom_bialgebra, verify_morphism)
+from .hombialg import MorphismError, _relations_preserved, twist_hom_bialgebra
 from .ncpoly import (NCPoly, Presentation, PresentationError, _bump,
                      generator_table, word_image, word_key)
 from .report import Report, _scan, timed
@@ -142,7 +141,6 @@ class Comodule:
         field = pres.field
         if alpha_table is None:
             self.alpha = {lab: {lab: field.one} for lab in self.labels}
-            self.alpha_is_identity = True
         else:
             self.alpha = {}
             for lab in self.labels:
@@ -158,9 +156,6 @@ class Comodule:
                     if not c.is_zero():
                         row[lab2] = c
                 self.alpha[lab] = row
-            one = field.one
-            self.alpha_is_identity = all(
-                self.alpha[lab] == {lab: one} for lab in self.labels)
 
     @property
     def dim(self):
@@ -228,9 +223,6 @@ class ComoduleAlgebra:
         if alpha_table is None:
             alpha_table = [carrier.gen(g) for g in carrier.generators]
         self.alpha_gen = generator_table(carrier, alpha_table, "alpha table")
-        self.alpha_is_identity = all(
-            p.terms == {(i,): carrier.field.one}
-            for i, p in enumerate(self.alpha_gen))
 
         self._alpha_cache = {}
         self._base_rho_cache = {(): MixedTensor(
@@ -642,10 +634,14 @@ def _braid_sides(lhs_stages, rhs_stages, one):
 
 def verify_hybe(B):
     """Check the square operator against the twisted braid identity on
-    triple tensors, plus commutation with the doubled carrier map.  The
-    carrier map of the first factor, B.alpha_v, acts on every leg."""
+    triple tensors, plus commutation with the doubled carrier map.  Both
+    factors must carry the same labels and the same carrier map, which
+    acts on every leg."""
     if B.v_labels != B.w_labels:
         raise ComoduleError("operator must act on a square carrier pair")
+    if B.alpha_v != B.alpha_w:
+        raise ComoduleError("operator must act on a square carrier pair: "
+                            "the carrier maps of its two factors differ")
     labels = B.v_labels
     alpha = B.alpha_v
     rep = Report(f"Yang-Baxter operator checks on {B.name or 'operator'}")
@@ -729,9 +725,7 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
     hpres = H.pres
     carrier = A.carrier
 
-    hrep = verify_morphism(alpha_h, H)
-    if not hrep.passed:
-        raise MorphismError(hrep)
+    twisted_h = twist_hom_bialgebra(H, alpha_h)
 
     a_images = generator_table(carrier, alpha_a, "alpha table")
     arep = Report(f"algebra morphism on {carrier.name or 'carrier'}")
@@ -739,7 +733,7 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
     if not arep.passed:
         raise MorphismError(arep)
 
-    h_images = generator_table(hpres, alpha_h, "endomorphism table")
+    h_images = twisted_h.alpha_gen
     hunit = hpres.unit(1)
     aunit = carrier.unit(1)
     for gi, g in enumerate(carrier.generators):
@@ -760,7 +754,6 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
                 witness={"generator": g, "left": lhs.render(),
                          "right": rhs.render()})
 
-    twisted_h = twist_hom_bialgebra(H, alpha_h)
     if isinstance(A.host, CobraidedHomBialgebra):
         host = CobraidedHomBialgebra(twisted_h, A.host.form,
                                      A.host.alpha_power,

@@ -5,11 +5,18 @@ Every coefficient in this package is a scalar drawn from a field
     Q(zeta_n)(x_1, ..., x_k)
 
 of multivariate rational functions over a cyclotomic extension of the
-rationals.  No floats anywhere.  Scalars are canonical at all times:
-numerator and denominator coprime, denominator monic under graded lex
-with the declared variable order, zero stored as 0/1.  Equality of
-canonical forms is therefore plain structural equality, which is what
-every verifier in the package relies on.
+rationals.  No floats anywhere: a rational coefficient is a Python
+``int`` until a division makes it a ``fractions.Fraction`` (or a gmpy2
+``mpq``), and every division goes through ``_recip``.  An integral
+``Fraction`` equals and hashes like its ``int``, so the two mix freely.
+
+Scalars are canonical at all times: numerator and denominator coprime,
+denominator monic under graded lex with the declared variable order,
+zero stored as 0/1.  Equality of canonical forms is therefore plain
+structural equality, which is what every verifier in the package relies
+on.  Products and sums over monomial denominators (Laurent polynomials,
+the common case) cancel by exponent shifts; other denominators go
+through a multivariate gcd.
 
 The parser accepts integer literals, declared variable names, ``zeta``
 (when the field has a cyclotomic order), the sugar ``q`` for ``t^2`` and
@@ -23,14 +30,18 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import add as _add, sub as _sub
 
-try:  # pure speed; everything works on fractions.Fraction as well
+# Integral coefficients stay Python ints; _Q is made only by a division
+# (_recip).  The gmpy2 path is pure speed and untested here: the package
+# is developed and measured on fractions.Fraction.
+try:
     from gmpy2 import mpq as _Q
 except ImportError:  # pragma: no cover
     from fractions import Fraction as _Q
 
-_Q0 = _Q(0)
-_Q1 = _Q(1)
+_Q0 = 0
+_Q1 = 1
 
 
 class ScalarError(Exception):
@@ -74,6 +85,19 @@ class PoleError(ScalarError):
 # univariate helpers over Q, dense lists low degree first
 
 
+def _recip(c):
+    """Exact 1/c of a nonzero coefficient.
+
+    A rational becomes a _Q (an int of +-1 stays an int), so no division
+    can produce a float; a cyclotomic number becomes its field inverse.
+    """
+    if isinstance(c, int):
+        return c if c == 1 or c == -1 else _Q(1, c)
+    if isinstance(c, _CycNumBase):
+        return c.inverse()
+    return 1 / c
+
+
 def _utrim(a):
     while a and not a[-1]:
         a.pop()
@@ -83,7 +107,7 @@ def _utrim(a):
 def _udivmod(a, b):
     a = list(a)
     db = len(b) - 1
-    inv = 1 / b[-1]
+    inv = _recip(b[-1])
     q = [_Q0] * max(len(a) - db, 0)
     for i in range(len(a) - db - 1, -1, -1):
         c = a[i + db] * inv
@@ -125,8 +149,8 @@ def _uinv_mod(a, m):
                 new_s[i + j] -= qi * sj
         old_s, s = s, _utrim(new_s)
     # old_r is the gcd, a nonzero constant here
-    g = old_r[0]
-    inv = [c / g for c in old_s]
+    g = _recip(old_r[0])
+    inv = [c * g for c in old_s]
     _, inv = _udivmod(inv, list(m)) if len(inv) >= len(m) else (None, inv)
     return inv
 
@@ -289,14 +313,14 @@ def _p_sub(A, B):
 def _p_mul(A, B):
     if len(A) == 1:
         ((ea, ca),) = A.items()
-        return {tuple(map(sum, zip(ea, eb))): ca * cb for eb, cb in B.items()}
+        return {tuple(map(_add, ea, eb)): ca * cb for eb, cb in B.items()}
     if len(B) == 1:
         ((eb, cb),) = B.items()
-        return {tuple(map(sum, zip(ea, eb))): ca * cb for ea, ca in A.items()}
+        return {tuple(map(_add, ea, eb)): ca * cb for ea, ca in A.items()}
     out = {}
     for ea, ca in A.items():
         for eb, cb in B.items():
-            e = tuple(map(sum, zip(ea, eb)))
+            e = tuple(map(_add, ea, eb))
             p = ca * cb
             s = out.get(e)
             if s is None:
@@ -312,6 +336,26 @@ def _p_mul(A, B):
 
 def _p_scale(A, c):
     return {e: v * c for e, v in A.items()}
+
+
+def _p_shift(A, s):
+    """A times the monomial x^s; entries of s may be negative."""
+    if not any(s):
+        return A
+    return {tuple(map(_add, e, s)): c for e, c in A.items()}
+
+
+def _mono_cancel(P, d):
+    """Divide the common factor of P and the monomial x^d out of both.
+
+    Returns the reduced P and the reduced exponent; P is not mutated.
+    """
+    s = d
+    for e in P:
+        s = tuple(map(min, s, e))
+        if not any(s):
+            return P, d
+    return _p_shift(P, tuple(-k for k in s)), tuple(map(_sub, d, s))
 
 
 def _p_pow(A, n):
@@ -335,7 +379,7 @@ def _p_div_exact(A, B):
     out = {}
     R = dict(A)
     eB = _p_lead(B)
-    cinv = 1 / B[eB]
+    cinv = _recip(B[eB])
     while R:
         eR = _p_lead(R)
         d = tuple(x - y for x, y in zip(eR, eB))
@@ -372,7 +416,7 @@ def _gcd_uni(A, B, i, field):
     def umod(f, g):
         f = f[:]
         dg = len(g) - 1
-        inv = 1 / g[-1]
+        inv = _recip(g[-1])
         for k in range(len(f) - 1, dg - 1, -1):
             c = f[k]
             if c:
@@ -387,7 +431,7 @@ def _gcd_uni(A, B, i, field):
     a, b = todense(A), todense(B)
     while b:
         a, b = b, umod(a, b)
-    inv = 1 / a[-1]
+    inv = _recip(a[-1])
     base = field._zero_exp
     out = {}
     for k, c in enumerate(a):
@@ -584,8 +628,8 @@ class ScalarField:
     def _coef_from_int(self, v):
         if self._cyc:
             deg = self._cyc.DEG
-            return self._cyc((_Q(v),) + (_Q0,) * (deg - 1))
-        return _Q(v)
+            return self._cyc((v,) + (_Q0,) * (deg - 1))
+        return v
 
     # constructors ---------------------------------------------------------
 
@@ -610,6 +654,10 @@ class ScalarField:
     def parse(self, text):
         return parse_scalar(text, self)
 
+    def _mono(self, e):
+        """The monic monomial x^e as a denominator dict."""
+        return {e: self._coef_one()} if any(e) else self._one_poly
+
     def _coprime_make(self, num, den):
         """Construct from an already coprime pair, normalizing the unit."""
         if not den:
@@ -619,7 +667,7 @@ class ScalarField:
         one = self._coef_one()
         lc = den[_p_lead(den)]
         if lc != one:
-            inv = 1 / lc
+            inv = _recip(lc)
             num = _p_scale(num, inv)
             den = _p_scale(den, inv)
         return Scalar(self, num, den)
@@ -669,6 +717,27 @@ class Scalar:
             return self
         one_poly = f._one_poly
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if len(d1) == 1 and len(d2) == 1:
+            # monic monomial denominators: bring both over their lcm and
+            # shift out what the sum shares with it; no gcd
+            (a,), (b,) = d1, d2
+            if a == b:
+                num = _p_add(n1, n2)
+                if not num:
+                    return f.zero
+                if not any(a):
+                    return Scalar(f, num, d1)
+                num, den = _mono_cancel(num, a)
+                return Scalar(f, num, f._mono(den))
+            den = tuple(map(max, a, b))
+            num = _p_add(_p_shift(n1, tuple(map(_sub, den, a))),
+                         _p_shift(n2, tuple(map(_sub, den, b))))
+            if not num:
+                return f.zero
+            if any(a) and any(b):
+                # with one denominator trivial the sum is already coprime
+                num, den = _mono_cancel(num, den)
+            return Scalar(f, num, f._mono(den))
         if d1 == d2:
             num = _p_add(n1, n2)
             if not num:
@@ -726,12 +795,23 @@ class Scalar:
         if other is None:
             return NotImplemented
         f = self.field
-        if not self.num or not other.num:
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if not n1 or not n2:
             return f.zero
         one_poly = f._one_poly
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if d1 == one_poly and d2 == one_poly:
-            return Scalar(f, _p_mul(n1, n2), one_poly)
+        if len(d1) == 1 and len(d2) == 1:
+            # monic monomial denominators: cancel by exponent shifts; the
+            # denominator of the product is monic already
+            if n1 == one_poly and d1 == one_poly:
+                return other
+            if n2 == one_poly and d2 == one_poly:
+                return self
+            (a,), (b,) = d1, d2
+            if any(b):
+                n1, b = _mono_cancel(n1, b)
+            if any(a):
+                n2, a = _mono_cancel(n2, a)
+            return Scalar(f, _p_mul(n1, n2), f._mono(tuple(map(_add, a, b))))
         # cross-cancel so the product of the reduced parts is coprime
         if d2 != one_poly:
             n1, d2 = _cancel(n1, d2, f)

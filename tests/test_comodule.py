@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from homq import comodule, hombialg
 from homq.scalars import ScalarField
 from homq.ncpoly import Presentation, PresentationError
 from homq.hombialg import HomBialgebra, MorphismError, twist_hom_bialgebra
@@ -332,6 +333,20 @@ def test_corrupted_operator_fails_both_checks():
     assert {c.name for c in rep.failures()} == {"hybe", "alpha_commutation"}
 
 
+def test_hybe_refuses_mismatched_carrier_maps():
+    # W has V's labels and coaction, but alpha(x) is doubled
+    V = plane("standard").piece(1)
+    data = V.to_json()
+    data["alpha"]["x"] = [dict(e, value=f"2*({e['value']})")
+                          for e in data["alpha"]["x"]]
+    W = Comodule.from_json(data, V.host)
+    B = bvw_operator(V, W)
+    assert B.v_labels == B.w_labels and B.alpha_v != B.alpha_w
+    with pytest.raises(ComoduleError, match="carrier maps"):
+        verify_hybe(B)
+    assert verify_hybe(bvw_operator(V, V)).passed
+
+
 def test_fermionic_degree_3_piece_is_empty():
     with pytest.raises(ComoduleError, match="empty"):
         plane("fermionic").piece(3)
@@ -346,6 +361,22 @@ def test_twist_of_plain_plane_passes():
     assert T.twisted
     assert verify_comodule(T, 3).passed
     assert verify_comodule_hom_algebra(T, 3).passed
+
+
+def test_twist_checks_the_host_map_once(monkeypatch):
+    calls = []
+    original = hombialg.verify_morphism
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (hombialg, comodule):
+        if hasattr(module, "verify_morphism"):
+            monkeypatch.setattr(module, "verify_morphism", counting)
+    twist_comodule_algebra(plane("standard", twisted=False), ALPHA,
+                           PLANE_ALPHA)
+    assert len(calls) == 1
 
 
 def test_twist_requires_untwisted_base():

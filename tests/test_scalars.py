@@ -1,4 +1,6 @@
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -6,12 +8,20 @@ from hypothesis import given, settings, strategies as st
 
 from homq.scalars import (
     PoleError,
+    Scalar,
     ScalarError,
     ScalarField,
     ScalarSyntaxError,
     ScalarZeroDivision,
     UndeclaredVariable,
     ZetaUnavailable,
+    _CycNumBase,
+    _cancel,
+    _is_const,
+    _p_add,
+    _p_div_exact,
+    _p_gcd,
+    _p_mul,
     canonicalize,
     parse_scalar,
     render,
@@ -307,3 +317,196 @@ def test_power_and_hash_consistency():
     assert s ** 0 == F_T.one
     d = {s: 1, s * s: 2}
     assert d[parse_scalar("(t+1)^2/t^2", F_T)] == 2
+
+
+# fast paths against the general arithmetic -----------------------------------
+#
+# reference_add and reference_mul are Scalar.__add__ and Scalar.__mul__ as
+# they were before the monomial-denominator and operand-one fast paths:
+# every product cross-cancels through _cancel and every sum over a
+# nontrivial denominator takes a gcd.
+
+
+def reference_add(self, other):
+    other = self._coerce(other)
+    if other is None:
+        return NotImplemented
+    f = self.field
+    if not self.num:
+        return other
+    if not other.num:
+        return self
+    one_poly = f._one_poly
+    n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+    if d1 == d2:
+        num = _p_add(n1, n2)
+        if not num:
+            return f.zero
+        if d1 == one_poly:
+            return Scalar(f, num, d1)
+        h = _p_gcd(num, d1, f)
+        if _is_const(h):
+            return f._coprime_make(num, dict(d1))
+        return f._coprime_make(_p_div_exact(num, h), _p_div_exact(d1, h))
+    if d1 == one_poly:
+        # denominator is d2; the sum stays coprime to it
+        return f._coprime_make(_p_add(_p_mul(n1, d2), n2), dict(d2))
+    if d2 == one_poly:
+        return f._coprime_make(_p_add(n1, _p_mul(n2, d1)), dict(d1))
+    g = _p_gcd(d1, d2, f)
+    if _is_const(g):
+        num = _p_add(_p_mul(n1, d2), _p_mul(n2, d1))
+        if not num:
+            return f.zero
+        return f._coprime_make(num, _p_mul(d1, d2))
+    e1 = _p_div_exact(d1, g)
+    e2 = _p_div_exact(d2, g)
+    num = _p_add(_p_mul(n1, e2), _p_mul(n2, e1))
+    if not num:
+        return f.zero
+    # common factors of the sum with the denominator sit inside g
+    h = _p_gcd(num, g, f)
+    if not _is_const(h):
+        num = _p_div_exact(num, h)
+        g = _p_div_exact(g, h)
+    return f._coprime_make(num, _p_mul(_p_mul(g, e1), e2))
+
+
+def reference_mul(self, other):
+    other = self._coerce(other)
+    if other is None:
+        return NotImplemented
+    f = self.field
+    if not self.num or not other.num:
+        return f.zero
+    one_poly = f._one_poly
+    n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+    if d1 == one_poly and d2 == one_poly:
+        return Scalar(f, _p_mul(n1, n2), one_poly)
+    # cross-cancel so the product of the reduced parts is coprime
+    if d2 != one_poly:
+        n1, d2 = _cancel(n1, d2, f)
+    if d1 != one_poly:
+        n2, d1 = _cancel(n2, d1, f)
+    return f._coprime_make(_p_mul(n1, n2), _p_mul(d1, d2))
+
+
+F_Z13 = ScalarField((), cyclotomic_order=13)
+F_Z3T = ScalarField(("t",), cyclotomic_order=3)
+
+_INT_COEF = st.integers(min_value=-6, max_value=6)
+_RATIONAL_COEF = st.one_of(
+    _INT_COEF, st.fractions(min_value=-6, max_value=6, max_denominator=7))
+
+
+def _coef(field, draw, values):
+    """A coefficient of the field: rational, or a vector over zeta."""
+    if not field.cyclotomic_order:
+        return draw(values)
+    deg = field._cyc.DEG
+    return field._cyc(tuple(draw(st.lists(values, min_size=deg,
+                                          max_size=deg))))
+
+
+@st.composite
+def laurent(draw, field, values=_INT_COEF):
+    """A Laurent polynomial, built directly in canonical form: the common
+    negative powers become a monic monomial denominator."""
+    exps = st.tuples(*[st.integers(min_value=-3, max_value=3)
+                       for _ in field.variables])
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        c = _coef(field, draw, values)
+        if c:
+            terms[draw(exps)] = c
+    if not terms:
+        return field.zero
+    low = [min(0, min(e[i] for e in terms)) for i in range(field.nvars)]
+    num = {tuple(k - m for k, m in zip(e, low)): c for e, c in terms.items()}
+    den = tuple(-m for m in low)
+    return Scalar(field, num, field._mono(den))
+
+
+@st.composite
+def rational(draw, field):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 9)))
+    return rnd_scalar(field, rng)
+
+
+def _coefficients(s):
+    for c in (*s.num.values(), *s.den.values()):
+        yield from (c.v if isinstance(c, _CycNumBase) else (c,))
+
+
+def _check_against_reference(a, b):
+    for op, ref in ((operator.mul, reference_mul),
+                    (operator.add, reference_add)):
+        got, want = op(a, b), ref(a, b)
+        assert got.num == want.num and got.den == want.den
+        assert render(got) == render(want)
+        assert all(isinstance(c, (int, Fraction))
+                   for c in _coefficients(got))
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent(F_TL, _RATIONAL_COEF), laurent(F_TL, _RATIONAL_COEF))
+def test_laurent_arithmetic_matches_reference(a, b):
+    _check_against_reference(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent(F_Z3T), laurent(F_Z3T))
+def test_cyclotomic_laurent_arithmetic_matches_reference(a, b):
+    _check_against_reference(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(rational(F_TL), laurent(F_TL)),
+       st.one_of(rational(F_TL), laurent(F_TL)))
+def test_rational_arithmetic_matches_reference(a, b):
+    _check_against_reference(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(rational(F_Z13), laurent(F_Z13, _RATIONAL_COEF)),
+       st.one_of(rational(F_Z13), laurent(F_Z13, _RATIONAL_COEF)))
+def test_zeta_13_arithmetic_matches_reference(a, b):
+    _check_against_reference(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([F_TL, F_Z13, F_Z3T]).flatmap(
+    lambda f: st.tuples(laurent(f), laurent(f))))
+def test_integer_coefficients_stay_int(pair):
+    a, b = pair
+    for s in (a * b, a + b, a - b, -a):
+        assert all(type(c) is int for c in _coefficients(s))
+
+
+@pytest.mark.parametrize("a,b", [
+    # different monomial denominators whose sum shares a factor t with both
+    ("(1 + t)/(t*lambda)", "(t - lambda)/(t*lambda^2)"),
+    ("1/t", "(t - 1)/t"),
+    ("1/t", "-1/t"),
+    ("t/lambda", "lambda/t"),
+    ("(t + lambda)/t^2", "t^3/lambda"),
+    ("1", "(t + lambda)/t"),
+])
+def test_monomial_cancellation_matches_reference(a, b):
+    _check_against_reference(parse_scalar(a, F_TL), parse_scalar(b, F_TL))
+
+
+def test_one_operand_returns_the_other():
+    s = parse_scalar("(t + lambda)/t^2", F_TL)
+    assert F_TL.one * s is s
+    assert s * F_TL.from_int(1) is s
+
+
+def test_division_makes_a_fraction_never_a_float():
+    third = F_TL.from_int(3).inverse()
+    assert third.num == {(0, 0): Fraction(1, 3)}
+    assert type(third.num[(0, 0)]) is Fraction
+    z = F_Z13.from_int(3).inverse()
+    assert all(type(c) is not float for c in _coefficients(z))
+    assert z * F_Z13.from_int(3) == F_Z13.one
+    assert render(parse_scalar("(2*t + 2)/(4*t)", F_T)) == "(t/2 + 1/2)/t"
