@@ -10,6 +10,7 @@ form with iterates of the structure map.
 
 from functools import cache, lru_cache
 
+from .hombialg import _combine, _product_table
 from .linalg import kernel_basis
 from .ncpoly import NCPoly, PresentationError
 from .report import Report, _at, _scan
@@ -279,7 +280,8 @@ def verify_cobraided(C, degree):
     Both expansions read two memos filled once per call, R(alpha x_i, w)
     and R(w, alpha x_k) for a basis index and a word w: a product side
     sums one of them over the terms of a product, a coproduct side sums
-    products of two of them over the legs.
+    products of two of them over the legs.  Products of words are read
+    from one table filled on first use.
     """
     H = C.H
     pres = H.pres
@@ -292,10 +294,7 @@ def verify_cobraided(C, degree):
     alpha_of = [H.alpha_poly(p) for p in mono]
     delta_of = [list(H.delta(p).terms.items()) for p in mono]
 
-    @cache
-    def word_product(u, v):
-        return H.product(NCPoly(pres, {u: one}, _trusted=True),
-                         NCPoly(pres, {v: one}, _trusted=True))
+    word_product = _product_table(H)
 
     @cache
     def alpha_left(i, w):
@@ -306,31 +305,28 @@ def verify_cobraided(C, degree):
         return _eval_word_poly(C, w, alpha_of[k])
 
     def first_expansion(k, i, j):
-        xy = word_product(basis[i], basis[j]).terms.items()
+        xy = word_product(basis[i], basis[j])
         left = sum((c * alpha_right(w, k) for w, c in xy), zero)
         right = sum((c * (alpha_left(i, z1) * alpha_left(j, z2))
                      for (z1, z2), c in delta_of[k]), zero)
         return left, right
 
     def second_expansion(i, j, k):
-        yz = word_product(basis[j], basis[k]).terms.items()
+        yz = word_product(basis[j], basis[k])
         left = sum((c * alpha_left(i, w) for w, c in yz), zero)
         right = sum((c * (alpha_right(x1, k) * alpha_right(x2, j))
                      for (x1, x2), c in delta_of[i]), zero)
         return left, right
 
     def commutation(i, j):
-        left = right = pres.zero_poly()
+        left, right = [], []
         for (x1, x2), cx in delta_of[i]:
             for (y1, y2), cy in delta_of[j]:
                 c = cx * cy
-                lc = c * C.word_pair_value(x2, y2)
-                if not lc.is_zero():
-                    left = left + word_product(y1, x1).scale(lc)
-                rc = c * C.word_pair_value(x1, y1)
-                if not rc.is_zero():
-                    right = right + word_product(x2, y2).scale(rc)
-        return left, right
+                left.append((y1, x1, c * C.word_pair_value(x2, y2)))
+                right.append((x2, y2, c * C.word_pair_value(x1, y1)))
+        return (_combine(word_product, pres, left),
+                _combine(word_product, pres, right))
 
     idx = range(len(basis))
     _scan(rep, "first_slot_product_expansion", [idx] * 3, first_expansion,

@@ -14,7 +14,7 @@ of the same instance.
 from .cobraid import CobraidedHomBialgebra, check_alpha_invariance
 from .hombialg import MorphismError, _relations_preserved, twist_hom_bialgebra
 from .ncpoly import (NCPoly, Presentation, PresentationError, _bump,
-                     generator_table, word_image, word_key)
+                     generator_table, linear_image, word_image, word_key)
 from .report import Report, _scan, timed
 from .scalars import render
 
@@ -239,10 +239,8 @@ class ComoduleAlgebra:
         return hit
 
     def alpha_poly(self, p):
-        total = self.carrier.zero_poly()
-        for w, c in p.terms.items():
-            total = total + self.alpha_word(w).scale(c)
-        return total
+        return linear_image(p.terms.items(), self.alpha_word,
+                            self.carrier.zero_poly())
 
     def product(self, u, v):
         """The carrier's own multiplication (twisted when flagged)."""
@@ -273,10 +271,8 @@ class ComoduleAlgebra:
         return hit
 
     def base_rho(self, p):
-        total = MixedTensor(self.hom.pres, self.carrier, {}, _trusted=True)
-        for w, c in p.terms.items():
-            total = total + self.base_rho_word(w).scale(c)
-        return total
+        return linear_image(p.terms.items(), self.base_rho_word,
+                            MixedTensor(self.hom.pres, self.carrier))
 
     def rho_word(self, w):
         """The instance coaction: the stored table composed with the
@@ -289,10 +285,8 @@ class ComoduleAlgebra:
         return hit
 
     def rho(self, p):
-        total = MixedTensor(self.hom.pres, self.carrier, {}, _trusted=True)
-        for w, c in p.terms.items():
-            total = total + self.rho_word(w).scale(c)
-        return total
+        return linear_image(p.terms.items(), self.rho_word,
+                            MixedTensor(self.hom.pres, self.carrier))
 
     def pair_product(self, t1, t2):
         """Slotwise product with the instance multiplications."""
@@ -525,29 +519,17 @@ def _require_cobraided(V, W):
 def bvw_operator(V, W=None, name=""):
     """The braiding-style operator: pair the host legs of the two
     coactions through the form and swap the carrier legs."""
-    W = V if W is None else W
-    C = _require_cobraided(V, W)
-    entries = {}
-    for i in V.labels:
-        rv = V.rho[i]
-        for j in W.labels:
-            img = {}
-            for (hw_w, k), cw in W.rho[j].items():
-                for (hw_v, l), cv in rv.items():
-                    r = C.word_pair_value(hw_w, hw_v)
-                    if r.is_zero():
-                        continue
-                    _bump(img, (k, l), r * cw * cv)
-            if img:
-                entries[(i, j)] = img
-    return YBOperator(V.labels, W.labels, entries, V.alpha, W.alpha,
-                      C.H.pres.field, name=name)
+    return _operator(V, W, name, twist_output=False)
 
 
 def b_alpha_operator(V, W=None, name=""):
     """The output-twisted operator: same pairing as bvw_operator on the
     (untwisted) coactions, with the carrier twisting maps applied to
     both output legs."""
+    return _operator(V, W, name, twist_output=True)
+
+
+def _operator(V, W, name, twist_output):
     W = V if W is None else W
     C = _require_cobraided(V, W)
     entries = {}
@@ -556,13 +538,15 @@ def b_alpha_operator(V, W=None, name=""):
         for j in W.labels:
             img = {}
             for (hw_w, k), cw in W.rho[j].items():
-                ak = W.alpha[k]
                 for (hw_v, l), cv in rv.items():
                     r = C.word_pair_value(hw_w, hw_v)
                     if r.is_zero():
                         continue
                     base = r * cw * cv
-                    for k2, c1 in ak.items():
+                    if not twist_output:
+                        _bump(img, (k, l), base)
+                        continue
+                    for k2, c1 in W.alpha[k].items():
                         for l2, c2 in V.alpha[l].items():
                             _bump(img, (k2, l2), base * c1 * c2)
             if img:

@@ -672,11 +672,16 @@ def word_image(w, images, unit):
     return acc
 
 
-def poly_image(p, images, unit):
-    total = None
-    for w, c in p.terms.items():
-        piece = word_image(w, images, unit).scale(c)
-        total = piece if total is None else total + piece
-    if total is None:
-        return unit.scale(0)
+def linear_image(terms, image, zero):
+    """Linear extension of a word map: the sum, starting from `zero`, of
+    image(w) scaled by c over the (w, c) pairs of `terms`.  Works for any
+    image type with scale() and +."""
+    total = zero
+    for w, c in terms:
+        total = total + image(w).scale(c)
     return total
+
+
+def poly_image(p, images, unit):
+    return linear_image(p.terms.items(),
+                        lambda w: word_image(w, images, unit), unit.scale(0))

@@ -146,6 +146,34 @@ CASES = {
         lambda: refusal(ALPHA, {"x": {"x": 1}, "y": {"y": 1}}),
 }
 
+
+def plain_plane(kind):
+    """A plane over plain M_q(2), with the identity as carrier map."""
+    return plane_comodule_algebra(host(twisted=False), kind, xi=1, lam=1)
+
+
+# HYBE over the plain host: every non-empty piece of degree 1 to 3 (the
+# fermionic degree-3 piece is empty)
+PLAIN_PIECES = {"standard": (1, 2, 3), "fermionic": (1, 2)}
+for _kind, _degrees in PLAIN_PIECES.items():
+    CASES[f"plain_{_kind}_comodule_3"] = \
+        lambda k=_kind: text(verify_comodule(plain_plane(k), 3))
+    for _d in _degrees:
+        CASES[f"plain_hybe_bvw_{_kind}_{_d}"] = \
+            lambda k=_kind, d=_d: text(verify_hybe(bvw_operator(
+                plain_plane(k).piece(d))))
+        CASES[f"plain_hybe_b_alpha_{_kind}_{_d}"] = \
+            lambda k=_kind, d=_d: text(verify_hybe(b_alpha_operator(
+                plain_plane(k).piece(d, base=True))))
+
+
+def plain_mixed_hybe_report():
+    A = plain_plane("standard")
+    return verify_mixed_hybe(*(A.piece(d) for d in (1, 2, 3)))
+
+
+CASES["plain_mixed_hybe_1_2_3"] = lambda: text(plain_mixed_hybe_report())
+
 PINNED = {
     'corrupted_operator': (
         '{"checks": [{"name": "alpha_commutation", "status": "fail", '
@@ -299,6 +327,40 @@ PINNED = {
         'standard_plane_coaction degree-3 piece"}'
     ),
 }
+
+
+# recorded before bvw_operator and b_alpha_operator shared one builder
+HYBE_PASSED = (
+    '{"checks": [{"name": "alpha_commutation", "status": "pass", '
+    '"degree": null, "wall_time": null}, {"name": "hybe", "status": '
+    '"pass", "degree": null, "wall_time": null}], "passed": true, '
+    '"title": "Yang-Baxter operator checks on operator"}'
+)
+PINNED.update({f"plain_hybe_{op}_{kind}_{d}": HYBE_PASSED
+               for op in ("bvw", "b_alpha")
+               for kind, degrees in PLAIN_PIECES.items() for d in degrees})
+PINNED.update({
+    'plain_fermionic_comodule_3': (
+        '{"checks": [{"name": "coaction_comultiplicativity", "status": '
+        '"pass", "degree": 3, "wall_time": null}, {"name": '
+        '"coaction_hom_coassociativity", "status": "pass", "degree": 3, '
+        '"wall_time": null}], "passed": true, "title": "comodule axioms '
+        'on fermionic_plane_coaction"}'
+    ),
+    'plain_mixed_hybe_1_2_3': (
+        '{"checks": [{"name": "alpha_invariance", "status": "pass", '
+        '"degree": 2, "wall_time": null}, {"name": "mixed_hybe", '
+        '"status": "pass", "degree": null, "wall_time": null}], "passed": '
+        'true, "title": "mixed braid identity"}'
+    ),
+    'plain_standard_comodule_3': (
+        '{"checks": [{"name": "coaction_comultiplicativity", "status": '
+        '"pass", "degree": 3, "wall_time": null}, {"name": '
+        '"coaction_hom_coassociativity", "status": "pass", "degree": 3, '
+        '"wall_time": null}], "passed": true, "title": "comodule axioms '
+        'on standard_plane_coaction"}'
+    ),
+})
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

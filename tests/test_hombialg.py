@@ -1,12 +1,15 @@
 import json
+from functools import cache
 
 import pytest
 
 from homq.scalars import ScalarField
-from homq.ncpoly import Presentation, NCPoly
+from homq.ncpoly import Presentation, NCPoly, TensorElement, _bump
+from homq.report import Report, _at, _scan
 from homq.hombialg import (HomBialgebra, MorphismError, delta, apply_alpha,
                            twist_hom_bialgebra, verify_morphism,
-                           verify_hom_bialgebra, pairwise_product)
+                           verify_hom_bialgebra, pairwise_product,
+                           _product_table)
 
 
 F = ScalarField(("t", "lambda"))
@@ -333,3 +336,156 @@ def test_non_morphism_twist_fails_every_axiom():
         "hom_coassociativity": {"x": "a"},
         "product_coproduct_compatibility": {"x": "1", "y": "a"},
     }
+
+
+# the table contractions against the loops they replaced ---------------------
+
+
+# generator maps that are not bialgebra morphisms (the qm2-fail pool of
+# perfbench/workloads.py), each built directly as a twisted structure
+NON_MORPHISMS = [{"c": {"c": 1}}, {"b": {"b": 1}}, {"a": {"a": "lambda"}},
+                 {"c": {"c": "lambda"}}, {"b": {"b": "lambda^2"}}]
+
+
+def direct_twist(change):
+    return lambda: HomBialgebra(qm2_presentation(), DELTA,
+                                dict(ALPHA, **change), twisted=True)
+
+
+# the fixtures of the two failing-axiom tests above
+
+
+def untwisted_with_alpha():
+    return HomBialgebra(qm2_presentation(), DELTA, ALPHA, twisted=False)
+
+
+def untwisted_coproduct():
+    delta_table = {
+        "a": {("a", "a"): 1, ("b", "c"): 1},
+        "b": {("a", "b"): "lambda^-1", ("b", "d"): "lambda^-1"},
+        "c": {("c", "a"): "lambda", ("d", "c"): "lambda"},
+        "d": {("c", "b"): 1, ("d", "d"): 1},
+    }
+    return HomBialgebra(qm2_presentation(), delta_table, ALPHA, twisted=True)
+
+
+def twisted_z5():
+    P = Presentation("g", [("ggggg", {"1": 1})],
+                     ScalarField((), cyclotomic_order=5), max_degree=4)
+    base = HomBialgebra(P, {"g": {("g", "g"): 1}}, name="zn5")
+    return twist_hom_bialgebra(base, {"g": {"gg": 1}})
+
+
+REFERENCE_CASES = (
+    [("plain", plain, 2), ("twisted", twisted, 2)]
+    + [(f"direct{change}", direct_twist(change), degree)
+       for change in NON_MORPHISMS for degree in (2, 3)]
+    + [("alpha_without_twist", untwisted_with_alpha, 1),
+       ("untwisted_coproduct", untwisted_coproduct, 1),
+       ("z5_twisted", twisted_z5, 4)])
+
+
+@pytest.mark.parametrize(
+    "build, degree",
+    [pytest.param(b, d, id=f"{name}-{d}") for name, b, d in REFERENCE_CASES])
+def test_contractions_match_reference_loops(build, degree):
+    got = text(verify_hom_bialgebra(build(), degree))
+    assert got == text(reference_verify_hom_bialgebra(build(), degree))
+
+
+def test_pairwise_product_matches_reference():
+    for H in (plain(), twisted(), untwisted_coproduct()):
+        words = H.pres.graded_basis(2)
+        deltas = [H.delta(NCPoly(H.pres, {w: H.pres.field.one}))
+                  for w in words]
+        for t1 in deltas:
+            for t2 in deltas:
+                assert pairwise_product(H, t1, t2) == \
+                    reference_pairwise_product(H, t1, t2)
+
+
+def test_product_table_shares_equal_coefficients():
+    H = twisted()
+    prod = _product_table(H)
+    words = H.pres.graded_basis(2)
+    seen = {}
+    for u in words:
+        for v in words:
+            assert prod(u, v) is prod(u, v)
+            for w, c in prod(u, v):
+                assert seen.setdefault(c, c) is c
+    assert len(seen) > 1
+
+
+def test_product_table_is_call_local():
+    H = twisted()
+    attrs, pres_attrs = set(vars(H)), set(vars(H.pres))
+    first = text(verify_hom_bialgebra(H, 2))
+    assert text(verify_hom_bialgebra(H, 2)) == first
+    assert set(vars(H)) == attrs
+    assert set(vars(H.pres)) == pres_attrs
+
+
+def reference_pairwise_product(H, t1, t2):
+    """Slotwise product of two arity-2 tensors using the instance product."""
+    pres = H.pres
+    total = pres.unit_tensor(2, 0)
+    for (w1, w2), c1 in t1.terms.items():
+        p1 = NCPoly(pres, {w1: pres.field.one}, _trusted=True)
+        p2 = NCPoly(pres, {w2: pres.field.one}, _trusted=True)
+        for (v1, v2), c2 in t2.terms.items():
+            c = c1 * c2
+            left = H.product(p1, NCPoly(pres, {v1: pres.field.one},
+                                        _trusted=True))
+            right = H.product(p2, NCPoly(pres, {v2: pres.field.one},
+                                         _trusted=True))
+            raw = {}
+            for lw, lc in left.terms.items():
+                for rw, rc in right.terms.items():
+                    _bump(raw, (lw, rw), c * lc * rc)
+            total = total + TensorElement(pres, 2, raw, _trusted=True)
+    return total
+
+
+def reference_verify_hom_bialgebra(H, degree):
+    """verify_hom_bialgebra with every product check expanded through
+    H.product for every basis tuple (the pairwise product being
+    reference_pairwise_product)."""
+    pres = H.pres
+    rep = Report(f"hom-bialgebra axioms on {H.name or 'instance'}")
+    basis = pres.graded_basis(degree)
+    one = pres.field.one
+    mono = [NCPoly(pres, {w: one}, _trusted=True) for w in basis]
+    at = _at([pres.word_text(w) for w in basis], "xyz")
+    idx = range(len(basis))
+    alpha_of = [H.alpha_poly(p) for p in mono]
+
+    @cache
+    def prod(i, j):
+        return H.product(mono[i], mono[j])
+
+    @cache
+    def delta_of(i):
+        return H.delta(mono[i])
+
+    def hom_coassociativity(i):
+        D = delta_of(i)
+        return (D.map_slots([H._alpha_slot, H.delta_word]),
+                D.map_slots([H.delta_word, H._alpha_slot]))
+
+    _scan(rep, "multiplicativity", [idx] * 2,
+          lambda i, j: (H.alpha_poly(prod(i, j)),
+                        H.product(alpha_of[i], alpha_of[j])), at, degree)
+    _scan(rep, "hom_associativity", [idx] * 3,
+          lambda i, j, k: (H.product(alpha_of[i], prod(j, k)),
+                           H.product(prod(i, j), alpha_of[k])), at, degree)
+    _scan(rep, "comultiplicativity", [idx],
+          lambda i: (H.delta(alpha_of[i]), H.alpha_tensor(delta_of(i))),
+          at, degree)
+    _scan(rep, "hom_coassociativity", [idx], hom_coassociativity, at, degree)
+    _scan(rep, "product_coproduct_compatibility", [idx] * 2,
+          lambda i, j: (H.delta(prod(i, j)),
+                        reference_pairwise_product(H, delta_of(i),
+                                                   delta_of(j))),
+          at, degree)
+    return rep
