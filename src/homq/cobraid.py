@@ -41,6 +41,12 @@ class CobraidingForm:
     first slot, unit_right in the second.  Generators present in both
     unit maps form the covered set; verification ranges over monomials
     in covered generators only.
+
+    The form is total when every generator is covered and every ordered
+    generator pair is in gen_table.  A total form has a value on every
+    pair of words, so the recursion skips a term as soon as one factor
+    is zero.  A partial form evaluates every factor, so a missing value
+    still raises CobraidingError wherever the recursion reaches it.
     """
 
     def __init__(self, pres, gen_table, unit_left, unit_right, unit_unit=1):
@@ -68,6 +74,9 @@ class CobraidingForm:
                 raise PresentationError(
                     f"gen_table mentions {bad} but the unit tables do not "
                     "cover it")
+        n = len(pres.generators)
+        self.total = self.covers_all() and all(
+            (i, j) in self.gen_table for i in range(n) for j in range(n))
 
     def covers(self, indices):
         return all(i in self.covered for i in indices)
@@ -154,11 +163,8 @@ class CobraidedHomBialgebra:
             for _ in range(self.alpha_power):
                 u = H.alpha_poly(u)
                 v = H.alpha_poly(v)
-            total = pres.field.zero
-            for wm, cm in u.terms.items():
-                for wn, cn in v.terms.items():
-                    total = total + (cm * cn) * word_value(self, wm, wn)
-            hit = self._value_cache[key] = total
+            hit = self._value_cache[key] = _bilinear(
+                u, v, lambda wm, wn: word_value(self, wm, wn))
         return hit
 
     def to_json(self):
@@ -178,7 +184,9 @@ def word_value(C, m, n, second_slot_first=False):
     The recursion peels the leading generator off the first slot and
     comultiplies the second; with second_slot_first it does the mirror
     image whenever both slots are composite.  The two orders agree on
-    well-formed instances, which is itself a certified property.
+    well-formed instances, which is itself a certified property.  The
+    coproduct sums run over the non-zero values: on a total form a term
+    is dropped once one factor is zero, without evaluating the other.
     """
     memo = C._alt_cache if second_slot_first else C._word_cache
     return _eval(C, m, n, second_slot_first, memo)
@@ -216,16 +224,22 @@ def _eval(C, m, n, second_first, memo):
         h, z = n[0], n[1:]
         val = field.zero
         for (w1, w2), c in H.untwisted_delta_word(m).terms.items():
-            val = val + c * (_eval(C, w1, z, second_first, memo)
-                             * _eval(C, w2, (h,), second_first, memo))
+            a = _eval(C, w1, z, second_first, memo)
+            if a or not form.total:
+                b = _eval(C, w2, (h,), second_first, memo)
+                if a and b:
+                    val = val + c * (a * b)
     else:
         # peel the first slot's leading generator, comultiply the
         # second slot: R(g m', n) = sum R(g, n1) R(m', n2)
         g, rest = m[0], m[1:]
         val = field.zero
         for (w1, w2), c in H.untwisted_delta_word(n).terms.items():
-            val = val + c * (_eval(C, (g,), w1, second_first, memo)
-                             * _eval(C, rest, w2, second_first, memo))
+            a = _eval(C, (g,), w1, second_first, memo)
+            if a or not form.total:
+                b = _eval(C, rest, w2, second_first, memo)
+                if a and b:
+                    val = val + c * (a * b)
     memo[key] = val
     return val
 
@@ -237,24 +251,36 @@ def eval_R(C, u, v):
         u = pres.poly(u)
     if not isinstance(v, NCPoly):
         v = pres.poly(v)
-    total = pres.field.zero
+    return _bilinear(u, v, C.word_pair_value)
+
+
+def _bilinear(u, v, value):
+    """The sum of cu cv value(wu, wv) over the terms of u and v; a term
+    whose value is zero is dropped before any multiplication."""
+    total = u.pres.field.zero
     for wm, cm in u.terms.items():
         for wn, cn in v.terms.items():
-            total = total + (cm * cn) * C.word_pair_value(wm, wn)
+            r = value(wm, wn)
+            if r:
+                total = total + (cm * cn) * r
     return total
 
 
 def _eval_word_poly(C, w, p):
     total = C.H.pres.field.zero
     for wv, cv in p.terms.items():
-        total = total + cv * C.word_pair_value(w, wv)
+        r = C.word_pair_value(w, wv)
+        if r:
+            total = total + cv * r
     return total
 
 
 def _eval_poly_word(C, p, w):
     total = C.H.pres.field.zero
     for wu, cu in p.terms.items():
-        total = total + cu * C.word_pair_value(wu, w)
+        r = C.word_pair_value(wu, w)
+        if r:
+            total = total + cu * r
     return total
 
 
@@ -281,7 +307,10 @@ def verify_cobraided(C, degree):
     and R(w, alpha x_k) for a basis index and a word w: a product side
     sums one of them over the terms of a product, a coproduct side sums
     products of two of them over the legs.  Products of words are read
-    from one table filled on first use.
+    from one table filled on first use.  Every sum runs over the
+    non-zero form values: each value is looked up, so a partial form
+    still raises, and a term with a zero value is dropped before it is
+    multiplied.
     """
     H = C.H
     pres = H.pres
@@ -306,25 +335,36 @@ def verify_cobraided(C, degree):
 
     def first_expansion(k, i, j):
         xy = word_product(basis[i], basis[j])
-        left = sum((c * alpha_right(w, k) for w, c in xy), zero)
-        right = sum((c * (alpha_left(i, z1) * alpha_left(j, z2))
-                     for (z1, z2), c in delta_of[k]), zero)
+        left = sum((c * v for w, c in xy if (v := alpha_right(w, k))), zero)
+        right = zero
+        for (z1, z2), c in delta_of[k]:
+            a, b = alpha_left(i, z1), alpha_left(j, z2)
+            if a and b:
+                right = right + c * (a * b)
         return left, right
 
     def second_expansion(i, j, k):
         yz = word_product(basis[j], basis[k])
-        left = sum((c * alpha_left(i, w) for w, c in yz), zero)
-        right = sum((c * (alpha_right(x1, k) * alpha_right(x2, j))
-                     for (x1, x2), c in delta_of[i]), zero)
+        left = sum((c * v for w, c in yz if (v := alpha_left(i, w))), zero)
+        right = zero
+        for (x1, x2), c in delta_of[i]:
+            a, b = alpha_right(x1, k), alpha_right(x2, j)
+            if a and b:
+                right = right + c * (a * b)
         return left, right
 
     def commutation(i, j):
         left, right = [], []
         for (x1, x2), cx in delta_of[i]:
             for (y1, y2), cy in delta_of[j]:
-                c = cx * cy
-                left.append((y1, x1, c * C.word_pair_value(x2, y2)))
-                right.append((x2, y2, c * C.word_pair_value(x1, y1)))
+                r_left = C.word_pair_value(x2, y2)
+                r_right = C.word_pair_value(x1, y1)
+                if r_left or r_right:
+                    c = cx * cy
+                    if r_left:
+                        left.append((y1, x1, c * r_left))
+                    if r_right:
+                        right.append((x2, y2, c * r_right))
         return (_combine(word_product, pres, left),
                 _combine(word_product, pres, right))
 

@@ -486,27 +486,6 @@ class YBOperator:
         self.field = field
         self.name = name
 
-    def input_pairs(self):
-        return [(v, w) for v in self.v_labels for w in self.w_labels]
-
-    def output_pairs(self):
-        return [(w, v) for w in self.w_labels for v in self.v_labels]
-
-    def matrix(self):
-        """Dense column-per-input matrix; rows follow output_pairs()."""
-        cols = self.input_pairs()
-        rows = self.output_pairs()
-        zero = self.field.zero
-        return [[self.entries.get(col, {}).get(row, zero) for col in cols]
-                for row in rows]
-
-    def to_json(self):
-        return {"name": self.name,
-                "input_basis": [f"{a} (x) {b}" for a, b in self.input_pairs()],
-                "output_basis": [f"{a} (x) {b}"
-                                 for a, b in self.output_pairs()],
-                "matrix": [[render(c) for c in row] for row in self.matrix()]}
-
 
 def _require_cobraided(V, W):
     if V.host is not W.host:
@@ -792,9 +771,24 @@ def plane_presentation(field, kind, max_degree=4, name=""):
                         name=name or f"{kind}_plane")
 
 
-def plane_comodule_algebra(host, kind, xi="xi", lam="lambda", name=""):
+def _carrier_scalars(carrier, twisted, xi, lam):
+    """xi and lam of the plane carrier map as scalars, with the defaults
+    plane_comodule_algebra describes."""
+    if xi is None:
+        xi = "xi" if twisted else 1
+    if lam is None:
+        lam = "lambda" if twisted else 1
+    return carrier.coef(xi), carrier.coef(lam)
+
+
+def plane_comodule_algebra(host, kind, xi=None, lam=None, name=""):
     """The matrix-style coaction on a quantum plane over a 4-generator
-    host named a,b,c,d; twisted exactly when the host is twisted."""
+    host named a,b,c,d; twisted exactly when the host is twisted.
+
+    The carrier map is x -> xi x, y -> lam^-1 xi y.  Over a twisted host
+    xi and lam default to the variables xi and lambda.  Over an untwisted
+    host they default to 1: with the identity as host map, that scaling
+    breaks both comodule axioms at x."""
     H = host_hom(host)
     pres = H.pres
     for g in "abcd":
@@ -802,8 +796,7 @@ def plane_comodule_algebra(host, kind, xi="xi", lam="lambda", name=""):
             raise ComoduleError(
                 "plane coactions need host generators a, b, c, d")
     carrier = plane_presentation(pres.field, kind)
-    xi = carrier.coef(xi)
-    lam = carrier.coef(lam)
+    xi, lam = _carrier_scalars(carrier, H.twisted, xi, lam)
     rho_table = {"x": {("a", "x"): 1, ("b", "y"): 1},
                  "y": {("c", "x"): 1, ("d", "y"): 1}}
     alpha_table = {"x": {"x": xi}, "y": {"y": lam.inverse() * xi}}
@@ -838,10 +831,11 @@ def q_binomial(field, n, r):
     return value
 
 
-def closed_form_coaction(A, kind, i, j, xi="xi", lam="lambda"):
-    """The literal basis-monomial coaction formulas of the three twisted
-    planes, used as independent oracles against the multiplicative
-    extension.  Exponents must be admissible for the kind."""
+def closed_form_coaction(A, kind, i, j, xi=None, lam=None):
+    """The literal basis-monomial coaction formulas of the three planes,
+    used as independent oracles against the multiplicative extension;
+    xi and lam default as for plane_comodule_algebra.  Exponents must be
+    admissible for the kind."""
     if kind not in PLANE_KINDS:
         raise ComoduleError(f"unknown plane kind {kind!r}")
     if i < 0 or j < 0:
@@ -853,8 +847,7 @@ def closed_form_coaction(A, kind, i, j, xi="xi", lam="lambda"):
     hpres = A.hom.pres
     carrier = A.carrier
     field = carrier.field
-    xi = carrier.coef(xi)
-    lam = carrier.coef(lam)
+    xi, lam = _carrier_scalars(carrier, A.twisted, xi, lam)
     q = field.parse("q")
     lam_inv = lam.inverse()
 

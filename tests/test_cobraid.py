@@ -370,6 +370,142 @@ def test_integer_group_power_twist():
     assert verify_cobraided(C1, 3).passed
 
 
+# the sparse form recursion against the dense one ------------------------------
+
+
+def reference_eval(C, m, n, second_first, memo):
+    """The form recursion that evaluates and multiplies every factor of
+    every term, zeros included: the dense reference for cobraid._eval."""
+    key = (m, n)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    H = C.H
+    form = C.form
+    field = H.pres.field
+    if not m and not n:
+        val = form.unit_unit
+    elif not m:
+        h, rest = n[0], n[1:]
+        if not rest:
+            val = form.unit_value_left(h)
+        else:
+            val = (reference_eval(C, (), rest, second_first, memo)
+                   * reference_eval(C, (), (h,), second_first, memo))
+    elif not n:
+        g, rest = m[0], m[1:]
+        if not rest:
+            val = form.unit_value_right(g)
+        else:
+            val = (reference_eval(C, (g,), (), second_first, memo)
+                   * reference_eval(C, rest, (), second_first, memo))
+    elif len(m) == 1 and len(n) == 1:
+        val = form.value(m[0], n[0])
+    elif len(m) == 1 or (second_first and len(n) > 1):
+        # comultiply the first slot against the second slot's leading
+        # generator: R(x, hz) = sum R(x1, z) R(x2, h)
+        h, z = n[0], n[1:]
+        val = field.zero
+        for (w1, w2), c in H.untwisted_delta_word(m).terms.items():
+            val = val + c * (reference_eval(C, w1, z, second_first, memo)
+                             * reference_eval(C, w2, (h,), second_first, memo))
+    else:
+        # peel the first slot's leading generator, comultiply the
+        # second slot: R(g m', n) = sum R(g, n1) R(m', n2)
+        g, rest = m[0], m[1:]
+        val = field.zero
+        for (w1, w2), c in H.untwisted_delta_word(n).terms.items():
+            val = val + c * (reference_eval(C, (g,), w1, second_first, memo)
+                             * reference_eval(C, rest, w2, second_first, memo))
+    memo[key] = val
+    return val
+
+
+def reference_word_pair_value(C, m, n, memo):
+    """C.word_pair_value through reference_eval, power twist included."""
+    H = C.H
+    pres = H.pres
+    u = NCPoly(pres, {m: pres.field.one}, _trusted=True)
+    v = NCPoly(pres, {n: pres.field.one}, _trusted=True)
+    for _ in range(C.alpha_power):
+        u = H.alpha_poly(u)
+        v = H.alpha_poly(v)
+    total = pres.field.zero
+    for wm, cm in u.terms.items():
+        for wn, cn in v.terms.items():
+            total = total + (cm * cn) * reference_eval(C, wm, wn, False, memo)
+    return total
+
+
+SPARSE_CASES = {
+    "plain_qm2": plain_instance,
+    "twisted_qm2": twisted_instance,
+    "z5k2": zn_instance,
+    "z5k2_power_1": lambda: twist_R_power(zn_instance(), 1),
+    "twisted_qm2_power_1": lambda: twist_R_power(twisted_instance(), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_CASES))
+def test_sparse_recursion_matches_dense_reference(name):
+    C = SPARSE_CASES[name]()
+    assert C.form.total
+    basis = covered_basis(C, 3)
+    for second_first in (False, True):
+        memo = {}
+        for m in basis:
+            for n in basis:
+                assert word_value(C, m, n, second_first) == \
+                    reference_eval(C, m, n, second_first, memo)
+    if C.alpha_power:
+        memo = {}
+        for m in basis:
+            for n in basis:
+                assert C.word_pair_value(m, n) == \
+                    reference_word_pair_value(C, m, n, memo)
+
+
+def _refusals(C, evaluate, degree=2):
+    """The word pairs of degree <= degree on which evaluate raises
+    CobraidingError, with the message; one fresh instance per pair."""
+    words = C().H.pres.graded_basis(degree)
+    out = {}
+    for m in words:
+        for n in words:
+            try:
+                evaluate(C(), m, n)
+            except CobraidingError as exc:
+                out[m, n] = str(exc)
+    return out
+
+
+PARTIAL_FORMS = {
+    "dd_dropped": (lambda: plain_instance(drop=("d", "d")), 84),
+    "d_uncovered": (lambda: _uncovered_d_instance(), 184),
+}
+
+
+def _uncovered_d_instance():
+    P = qm2_pres()
+    units = {"a": 1, "b": 0, "c": 0}
+    table = {(l, r): R_NONZERO.get((l, r), 0) for l in "abc" for r in "abc"}
+    return CobraidedHomBialgebra(HomBialgebra(P, DELTA, name="qm2"),
+                                 CobraidingForm(P, table, units, dict(units)))
+
+
+@pytest.mark.parametrize("name", sorted(PARTIAL_FORMS))
+@pytest.mark.parametrize("second_first", [False, True])
+def test_partial_form_raises_where_the_dense_recursion_raises(name,
+                                                              second_first):
+    build, count = PARTIAL_FORMS[name]
+    assert not build().form.total
+    got = _refusals(build, lambda C, m, n: word_value(C, m, n, second_first))
+    want = _refusals(build, lambda C, m, n: reference_eval(C, m, n,
+                                                           second_first, {}))
+    assert got == want
+    assert len(got) == count
+
+
 # the contractions against the loops they replaced ----------------------------
 
 

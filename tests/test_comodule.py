@@ -174,6 +174,18 @@ def plain_mixed_hybe_report():
 
 CASES["plain_mixed_hybe_1_2_3"] = lambda: text(plain_mixed_hybe_report())
 
+
+def scaled_plain_plane():
+    """The standard plane over plain M_q(2) with the twisted planes'
+    carrier map x -> xi x, y -> lambda^-1 xi y, which does not commute
+    with the coaction when the host map is the identity."""
+    return plane_comodule_algebra(host(twisted=False), "standard", xi="xi",
+                                  lam="lambda")
+
+
+CASES["scaled_plain_plane_comodule_3"] = \
+    lambda: text(verify_comodule(scaled_plain_plane(), 3))
+
 PINNED = {
     'corrupted_operator': (
         '{"checks": [{"name": "alpha_commutation", "status": "fail", '
@@ -353,6 +365,20 @@ PINNED.update({
         '"status": "pass", "degree": null, "wall_time": null}], "passed": '
         'true, "title": "mixed braid identity"}'
     ),
+    # the first pinned comultiplicativity failure, rendered by _render_pair
+    'scaled_plain_plane_comodule_3': (
+        '{"checks": [{"name": "coaction_comultiplicativity", "status": '
+        '"fail", "degree": 3, "wall_time": null, "witness": {"element": '
+        '"x", "left": "(xi)*[a (x) x] + (xi/lambda)*[b (x) y]", "right": '
+        '"(xi)*[a (x) x] + (xi)*[b (x) y]"}}, {"name": '
+        '"coaction_hom_coassociativity", "status": "fail", "degree": 3, '
+        '"wall_time": null, "witness": {"element": "x", "left": "(xi)*[a '
+        '(x) a (x) x] + (xi/lambda)*[a (x) b (x) y] + (xi)*[b (x) c (x) x] '
+        '+ (xi/lambda)*[b (x) d (x) y]", "right": "(1)*[a (x) a (x) x] + '
+        '(1)*[a (x) b (x) y] + (1)*[b (x) c (x) x] + (1)*[b (x) d (x) '
+        'y]"}}], "passed": false, "title": "comodule axioms on '
+        'standard_plane_coaction"}'
+    ),
     'plain_standard_comodule_3': (
         '{"checks": [{"name": "coaction_comultiplicativity", "status": '
         '"pass", "degree": 3, "wall_time": null}, {"name": '
@@ -388,6 +414,17 @@ def test_mixed_plane_is_not_a_comodule_algebra():
     bad = verify_comodule(A, 2).failures()
     assert [(c.name, c.witness["element"]) for c in bad] == \
         [("coaction_hom_coassociativity", "xx")]
+
+
+@pytest.mark.parametrize("kind", ["standard", "fermionic"])
+def test_plain_host_defaults_to_identity_carrier_map(kind):
+    A = plane_comodule_algebra(host(twisted=False), kind)
+    assert all(A.alpha_word(A.carrier.word(g)) == A.carrier.gen(g)
+               for g in "xy")
+    rep = verify_comodule(A, 3)
+    assert rep.passed, rep.to_json()
+    assert text(rep) == text(verify_comodule(plain_plane(kind), 3))
+    assert verify_comodule_hom_algebra(A, 3).passed
 
 
 def test_corrupted_operator_fails_both_checks():
@@ -475,6 +512,14 @@ ADMISSIBLE = {
 @pytest.mark.parametrize("kind", sorted(ADMISSIBLE))
 def test_closed_form_matches_multiplicative_extension(kind):
     A = plane(kind)
+    for i, j in ADMISSIBLE[kind]:
+        w = A.carrier.word("x" * i + "y" * j)
+        assert A.rho_word(w) == closed_form_coaction(A, kind, i, j), (i, j)
+
+
+@pytest.mark.parametrize("kind", sorted(ADMISSIBLE))
+def test_closed_form_over_plain_host_has_no_scaling(kind):
+    A = plane(kind, twisted=False)
     for i, j in ADMISSIBLE[kind]:
         w = A.carrier.word("x" * i + "y" * j)
         assert A.rho_word(w) == closed_form_coaction(A, kind, i, j), (i, j)
