@@ -78,9 +78,6 @@ class CobraidingForm:
         self.total = self.covers_all() and all(
             (i, j) in self.gen_table for i in range(n) for j in range(n))
 
-    def covers(self, indices):
-        return all(i in self.covered for i in indices)
-
     def covers_all(self):
         return len(self.covered) == len(self.pres.generators)
 

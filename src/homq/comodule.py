@@ -3,7 +3,7 @@
 Carriers come in two shapes.  A finite labeled basis (Comodule) is what
 the Yang-Baxter operators act on.  A presented algebra whose coaction
 extends multiplicatively from a generator table (ComoduleAlgebra) covers
-the quantum planes; its graded pieces collapse back to finite carriers.
+the two quantum planes; its graded pieces collapse back to finite carriers.
 
 The coaction of a twisted comodule algebra is always derived from the
 stored untwisted generator table composed with the carrier twisting map,
@@ -56,9 +56,6 @@ class MixedTensor:
                     _bump(out, (hw, cw), hc * cc)
         self.terms = out
 
-    def is_zero(self):
-        return not self.terms
-
     def _check(self, other):
         if self.hpres is not other.hpres or self.cpres is not other.cpres:
             raise PresentationError("operands from different presentations")
@@ -69,9 +66,6 @@ class MixedTensor:
         for key, c in other.terms.items():
             _bump(out, key, c)
         return MixedTensor(self.hpres, self.cpres, out, _trusted=True)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def scale(self, c):
         c = self.hpres.coef(c)
@@ -103,6 +97,29 @@ class MixedTensor:
 # finite-carrier comodules -----------------------------------------------------
 
 
+def _label_table(labels, table, what, read):
+    """The rows of a table keyed by carrier label, as label -> row.
+    Every label needs a row and every key must be a label.  read(spec,
+    val) gives the carrier label one entry names and the (key, scalar)
+    terms it adds to its row; each row sums them with _bump."""
+    known = set(labels)
+    rows = {}
+    for lab in labels:
+        if lab not in table:
+            raise PresentationError(f"label {lab!r} missing from {what}")
+        row = rows[lab] = {}
+        for spec, val in table[lab].items():
+            lab2, terms = read(spec, val)
+            if lab2 not in known:
+                raise PresentationError(f"unknown carrier label {lab2!r}")
+            for key, c in terms:
+                _bump(row, key, c)
+    for lab in table:
+        if lab not in known:
+            raise PresentationError(f"unknown carrier label {lab!r}")
+    return rows
+
+
 class Comodule:
     """Comodule on a finite labeled basis.
 
@@ -120,46 +137,19 @@ class Comodule:
         self.labels = tuple(labels)
         if len(set(self.labels)) != len(self.labels):
             raise PresentationError("duplicate carrier labels")
-        known = set(self.labels)
 
-        self.rho = {}
-        for lab in self.labels:
-            if lab not in rho_table:
-                raise PresentationError(f"label {lab!r} missing from rho table")
-            row = {}
-            for (hspec, lab2), val in rho_table[lab].items():
-                if lab2 not in known:
-                    raise PresentationError(f"unknown carrier label {lab2!r}")
-                hp = pres.poly({hspec: val})
-                for hw, hc in hp.terms.items():
-                    _bump(row, (hw, lab2), hc)
-            self.rho[lab] = row
-        for lab in rho_table:
-            if lab not in known:
-                raise PresentationError(f"unknown carrier label {lab!r}")
+        def rho_entry(spec, val):
+            hspec, lab2 = spec
+            return lab2, (((hw, lab2), c)
+                          for hw, c in pres.poly({hspec: val}).terms.items())
 
-        field = pres.field
+        self.rho = _label_table(self.labels, rho_table, "rho table",
+                                rho_entry)
         if alpha_table is None:
-            self.alpha = {lab: {lab: field.one} for lab in self.labels}
-        else:
-            self.alpha = {}
-            for lab in self.labels:
-                if lab not in alpha_table:
-                    raise PresentationError(
-                        f"alpha table has no row for {lab!r}")
-                row = {}
-                for lab2, val in alpha_table[lab].items():
-                    if lab2 not in known:
-                        raise PresentationError(
-                            f"unknown carrier label {lab2!r}")
-                    c = pres.coef(val)
-                    if not c.is_zero():
-                        row[lab2] = c
-                self.alpha[lab] = row
-
-    @property
-    def dim(self):
-        return len(self.labels)
+            alpha_table = {lab: {lab: 1} for lab in self.labels}
+        self.alpha = _label_table(
+            self.labels, alpha_table, "alpha table",
+            lambda lab2, val: (lab2, [(lab2, pres.coef(val))]))
 
     def to_json(self):
         pres = self.hom.pres
@@ -180,13 +170,23 @@ class Comodule:
 
     @classmethod
     def from_json(cls, data, host):
+        """Read to_json() output.  A row may name a key only once: rho
+        entries are keyed by (host, carrier), alpha entries by carrier."""
+        def row(lab, entries, key):
+            out = {}
+            for e in entries:
+                if key(e) in out:
+                    raise PresentationError(f"row {lab!r} repeats {key(e)!r}")
+                out[key(e)] = e["value"]
+            return out
+
         labels = tuple(data["labels"])
-        rho_table = {lab: {(e["host"], e["carrier"]): e["value"]
-                           for e in entries}
+        rho_table = {lab: row(lab, entries,
+                              lambda e: (e["host"], e["carrier"]))
                      for lab, entries in data["rho"].items()}
         alpha_table = None
         if "alpha" in data:
-            alpha_table = {lab: {e["carrier"]: e["value"] for e in entries}
+            alpha_table = {lab: row(lab, entries, lambda e: e["carrier"])
                            for lab, entries in data["alpha"].items()}
         return cls(host, labels, rho_table, alpha_table,
                    name=data.get("name", ""))
@@ -321,28 +321,20 @@ class ComoduleAlgebra:
             raise ComoduleError(f"degree-{degree} piece is empty")
         labels = tuple(carrier.word_text(w) for w in words)
         allowed = dict(zip(words, labels))
-        rho_table = {}
-        alpha_table = {}
+
+        def label(v, w, what):
+            if v not in allowed:
+                raise ComoduleError(f"{what} leaves the degree-{degree} "
+                                    f"piece at {carrier.word_text(w)}")
+            return allowed[v]
+
+        rho_table, alpha_table = {}, {}
         for w, lab in zip(words, labels):
             t = self.base_rho_word(w) if base else self.rho_word(w)
-            row = {}
-            for (hw, cw), c in t.terms.items():
-                lab2 = allowed.get(cw)
-                if lab2 is None:
-                    raise ComoduleError(
-                        f"coaction leaves the degree-{degree} piece at "
-                        f"{carrier.word_text(w)}")
-                row[(hw, lab2)] = c
-            rho_table[lab] = row
-            arow = {}
-            for v, c in self.alpha_word(w).terms.items():
-                lab2 = allowed.get(v)
-                if lab2 is None:
-                    raise ComoduleError(
-                        f"twisting map leaves the degree-{degree} piece at "
-                        f"{carrier.word_text(w)}")
-                arow[lab2] = c
-            alpha_table[lab] = arow
+            rho_table[lab] = {(hw, label(cw, w, "coaction")): c
+                              for (hw, cw), c in t.terms.items()}
+            alpha_table[lab] = {label(v, w, "twisting map"): c
+                                for v, c in self.alpha_word(w).terms.items()}
         return Comodule(self.host, labels, rho_table, alpha_table,
                         name=name or (self.name and
                                       f"{self.name} degree-{degree} piece"))
@@ -351,114 +343,74 @@ class ComoduleAlgebra:
 # axiom verification ------------------------------------------------------------
 
 
-def _render_triple(pres, terms, carrier_text):
+def _render_legs(pres, terms, carrier_text):
+    """Render a dict keyed by host words followed by one carrier basis
+    element, in the order of the words, then of the carrier text."""
     if not terms:
         return "0"
-    keys = sorted(terms, key=lambda k: (word_key(k[0]), word_key(k[1]),
-                                        carrier_text(k[2])))
-    return " + ".join(
-        f"({render(terms[k])})*[{pres.word_text(k[0])} (x) "
-        f"{pres.word_text(k[1])} (x) {carrier_text(k[2])}]" for k in keys)
 
+    def legs(k):
+        return [*map(pres.word_text, k[:-1]), carrier_text(k[-1])]
 
-def _render_pair(pres, terms, carrier_text):
-    if not terms:
-        return "0"
-    keys = sorted(terms, key=lambda k: (word_key(k[0]), carrier_text(k[1])))
-    return " + ".join(
-        f"({render(terms[k])})*[{pres.word_text(k[0])} (x) "
-        f"{carrier_text(k[1])}]" for k in keys)
+    keys = sorted(terms, key=lambda k: (*map(word_key, k[:-1]),
+                                        carrier_text(k[-1])))
+    return " + ".join(f"({render(terms[k])})*[{' (x) '.join(legs(k))}]"
+                      for k in keys)
 
 
 def verify_comodule(M, degree=None):
     """Check Hom-coassociativity and comultiplicativity of the coaction
     on the carrier basis (up to total degree for algebra carriers)."""
+    H = M.hom
+    rep = Report(f"comodule axioms on {M.name or 'carrier'}")
     if isinstance(M, ComoduleAlgebra):
-        return _verify_comodule_algebra(M, 3 if degree is None else degree)
-    return _verify_comodule_finite(M)
+        degree = 3 if degree is None else degree
+        cases, text = M.carrier.graded_basis(degree), M.carrier.word_text
 
+        def rho_row(x):
+            return M.rho_word(x).terms
 
-def _verify_comodule_finite(M):
-    H = M.hom
-    pres = H.pres
-    rep = Report(f"comodule axioms on {M.name or 'carrier'}")
+        def alpha_row(x):
+            return M.alpha_word(x).terms
+    else:
+        degree, cases, text = None, M.labels, str
+        rho_row, alpha_row = M.rho.__getitem__, M.alpha.__getitem__
 
-    def hom_coassociativity(lab):
+    def hom_coassociativity(x):
         lhs, rhs = {}, {}
-        for (hw, mid), c in M.rho[lab].items():
-            for (w1, w2), dc in H.delta_word(hw).terms.items():
-                cd = c * dc
-                for k, ac in M.alpha[mid].items():
-                    _bump(lhs, (w1, w2, k), cd * ac)
-            ap = H.alpha_word(hw)
-            for (hw2, k), c2 in M.rho[mid].items():
-                cc = c * c2
-                for w1, c1 in ap.terms.items():
-                    _bump(rhs, (w1, hw2, k), cc * c1)
-        return lhs, rhs
-
-    def comultiplicativity(lab):
-        lhs, rhs = {}, {}
-        for (hw, mid), c in M.rho[lab].items():
-            ap = H.alpha_word(hw)
-            for k, ac in M.alpha[mid].items():
-                ca = c * ac
-                for w1, c1 in ap.terms.items():
-                    _bump(lhs, (w1, k), ca * c1)
-        for mid, ac in M.alpha[lab].items():
-            for key, c in M.rho[mid].items():
-                _bump(rhs, key, ac * c)
-        return lhs, rhs
-
-    def where(lab):
-        return {"element": lab}
-
-    _scan(rep, "coaction_hom_coassociativity", [M.labels], hom_coassociativity,
-          where, render=lambda t: _render_triple(pres, t, str))
-    _scan(rep, "coaction_comultiplicativity", [M.labels], comultiplicativity,
-          where, render=lambda t: _render_pair(pres, t, str))
-    return rep
-
-
-def _verify_comodule_algebra(M, degree):
-    H = M.hom
-    pres = H.pres
-    rep = Report(f"comodule axioms on {M.name or 'carrier'}")
-    ctext = M.carrier.word_text
-
-    def hom_coassociativity(w):
-        lhs, rhs = {}, {}
-        for (hw, cw), c in M.rho_word(w).terms.items():
+        for (hw, m), c in rho_row(x).items():
             dt = H.delta_word(hw).terms
-            for v, ac in M.alpha_word(cw).terms.items():
+            for v, ac in alpha_row(m).items():
                 ca = c * ac
                 for (w1, w2), dc in dt.items():
                     _bump(lhs, (w1, w2, v), ca * dc)
             ap = H.alpha_word(hw)
-            for (hw2, cw2), c2 in M.rho_word(cw).terms.items():
+            for (hw2, m2), c2 in rho_row(m).items():
                 cc = c * c2
                 for w1, c1 in ap.terms.items():
-                    _bump(rhs, (w1, hw2, cw2), cc * c1)
+                    _bump(rhs, (w1, hw2, m2), cc * c1)
         return lhs, rhs
 
-    def comultiplicativity(w):
-        lhs = {}
-        for (hw, cw), c in M.rho_word(w).terms.items():
+    def comultiplicativity(x):
+        lhs, rhs = {}, {}
+        for (hw, m), c in rho_row(x).items():
             ap = H.alpha_word(hw)
-            for v, ac in M.alpha_word(cw).terms.items():
+            for v, ac in alpha_row(m).items():
                 ca = c * ac
                 for w1, c1 in ap.terms.items():
                     _bump(lhs, (w1, v), ca * c1)
-        return lhs, M.rho(M.alpha_word(w)).terms
+        for m, ac in alpha_row(x).items():
+            for key, c in rho_row(m).items():
+                _bump(rhs, key, c * ac)
+        return lhs, rhs
 
-    def where(w):
-        return {"element": ctext(w)}
+    def where(x):
+        return {"element": text(x)}
 
-    words = M.carrier.graded_basis(degree)
-    _scan(rep, "coaction_hom_coassociativity", [words], hom_coassociativity,
-          where, degree, render=lambda t: _render_triple(pres, t, ctext))
-    _scan(rep, "coaction_comultiplicativity", [words], comultiplicativity,
-          where, degree, render=lambda t: _render_pair(pres, t, ctext))
+    _scan(rep, "coaction_hom_coassociativity", [cases], hom_coassociativity,
+          where, degree, render=lambda t: _render_legs(H.pres, t, text))
+    _scan(rep, "coaction_comultiplicativity", [cases], comultiplicativity,
+          where, degree, render=lambda t: _render_legs(H.pres, t, text))
     return rep
 
 
@@ -753,18 +705,16 @@ def verify_comodule_hom_algebra(M, degree):
 
 # quantum planes -------------------------------------------------------------------
 
-PLANE_KINDS = ("standard", "fermionic", "mixed")
+PLANE_KINDS = ("standard", "fermionic")
 
 
 def plane_presentation(field, kind, max_degree=4, name=""):
-    """The three two-generator planes: commuting up to q, fully
-    nilpotent, or nilpotent in the second generator only."""
+    """The two quantum planes on x and y: the standard one, commuting
+    up to q, and the fully nilpotent fermionic one."""
     if kind == "standard":
         rules = [("yx", {"xy": "q"})]
     elif kind == "fermionic":
         rules = [("yx", {"xy": "-q^-1"}), ("xx", {}), ("yy", {})]
-    elif kind == "mixed":
-        rules = [("yx", {"xy": "q"}), ("yy", {})]
     else:
         raise ComoduleError(f"unknown plane kind {kind!r}")
     return Presentation("xy", rules, field, max_degree=max_degree,
@@ -832,7 +782,7 @@ def q_binomial(field, n, r):
 
 
 def closed_form_coaction(A, kind, i, j, xi=None, lam=None):
-    """The literal basis-monomial coaction formulas of the three planes,
+    """The literal basis-monomial coaction formulas of the two planes,
     used as independent oracles against the multiplicative extension;
     xi and lam default as for plane_comodule_algebra.  Exponents must be
     admissible for the kind."""
@@ -842,8 +792,6 @@ def closed_form_coaction(A, kind, i, j, xi=None, lam=None):
         raise ValueError("exponents must be nonnegative")
     if kind == "fermionic" and (i > 1 or j > 1):
         raise ValueError("fermionic exponents must be at most 1")
-    if kind == "mixed" and j > 1:
-        raise ValueError("mixed second exponent must be at most 1")
     hpres = A.hom.pres
     carrier = A.carrier
     field = carrier.field
@@ -861,31 +809,16 @@ def closed_form_coaction(A, kind, i, j, xi=None, lam=None):
                 hw = "a" * r + "b" * (i - r) + "c" * s + "d" * (j - s)
                 cw = "x" * (r + s) + "y" * (i + j - r - s)
                 raw[(hw, cw)] = c
-    elif kind == "fermionic":
-        if (i, j) == (0, 0):
-            raw[("1", "1")] = field.one
-        elif (i, j) == (1, 0):
-            raw[("a", "x")] = xi
-            raw[("b", "y")] = xi
-        elif (i, j) == (0, 1):
-            raw[("c", "x")] = lam_inv * xi
-            raw[("d", "y")] = lam_inv * xi
-        else:
-            c = lam_inv * xi * xi
-            raw[("ad", "xy")] = c
-            raw[("bc", "xy")] = c * (-q.inverse())
+    elif (i, j) == (0, 0):
+        raw[("1", "1")] = field.one
+    elif (i, j) == (1, 0):
+        raw[("a", "x")] = xi
+        raw[("b", "y")] = xi
+    elif (i, j) == (0, 1):
+        raw[("c", "x")] = lam_inv * xi
+        raw[("d", "y")] = lam_inv * xi
     else:
-        if j == 0:
-            outer = xi ** i
-            raw[("a" * i, "x" * i)] = outer
-            if i >= 1:
-                raw[("a" * (i - 1) + "b", "x" * (i - 1) + "y")] = \
-                    outer * q_squared_int(field, i)
-        else:
-            outer = lam_inv * (xi ** (i + 1))
-            raw[("a" * i + "c", "x" * (i + 1))] = outer
-            raw[("a" * i + "d", "x" * i + "y")] = outer
-            if i >= 1:
-                raw[("a" * (i - 1) + "bc", "x" * i + "y")] = \
-                    outer * q * q_squared_int(field, i)
+        c = lam_inv * xi * xi
+        raw[("ad", "xy")] = c
+        raw[("bc", "xy")] = c * (-q.inverse())
     return MixedTensor(hpres, carrier, raw)

@@ -103,6 +103,21 @@ def mixed_hybe_report():
     return verify_mixed_hybe(*(A.piece(d) for d in (1, 2, 3)))
 
 
+STANDARD_RHO = {"x": {("a", "x"): 1, ("b", "y"): 1},
+                "y": {("c", "x"): 1, ("d", "y"): 1}}
+
+
+def mixed_plane():
+    """The standard coaction of twisted M_q(2) on the plane with yx = q xy
+    and yy = 0, which is not a comodule algebra: rho(y) rho(y) =
+    (cd + q dc) (x) xy is not rho(yy) = 0.  The (1|1) plane needs a super
+    host, which M_q(2) is not."""
+    carrier = Presentation("xy", [("yx", {"xy": "q"}), ("yy", {})], F,
+                           max_degree=4, name="mixed_plane")
+    return ComoduleAlgebra(host(), carrier, STANDARD_RHO, PLANE_ALPHA,
+                           twisted=True, name="mixed_plane_coaction")
+
+
 # Report.to_json() text with timings off, recorded from the per-check
 # loops that preceded the shared witness scan.
 CASES = {
@@ -133,9 +148,9 @@ CASES = {
         lambda: text(verify_hybe(bvw_operator(plane("fermionic").piece(1)))),
     "mixed_hybe_1_2_3": lambda: text(mixed_hybe_report()),
     "mixed_plane_comodule_2":
-        lambda: text(verify_comodule(plane("mixed"), 2)),
+        lambda: text(verify_comodule(mixed_plane(), 2)),
     "mixed_plane_hom_algebra_2":
-        lambda: text(verify_comodule_hom_algebra(plane("mixed"), 2)),
+        lambda: text(verify_comodule_hom_algebra(mixed_plane(), 2)),
     "corrupted_operator": lambda: text(verify_hybe(corrupted_operator())),
     "corrupted_rho_row": lambda: text(verify_comodule(corrupted_rho_piece())),
     "refused_host_map":
@@ -365,7 +380,7 @@ PINNED.update({
         '"status": "pass", "degree": null, "wall_time": null}], "passed": '
         'true, "title": "mixed braid identity"}'
     ),
-    # the first pinned comultiplicativity failure, rendered by _render_pair
+    # the first pinned comultiplicativity failure, rendered by _render_legs
     'scaled_plain_plane_comodule_3': (
         '{"checks": [{"name": "coaction_comultiplicativity", "status": '
         '"fail", "degree": 3, "wall_time": null, "witness": {"element": '
@@ -405,9 +420,7 @@ def test_planes_are_comodule_hom_algebras(kind):
 
 
 def test_mixed_plane_is_not_a_comodule_algebra():
-    # rho(y) rho(y) = (cd + q dc) (x) xy is not rho(yy) = 0: the (1|1)
-    # plane needs a super host, which M_q(2) is not
-    A = plane("mixed")
+    A = mixed_plane()
     bad = verify_comodule_hom_algebra(A, 2).failures()
     assert [(c.name, c.witness["left_factor"], c.witness["right_factor"])
             for c in bad] == [("coaction_multiplicativity", "y", "y")]
@@ -449,6 +462,58 @@ def test_hybe_refuses_mismatched_carrier_maps():
 def test_fermionic_degree_3_piece_is_empty():
     with pytest.raises(ComoduleError, match="empty"):
         plane("fermionic").piece(3)
+
+
+# finite-carrier tables -------------------------------------------------------
+
+
+IDENTITY_ALPHA = {"x": {"x": 1}, "y": {"y": 1}}
+
+
+@pytest.mark.parametrize("labels, rho, alpha, message", [
+    (("x", "x"), STANDARD_RHO, None, "duplicate carrier labels"),
+    ("xy", {"x": STANDARD_RHO["x"]}, None, "label 'y' missing from rho table"),
+    ("xy", dict(STANDARD_RHO, z={}), None, "unknown carrier label 'z'"),
+    ("xy", dict(STANDARD_RHO, y={("c", "z"): 1}), None,
+     "unknown carrier label 'z'"),
+    ("xy", STANDARD_RHO, {"x": {"x": 1}}, "label 'y' missing from alpha table"),
+    ("xy", STANDARD_RHO, dict(IDENTITY_ALPHA, y={"z": 1}),
+     "unknown carrier label 'z'"),
+    ("xy", STANDARD_RHO, dict(IDENTITY_ALPHA, zz={"x": 1}),
+     "unknown carrier label 'zz'"),
+], ids=["duplicate_labels", "missing_rho_row", "unknown_rho_key",
+        "unknown_rho_entry_label", "missing_alpha_row",
+        "unknown_alpha_entry_label", "unknown_alpha_key"])
+def test_comodule_refuses_malformed_tables(labels, rho, alpha, message):
+    with pytest.raises(PresentationError) as info:
+        Comodule(host(), labels, rho, alpha)
+    assert str(info.value) == message
+
+
+def test_comodule_tables_sum_entries_and_drop_zeros():
+    # ba normalizes to q ab, so both host specs land on the entry (ab, x)
+    M = Comodule(host(), "xy",
+                 {"x": {("ab", "x"): 2, ("ba", "x"): "q^-1", ("a", "y"): 0},
+                  "y": {("ab", "x"): 1, ("ba", "x"): "-q^-1"}},
+                 {"x": {"x": 1, "y": 0}, "y": {}})
+    assert M.rho == {"x": {(M.hom.pres.word("ab"), "x"): F.parse("3")},
+                     "y": {}}
+    assert M.alpha == {"x": {"x": F.one}, "y": {}}
+    assert Comodule(host(), "xy", STANDARD_RHO).alpha == \
+        {"x": {"x": F.one}, "y": {"y": F.one}}
+
+
+@pytest.mark.parametrize("table, entry", [
+    ("rho", {"host": "a", "carrier": "x", "value": "-1"}),
+    ("alpha", {"carrier": "x", "value": "2"}),
+], ids=["rho", "alpha"])
+def test_from_json_refuses_a_repeated_entry(table, entry):
+    V = plane("standard").piece(1)
+    data = V.to_json()
+    assert Comodule.from_json(data, V.host).to_json() == data
+    data[table]["x"].append(entry)
+    with pytest.raises(PresentationError, match="row 'x' repeats"):
+        Comodule.from_json(data, V.host)
 
 
 # twisting ------------------------------------------------------------------

@@ -1,0 +1,64 @@
+"""The benchmark reads its per-layer counts by traced key, such as
+"comodule.ComoduleAlgebra.rho_word", and reads a key that was never
+traced as 0.  A renamed function would therefore zero its metric
+without an error.  These tests read the keys out of perfbench/run.py
+and check that each names a function the tracer wraps."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _tracer_namespace():
+    """The globals of perfbench/trace.py, run from source so that no
+    bytecode is written next to it; it only imports the standard
+    library."""
+    path = PERFBENCH / "trace.py"
+    namespace = {"__name__": "perfbench_trace"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    return namespace
+
+
+def _traced_keys():
+    """The keys of VERIFIERS, CALL_COUNTS and DISTINCT_COUNTS, and the
+    operator keys behind comodule.operator_build_share."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    tables = {}
+    operators = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+            continue
+        target = node.targets[0]
+        if isinstance(target, ast.Name) and target.id in (
+                "VERIFIERS", "CALL_COUNTS", "DISTINCT_COUNTS"):
+            tables[target.id] = ast.literal_eval(node.value)
+        elif (isinstance(target, ast.Subscript)
+              and isinstance(target.slice, ast.Constant)
+              and target.slice.value == "comodule.operator_build_share"):
+            operators = [n.value for n in ast.walk(node.value)
+                         if isinstance(n, ast.Constant)
+                         and isinstance(n.value, str) and "." in n.value]
+    assert sorted(tables) == ["CALL_COUNTS", "DISTINCT_COUNTS", "VERIFIERS"]
+    assert operators == ["comodule.bvw_operator", "comodule.b_alpha_operator"]
+    return sorted({*tables["VERIFIERS"], *tables["CALL_COUNTS"].values(),
+                   *tables["DISTINCT_COUNTS"].values(), *operators})
+
+
+TRACE = _tracer_namespace()
+
+
+@pytest.mark.parametrize("key", _traced_keys())
+def test_traced_key_names_a_wrapped_function(key):
+    layer, *path = key.split(".")
+    assert layer in TRACE["LAYERS"]
+    module = obj = importlib.import_module(f"homq.{layer}")
+    for attr in path:
+        # the tracer looks names up in the namespace that defines them
+        assert attr in vars(obj), f"{key}: no {attr} in {obj.__name__}"
+        obj = vars(obj)[attr]
+    assert vars(module)[path[0]].__module__ == module.__name__
+    assert TRACE["_wrappable"](path[-1], obj), key
