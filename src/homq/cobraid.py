@@ -12,7 +12,7 @@ from functools import cache, lru_cache
 
 from .hombialg import _combine, _product_table
 from .linalg import kernel_basis
-from .ncpoly import NCPoly, PresentationError
+from .ncpoly import NCPoly, PresentationError, json_row
 from .report import Report, _at, _scan
 from .scalars import render
 
@@ -116,8 +116,8 @@ class CobraidingForm:
 
     @classmethod
     def from_json(cls, data, pres):
-        gen_table = {(row["left"], row["right"]): row["value"]
-                     for row in data["gen_table"]}
+        gen_table = json_row("gen_table", data["gen_table"],
+                             lambda row: (row["left"], row["right"]), "value")
         return cls(pres, gen_table, dict(data["unit_left"]),
                    dict(data["unit_right"]),
                    unit_unit=data.get("unit_unit", 1))
@@ -320,7 +320,7 @@ def verify_cobraided(C, degree):
     alpha_of = [H.alpha_poly(p) for p in mono]
     delta_of = [list(H.delta(p).terms.items()) for p in mono]
 
-    word_product = _product_table(H)
+    word_product = _product_table(pres, H.product)
 
     @cache
     def alpha_left(i, w):

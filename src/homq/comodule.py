@@ -4,6 +4,8 @@ Carriers come in two shapes.  A finite labeled basis (Comodule) is what
 the Yang-Baxter operators act on.  A presented algebra whose coaction
 extends multiplicatively from a generator table (ComoduleAlgebra) covers
 the two quantum planes; its graded pieces collapse back to finite carriers.
+The coaction values of an algebra carrier are TensorElements whose two
+slots are the host presentation and the carrier.
 
 The coaction of a twisted comodule algebra is always derived from the
 stored untwisted generator table composed with the carrier twisting map,
@@ -12,9 +14,11 @@ of the same instance.
 """
 
 from .cobraid import CobraidedHomBialgebra, check_alpha_invariance
-from .hombialg import MorphismError, _relations_preserved, twist_hom_bialgebra
-from .ncpoly import (NCPoly, Presentation, PresentationError, _bump,
-                     generator_table, linear_image, word_image, word_key)
+from .hombialg import (MorphismError, _product_table, _relations_preserved,
+                       twist_hom_bialgebra)
+from .ncpoly import (NCPoly, Presentation, PresentationError, TensorElement,
+                     _bump, generator_table, json_row, linear_image,
+                     render_legs, slotwise, word_image, word_key)
 from .report import Report, _scan, timed
 from .scalars import render
 
@@ -31,67 +35,6 @@ class ComoduleError(Exception):
 def host_hom(host):
     """Unwrap a host that may carry a bilinear form."""
     return host.H if isinstance(host, CobraidedHomBialgebra) else host
-
-
-# mixed host (x) carrier tensors ----------------------------------------------
-
-
-class MixedTensor:
-    """Element of host (x) carrier with independent presentations per slot."""
-
-    __slots__ = ("hpres", "cpres", "terms")
-
-    def __init__(self, hpres, cpres, raw=None, _trusted=False):
-        self.hpres = hpres
-        self.cpres = cpres
-        if _trusted:
-            self.terms = dict(raw) if raw else {}
-            return
-        out = {}
-        for (hspec, cspec), val in (raw or {}).items():
-            hp = hpres.poly({hspec: val})
-            cnf = cpres.normal_word(cpres.word(cspec))
-            for hw, hc in hp.terms.items():
-                for cw, cc in cnf.items():
-                    _bump(out, (hw, cw), hc * cc)
-        self.terms = out
-
-    def _check(self, other):
-        if self.hpres is not other.hpres or self.cpres is not other.cpres:
-            raise PresentationError("operands from different presentations")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _bump(out, key, c)
-        return MixedTensor(self.hpres, self.cpres, out, _trusted=True)
-
-    def scale(self, c):
-        c = self.hpres.coef(c)
-        if c.is_zero():
-            return MixedTensor(self.hpres, self.cpres, {}, _trusted=True)
-        return MixedTensor(self.hpres, self.cpres,
-                           {k: v * c for k, v in self.terms.items()},
-                           _trusted=True)
-
-    def __eq__(self, other):
-        if not isinstance(other, MixedTensor):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def render(self):
-        if not self.terms:
-            return "0"
-        keys = sorted(self.terms, key=lambda k: (word_key(k[0]), word_key(k[1])))
-        return " + ".join(
-            f"({render(self.terms[k])})*[{self.hpres.word_text(k[0])}"
-            f" (x) {self.cpres.word_text(k[1])}]" for k in keys)
-
-    def __repr__(self):
-        return f"MixedTensor({self.render()})"
 
 
 # finite-carrier comodules -----------------------------------------------------
@@ -172,21 +115,15 @@ class Comodule:
     def from_json(cls, data, host):
         """Read to_json() output.  A row may name a key only once: rho
         entries are keyed by (host, carrier), alpha entries by carrier."""
-        def row(lab, entries, key):
-            out = {}
-            for e in entries:
-                if key(e) in out:
-                    raise PresentationError(f"row {lab!r} repeats {key(e)!r}")
-                out[key(e)] = e["value"]
-            return out
-
         labels = tuple(data["labels"])
-        rho_table = {lab: row(lab, entries,
-                              lambda e: (e["host"], e["carrier"]))
+        rho_table = {lab: json_row(f"row {lab!r}", entries,
+                                   lambda e: (e["host"], e["carrier"]),
+                                   "value")
                      for lab, entries in data["rho"].items()}
         alpha_table = None
         if "alpha" in data:
-            alpha_table = {lab: row(lab, entries, lambda e: e["carrier"])
+            alpha_table = {lab: json_row(f"row {lab!r}", entries,
+                                         lambda e: e["carrier"], "value")
                            for lab, entries in data["alpha"].items()}
         return cls(host, labels, rho_table, alpha_table,
                    name=data.get("name", ""))
@@ -216,17 +153,19 @@ class ComoduleAlgebra:
             raise PresentationError(
                 "host and carrier must share one scalar field")
 
+        slots = (hpres, carrier)
         self.rho_gen = generator_table(
             carrier, rho_table, "rho table",
-            lambda t: t if isinstance(t, MixedTensor)
-            else MixedTensor(hpres, carrier, dict(t)))
+            lambda t: t if isinstance(t, TensorElement)
+            else TensorElement(slots, dict(t)))
         if alpha_table is None:
             alpha_table = [carrier.gen(g) for g in carrier.generators]
         self.alpha_gen = generator_table(carrier, alpha_table, "alpha table")
 
         self._alpha_cache = {}
-        self._base_rho_cache = {(): MixedTensor(
-            hpres, carrier, {((), ()): carrier.field.one}, _trusted=True)}
+        self._zero = TensorElement(slots, {}, _trusted=True)
+        self._base_rho_cache = {(): TensorElement(
+            slots, {((), ()): carrier.field.one}, _trusted=True)}
         self._rho_cache = {}
 
     # carrier maps ------------------------------------------------------------
@@ -249,30 +188,16 @@ class ComoduleAlgebra:
 
     # coactions ---------------------------------------------------------------
 
-    def _pair_mul_plain(self, t1, t2):
-        hpres, cpres = t1.hpres, t1.cpres
-        out = {}
-        for (h1, c1), s1 in t1.terms.items():
-            for (h2, c2), s2 in t2.terms.items():
-                s = s1 * s2
-                for hw, hc in hpres.normal_word(h1 + h2).items():
-                    shc = s * hc
-                    for cw, cc in cpres.normal_word(c1 + c2).items():
-                        _bump(out, (hw, cw), shc * cc)
-        return MixedTensor(hpres, cpres, out, _trusted=True)
-
     def base_rho_word(self, w):
         """Multiplicative extension of the stored untwisted table."""
         hit = self._base_rho_cache.get(w)
         if hit is None:
-            hit = self._pair_mul_plain(self.base_rho_word(w[:-1]),
-                                       self.rho_gen[w[-1]])
-            self._base_rho_cache[w] = hit
+            hit = self._base_rho_cache[w] = (self.base_rho_word(w[:-1])
+                                             * self.rho_gen[w[-1]])
         return hit
 
     def base_rho(self, p):
-        return linear_image(p.terms.items(), self.base_rho_word,
-                            MixedTensor(self.hom.pres, self.carrier))
+        return linear_image(p.terms.items(), self.base_rho_word, self._zero)
 
     def rho_word(self, w):
         """The instance coaction: the stored table composed with the
@@ -285,28 +210,14 @@ class ComoduleAlgebra:
         return hit
 
     def rho(self, p):
-        return linear_image(p.terms.items(), self.rho_word,
-                            MixedTensor(self.hom.pres, self.carrier))
+        return linear_image(p.terms.items(), self.rho_word, self._zero)
 
     def pair_product(self, t1, t2):
-        """Slotwise product with the instance multiplications."""
-        hpres, cpres = t1.hpres, t1.cpres
+        """Slotwise product with the instance multiplications, each read
+        from a word-product table local to this call."""
         H = self.hom
-        one = cpres.field.one
-        out = {}
-        for (h1, c1), s1 in t1.terms.items():
-            hp1 = NCPoly(hpres, {h1: one}, _trusted=True)
-            cp1 = NCPoly(cpres, {c1: one}, _trusted=True)
-            for (h2, c2), s2 in t2.terms.items():
-                s = s1 * s2
-                hprod = H.product(hp1, NCPoly(hpres, {h2: one}, _trusted=True))
-                cprod = self.product(cp1, NCPoly(cpres, {c2: one},
-                                                 _trusted=True))
-                for hw, hc in hprod.terms.items():
-                    shc = s * hc
-                    for cw, cc in cprod.terms.items():
-                        _bump(out, (hw, cw), shc * cc)
-        return MixedTensor(hpres, cpres, out, _trusted=True)
+        return slotwise(t1, t2, [_product_table(H.pres, H.product),
+                                 _product_table(self.carrier, self.product)])
 
     # graded pieces -------------------------------------------------------------
 
@@ -341,21 +252,6 @@ class ComoduleAlgebra:
 
 
 # axiom verification ------------------------------------------------------------
-
-
-def _render_legs(pres, terms, carrier_text):
-    """Render a dict keyed by host words followed by one carrier basis
-    element, in the order of the words, then of the carrier text."""
-    if not terms:
-        return "0"
-
-    def legs(k):
-        return [*map(pres.word_text, k[:-1]), carrier_text(k[-1])]
-
-    keys = sorted(terms, key=lambda k: (*map(word_key, k[:-1]),
-                                        carrier_text(k[-1])))
-    return " + ".join(f"({render(terms[k])})*[{' (x) '.join(legs(k))}]"
-                      for k in keys)
 
 
 def verify_comodule(M, degree=None):
@@ -407,10 +303,12 @@ def verify_comodule(M, degree=None):
     def where(x):
         return {"element": text(x)}
 
+    # the carrier leg sorts by its text, so labels and words sort alike
+    host, leg = (word_key, H.pres.word_text), (text, text)
     _scan(rep, "coaction_hom_coassociativity", [cases], hom_coassociativity,
-          where, degree, render=lambda t: _render_legs(H.pres, t, text))
+          where, degree, render=lambda t: render_legs(t, [host, host, leg]))
     _scan(rep, "coaction_comultiplicativity", [cases], comultiplicativity,
-          where, degree, render=lambda t: _render_legs(H.pres, t, text))
+          where, degree, render=lambda t: render_legs(t, [host, leg]))
     return rep
 
 
@@ -489,51 +387,33 @@ def _operator(V, W, name, twist_output):
 # three-leg composition helpers; states are dicts (p, q, r) -> Scalar
 
 
-def _apply_front(entries, alpha, state):
-    """Apply (Op (x) alpha): the operator on legs 0,1 and alpha on leg 2."""
+def _apply(front, entries, alpha, state):
+    """Apply (Op (x) alpha) when front, the operator on legs 0,1 and alpha
+    on leg 2; otherwise (alpha (x) Op), alpha on leg 0 and the operator on
+    legs 1,2."""
     out = {}
     for (p, q, r), c in state.items():
-        img = entries.get((p, q))
+        img = entries.get((p, q) if front else (q, r))
         if not img:
             continue
-        arow = alpha.get(r)
+        arow = alpha.get(r if front else p)
         if not arow:
             continue
         for (k, l), c1 in img.items():
             base = c * c1
-            for r2, c2 in arow.items():
-                _bump(out, (k, l, r2), base * c2)
-    return out
-
-
-def _apply_back(entries, alpha, state):
-    """Apply (alpha (x) Op): alpha on leg 0 and the operator on legs 1,2."""
-    out = {}
-    for (p, q, r), c in state.items():
-        img = entries.get((q, r))
-        if not img:
-            continue
-        arow = alpha.get(p)
-        if not arow:
-            continue
-        for (k, l), c1 in img.items():
-            base = c * c1
-            for p2, c2 in arow.items():
-                _bump(out, (p2, k, l), base * c2)
+            for m, c2 in arow.items():
+                _bump(out, (k, l, m) if front else (m, k, l), base * c2)
     return out
 
 
 def _chain(state, stages):
-    for fn, entries, alpha in stages:
-        state = fn(entries, alpha, state)
+    for front, entries, alpha in stages:
+        state = _apply(front, entries, alpha, state)
     return state
 
 
 def _render_state(terms):
-    if not terms:
-        return "0"
-    return " + ".join(f"({render(terms[k])})*[{k[0]} (x) {k[1]} (x) {k[2]}]"
-                      for k in sorted(terms))
+    return render_legs(terms, [(lambda x: x, str)] * 3)
 
 
 def _triple(i, j, k):
@@ -562,7 +442,7 @@ def verify_hybe(B):
     rep = Report(f"Yang-Baxter operator checks on {B.name or 'operator'}")
     ent = B.entries
 
-    back, front = (_apply_back, ent, alpha), (_apply_front, ent, alpha)
+    back, front = (False, ent, alpha), (True, ent, alpha)
     _scan(rep, "hybe", [labels] * 3,
           _braid_sides([back, front, back], [front, back, front],
                        B.field.one),
@@ -614,10 +494,10 @@ def verify_mixed_hybe(U, V, W, invariance_degree=2):
     b_uv = bvw_operator(U, V).entries
     b_uw = bvw_operator(U, W).entries
     b_vw = bvw_operator(V, W).entries
-    lhs_stages = [(_apply_back, b_vw, U.alpha), (_apply_front, b_uw, V.alpha),
-                  (_apply_back, b_uv, W.alpha)]
-    rhs_stages = [(_apply_front, b_uv, W.alpha), (_apply_back, b_uw, V.alpha),
-                  (_apply_front, b_vw, U.alpha)]
+    lhs_stages = [(False, b_vw, U.alpha), (True, b_uw, V.alpha),
+                  (False, b_uv, W.alpha)]
+    rhs_stages = [(True, b_uv, W.alpha), (False, b_uw, V.alpha),
+                  (True, b_vw, U.alpha)]
     _scan(rep, "mixed_hybe", [U.labels, V.labels, W.labels],
           _braid_sides(lhs_stages, rhs_stages, C.H.pres.field.one),
           _triple, render=_render_state)
@@ -661,7 +541,7 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
                 cc = c * c1
                 for v, c2 in aim.terms.items():
                     _bump(moved, (w1, v), cc * c2)
-        rhs = MixedTensor(hpres, carrier, moved, _trusted=True)
+        rhs = TensorElement(lhs.slots, moved, _trusted=True)
         if lhs != rhs:
             raise ComoduleError(
                 f"coaction does not intertwine the twisting maps on "
@@ -821,4 +701,4 @@ def closed_form_coaction(A, kind, i, j, xi=None, lam=None):
         c = lam_inv * xi * xi
         raw[("ad", "xy")] = c
         raw[("bc", "xy")] = c * (-q.inverse())
-    return MixedTensor(hpres, carrier, raw)
+    return TensorElement((hpres, carrier), raw)

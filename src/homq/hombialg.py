@@ -11,8 +11,9 @@ coproduct is the table extension after alpha.
 
 from functools import cache
 
-from .ncpoly import (NCPoly, TensorElement, PresentationError, _bump,
-                     generator_table, linear_image, word_image, word_key)
+from .ncpoly import (NCPoly, Presentation, TensorElement, PresentationError,
+                     _bump, generator_table, json_row, linear_image,
+                     slotwise, word_image, word_key)
 from .report import Report, _at, _scan
 from .scalars import render
 
@@ -71,7 +72,7 @@ class HomBialgebra:
 
     def _alpha_slot(self, w):
         img = self.alpha_word(w)
-        return TensorElement(self.pres, 1,
+        return TensorElement((self.pres,),
                              {(v,): c for v, c in img.terms.items()},
                              _trusted=True)
 
@@ -129,21 +130,14 @@ class HomBialgebra:
 
     @classmethod
     def from_json(cls, data, field, name=""):
-        from .ncpoly import Presentation
         pres = Presentation.from_json(data, field, name=name)
-        delta_table = {}
-        for g, legs in data["delta"].items():
-            raw = {}
-            for t in legs:
-                key = (t["legs"][0], t["legs"][1])
-                raw[key] = t["coef"]
-            delta_table[g] = raw
-        alpha_table = {}
-        for g, terms in data["alpha"].items():
-            raw = {}
-            for t in terms:
-                raw[t["mono"]] = t["coef"]
-            alpha_table[g] = raw
+        delta_table = {g: json_row(f"delta of {g!r}", legs,
+                                   lambda t: (t["legs"][0], t["legs"][1]),
+                                   "coef")
+                       for g, legs in data["delta"].items()}
+        alpha_table = {g: json_row(f"alpha of {g!r}", terms,
+                                   lambda t: t["mono"], "coef")
+                       for g, terms in data["alpha"].items()}
         return cls(pres, delta_table, alpha_table,
                    twisted=data.get("twisted", False), name=name)
 
@@ -160,12 +154,11 @@ def apply_alpha(H, p):
     return H.alpha_poly(p)
 
 
-def _product_table(H):
-    """A memo of the instance product that lives as long as the returned
-    prod: prod(u, v) is the tuple of (word, coefficient) terms of
-    H.product(u, v) on two words, filled on first use, with equal
+def _product_table(pres, product):
+    """A memo of an algebra product on pres that lives as long as the
+    returned prod: prod(u, v) is the tuple of (word, coefficient) terms
+    of product(u, v) on two words, filled on first use, with equal
     coefficients stored as one object."""
-    pres = H.pres
     one = pres.field.one
     table = {}
     coefs = {}
@@ -173,8 +166,8 @@ def _product_table(H):
     def prod(u, v):
         hit = table.get((u, v))
         if hit is None:
-            p = H.product(NCPoly(pres, {u: one}, _trusted=True),
-                          NCPoly(pres, {v: one}, _trusted=True))
+            p = product(NCPoly(pres, {u: one}, _trusted=True),
+                        NCPoly(pres, {v: one}, _trusted=True))
             hit = table[u, v] = tuple((w, coefs.setdefault(c, c))
                                       for w, c in p.terms.items())
         return hit
@@ -192,23 +185,10 @@ def _combine(prod, pres, terms):
     return NCPoly(pres, raw, _trusted=True)
 
 
-def _pairwise(prod, pres, t1, t2):
-    """Slotwise product of two arity-2 tensors, reading the memo prod."""
-    raw = {}
-    for (w1, w2), c1 in t1.terms.items():
-        for (v1, v2), c2 in t2.terms.items():
-            c = c1 * c2
-            right = prod(w2, v2)
-            for lw, lc in prod(w1, v1):
-                clc = c * lc
-                for rw, rc in right:
-                    _bump(raw, (lw, rw), clc * rc)
-    return TensorElement(pres, 2, raw, _trusted=True)
-
-
 def pairwise_product(H, t1, t2):
     """Slotwise product of two arity-2 tensors using the instance product."""
-    return _pairwise(_product_table(H), H.pres, t1, t2)
+    prod = _product_table(H.pres, H.product)
+    return slotwise(t1, t2, [prod, prod])
 
 
 def _relations_preserved(rep, pres, images):
@@ -237,7 +217,7 @@ def verify_morphism(endo, H):
 
     def endo_slot(w):
         img = word_image(w, images, unit)
-        return TensorElement(pres, 1, {(v,): c for v, c in img.terms.items()},
+        return TensorElement((pres,), {(v,): c for v, c in img.terms.items()},
                              _trusted=True)
 
     _scan(rep, "comultiplication_preserved", [range(len(images))],
@@ -275,7 +255,7 @@ def verify_hom_bialgebra(H, degree):
     idx = range(len(basis))
     alpha_of = [H.alpha_poly(p) for p in mono]
     alpha_terms = [p.terms.items() for p in alpha_of]
-    word_prod = _product_table(H)
+    word_prod = _product_table(pres, H.product)
 
     def prod(i, j):
         return word_prod(basis[i], basis[j])
@@ -307,6 +287,7 @@ def verify_hom_bialgebra(H, degree):
     _scan(rep, "hom_coassociativity", [idx], hom_coassociativity, at, degree)
     _scan(rep, "product_coproduct_compatibility", [idx] * 2,
           lambda i, j: (H.delta(NCPoly(pres, prod(i, j), _trusted=True)),
-                        _pairwise(word_prod, pres, delta_of(i), delta_of(j))),
+                        slotwise(delta_of(i), delta_of(j),
+                                 [word_prod, word_prod])),
           at, degree)
     return rep

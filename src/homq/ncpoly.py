@@ -1,6 +1,6 @@
 """Free noncommutative polynomials over exact scalars, presented algebras
-via terminating rewrite rules, normal forms, graded bases, and small tensor
-powers.
+via terminating rewrite rules, normal forms, graded bases, and tensor
+products with one presentation per slot.
 
 Monomials are words: tuples of generator indices, the empty tuple being the
 unit.  A Presentation fixes the generator order, and every rewrite rule must
@@ -10,7 +10,6 @@ check_local_confluence, not assumed.
 """
 
 import heapq
-from itertools import product
 
 from .scalars import Scalar, render
 
@@ -210,13 +209,14 @@ class Presentation:
         return NCPoly(self, self._raw_poly(terms))
 
     def tensor(self, arity, terms):
-        return TensorElement(self, arity, terms)
+        return TensorElement((self,) * arity, terms)
 
     def unit_tensor(self, arity, c=1):
         s = self.coef(c)
         if s.is_zero():
-            return TensorElement(self, arity, {}, _trusted=True)
-        return TensorElement(self, arity, {((),) * arity: s}, _trusted=True)
+            return TensorElement((self,) * arity, {}, _trusted=True)
+        return TensorElement((self,) * arity, {((),) * arity: s},
+                             _trusted=True)
 
     # graded structure ---------------------------------------------------------
 
@@ -324,12 +324,9 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data, field, name=""):
-        rules = []
-        for r in data["rules"]:
-            rhs = {}
-            for t in r["rhs"]:
-                rhs[t["mono"]] = t["coef"]
-            rules.append((r["lhs"], rhs))
+        rules = [(r["lhs"], json_row(f"rule {r['lhs']!r}", r["rhs"],
+                                     lambda t: t["mono"], "coef"))
+                 for r in data["rules"]]
         return cls(data["generators"], rules, field,
                    max_degree=data.get("max_degree", 4), name=name)
 
@@ -337,6 +334,19 @@ class Presentation:
         label = self.name or "presentation"
         return (f"<Presentation {label}: {len(self.generators)} generators, "
                 f"{len(self.rules)} rules>")
+
+
+def json_row(what, entries, key, value):
+    """The dict key(e) -> e[value] over a list of JSON entries.  to_json
+    never writes two entries with one key, so a repeated key is malformed
+    input and raises instead of keeping the last entry."""
+    out = {}
+    for e in entries:
+        k = key(e)
+        if k in out:
+            raise PresentationError(f"{what} repeats {k!r}")
+        out[k] = e[value]
+    return out
 
 
 def _render_raw(pres, raw):
@@ -478,42 +488,87 @@ class NCPoly:
         return cls(pres, raw)
 
 
+def _expand(c, slot_terms):
+    """The (word tuple, coefficient) terms of c times the tensor product
+    of the (word, coefficient) sequences in slot_terms, in lexicographic
+    order.  Prefixes are extended slot by slot, so each prefix
+    coefficient is computed once: c * a, then (c * a) * b, and so on."""
+    prefixes = [((), c)]
+    for terms in slot_terms:
+        grown = []
+        for ws, pc in prefixes:
+            for w, tc in terms:
+                grown.append((ws + (w,), pc * tc))
+        prefixes = grown
+    return prefixes
+
+
+def slotwise(t1, t2, muls):
+    """Slotwise product of two tensors with the same slots: muls[i](u, v)
+    gives the (word, coefficient) pairs of the product of two words in
+    slot i.  Each product term of a pair of tensor terms has coefficient
+    ((c1 * c2) * a) * b ... for the slot coefficients a, b, ..."""
+    t1._check(t2)
+    out = {}
+    for ws, c1 in t1.terms.items():
+        for vs, c2 in t2.terms.items():
+            for key, c in _expand(c1 * c2, [mul(w, v) for mul, w, v
+                                            in zip(muls, ws, vs)]):
+                _bump(out, key, c)
+    return TensorElement(t1.slots, out, _trusted=True)
+
+
+def render_legs(terms, legs):
+    """Render a dict keyed by tuples of legs as (c)*[l0 (x) l1 ...] terms,
+    ordered by the legs' sort keys; legs[i] is the (sort key, text) pair
+    of functions of leg i."""
+    if not terms:
+        return "0"
+
+    def order(k):
+        return tuple(key(x) for (key, _), x in zip(legs, k))
+
+    return " + ".join(
+        f"({render(terms[k])})*"
+        f"[{' (x) '.join(text(x) for (_, text), x in zip(legs, k))}]"
+        for k in sorted(terms, key=order))
+
+
 class TensorElement:
-    """Element of a tensor power of a presented algebra, slots in normal form."""
+    """Element of a tensor product of presented algebras, one presentation
+    per slot, each slot in normal form."""
 
-    __slots__ = ("pres", "arity", "terms")
+    __slots__ = ("slots", "terms")
 
-    def __init__(self, pres, arity, raw, _trusted=False):
-        self.pres = pres
-        self.arity = arity
+    def __init__(self, slots, raw, _trusted=False):
+        self.slots = slots
         if _trusted:
             self.terms = dict(raw)
             return
         out = {}
         for ws, c in raw.items():
-            ws = tuple(pres.word(w) for w in ws)
-            if len(ws) != arity:
-                raise PresentationError(f"expected {arity} slots, got {len(ws)}")
-            c = pres.coef(c)
+            if len(ws) != len(slots):
+                raise PresentationError(
+                    f"expected {len(slots)} slots, got {len(ws)}")
+            ws = tuple(p.word(w) for p, w in zip(slots, ws))
+            c = slots[0].coef(c)
             if c.is_zero():
                 continue
-            slots = [pres.normal_word(w) for w in ws]
-            for combo in product(*(s.items() for s in slots)):
-                v = tuple(t[0] for t in combo)
-                sc = c
-                for t in combo:
-                    sc = sc * t[1]
+            for v, sc in _expand(c, [p.normal_word(w).items()
+                                     for p, w in zip(slots, ws)]):
                 _bump(out, v, sc)
         self.terms = out
+
+    @property
+    def arity(self):
+        return len(self.slots)
 
     def is_zero(self):
         return not self.terms
 
     def _check(self, other):
-        if other.pres is not self.pres:
+        if other.slots != self.slots:
             raise PresentationError("operands from different presentations")
-        if other.arity != self.arity:
-            raise PresentationError("tensor arity mismatch")
 
     def __add__(self, other):
         if not isinstance(other, TensorElement):
@@ -522,10 +577,10 @@ class TensorElement:
         out = dict(self.terms)
         for ws, c in other.terms.items():
             _bump(out, ws, c)
-        return TensorElement(self.pres, self.arity, out, _trusted=True)
+        return TensorElement(self.slots, out, _trusted=True)
 
     def __neg__(self):
-        return TensorElement(self.pres, self.arity,
+        return TensorElement(self.slots,
                              {ws: -c for ws, c in self.terms.items()},
                              _trusted=True)
 
@@ -535,10 +590,10 @@ class TensorElement:
         return self + (-other)
 
     def scale(self, c):
-        c = self.pres.coef(c)
+        c = self.slots[0].coef(c)
         if c.is_zero():
-            return TensorElement(self.pres, self.arity, {}, _trusted=True)
-        return TensorElement(self.pres, self.arity,
+            return TensorElement(self.slots, {}, _trusted=True)
+        return TensorElement(self.slots,
                              {ws: c * s for ws, s in self.terms.items()},
                              _trusted=True)
 
@@ -547,20 +602,9 @@ class TensorElement:
             return self.scale(other)
         if not isinstance(other, TensorElement):
             return NotImplemented
-        self._check(other)
-        pres = self.pres
-        out = {}
-        for ws, c1 in self.terms.items():
-            for vs, c2 in other.terms.items():
-                c = c1 * c2
-                slots = [pres.normal_word(w + v) for w, v in zip(ws, vs)]
-                for combo in product(*(s.items() for s in slots)):
-                    u = tuple(t[0] for t in combo)
-                    sc = c
-                    for t in combo:
-                        sc = sc * t[1]
-                    _bump(out, u, sc)
-        return TensorElement(pres, self.arity, out, _trusted=True)
+        return slotwise(self, other,
+                        [lambda u, v, p=p: p.normal_word(u + v).items()
+                         for p in self.slots])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -568,20 +612,16 @@ class TensorElement:
         return NotImplemented
 
     def outer(self, other):
-        """Tensor product: arities add, no multiplication happens."""
-        if other.pres is not self.pres:
-            raise PresentationError("operands from different presentations")
+        """Tensor product: the slots join, no multiplication happens."""
         out = {}
         for ws, c1 in self.terms.items():
             for vs, c2 in other.terms.items():
                 out[ws + vs] = c1 * c2
-        return TensorElement(self.pres, self.arity + other.arity, out,
-                             _trusted=True)
+        return TensorElement(self.slots + other.slots, out, _trusted=True)
 
     def map_slots(self, fns):
         """Apply a per-slot linear map; fns[i] sends a normal word to a
-        TensorElement.  Output arity is the sum of the image arities."""
-        pres = self.pres
+        TensorElement.  The output slots are those of the images, joined."""
         total = None
         for ws, c in self.terms.items():
             piece = None
@@ -591,26 +631,20 @@ class TensorElement:
             piece = piece.scale(c)
             total = piece if total is None else total + piece
         if total is None:
-            arity = sum(f(()).arity for f in fns)
-            return TensorElement(pres, arity, {}, _trusted=True)
+            return TensorElement(sum((f(()).slots for f in fns), ()), {},
+                                 _trusted=True)
         return total
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
-        return (self.pres is other.pres and self.arity == other.arity
-                and self.terms == other.terms)
+        return self.slots == other.slots and self.terms == other.terms
 
     __hash__ = None
 
     def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for ws in sorted(self.terms, key=lambda t: tuple(word_key(w) for w in t)):
-            mono = " (x) ".join(self.pres.word_text(w) for w in ws)
-            parts.append(f"({render(self.terms[ws])})*[{mono}]")
-        return " + ".join(parts)
+        return render_legs(self.terms,
+                           [(word_key, p.word_text) for p in self.slots])
 
     def __repr__(self):
         return f"TensorElement({self.render()})"

@@ -250,6 +250,14 @@ def test_form_json_round_trip():
     assert back.unit_unit == F.one
 
 
+def test_form_json_refuses_a_repeated_pair():
+    C = plain_instance()
+    data = C.form.to_json()
+    data["gen_table"].append(dict(data["gen_table"][0], value="5"))
+    with pytest.raises(PresentationError, match="gen_table repeats"):
+        CobraidingForm.from_json(data, C.H.pres)
+
+
 def test_instance_json_contains_form():
     C = twisted_instance()
     data = C.to_json()

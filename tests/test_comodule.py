@@ -3,9 +3,11 @@ import json
 import pytest
 
 from homq import comodule, hombialg
-from homq.scalars import ScalarField
-from homq.ncpoly import Presentation, PresentationError
-from homq.hombialg import HomBialgebra, MorphismError, twist_hom_bialgebra
+from homq.scalars import ScalarField, render
+from homq.ncpoly import (NCPoly, Presentation, PresentationError,
+                         TensorElement, _bump, word_key)
+from homq.hombialg import (HomBialgebra, MorphismError, _product_table,
+                           pairwise_product, twist_hom_bialgebra)
 from homq.cobraid import CobraidingForm, CobraidedHomBialgebra
 from homq.comodule import (Comodule, ComoduleAlgebra, ComoduleError,
                            bvw_operator, b_alpha_operator,
@@ -603,3 +605,122 @@ def test_comodule_algebra_requires_a_shared_field():
     with pytest.raises(PresentationError, match="field"):
         ComoduleAlgebra(host(), other, {"x": {("a", "x"): 1},
                                         "y": {("d", "y"): 1}})
+
+
+# per-slot tensors against the loops of the two-class design -----------------
+#
+# Before TensorElement carried one presentation per slot, host (x) carrier
+# values were a separate MixedTensor class with its own product loops.  The
+# bodies below are those loops and that renderer, kept verbatim; Mixed gives
+# them the fields they read, and each returns its raw dict of terms.
+
+
+class Mixed:
+    def __init__(self, t):
+        self.hpres, self.cpres = t.slots
+        self.terms = t.terms
+
+
+def reference_render(self):
+    if not self.terms:
+        return "0"
+    keys = sorted(self.terms, key=lambda k: (word_key(k[0]), word_key(k[1])))
+    return " + ".join(
+        f"({render(self.terms[k])})*[{self.hpres.word_text(k[0])}"
+        f" (x) {self.cpres.word_text(k[1])}]" for k in keys)
+
+
+def reference_pair_mul_plain(self, t1, t2):
+    hpres, cpres = t1.hpres, t1.cpres
+    out = {}
+    for (h1, c1), s1 in t1.terms.items():
+        for (h2, c2), s2 in t2.terms.items():
+            s = s1 * s2
+            for hw, hc in hpres.normal_word(h1 + h2).items():
+                shc = s * hc
+                for cw, cc in cpres.normal_word(c1 + c2).items():
+                    _bump(out, (hw, cw), shc * cc)
+    return out
+
+
+def reference_pair_product(self, t1, t2):
+    hpres, cpres = t1.hpres, t1.cpres
+    H = self.hom
+    one = cpres.field.one
+    out = {}
+    for (h1, c1), s1 in t1.terms.items():
+        hp1 = NCPoly(hpres, {h1: one}, _trusted=True)
+        cp1 = NCPoly(cpres, {c1: one}, _trusted=True)
+        for (h2, c2), s2 in t2.terms.items():
+            s = s1 * s2
+            hprod = H.product(hp1, NCPoly(hpres, {h2: one}, _trusted=True))
+            cprod = self.product(cp1, NCPoly(cpres, {c2: one},
+                                             _trusted=True))
+            for hw, hc in hprod.terms.items():
+                shc = s * hc
+                for cw, cc in cprod.terms.items():
+                    _bump(out, (hw, cw), shc * cc)
+    return out
+
+
+def reference_pairwise(prod, pres, t1, t2):
+    raw = {}
+    for (w1, w2), c1 in t1.terms.items():
+        for (v1, v2), c2 in t2.terms.items():
+            c = c1 * c2
+            right = prod(w2, v2)
+            for lw, lc in prod(w1, v1):
+                clc = c * lc
+                for rw, rc in right:
+                    _bump(raw, (lw, rw), clc * rc)
+    return raw
+
+
+def same(got, raw):
+    """got has the reference terms raw and renders as the reference does."""
+    assert got.terms == raw
+    assert got.render() == reference_render(Mixed(got))
+
+
+@pytest.mark.parametrize("kind", comodule.PLANE_KINDS)
+def test_coaction_products_match_reference_loops(kind):
+    A = plane(kind)
+    values = [f(w) for w in A.carrier.graded_basis(3)
+              for f in (A.base_rho_word, A.rho_word)]
+    for t1 in values:
+        same(t1, Mixed(t1).terms)
+        for t2 in values:
+            m1, m2 = Mixed(t1), Mixed(t2)
+            same(t1 * t2, reference_pair_mul_plain(A, m1, m2))
+            same(A.pair_product(t1, t2), reference_pair_product(A, m1, m2))
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+def test_coproduct_products_match_reference_loops(twisted):
+    H = host(twisted).H
+    pres = H.pres
+    deltas = [H.delta(NCPoly(pres, {w: pres.field.one}))
+              for w in pres.graded_basis(2)]
+    for t1 in deltas:
+        for t2 in deltas:
+            m1, m2 = Mixed(t1), Mixed(t2)
+            same(t1 * t2, reference_pair_mul_plain(None, m1, m2))
+            same(pairwise_product(H, t1, t2),
+                 reference_pairwise(_product_table(pres, H.product), pres,
+                                    t1, t2))
+
+
+def test_tensors_over_different_slots_do_not_mix():
+    standard, fermionic = plane("standard"), plane("fermionic")
+    x = standard.carrier.word("x")
+    t = standard.rho_word(x)
+    H = standard.hom
+    others = [fermionic.rho_word(x),
+              H.delta(NCPoly(H.pres, {H.pres.word("a"): F.one})),
+              TensorElement(t.slots[::-1], {}, _trusted=True)]
+    for other in others:
+        for op in (t.__add__, t.__mul__, other.__add__, other.__mul__):
+            with pytest.raises(PresentationError):
+                op(other if op.__self__ is t else t)
+        with pytest.raises(PresentationError):
+            standard.pair_product(t, other)

@@ -4,7 +4,8 @@ from functools import cache
 import pytest
 
 from homq.scalars import ScalarField
-from homq.ncpoly import Presentation, NCPoly, TensorElement, _bump
+from homq.ncpoly import (Presentation, PresentationError, NCPoly, TensorElement,
+                         _bump)
 from homq.report import Report, _at, _scan
 from homq.hombialg import (HomBialgebra, MorphismError, delta, apply_alpha,
                            twist_hom_bialgebra, verify_morphism,
@@ -233,6 +234,15 @@ def test_json_round_trip():
         2, {("a", "b"): "lambda", ("b", "d"): "lambda"})
 
 
+@pytest.mark.parametrize("table", ["delta", "alpha"])
+def test_json_refuses_a_repeated_entry(table):
+    data = twisted().to_json()
+    row = data[table]["b"]
+    row.append(dict(row[0], coef="5"))
+    with pytest.raises(PresentationError, match=f"{table} of 'b' repeats"):
+        HomBialgebra.from_json(data, F)
+
+
 def test_report_shape():
     rep = verify_hom_bialgebra(plain(), 1)
     data = rep.to_json()
@@ -406,7 +416,7 @@ def test_pairwise_product_matches_reference():
 
 def test_product_table_shares_equal_coefficients():
     H = twisted()
-    prod = _product_table(H)
+    prod = _product_table(H.pres, H.product)
     words = H.pres.graded_basis(2)
     seen = {}
     for u in words:
@@ -443,7 +453,7 @@ def reference_pairwise_product(H, t1, t2):
             for lw, lc in left.terms.items():
                 for rw, rc in right.terms.items():
                     _bump(raw, (lw, rw), c * lc * rc)
-            total = total + TensorElement(pres, 2, raw, _trusted=True)
+            total = total + TensorElement((pres, pres), raw, _trusted=True)
     return total
 
 

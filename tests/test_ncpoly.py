@@ -291,16 +291,33 @@ def test_map_slots_identity_and_split():
     P = plane_standard()
 
     def ident(w):
-        return TensorElement(P, 1, {(w,): 1})
+        return TensorElement((P,), {(w,): 1})
 
     def dbl(w):
-        return TensorElement(P, 2, {(w, w): 1})
+        return TensorElement((P, P), {(w, w): 1})
 
     t = P.tensor(2, {("x", "y"): "q", ("1", "xy"): 1})
     assert t.map_slots([ident, ident]) == t
     out = t.map_slots([ident, dbl])
     assert out.arity == 3
     assert out == P.tensor(3, {("x", "y", "y"): "q", ("1", "xy", "xy"): 1})
+
+
+def test_tensor_render_orders_each_slot_graded_lex():
+    P = plane_standard()
+    t = P.tensor(2, {("xy", "1"): 1, ("y", "x"): 2, ("x", "xx"): 3})
+    assert t.render() == "(3)*[x (x) xx] + (2)*[y (x) x] + (1)*[xy (x) 1]"
+
+
+def test_tensor_slots_keep_their_presentations():
+    P, Q = plane_standard(), quantum_matrix_2x2()
+    t = TensorElement((P, Q), {("x", "da"): 1})
+    t = t.outer(Q.tensor(1, {("b",): "q"}))
+    assert t.slots == (P, Q, Q)
+    assert t.render() == ("(t^2)*[x (x) ad (x) b] + "
+                          "(t^4 - 1)*[x (x) bc (x) b]")
+    with pytest.raises(PresentationError):
+        t + Q.tensor(3, {})
 
 
 def test_word_image_multiplicative():
@@ -325,6 +342,14 @@ def test_presentation_json_round_trip():
     Q = Presentation.from_json(data, F, name="qm2")
     assert Q.to_json() == data
     assert Q.poly({"da": 1}).to_json() == P.poly({"da": 1}).to_json()
+
+
+def test_presentation_json_refuses_a_repeated_rhs_mono():
+    data = quantum_matrix_2x2().to_json()
+    rule = next(r for r in data["rules"] if r["lhs"] == "da")
+    rule["rhs"].append(dict(rule["rhs"][0], coef="7"))
+    with pytest.raises(PresentationError, match="rule 'da' repeats 'ad'"):
+        Presentation.from_json(data, F)
 
 
 def test_poly_json_round_trip():
