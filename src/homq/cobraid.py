@@ -58,13 +58,23 @@ class CobraidingForm:
                 raise PresentationError(f"{spec!r} is not a generator")
             return w[0]
 
-        self.gen_table = {}
-        for (l, r), val in gen_table.items():
-            self.gen_table[(gen_index(l), gen_index(r))] = pres.coef(val)
-        self.unit_left = {gen_index(g): pres.coef(v)
-                          for g, v in unit_left.items()}
-        self.unit_right = {gen_index(g): pres.coef(v)
-                           for g, v in unit_right.items()}
+        def gen_pair(spec):
+            l, r = spec
+            return gen_index(l), gen_index(r)
+
+        def read(table, what, key):
+            out = {}
+            for spec, val in table.items():
+                k = key(spec)
+                if k in out:
+                    raise PresentationError(
+                        f"{what} key {spec!r} repeats an earlier key")
+                out[k] = pres.coef(val)
+            return out
+
+        self.gen_table = read(gen_table, "gen_table", gen_pair)
+        self.unit_left = read(unit_left, "unit_left", gen_index)
+        self.unit_right = read(unit_right, "unit_right", gen_index)
         self.unit_unit = pres.coef(unit_unit)
         self.covered = frozenset(i for i in self.unit_left
                                  if i in self.unit_right)
@@ -135,6 +145,9 @@ class CobraidedHomBialgebra:
     """
 
     def __init__(self, H, form, alpha_power=0, name=""):
+        if form.pres.field != H.pres.field:
+            raise PresentationError("form and bialgebra have different "
+                                    "scalar fields")
         if form.pres is not H.pres and form.pres.to_json() != H.pres.to_json():
             raise PresentationError("form and bialgebra disagree on the "
                                     "underlying presentation")

@@ -227,31 +227,28 @@ class Presentation:
                 return True
         return False
 
+    def _next_level(self, level):
+        """The normal words one generator longer than the words of `level`,
+        in graded-lex order when `level` is."""
+        nxt = []
+        for w in level:
+            for g in range(len(self.generators)):
+                v = w + (g,)
+                if not self._suffix_reducible(v):
+                    nxt.append(v)
+        return nxt
+
     def basis_level(self, degree):
         """Normal words of total degree exactly `degree`, graded-lex order."""
         level = [()]
         for _ in range(degree):
-            nxt = []
-            for w in level:
-                for g in range(len(self.generators)):
-                    v = w + (g,)
-                    if not self._suffix_reducible(v):
-                        nxt.append(v)
-            level = nxt
+            level = self._next_level(level)
         return level
 
     def graded_basis(self, degree):
-        out = []
-        level = [()]
-        for d in range(degree + 1):
-            if d:
-                nxt = []
-                for w in level:
-                    for g in range(len(self.generators)):
-                        v = w + (g,)
-                        if not self._suffix_reducible(v):
-                            nxt.append(v)
-                level = nxt
+        level, out = [()], [()]
+        for _ in range(degree):
+            level = self._next_level(level)
             out.extend(level)
         return out
 
@@ -390,9 +387,6 @@ class NCPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def degree(self):
-        return max((len(w) for w in self.terms), default=0)
 
     def _check(self, other):
         if other.pres is not self.pres:
@@ -579,16 +573,6 @@ class TensorElement:
             _bump(out, ws, c)
         return TensorElement(self.slots, out, _trusted=True)
 
-    def __neg__(self):
-        return TensorElement(self.slots,
-                             {ws: -c for ws, c in self.terms.items()},
-                             _trusted=True)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
-
     def scale(self, c):
         c = self.slots[0].coef(c)
         if c.is_zero():
@@ -673,8 +657,9 @@ def graded_basis(pres, degree):
 def generator_table(pres, table, what, convert=None):
     """The images of the generators, in generator order, under a table
     keyed by generator (a list or tuple is read in generator order).
-    Each value goes through convert; by default a value that is not an
-    NCPoly is read as a polynomial of pres."""
+    Two keys that name one generator, such as "a" and (0,), raise.  Each
+    value goes through convert; by default a value that is not an NCPoly
+    is read as a polynomial of pres."""
     if convert is None:
         def convert(val):
             return val if isinstance(val, NCPoly) else pres.poly(val)
@@ -687,6 +672,10 @@ def generator_table(pres, table, what, convert=None):
         w = pres.word(gspec)
         if len(w) != 1:
             raise PresentationError(f"{what} key {gspec!r} is not a generator")
+        if images[w[0]] is not None:
+            raise PresentationError(
+                f"{what} key {gspec!r} repeats generator "
+                f"{pres.generators[w[0]]}")
         images[w[0]] = convert(val)
     for g, img in zip(pres.generators, images):
         if img is None:

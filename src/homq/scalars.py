@@ -6,9 +6,10 @@ Every coefficient in this package is a scalar drawn from a field
 
 of multivariate rational functions over a cyclotomic extension of the
 rationals.  No floats anywhere: a rational coefficient is a Python
-``int`` until a division makes it a ``fractions.Fraction`` (or a gmpy2
-``mpq``), and every division goes through ``_recip``.  An integral
-``Fraction`` equals and hashes like its ``int``, so the two mix freely.
+``int`` until a division makes it a ``fractions.Fraction``, and every
+division goes through ``_recip``.  An integral ``Fraction`` equals and
+hashes like its ``int``, so the two mix freely.  One dense ``_udivmod``
+does every polynomial division with remainder.
 
 Scalars are canonical at all times: numerator and denominator coprime,
 denominator monic under graded lex with the declared variable order,
@@ -29,16 +30,9 @@ syntax error while ``q^-1`` is fine.
 from __future__ import annotations
 
 import re
+from fractions import Fraction as _Q
 from functools import lru_cache
 from operator import add as _add, sub as _sub
-
-# Integral coefficients stay Python ints; _Q is made only by a division
-# (_recip).  The gmpy2 path is pure speed and untested here: the package
-# is developed and measured on fractions.Fraction.
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _Q
 
 _Q0 = 0
 _Q1 = 1
@@ -89,13 +83,13 @@ def _recip(c):
     """Exact 1/c of a nonzero coefficient.
 
     A rational becomes a _Q (an int of +-1 stays an int), so no division
-    can produce a float; a cyclotomic number becomes its field inverse.
+    can produce a float; a cyclotomic number or a Scalar, its inverse.
     """
     if isinstance(c, int):
         return c if c == 1 or c == -1 else _Q(1, c)
-    if isinstance(c, _CycNumBase):
-        return c.inverse()
-    return 1 / c
+    if isinstance(c, _Q):
+        return 1 / c
+    return c.inverse()
 
 
 def _utrim(a):
@@ -105,17 +99,30 @@ def _utrim(a):
 
 
 def _udivmod(a, b):
+    """Quotient and remainder of dense a by b, any coefficient type.  Zero
+    leading terms cost nothing, and the cancelled top term is skipped."""
     a = list(a)
     db = len(b) - 1
     inv = _recip(b[-1])
     q = [_Q0] * max(len(a) - db, 0)
     for i in range(len(a) - db - 1, -1, -1):
-        c = a[i + db] * inv
-        q[i] = c
+        c = a[i + db]
         if c:
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
+            c = q[i] = c * inv
+            for j in range(db):
+                a[i + j] -= c * b[j]
     return q, _utrim(a[:db])
+
+
+def _ugcd(a, b):
+    """Monic gcd of dense a and b (b may be empty).  Each remainder is made
+    monic before it divides, or its scalar factor swells with every step."""
+    while b:
+        inv = _recip(b[-1])
+        b = [c * inv for c in b]
+        a, b = b, _udivmod(a, b)[1]
+    inv = _recip(a[-1])
+    return [c * inv for c in a]
 
 
 @lru_cache(maxsize=None)
@@ -150,9 +157,7 @@ def _uinv_mod(a, m):
         old_s, s = s, _utrim(new_s)
     # old_r is the gcd, a nonzero constant here
     g = _recip(old_r[0])
-    inv = [c * g for c in old_s]
-    _, inv = _udivmod(inv, list(m)) if len(inv) >= len(m) else (None, inv)
-    return inv
+    return _udivmod([c * g for c in old_s], m)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +228,6 @@ class _CycNumBase:
         inv = list(inv) + [_Q0] * (self.DEG - len(inv))
         return type(self)(tuple(inv[: self.DEG]))
 
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        if isinstance(other, int):
-            inv = self.inverse()
-            if other == 1:
-                return inv
-            return type(self)(tuple(other * c for c in inv.v))
-        return NotImplemented
-
     def __repr__(self):  # debugging aid only
         return f"cyc{self.ORDER}{tuple(str(c) for c in self.v)}"
 
@@ -293,21 +287,6 @@ def _p_add(A, B):
 
 def _p_neg(A):
     return {e: -c for e, c in A.items()}
-
-
-def _p_sub(A, B):
-    out = dict(A)
-    for e, c in B.items():
-        s = out.get(e)
-        if s is None:
-            out[e] = -c
-        else:
-            s = s - c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return out
 
 
 def _p_mul(A, B):
@@ -413,30 +392,11 @@ def _gcd_uni(A, B, i, field):
             out[e[i]] = c
         return out
 
-    def umod(f, g):
-        f = f[:]
-        dg = len(g) - 1
-        inv = _recip(g[-1])
-        for k in range(len(f) - 1, dg - 1, -1):
-            c = f[k]
-            if c:
-                c = c * inv
-                for j in range(dg):
-                    f[k - dg + j] = f[k - dg + j] - c * g[j]
-        del f[dg:]
-        while f and not f[-1]:
-            f.pop()
-        return f
-
-    a, b = todense(A), todense(B)
-    while b:
-        a, b = b, umod(a, b)
-    inv = _recip(a[-1])
     base = field._zero_exp
     out = {}
-    for k, c in enumerate(a):
+    for k, c in enumerate(_ugcd(todense(A), todense(B))):
         if c:
-            out[base[:i] + (k,) + base[i + 1 :]] = c * inv
+            out[base[:i] + (k,) + base[i + 1 :]] = c
     return out
 
 
@@ -492,26 +452,7 @@ def _p_gcd(A, B, field):
             out[d] = Scalar(sub, poly, sub._one_poly)
         return out
 
-    def smod(f, g):
-        f = f[:]
-        dg = len(g) - 1
-        inv = g[-1].inverse()
-        for k in range(len(f) - 1, dg - 1, -1):
-            c = f[k]
-            if c.num:
-                c = c * inv
-                for j in range(dg):
-                    f[k - dg + j] = f[k - dg + j] - c * g[j]
-        del f[dg:]
-        while f and f[-1].is_zero():
-            f.pop()
-        return f
-
-    a, b = to_scalar_coeffs(A), to_scalar_coeffs(B)
-    while b:
-        a, b = b, smod(a, b)
-    inv = a[-1].inverse()
-    h = [c * inv for c in a]
+    h = _ugcd(to_scalar_coeffs(A), to_scalar_coeffs(B))
 
     # clear denominators and take the primitive part in the main variable
     den_prod = dict(sub._one_poly)
@@ -547,16 +488,13 @@ def _is_const(g):
 
 def _cancel(P, Q, field):
     """Divide gcd(P, Q) out of both; inputs nonzero, dicts not mutated."""
-    if len(P) == 1 or len(Q) == 1:
+    if len(Q) == 1:
         # gcd with a monomial is the common monomial factor
-        nv = field.nvars
-        minP = [min(e[i] for e in P) for i in range(nv)]
-        minQ = [min(e[i] for e in Q) for i in range(nv)]
-        shift = tuple(min(a, b) for a, b in zip(minP, minQ))
-        if not any(shift):
-            return P, Q
-        P = {tuple(a - b for a, b in zip(e, shift)): c for e, c in P.items()}
-        Q = {tuple(a - b for a, b in zip(e, shift)): c for e, c in Q.items()}
+        ((d, c),) = Q.items()
+        P, e = _mono_cancel(P, d)
+        return P, (Q if e is d else {e: c})
+    if len(P) == 1:
+        Q, P = _cancel(Q, P, field)
         return P, Q
     g = _p_gcd(P, Q, field)
     if _is_const(g):
@@ -825,18 +763,7 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not other.num:
-            raise ScalarZeroDivision()
-        f = self.field
-        if not self.num:
-            return f.zero
-        one_poly = f._one_poly
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if n1 != one_poly or n2 != one_poly:
-            n1, n2 = _cancel(n1, n2, f)
-        if d1 != one_poly or d2 != one_poly:
-            d1, d2 = _cancel(d1, d2, f)
-        return f._coprime_make(_p_mul(n1, d2), _p_mul(d1, n2))
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -1072,45 +999,37 @@ def _render_cyc_parts(c):
 
 def _term_string(coef, mono):
     """Render one term; returns (is_negative, body)."""
-    if isinstance(coef, _CycNumBase):
-        parts = _render_cyc_parts(coef)
-        if len(parts) > 1:
-            inner = []
-            for a, zmono in parts:
-                neg, ns, ds = _render_coef_rational(a)
-                if zmono is None:
-                    body = ns if ds is None else f"{ns}/{ds}"
-                else:
-                    body = zmono if (ns == "1" and ds is None) else (
-                        f"{ns}*{zmono}" if ds is None else f"{ns}*{zmono}/{ds}")
-                if not inner:
-                    inner.append(("-" if neg else "") + body)
-                else:
-                    inner.append(("- " if neg else "+ ") + body)
-            coef_str = "(" + " ".join(inner) + ")"
-            body = coef_str if not mono else f"{coef_str}*{mono}"
-            return False, body
-        a, zmono = parts[0]
-        neg, ns, ds = _render_coef_rational(a)
-        factors = []
-        if zmono:
-            factors.append(zmono)
-        if mono:
-            factors.append(mono)
-        if not factors:
-            body = ns
-        else:
-            if ns != "1":
-                factors.insert(0, ns)
-            body = "*".join(factors)
-        if ds is not None:
-            body = f"{body}/{ds}"
-        return neg, body
-    neg, ns, ds = _render_coef_rational(coef)
+    parts = (_render_cyc_parts(coef) if isinstance(coef, _CycNumBase)
+             else [(coef, None)])
+    if len(parts) > 1:
+        inner = []
+        for a, zmono in parts:
+            neg, ns, ds = _render_coef_rational(a)
+            if zmono is None:
+                body = ns if ds is None else f"{ns}/{ds}"
+            else:
+                body = zmono if (ns == "1" and ds is None) else (
+                    f"{ns}*{zmono}" if ds is None else f"{ns}*{zmono}/{ds}")
+            if not inner:
+                inner.append(("-" if neg else "") + body)
+            else:
+                inner.append(("- " if neg else "+ ") + body)
+        coef_str = "(" + " ".join(inner) + ")"
+        body = coef_str if not mono else f"{coef_str}*{mono}"
+        return False, body
+    a, zmono = parts[0]
+    neg, ns, ds = _render_coef_rational(a)
+    factors = []
+    if zmono:
+        factors.append(zmono)
     if mono:
-        body = mono if ns == "1" else f"{ns}*{mono}"
-    else:
+        factors.append(mono)
+    if not factors:
         body = ns
+    else:
+        if ns != "1":
+            factors.insert(0, ns)
+        body = "*".join(factors)
     if ds is not None:
         body = f"{body}/{ds}"
     return neg, body

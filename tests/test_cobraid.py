@@ -238,6 +238,25 @@ def test_gen_table_outside_units_rejected():
         CobraidingForm(P, {("d", "d"): 1}, units, dict(units))
 
 
+@pytest.mark.parametrize("extra, units, message", [
+    ({((0,), (0,)): 7}, {}, r"gen_table key \(\(0,\), \(0,\)\) repeats"),
+    ({}, {(0,): 3}, r"unit_left key \(0,\) repeats"),
+])
+def test_form_refuses_two_keys_for_one_entry(extra, units, message):
+    P = qm2_pres()
+    table = {(l, r): R_NONZERO.get((l, r), 0) for l in "abcd" for r in "abcd"}
+    with pytest.raises(PresentationError, match=message):
+        CobraidingForm(P, {**table, **extra}, {**UNIT_ROW, **units},
+                       dict(UNIT_ROW))
+
+
+def test_form_over_another_field_refused():
+    P_t = Presentation("abcd", QM2_RULES, ScalarField(("t",)), name="qm2")
+    H = HomBialgebra(qm2_pres(), DELTA, name="qm2")
+    with pytest.raises(PresentationError, match="different scalar fields"):
+        CobraidedHomBialgebra(H, qm2_form(P_t))
+
+
 # serialization ---------------------------------------------------------------
 
 

@@ -243,6 +243,13 @@ def test_json_refuses_a_repeated_entry(table):
         HomBialgebra.from_json(data, F)
 
 
+def test_delta_table_refuses_two_keys_for_one_generator():
+    table = {**DELTA, ("a",): {("a", "a"): 5}}
+    with pytest.raises(PresentationError,
+                       match=r"delta table key \('a',\) repeats generator a"):
+        HomBialgebra(qm2_presentation(), table)
+
+
 def test_report_shape():
     rep = verify_hom_bialgebra(plain(), 1)
     data = rep.to_json()

@@ -395,6 +395,8 @@ def test_generator_table_dict_and_list_agree():
     ({"xy": {"x": 1}, "y": {"y": 1}}, "map key 'xy' is not a generator"),
     ({"x": {"x": 1}}, "generator y missing from map"),
     ([{"x": 1}], "map has wrong length"),
+    ({"x": {"x": 1}, (0,): {"x": 5}, "y": {"y": 1}},
+     r"map key \(0,\) repeats generator x"),
 ])
 def test_generator_table_rejects(table, message):
     with pytest.raises(PresentationError, match=message):
