@@ -17,8 +17,9 @@ from .cobraid import CobraidedHomBialgebra, check_alpha_invariance
 from .hombialg import (MorphismError, _product_table, _relations_preserved,
                        twist_hom_bialgebra)
 from .ncpoly import (NCPoly, Presentation, PresentationError, TensorElement,
-                     _bump, generator_table, json_row, linear_image,
-                     render_legs, slotwise, word_image, word_key)
+                     _bump, _expand, generator_table, json_row,
+                     linear_image, render_legs, slotwise, word_image,
+                     word_key)
 from .report import Report, _scan, timed
 from .scalars import render
 
@@ -275,26 +276,20 @@ def verify_comodule(M, degree=None):
     def hom_coassociativity(x):
         lhs, rhs = {}, {}
         for (hw, m), c in rho_row(x).items():
-            dt = H.delta_word(hw).terms
-            for v, ac in alpha_row(m).items():
-                ca = c * ac
-                for (w1, w2), dc in dt.items():
-                    _bump(lhs, (w1, w2, v), ca * dc)
-            ap = H.alpha_word(hw)
-            for (hw2, m2), c2 in rho_row(m).items():
-                cc = c * c2
-                for w1, c1 in ap.terms.items():
-                    _bump(rhs, (w1, hw2, m2), cc * c1)
+            for (v, ws), d in _expand(c, [alpha_row(m).items(),
+                                          H.delta_word(hw).terms.items()]):
+                _bump(lhs, (*ws, v), d)
+            for (w1, hm), d in _expand(c, [H.alpha_word(hw).terms.items(),
+                                           rho_row(m).items()]):
+                _bump(rhs, (w1, *hm), d)
         return lhs, rhs
 
     def comultiplicativity(x):
         lhs, rhs = {}, {}
         for (hw, m), c in rho_row(x).items():
-            ap = H.alpha_word(hw)
-            for v, ac in alpha_row(m).items():
-                ca = c * ac
-                for w1, c1 in ap.terms.items():
-                    _bump(lhs, (w1, v), ca * c1)
+            for key, d in _expand(c, [H.alpha_word(hw).terms.items(),
+                                      alpha_row(m).items()]):
+                _bump(lhs, key, d)
         for m, ac in alpha_row(x).items():
             for key, c in rho_row(m).items():
                 _bump(rhs, key, c * ac)
@@ -345,20 +340,20 @@ def _require_cobraided(V, W):
     return V.host
 
 
+def _twist_legs(img, alpha_k, alpha_l):
+    """(alpha_k (x) alpha_l) applied to a dict (k, l) -> Scalar, each
+    alpha a carrier matrix keyed by label; a missing row is zero."""
+    out = {}
+    for (k, l), c in img.items():
+        for key, d in _expand(c, [alpha_k.get(k, {}).items(),
+                                  alpha_l.get(l, {}).items()]):
+            _bump(out, key, d)
+    return out
+
+
 def bvw_operator(V, W=None, name=""):
     """The braiding-style operator: pair the host legs of the two
     coactions through the form and swap the carrier legs."""
-    return _operator(V, W, name, twist_output=False)
-
-
-def b_alpha_operator(V, W=None, name=""):
-    """The output-twisted operator: same pairing as bvw_operator on the
-    (untwisted) coactions, with the carrier twisting maps applied to
-    both output legs."""
-    return _operator(V, W, name, twist_output=True)
-
-
-def _operator(V, W, name, twist_output):
     W = V if W is None else W
     C = _require_cobraided(V, W)
     entries = {}
@@ -369,19 +364,22 @@ def _operator(V, W, name, twist_output):
             for (hw_w, k), cw in W.rho[j].items():
                 for (hw_v, l), cv in rv.items():
                     r = C.word_pair_value(hw_w, hw_v)
-                    if r.is_zero():
-                        continue
-                    base = r * cw * cv
-                    if not twist_output:
-                        _bump(img, (k, l), base)
-                        continue
-                    for k2, c1 in W.alpha[k].items():
-                        for l2, c2 in V.alpha[l].items():
-                            _bump(img, (k2, l2), base * c1 * c2)
+                    if not r.is_zero():
+                        _bump(img, (k, l), r * cw * cv)
             if img:
                 entries[(i, j)] = img
     return YBOperator(V.labels, W.labels, entries, V.alpha, W.alpha,
                       C.H.pres.field, name=name)
+
+
+def b_alpha_operator(V, W=None, name=""):
+    """The output-twisted operator: bvw_operator on the (untwisted)
+    coactions, with the carrier twisting maps applied to both output
+    legs."""
+    B = bvw_operator(V, W, name)
+    B.entries = {ij: out for ij, img in B.entries.items()
+                 if (out := _twist_legs(img, B.alpha_w, B.alpha_v))}
+    return B
 
 
 # three-leg composition helpers; states are dicts (p, q, r) -> Scalar
@@ -454,12 +452,7 @@ def verify_hybe(B):
     with timed() as tm:
         for i in labels:
             for j in labels:
-                after = {}
-                for (k, l), c in ent.get((i, j), {}).items():
-                    for k2, c1 in alpha.get(k, {}).items():
-                        cc = c * c1
-                        for l2, c2 in alpha.get(l, {}).items():
-                            _bump(after, (k2, l2), cc * c2)
+                after = _twist_legs(ent.get((i, j), {}), alpha, alpha)
                 before = {}
                 for i2, c1 in alpha.get(i, {}).items():
                     for j2, c2 in alpha.get(j, {}).items():
@@ -535,12 +528,10 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
         lhs = A.base_rho(a_images[gi])
         moved = {}
         for (hw, cw), c in A.rho_gen[gi].terms.items():
-            him = word_image(hw, h_images, hunit)
-            aim = word_image(cw, a_images, aunit)
-            for w1, c1 in him.terms.items():
-                cc = c * c1
-                for v, c2 in aim.terms.items():
-                    _bump(moved, (w1, v), cc * c2)
+            for key, d in _expand(c, [
+                    word_image(hw, h_images, hunit).terms.items(),
+                    word_image(cw, a_images, aunit).terms.items()]):
+                _bump(moved, key, d)
         rhs = TensorElement(lhs.slots, moved, _trusted=True)
         if lhs != rhs:
             raise ComoduleError(

@@ -5,8 +5,10 @@ products with one presentation per slot.
 Monomials are words: tuples of generator indices, the empty tuple being the
 unit.  A Presentation fixes the generator order, and every rewrite rule must
 strictly decrease the graded-lex order on words, which makes exhaustive
-rewriting terminate.  Confluence is certified empirically per degree with
-check_local_confluence, not assumed.
+rewriting terminate.  Confluence is not checked yet: check_local_confluence
+resolves the overlaps up to a degree when called, but no verifier calls it,
+so a non-confluent presentation gives normal forms that depend on the order
+of reduction.
 """
 
 import heapq
@@ -455,7 +457,7 @@ class NCPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, (int, Scalar)):
             other = self.pres.unit(other)
         if not isinstance(other, NCPoly):
             return NotImplemented
@@ -483,10 +485,12 @@ class NCPoly:
 
 
 def _expand(c, slot_terms):
-    """The (word tuple, coefficient) terms of c times the tensor product
-    of the (word, coefficient) sequences in slot_terms, in lexicographic
-    order.  Prefixes are extended slot by slot, so each prefix
-    coefficient is computed once: c * a, then (c * a) * b, and so on."""
+    """The (key tuple, coefficient) terms of c times the tensor product
+    of the (key, coefficient) sequences in slot_terms, in lexicographic
+    order; each leg keeps its own keys (words, carrier labels or tuples
+    of them), and every caller sums the terms with _bump.  Prefixes are
+    extended slot by slot, so each prefix coefficient is computed once:
+    c * a, then (c * a) * b, and so on."""
     prefixes = [((), c)]
     for terms in slot_terms:
         grown = []
@@ -595,29 +599,18 @@ class TensorElement:
             return self.scale(other)
         return NotImplemented
 
-    def outer(self, other):
-        """Tensor product: the slots join, no multiplication happens."""
-        out = {}
-        for ws, c1 in self.terms.items():
-            for vs, c2 in other.terms.items():
-                out[ws + vs] = c1 * c2
-        return TensorElement(self.slots + other.slots, out, _trusted=True)
-
     def map_slots(self, fns):
         """Apply a per-slot linear map; fns[i] sends a normal word to a
         TensorElement.  The output slots are those of the images, joined."""
-        total = None
+        out, slots = {}, None
         for ws, c in self.terms.items():
-            piece = None
-            for i, w in enumerate(ws):
-                img = fns[i](w)
-                piece = img if piece is None else piece.outer(img)
-            piece = piece.scale(c)
-            total = piece if total is None else total + piece
-        if total is None:
-            return TensorElement(sum((f(()).slots for f in fns), ()), {},
-                                 _trusted=True)
-        return total
+            imgs = [f(w) for f, w in zip(fns, ws)]
+            slots = sum((img.slots for img in imgs), ())
+            for keys, v in _expand(c, [img.terms.items() for img in imgs]):
+                _bump(out, sum(keys, ()), v)
+        if slots is None:
+            slots = sum((f(()).slots for f in fns), ())
+        return TensorElement(slots, out, _trusted=True)
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):

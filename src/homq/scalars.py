@@ -317,6 +317,15 @@ def _p_scale(A, c):
     return {e: v * c for e, v in A.items()}
 
 
+def _tidy(c):
+    """c with every integral Fraction in it an int."""
+    if type(c) is _Q:
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, _CycNumBase):
+        return type(c)(tuple(map(_tidy, c.v)))
+    return c
+
+
 def _p_shift(A, s):
     """A times the monomial x^s; entries of s may be negative."""
     if not any(s):
@@ -608,7 +617,8 @@ class ScalarField:
             inv = _recip(lc)
             num = _p_scale(num, inv)
             den = _p_scale(den, inv)
-        return Scalar(self, num, den)
+        return Scalar(self, {e: _tidy(c) for e, c in num.items()},
+                      {e: _tidy(c) for e, c in den.items()})
 
 
 class Scalar:
@@ -653,7 +663,6 @@ class Scalar:
             return other
         if not other.num:
             return self
-        one_poly = f._one_poly
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if len(d1) == 1 and len(d2) == 1:
             # monic monomial denominators: bring both over their lcm and
@@ -676,21 +685,6 @@ class Scalar:
                 # with one denominator trivial the sum is already coprime
                 num, den = _mono_cancel(num, den)
             return Scalar(f, num, f._mono(den))
-        if d1 == d2:
-            num = _p_add(n1, n2)
-            if not num:
-                return f.zero
-            if d1 == one_poly:
-                return Scalar(f, num, d1)
-            h = _p_gcd(num, d1, f)
-            if _is_const(h):
-                return f._coprime_make(num, dict(d1))
-            return f._coprime_make(_p_div_exact(num, h), _p_div_exact(d1, h))
-        if d1 == one_poly:
-            # denominator is d2; the sum stays coprime to it
-            return f._coprime_make(_p_add(_p_mul(n1, d2), n2), dict(d2))
-        if d2 == one_poly:
-            return f._coprime_make(_p_add(n1, _p_mul(n2, d1)), dict(d1))
         g = _p_gcd(d1, d2, f)
         if _is_const(g):
             num = _p_add(_p_mul(n1, d2), _p_mul(n2, d1))

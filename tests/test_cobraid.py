@@ -12,65 +12,21 @@ from homq.cobraid import (CobraidingForm, CobraidedHomBialgebra,
                           check_alpha_invariance, twist_R_power,
                           alpha_kernel_witness, covered_basis,
                           _eval_word_poly, _eval_poly_word)
+from quantum_matrices import (ALPHA, DELTA, R_NONZERO, UNIT_ROW,
+                              qm2_form, qm2_presentation)
 
 
 F = ScalarField(("t", "lambda"))
 
-QM2_RULES = [
-    ("ba", {"ab": "q"}),
-    ("ca", {"ac": "q"}),
-    ("cb", {"bc": 1}),
-    ("db", {"bd": "q"}),
-    ("dc", {"cd": "q"}),
-    ("da", {"ad": 1, "bc": "q - q^-1"}),
-]
-
-DELTA = {
-    "a": {("a", "a"): 1, ("b", "c"): 1},
-    "b": {("a", "b"): 1, ("b", "d"): 1},
-    "c": {("c", "a"): 1, ("d", "c"): 1},
-    "d": {("c", "b"): 1, ("d", "d"): 1},
-}
-
-ALPHA = {
-    "a": {"a": 1},
-    "b": {"b": "lambda"},
-    "c": {"c": "lambda^-1"},
-    "d": {"d": 1},
-}
-
-R_NONZERO = {
-    ("a", "a"): "q_half",
-    ("a", "d"): "q_half^-1",
-    ("d", "a"): "q_half^-1",
-    ("d", "d"): "q_half",
-    ("b", "c"): "q_half^-1 * (q - q^-1)",
-}
-
-UNIT_ROW = {"a": 1, "b": 0, "c": 0, "d": 1}
-
-
-def qm2_pres():
-    return Presentation("abcd", QM2_RULES, F, max_degree=4, name="qm2")
-
-
-def qm2_form(P, override=None, drop=None):
-    table = {(l, r): R_NONZERO.get((l, r), 0) for l in "abcd" for r in "abcd"}
-    if override:
-        table.update(override)
-    if drop:
-        del table[drop]
-    return CobraidingForm(P, table, dict(UNIT_ROW), dict(UNIT_ROW))
-
 
 def plain_instance(**kw):
-    P = qm2_pres()
+    P = qm2_presentation(F)
     return CobraidedHomBialgebra(HomBialgebra(P, DELTA, name="qm2"),
                                  qm2_form(P, **kw))
 
 
 def twisted_instance(**kw):
-    P = qm2_pres()
+    P = qm2_presentation(F)
     H = twist_hom_bialgebra(HomBialgebra(P, DELTA, name="qm2"), ALPHA)
     return CobraidedHomBialgebra(H, qm2_form(P, **kw))
 
@@ -232,7 +188,7 @@ def test_form_memo_is_per_host():
 
 
 def test_gen_table_outside_units_rejected():
-    P = qm2_pres()
+    P = qm2_presentation(F)
     units = {"a": 1, "b": 0, "c": 0}
     with pytest.raises(PresentationError, match="d"):
         CobraidingForm(P, {("d", "d"): 1}, units, dict(units))
@@ -243,7 +199,7 @@ def test_gen_table_outside_units_rejected():
     ({}, {(0,): 3}, r"unit_left key \(0,\) repeats"),
 ])
 def test_form_refuses_two_keys_for_one_entry(extra, units, message):
-    P = qm2_pres()
+    P = qm2_presentation(F)
     table = {(l, r): R_NONZERO.get((l, r), 0) for l in "abcd" for r in "abcd"}
     with pytest.raises(PresentationError, match=message):
         CobraidingForm(P, {**table, **extra}, {**UNIT_ROW, **units},
@@ -251,8 +207,8 @@ def test_form_refuses_two_keys_for_one_entry(extra, units, message):
 
 
 def test_form_over_another_field_refused():
-    P_t = Presentation("abcd", QM2_RULES, ScalarField(("t",)), name="qm2")
-    H = HomBialgebra(qm2_pres(), DELTA, name="qm2")
+    P_t = qm2_presentation(ScalarField(("t",)))
+    H = HomBialgebra(qm2_presentation(F), DELTA, name="qm2")
     with pytest.raises(PresentationError, match="different scalar fields"):
         CobraidedHomBialgebra(H, qm2_form(P_t))
 
@@ -513,7 +469,7 @@ PARTIAL_FORMS = {
 
 
 def _uncovered_d_instance():
-    P = qm2_pres()
+    P = qm2_presentation(F)
     units = {"a": 1, "b": 0, "c": 0}
     table = {(l, r): R_NONZERO.get((l, r), 0) for l in "abc" for r in "abc"}
     return CobraidedHomBialgebra(HomBialgebra(P, DELTA, name="qm2"),

@@ -8,49 +8,17 @@ from homq.ncpoly import (NCPoly, Presentation, PresentationError,
                          TensorElement, _bump, word_key)
 from homq.hombialg import (HomBialgebra, MorphismError, _product_table,
                            pairwise_product, twist_hom_bialgebra)
-from homq.cobraid import CobraidingForm, CobraidedHomBialgebra
+from homq.cobraid import CobraidedHomBialgebra
 from homq.comodule import (Comodule, ComoduleAlgebra, ComoduleError,
                            bvw_operator, b_alpha_operator,
                            closed_form_coaction, plane_comodule_algebra,
                            twist_comodule_algebra, verify_comodule,
                            verify_comodule_hom_algebra, verify_hybe,
                            verify_mixed_hybe)
+from quantum_matrices import ALPHA, DELTA, qm2_form, qm2_presentation
 
 
 F = ScalarField(("t", "lambda", "xi"))
-
-QM2_RULES = [
-    ("ba", {"ab": "q"}),
-    ("ca", {"ac": "q"}),
-    ("cb", {"bc": 1}),
-    ("db", {"bd": "q"}),
-    ("dc", {"cd": "q"}),
-    ("da", {"ad": 1, "bc": "q - q^-1"}),
-]
-
-DELTA = {
-    "a": {("a", "a"): 1, ("b", "c"): 1},
-    "b": {("a", "b"): 1, ("b", "d"): 1},
-    "c": {("c", "a"): 1, ("d", "c"): 1},
-    "d": {("c", "b"): 1, ("d", "d"): 1},
-}
-
-ALPHA = {
-    "a": {"a": 1},
-    "b": {"b": "lambda"},
-    "c": {"c": "lambda^-1"},
-    "d": {"d": 1},
-}
-
-R_NONZERO = {
-    ("a", "a"): "q_half",
-    ("a", "d"): "q_half^-1",
-    ("d", "a"): "q_half^-1",
-    ("d", "d"): "q_half",
-    ("b", "c"): "q_half^-1 * (q - q^-1)",
-}
-
-UNIT_ROW = {"a": 1, "b": 0, "c": 0, "d": 1}
 
 # the carrier map that intertwines the standard coaction with ALPHA
 PLANE_ALPHA = {"x": {"x": "xi"}, "y": {"y": "xi * lambda^-1"}}
@@ -58,13 +26,11 @@ PLANE_ALPHA = {"x": {"x": "xi"}, "y": {"y": "xi * lambda^-1"}}
 
 def host(twisted=True):
     """M_q(2) with its cobraiding form, twisted by ALPHA when asked."""
-    P = Presentation("abcd", QM2_RULES, F, max_degree=4, name="qm2")
+    P = qm2_presentation(F)
     H = HomBialgebra(P, DELTA, name="qm2")
     if twisted:
         H = twist_hom_bialgebra(H, ALPHA, name="qm2_t")
-    table = {(l, r): R_NONZERO.get((l, r), 0) for l in "abcd" for r in "abcd"}
-    form = CobraidingForm(P, table, dict(UNIT_ROW), dict(UNIT_ROW))
-    return CobraidedHomBialgebra(H, form)
+    return CobraidedHomBialgebra(H, qm2_form(P))
 
 
 def plane(kind, twisted=True):
@@ -459,6 +425,25 @@ def test_hybe_refuses_mismatched_carrier_maps():
     with pytest.raises(ComoduleError, match="carrier maps"):
         verify_hybe(B)
     assert verify_hybe(bvw_operator(V, V)).passed
+
+
+def test_b_alpha_twists_each_output_leg_by_its_own_carrier_map():
+    # an output pair is (w, v): W's map acts on its first leg, V's on the
+    # second; the two pieces have different maps, so a swap shows
+    A = plane("standard")
+    V, W = A.piece(1, base=True), A.piece(2, base=True)
+    B = bvw_operator(V, W)
+    expected = {}
+    for ij, img in B.entries.items():
+        out = {}
+        for (k, l), c in img.items():
+            for k2, c1 in W.alpha[k].items():
+                for l2, c2 in V.alpha[l].items():
+                    _bump(out, (k2, l2), c * c1 * c2)
+        if out:
+            expected[ij] = out
+    assert expected != B.entries
+    assert b_alpha_operator(V, W).entries == expected
 
 
 def test_fermionic_degree_3_piece_is_empty():

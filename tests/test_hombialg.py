@@ -11,40 +11,14 @@ from homq.hombialg import (HomBialgebra, MorphismError, delta, apply_alpha,
                            twist_hom_bialgebra, verify_morphism,
                            verify_hom_bialgebra, pairwise_product,
                            _product_table)
+from quantum_matrices import ALPHA, DELTA, qm2_presentation
 
 
 F = ScalarField(("t", "lambda"))
 
 
-def qm2_presentation():
-    rules = [
-        ("ba", {"ab": "q"}),
-        ("ca", {"ac": "q"}),
-        ("cb", {"bc": 1}),
-        ("db", {"bd": "q"}),
-        ("dc", {"cd": "q"}),
-        ("da", {"ad": 1, "bc": "q - q^-1"}),
-    ]
-    return Presentation("abcd", rules, F, max_degree=4, name="qm2")
-
-
-DELTA = {
-    "a": {("a", "a"): 1, ("b", "c"): 1},
-    "b": {("a", "b"): 1, ("b", "d"): 1},
-    "c": {("c", "a"): 1, ("d", "c"): 1},
-    "d": {("c", "b"): 1, ("d", "d"): 1},
-}
-
-ALPHA = {
-    "a": {"a": 1},
-    "b": {"b": "lambda"},
-    "c": {"c": "lambda^-1"},
-    "d": {"d": 1},
-}
-
-
 def plain():
-    return HomBialgebra(qm2_presentation(), DELTA, name="qm2")
+    return HomBialgebra(qm2_presentation(F), DELTA, name="qm2")
 
 
 def twisted():
@@ -151,7 +125,7 @@ def test_scaling_group_morphism():
 def test_broken_delta_compat_detected():
     # swapping the b and c coproducts preserves the relations (the scalings
     # are untouched) but breaks the coproduct compatibility
-    P = qm2_presentation()
+    P = qm2_presentation(F)
     H = HomBialgebra(P, DELTA)
     endo = {"a": {"a": 1}, "b": {"c": 1}, "c": {"b": 1}, "d": {"d": 1}}
     rep = verify_morphism(endo, H)
@@ -185,7 +159,7 @@ def test_twisted_instance_passes_degree_2():
 
 
 def test_identity_twist_equals_plain_verification():
-    P = qm2_presentation()
+    P = qm2_presentation(F)
     H = HomBialgebra(P, DELTA)
     ident = {g: {g: 1} for g in "abcd"}
     T = twist_hom_bialgebra(H, ident)
@@ -198,7 +172,7 @@ def test_identity_twist_equals_plain_verification():
 def test_nonidentity_alpha_without_twist_breaks_hom_associativity():
     # plain product with a nontrivial twisting map violates the twisted
     # associativity shape: alpha(b)(1*1) != (b*1)alpha(1)
-    P = qm2_presentation()
+    P = qm2_presentation(F)
     H = HomBialgebra(P, DELTA, ALPHA, twisted=False)
     rep = verify_hom_bialgebra(H, 1)
     failed = {c.name for c in rep.failures()}
@@ -208,7 +182,7 @@ def test_nonidentity_alpha_without_twist_breaks_hom_associativity():
 def test_untwisted_coproduct_with_twisted_product_fails_coassociativity():
     # emulate a structure whose coproduct was left untwisted: compose the
     # coproduct table with the inverse scaling so delta(alpha(x)) = delta(x)
-    P = qm2_presentation()
+    P = qm2_presentation(F)
     delta_table = {
         "a": {("a", "a"): 1, ("b", "c"): 1},
         "b": {("a", "b"): "lambda^-1", ("b", "d"): "lambda^-1"},
@@ -247,7 +221,7 @@ def test_delta_table_refuses_two_keys_for_one_generator():
     table = {**DELTA, ("a",): {("a", "a"): 5}}
     with pytest.raises(PresentationError,
                        match=r"delta table key \('a',\) repeats generator a"):
-        HomBialgebra(qm2_presentation(), table)
+        HomBialgebra(qm2_presentation(F), table)
 
 
 def test_report_shape():
@@ -270,7 +244,7 @@ def test_report_shape():
 def non_morphism_twist():
     # alpha that rescales b but not c, built directly as a twisted structure
     bad = dict(ALPHA, c={"c": 1})
-    return HomBialgebra(qm2_presentation(), DELTA, bad, twisted=True)
+    return HomBialgebra(qm2_presentation(F), DELTA, bad, twisted=True)
 
 
 SWAP_BC = {"a": {"a": 1}, "b": {"c": 1}, "c": {"b": 1}, "d": {"d": 1}}
@@ -365,7 +339,7 @@ NON_MORPHISMS = [{"c": {"c": 1}}, {"b": {"b": 1}}, {"a": {"a": "lambda"}},
 
 
 def direct_twist(change):
-    return lambda: HomBialgebra(qm2_presentation(), DELTA,
+    return lambda: HomBialgebra(qm2_presentation(F), DELTA,
                                 dict(ALPHA, **change), twisted=True)
 
 
@@ -373,7 +347,7 @@ def direct_twist(change):
 
 
 def untwisted_with_alpha():
-    return HomBialgebra(qm2_presentation(), DELTA, ALPHA, twisted=False)
+    return HomBialgebra(qm2_presentation(F), DELTA, ALPHA, twisted=False)
 
 
 def untwisted_coproduct():
@@ -383,7 +357,7 @@ def untwisted_coproduct():
         "c": {("c", "a"): "lambda", ("d", "c"): "lambda"},
         "d": {("c", "b"): 1, ("d", "d"): 1},
     }
-    return HomBialgebra(qm2_presentation(), delta_table, ALPHA, twisted=True)
+    return HomBialgebra(qm2_presentation(F), delta_table, ALPHA, twisted=True)
 
 
 def twisted_z5():

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -7,21 +8,10 @@ from homq.ncpoly import (Presentation, PresentationError, NCPoly,
                          TensorElement, normal_form, multiply,
                          check_local_confluence, graded_basis, word_key,
                          word_image, poly_image, generator_table)
+from quantum_matrices import qm2_presentation
 
 
 F = ScalarField(("t",))
-
-
-def quantum_matrix_2x2():
-    rules = [
-        ("ba", {"ab": "q"}),
-        ("ca", {"ac": "q"}),
-        ("cb", {"bc": 1}),
-        ("db", {"bd": "q"}),
-        ("dc", {"cd": "q"}),
-        ("da", {"ad": 1, "bc": "q - q^-1"}),
-    ]
-    return Presentation("abcd", rules, F, max_degree=4, name="qm2")
 
 
 def plane_standard():
@@ -37,13 +27,13 @@ def plane_fermionic():
 
 
 def test_single_swap():
-    P = quantum_matrix_2x2()
+    P = qm2_presentation(F)
     p = P.poly({"ba": 1})
     assert p == P.poly({"ab": "q"})
 
 
 def test_diagonal_swap_makes_two_terms():
-    P = quantum_matrix_2x2()
+    P = qm2_presentation(F)
     assert P.poly({"da": 1}) == P.poly({"ad": 1, "bc": "q - q^-1"})
 
 
@@ -70,13 +60,13 @@ def test_nilpotent_square_is_zero():
 
 def test_longer_word_mixed():
     # dcb: dc -> q cd, then cdb -> q c bd -> q^2 bcd
-    P = quantum_matrix_2x2()
+    P = qm2_presentation(F)
     assert P.poly({"dcb": 1}) == P.poly({"bcd": "q^2"})
 
 
 def test_da_squared_expands():
     # (da)(da) against the independently expanded product of normal forms
-    P = quantum_matrix_2x2()
+    P = qm2_presentation(F)
     da = P.poly({"da": 1})
     direct = P.poly({"dada": 1})
     assert da * da == direct
@@ -129,7 +119,7 @@ def test_standard_plane_basis_degree_2():
 def test_qm2_basis_counts():
     # words a^i b^j c^k d^l: count of monomials of degree n in 4 commuting
     # variables, C(n+3,3)
-    P = quantum_matrix_2x2()
+    P = qm2_presentation(F)
     basis = P.graded_basis(3)
     by_deg = {}
     for w in basis:
@@ -139,7 +129,7 @@ def test_qm2_basis_counts():
 
 
 def test_basis_is_graded_lex_sorted():
-    P = quantum_matrix_2x2()
+    P = qm2_presentation(F)
     basis = P.graded_basis(3)
     assert basis == sorted(basis, key=word_key)
 
@@ -148,7 +138,7 @@ def test_basis_is_graded_lex_sorted():
 
 
 def test_qm2_confluent_at_4():
-    res = check_local_confluence(quantum_matrix_2x2(), 4)
+    res = check_local_confluence(qm2_presentation(F), 4)
     assert res.passed
     assert res.checked > 0
 
@@ -196,7 +186,7 @@ def test_wrong_inverse_scale_detected():
 
 
 def test_associativity_on_basis_words():
-    P = quantum_matrix_2x2()
+    P = qm2_presentation(F)
     basis = [NCPoly(P, {w: F.one}, _trusted=True) for w in P.graded_basis(2)]
     for u in basis:
         for v in basis:
@@ -226,7 +216,7 @@ def rnd_poly(P, rng, max_terms=4, max_len=4):
 
 def test_normal_form_idempotent_500():
     rng = random.Random(23)
-    for P in (quantum_matrix_2x2(), plane_fermionic()):
+    for P in (qm2_presentation(F), plane_fermionic()):
         for _ in range(250):
             p = rnd_poly(P, rng)
             again = NCPoly(P, p.terms)
@@ -235,7 +225,7 @@ def test_normal_form_idempotent_500():
 
 
 def test_unit_laws():
-    P = quantum_matrix_2x2()
+    P = qm2_presentation(F)
     rng = random.Random(5)
     one = P.unit(1)
     for _ in range(20):
@@ -247,7 +237,7 @@ def test_unit_laws():
 
 
 def test_distributive_and_scale():
-    P = quantum_matrix_2x2()
+    P = qm2_presentation(F)
     rng = random.Random(9)
     for _ in range(30):
         p, q, r = (rnd_poly(P, rng) for _ in range(3))
@@ -256,29 +246,58 @@ def test_distributive_and_scale():
         assert p.scale(2) == p + p
 
 
+def test_poly_int_and_scalar_operands_act_as_units():
+    P = qm2_presentation(F)
+    p = P.poly({"ab": 1, "d": "q"})
+    q = F.parse("q")
+    for c, s in ((2, F.from_int(2)), (q, q)):
+        u = P.unit(s)
+        assert p + c == p + u
+        assert c + p == u + p
+        assert p - c == p - u
+        assert c - p == u - p
+        assert p * c == p.scale(s)
+        assert c * p == p.scale(s)
+    assert P.unit(2) == 2
+    assert 2 == P.unit(2)
+    assert P.unit(q) == q
+    assert q == P.unit(q)
+    assert p != 2 and p != q
+    assert P.zero_poly() == 0
+    # any other operand is refused
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(p, 0.5)
+        with pytest.raises(TypeError):
+            op(0.5, p)
+    assert p != 0.5
+
+
+def test_poly_powers():
+    P = qm2_presentation(F)
+    p = P.poly({"a": 1, "bc": "q"})
+    assert p ** 0 == P.unit(1)
+    assert p ** 1 == p
+    assert p ** 3 == p * p * p
+    for bad in (-1, 2.0):
+        with pytest.raises(TypeError):
+            p ** bad
+
+
 # tensor elements ---------------------------------------------------------------
 
 
 def test_tensor_slots_are_normalized():
-    P = quantum_matrix_2x2()
+    P = qm2_presentation(F)
     t = P.tensor(2, {("ba", "1"): 1})
     assert t == P.tensor(2, {("ab", "1"): "q"})
 
 
 def test_tensor_componentwise_product():
-    P = quantum_matrix_2x2()
+    P = qm2_presentation(F)
     t1 = P.tensor(2, {("b", "c"): 1})
     t2 = P.tensor(2, {("a", "a"): 1})
     assert t1 * t2 == P.tensor(2, {("ab", "ac"): "q^2"})
-
-
-def test_tensor_outer():
-    P = plane_standard()
-    t1 = P.tensor(1, {("x",): 1})
-    t2 = P.tensor(2, {("y", "1"): "q"})
-    t = t1.outer(t2)
-    assert t.arity == 3
-    assert t == P.tensor(3, {("x", "y", "1"): "q"})
 
 
 def test_tensor_arity_mismatch():
@@ -310,9 +329,10 @@ def test_tensor_render_orders_each_slot_graded_lex():
 
 
 def test_tensor_slots_keep_their_presentations():
-    P, Q = plane_standard(), quantum_matrix_2x2()
-    t = TensorElement((P, Q), {("x", "da"): 1})
-    t = t.outer(Q.tensor(1, {("b",): "q"}))
+    P, Q = plane_standard(), qm2_presentation(F)
+    t = TensorElement((P, Q), {("x", "da"): 1}).map_slots(
+        [lambda w: TensorElement((P,), {(w,): 1}),
+         lambda w: TensorElement((Q, Q), {(w, "b"): "q"})])
     assert t.slots == (P, Q, Q)
     assert t.render() == ("(t^2)*[x (x) ad (x) b] + "
                           "(t^4 - 1)*[x (x) bc (x) b]")
@@ -320,8 +340,22 @@ def test_tensor_slots_keep_their_presentations():
         t + Q.tensor(3, {})
 
 
+def test_tensor_times_scalar_from_either_side():
+    P = qm2_presentation(F)
+    t = P.tensor(2, {("b", "c"): 1, ("da", "1"): "q"})
+    q = F.parse("q")
+    scaled = P.tensor(2, {("b", "c"): "q", ("da", "1"): "q^2"})
+    assert t * q == scaled
+    assert q * t == scaled
+    assert t * 3 == 3 * t == t + t + t
+    assert (t * 0).is_zero() and (F.zero * t).is_zero()
+    for bad in (lambda: t * 0.5, lambda: 0.5 * t, lambda: t + 1):
+        with pytest.raises(TypeError):
+            bad()
+
+
 def test_word_image_multiplicative():
-    P = quantum_matrix_2x2()
+    P = qm2_presentation(F)
     images = {P.word("a")[0]: P.gen("a").scale(2),
               P.word("b")[0]: P.gen("b"),
               P.word("c")[0]: P.gen("c"),
@@ -337,7 +371,7 @@ def test_word_image_multiplicative():
 
 
 def test_presentation_json_round_trip():
-    P = quantum_matrix_2x2()
+    P = qm2_presentation(F)
     data = P.to_json()
     Q = Presentation.from_json(data, F, name="qm2")
     assert Q.to_json() == data
@@ -345,7 +379,7 @@ def test_presentation_json_round_trip():
 
 
 def test_presentation_json_refuses_a_repeated_rhs_mono():
-    data = quantum_matrix_2x2().to_json()
+    data = qm2_presentation(F).to_json()
     rule = next(r for r in data["rules"] if r["lhs"] == "da")
     rule["rhs"].append(dict(rule["rhs"][0], coef="7"))
     with pytest.raises(PresentationError, match="rule 'da' repeats 'ad'"):
@@ -353,7 +387,7 @@ def test_presentation_json_refuses_a_repeated_rhs_mono():
 
 
 def test_poly_json_round_trip():
-    P = quantum_matrix_2x2()
+    P = qm2_presentation(F)
     p = P.poly({"da": 1, "bc": "q^-1"})
     back = NCPoly.from_json(p.to_json(), P)
     assert back == p
@@ -368,7 +402,7 @@ def test_multichar_names_use_separator():
 
 
 def test_render_stable():
-    P = quantum_matrix_2x2()
+    P = qm2_presentation(F)
     p = P.poly({"da": 1})
     # scalar rendering is canonical in t with q = t^2
     assert p.render() == "(1)*ad + ((t^4 - 1)/t^2)*bc"

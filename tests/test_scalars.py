@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homq.scalars import (
     PoleError,
@@ -297,6 +297,32 @@ def test_field_axioms_200_random_triples():
         assert a - a == field.zero
 
 
+# an int operand is read as the scalar it names, on either side
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+@pytest.mark.parametrize("field", [F_TL, F_Z3T], ids=["Q(t,lambda)",
+                                                       "Q(zeta_3)(t)"])
+def test_int_operand_acts_as_its_scalar(op, field):
+    a = parse_scalar("(t + 1)/(t - 2)", field)
+    three = field.from_int(3)
+    assert op(a, 3) == op(a, three)
+    assert op(3, a) == op(three, a)
+    assert op(a, -3) == op(a, -three)
+
+
+def test_int_equality_and_foreign_operands():
+    a = parse_scalar("(t + 1)/(t - 2)", F_TL)
+    assert F_TL.from_int(3) == 3
+    assert 3 == F_TL.from_int(3)
+    assert F_TL.zero == 0
+    assert a != 3 and not a == 3
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(a, 0.5)
+        with pytest.raises(TypeError):
+            op(0.5, a)
+
+
 @st.composite
 def _scalars(draw):
     rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 9)))
@@ -562,13 +588,25 @@ def test_zeta_13_arithmetic_matches_reference(a, b):
     _check_against_reference(a, b)
 
 
+def _gcd_pair(field):
+    # the denominators are not monomials, so both go through a gcd and
+    # the monic scaling of the denominator by 1/2
+    return (parse_scalar("3/(2*t+4)", field),
+            parse_scalar("(t^2-1)/(2*t-2)", field))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([F_TL, F_Z13, F_Z3T]).flatmap(
     lambda f: st.tuples(laurent(f), laurent(f))))
+@example(_gcd_pair(F_TL))
+@example(_gcd_pair(F_Z3T))
 def test_integer_coefficients_stay_int(pair):
     a, b = pair
-    for s in (a * b, a + b, a - b, -a):
-        assert all(type(c) is int for c in _coefficients(s))
+    for s in (a, b, a * b, a + b, a - b, -a):
+        # an integral coefficient is an int, never a Fraction
+        assert all(type(c) is int
+                   or type(c) is Fraction and c.denominator != 1
+                   for c in _coefficients(s))
 
 
 @pytest.mark.parametrize("a,b", [
