@@ -7,17 +7,18 @@ Every coefficient in this package is a scalar drawn from a field
 of multivariate rational functions over a cyclotomic extension of the
 rationals.  No floats anywhere: a rational coefficient is a Python
 ``int`` until a division makes it a ``fractions.Fraction``, and every
-division goes through ``_recip``.  An integral ``Fraction`` equals and
-hashes like its ``int``, so the two mix freely.  One dense ``_udivmod``
-does every polynomial division with remainder.
+division goes through ``_recip``.  An integral ``Fraction`` is stored
+as its ``int``.  One dense ``_udivmod`` does every polynomial division
+with remainder.
 
-Scalars are canonical at all times: numerator and denominator coprime,
+Every scalar has exactly one form, so equality is plain structural
+equality, which is what every verifier in the package relies on.  A
+value whose reduced denominator is a monomial (a Laurent polynomial, the
+common case) is one dict {signed exponent tuple: coefficient}; between
+two of them ``*`` and ``+`` are a product and a sum with no cancellation.
+Any other value is a coprime (numerator, denominator) pair, the
 denominator monic under graded lex with the declared variable order,
-zero stored as 0/1.  Equality of canonical forms is therefore plain
-structural equality, which is what every verifier in the package relies
-on.  Products and sums over monomial denominators (Laurent polynomials,
-the common case) cancel by exponent shifts; other denominators go
-through a multivariate gcd.
+and arithmetic that meets one goes through a multivariate gcd.
 
 The parser accepts integer literals, declared variable names, ``zeta``
 (when the field has a cyclotomic order), the sugar ``q`` for ``t^2`` and
@@ -33,10 +34,6 @@ import re
 from fractions import Fraction as _Q
 from functools import lru_cache
 from operator import add as _add, sub as _sub
-
-_Q0 = 0
-_Q1 = 1
-
 
 class ScalarError(Exception):
     """Base for everything raised by this module."""
@@ -92,6 +89,13 @@ def _recip(c):
     return c.inverse()
 
 
+def _tidy(c):
+    """c, an int if it is an integral Fraction."""
+    if type(c) is _Q and c.denominator == 1:
+        return c.numerator
+    return c
+
+
 def _utrim(a):
     while a and not a[-1]:
         a.pop()
@@ -104,7 +108,7 @@ def _udivmod(a, b):
     a = list(a)
     db = len(b) - 1
     inv = _recip(b[-1])
-    q = [_Q0] * max(len(a) - db, 0)
+    q = [0] * max(len(a) - db, 0)
     for i in range(len(a) - db - 1, -1, -1):
         c = a[i + db]
         if c:
@@ -128,7 +132,7 @@ def _ugcd(a, b):
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(n):
     """Dense coefficient list of the n-th cyclotomic polynomial."""
-    poly = [-_Q1] + [_Q0] * (n - 1) + [_Q1]
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
             q, r = _udivmod(poly, list(_cyclotomic_coeffs(d)))
@@ -140,7 +144,7 @@ def _cyclotomic_coeffs(n):
 def _uinv_mod(a, m):
     """Inverse of a modulo m over Q; a nonzero, m irreducible."""
     old_r, r = list(a), list(m)
-    old_s, s = [_Q1], []
+    old_s, s = [1], []
     while r:
         q, rem = _udivmod(old_r, r)
         old_r, r = r, rem
@@ -148,7 +152,7 @@ def _uinv_mod(a, m):
         # new_s -= q * s
         need = len(q) + len(s) - 1 if q and s else 0
         while len(new_s) < need:
-            new_s.append(_Q0)
+            new_s.append(0)
         for i, qi in enumerate(q):
             if not qi:
                 continue
@@ -169,7 +173,8 @@ class _CycNumBase:
 
     Subclasses are generated per order and carry the reduction rows for
     zeta^phi .. zeta^(2 phi - 2) as class data, so multiplication is a
-    convolution plus table folds.
+    convolution plus table folds.  An integral Fraction entry is stored
+    as its int.
     """
 
     __slots__ = ("v",)
@@ -179,7 +184,8 @@ class _CycNumBase:
     PHI = ()
 
     def __init__(self, v):
-        self.v = v
+        v = tuple(v)
+        self.v = tuple(map(_tidy, v)) if _Q in map(type, v) else v
 
     def __bool__(self):
         return any(self.v)
@@ -193,10 +199,10 @@ class _CycNumBase:
         return hash(self.v)
 
     def __add__(self, other):
-        return type(self)(tuple(a + b for a, b in zip(self.v, other.v)))
+        return type(self)(map(_add, self.v, other.v))
 
     def __sub__(self, other):
-        return type(self)(tuple(a - b for a, b in zip(self.v, other.v)))
+        return type(self)(map(_sub, self.v, other.v))
 
     def __neg__(self):
         return type(self)(tuple(-a for a in self.v))
@@ -205,7 +211,7 @@ class _CycNumBase:
         deg = self.DEG
         if deg == 1:
             return type(self)((self.v[0] * other.v[0],))
-        out = [_Q0] * (2 * deg - 1)
+        out = [0] * (2 * deg - 1)
         for i, a in enumerate(self.v):
             if not a:
                 continue
@@ -218,15 +224,15 @@ class _CycNumBase:
                 for j, rj in enumerate(self.RED[i - deg]):
                     if rj:
                         out[j] += c * rj
-        return type(self)(tuple(out[:deg]))
+        return type(self)(out[:deg])
 
     def inverse(self):
         if not any(self.v):
             raise ScalarZeroDivision()
         dense = _utrim(list(self.v))
         inv = _uinv_mod(dense, list(self.PHI))
-        inv = list(inv) + [_Q0] * (self.DEG - len(inv))
-        return type(self)(tuple(inv[: self.DEG]))
+        inv = list(inv) + [0] * (self.DEG - len(inv))
+        return type(self)(inv[: self.DEG])
 
     def __repr__(self):  # debugging aid only
         return f"cyc{self.ORDER}{tuple(str(c) for c in self.v)}"
@@ -241,7 +247,7 @@ def _cyc_class(n):
     rows.append(tuple(cur))
     for _ in range(deg - 2):
         top = cur[deg - 1]
-        cur = [_Q0] + cur[: deg - 1]
+        cur = [0] + cur[: deg - 1]
         if top:
             cur = [a + top * b for a, b in zip(cur, rows[0])]
         rows.append(tuple(cur))
@@ -251,14 +257,14 @@ def _cyc_class(n):
     cls.DEG = deg
     cls.RED = tuple(rows)
     cls.PHI = phi
-    cls.ZERO = cls((_Q0,) * deg)
-    cls.ONE = cls((_Q1,) + (_Q0,) * (deg - 1))
+    cls.ZERO = cls((0,) * deg)
+    cls.ONE = cls((1,) + (0,) * (deg - 1))
     if deg > 1:
-        cls.ZETA = cls((_Q0, _Q1) + (_Q0,) * (deg - 2))
+        cls.ZETA = cls((0, 1) + (0,) * (deg - 2))
     elif n == 1:
         cls.ZETA = cls.ONE
     else:  # n == 2
-        cls.ZETA = cls((-_Q1,))
+        cls.ZETA = cls((-1,))
     return cls
 
 
@@ -290,12 +296,11 @@ def _p_neg(A):
 
 
 def _p_mul(A, B):
+    if len(B) == 1:
+        A, B = B, A
     if len(A) == 1:
         ((ea, ca),) = A.items()
         return {tuple(map(_add, ea, eb)): ca * cb for eb, cb in B.items()}
-    if len(B) == 1:
-        ((eb, cb),) = B.items()
-        return {tuple(map(_add, ea, eb)): ca * cb for ea, ca in A.items()}
     out = {}
     for ea, ca in A.items():
         for eb, cb in B.items():
@@ -317,33 +322,23 @@ def _p_scale(A, c):
     return {e: v * c for e, v in A.items()}
 
 
-def _tidy(c):
-    """c with every integral Fraction in it an int."""
-    if type(c) is _Q:
-        return c.numerator if c.denominator == 1 else c
-    if isinstance(c, _CycNumBase):
-        return type(c)(tuple(map(_tidy, c.v)))
-    return c
+def _p_tidy(A):
+    """A with every integral Fraction coefficient an int."""
+    if _Q in map(type, A.values()):
+        return {e: _tidy(c) for e, c in A.items()}
+    return A
 
 
-def _p_shift(A, s):
-    """A times the monomial x^s; entries of s may be negative."""
-    if not any(s):
-        return A
-    return {tuple(map(_add, e, s)): c for e, c in A.items()}
-
-
-def _mono_cancel(P, d):
-    """Divide the common factor of P and the monomial x^d out of both.
-
-    Returns the reduced P and the reduced exponent; P is not mutated.
-    """
+def _split(P, d):
+    """P and x^d over their common monomial factor (the latter as its
+    exponent); with d zero, the (num, den) pair of a Laurent dict P."""
     s = d
     for e in P:
         s = tuple(map(min, s, e))
-        if not any(s):
-            return P, d
-    return _p_shift(P, tuple(-k for k in s)), tuple(map(_sub, d, s))
+    if not any(s):
+        return P, d
+    return ({tuple(map(_sub, e, s)): c for e, c in P.items()},
+            tuple(map(_sub, d, s)))
 
 
 def _p_pow(A, n):
@@ -392,7 +387,7 @@ def _p_div_exact(A, B):
 
 def _gcd_uni(A, B, i, field):
     """Monic Euclid in the single variable i over the coefficient field."""
-    zero = field._cyc.ZERO if field._cyc else _Q0
+    zero = field._cyc.ZERO if field._cyc else 0
 
     def todense(P):
         d = max(e[i] for e in P)
@@ -500,7 +495,7 @@ def _cancel(P, Q, field):
     if len(Q) == 1:
         # gcd with a monomial is the common monomial factor
         ((d, c),) = Q.items()
-        P, e = _mono_cancel(P, d)
+        P, e = _split(P, d)
         return P, (Q if e is d else {e: c})
     if len(P) == 1:
         Q, P = _cancel(Q, P, field)
@@ -570,12 +565,12 @@ class ScalarField:
     # coefficient helpers -------------------------------------------------
 
     def _coef_one(self):
-        return self._cyc.ONE if self._cyc else _Q1
+        return self._cyc.ONE if self._cyc else 1
 
     def _coef_from_int(self, v):
         if self._cyc:
             deg = self._cyc.DEG
-            return self._cyc((v,) + (_Q0,) * (deg - 1))
+            return self._cyc((v,) + (0,) * (deg - 1))
         return v
 
     # constructors ---------------------------------------------------------
@@ -617,31 +612,52 @@ class ScalarField:
             inv = _recip(lc)
             num = _p_scale(num, inv)
             den = _p_scale(den, inv)
-        return Scalar(self, {e: _tidy(c) for e, c in num.items()},
-                      {e: _tidy(c) for e, c in den.items()})
+        return Scalar(self, num, den)
+
+
+def _laurent(field, terms):
+    """The Scalar whose Laurent dict is terms (nonzero coefficients)."""
+    s = object.__new__(Scalar)
+    s.field = field
+    s.laurent = _p_tidy(terms)
+    s._pair = None
+    s._h = None
+    return s
 
 
 class Scalar:
-    """Canonical rational function.  Construct only through a ScalarField."""
+    """Canonical rational function, built by a ScalarField or from a
+    canonical (num, den) pair.  ``laurent`` is its Laurent dict, or None
+    when its reduced denominator is not a monomial; ``num`` and ``den``
+    read either form as the canonical pair."""
 
-    __slots__ = ("field", "num", "den", "_h")
+    __slots__ = ("field", "laurent", "_pair", "_h")
 
     def __init__(self, field, num, den):
-        self.field = field
-        self.num = num
-        self.den = den
-        self._h = None
+        num, den = _p_tidy(num), _p_tidy(den)
+        self.field, self._pair, self._h = field, (num, den), None
+        self.laurent = None
+        if len(den) == 1:
+            (d,) = den
+            self.laurent = {tuple(map(_sub, e, d)): c for e, c in num.items()}
+
+    def _view(self):
+        """The canonical (num, den) pair, computed once."""
+        if self._pair is None:
+            num, d = _split(self.laurent, self.field._zero_exp)
+            self._pair = (num, self.field._mono(d))
+        return self._pair
+
+    num = property(lambda self: self._view()[0])
+    den = property(lambda self: self._view()[1])
 
     # predicates -----------------------------------------------------------
 
     def is_zero(self):
-        return not self.num
-
-    def is_one(self):
-        return self.den == self.field._one_poly and self.num == self.field._one_poly
+        return self.laurent == {}
 
     def __bool__(self):
-        return bool(self.num)
+        return self.laurent != {}
 
     # arithmetic -----------------------------------------------------------
 
@@ -655,49 +671,28 @@ class Scalar:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         f = self.field
-        if not self.num:
+        a, b = self.laurent, other.laurent
+        if a == {}:
             return other
-        if not other.num:
+        if b == {}:
             return self
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if len(d1) == 1 and len(d2) == 1:
-            # monic monomial denominators: bring both over their lcm and
-            # shift out what the sum shares with it; no gcd
-            (a,), (b,) = d1, d2
-            if a == b:
-                num = _p_add(n1, n2)
-                if not num:
-                    return f.zero
-                if not any(a):
-                    return Scalar(f, num, d1)
-                num, den = _mono_cancel(num, a)
-                return Scalar(f, num, f._mono(den))
-            den = tuple(map(max, a, b))
-            num = _p_add(_p_shift(n1, tuple(map(_sub, den, a))),
-                         _p_shift(n2, tuple(map(_sub, den, b))))
-            if not num:
-                return f.zero
-            if any(a) and any(b):
-                # with one denominator trivial the sum is already coprime
-                num, den = _mono_cancel(num, den)
-            return Scalar(f, num, f._mono(den))
+        if a is not None and b is not None:
+            num = _p_add(a, b)
+            return _laurent(f, num) if num else f.zero
+        (n1, d1), (n2, d2) = self._view(), other._view()
         g = _p_gcd(d1, d2, f)
-        if _is_const(g):
-            num = _p_add(_p_mul(n1, d2), _p_mul(n2, d1))
-            if not num:
-                return f.zero
-            return f._coprime_make(num, _p_mul(d1, d2))
         e1 = _p_div_exact(d1, g)
         e2 = _p_div_exact(d2, g)
         num = _p_add(_p_mul(n1, e2), _p_mul(n2, e1))
         if not num:
             return f.zero
         # common factors of the sum with the denominator sit inside g
-        h = _p_gcd(num, g, f)
+        h = g if _is_const(g) else _p_gcd(num, g, f)
         if not _is_const(h):
             num = _p_div_exact(num, h)
             g = _p_div_exact(g, h)
@@ -706,9 +701,11 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        if not self.num:
-            return self
-        return Scalar(self.field, _p_neg(self.num), self.den)
+        a = self.laurent
+        if a is None:
+            num, den = self._pair
+            return Scalar(self.field, _p_neg(num), den)
+        return _laurent(self.field, _p_neg(a)) if a else self
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -723,31 +720,29 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         f = self.field
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if not n1 or not n2:
-            return f.zero
-        one_poly = f._one_poly
-        if len(d1) == 1 and len(d2) == 1:
-            # monic monomial denominators: cancel by exponent shifts; the
-            # denominator of the product is monic already
-            if n1 == one_poly and d1 == one_poly:
+        a, b = self.laurent, other.laurent
+        if a is not None and b is not None:
+            if not a or not b:
+                return f.zero
+            one = f._one_poly
+            if a == one:
                 return other
-            if n2 == one_poly and d2 == one_poly:
+            if b == one:
                 return self
-            (a,), (b,) = d1, d2
-            if any(b):
-                n1, b = _mono_cancel(n1, b)
-            if any(a):
-                n2, a = _mono_cancel(n2, a)
-            return Scalar(f, _p_mul(n1, n2), f._mono(tuple(map(_add, a, b))))
+            return _laurent(f, _p_mul(a, b))
+        if a == {} or b == {}:
+            return f.zero
         # cross-cancel so the product of the reduced parts is coprime
-        if d2 != one_poly:
+        (n1, d1), (n2, d2) = self._view(), other._view()
+        one = f._one_poly
+        if d2 != one:
             n1, d2 = _cancel(n1, d2, f)
-        if d1 != one_poly:
+        if d1 != one:
             n2, d1 = _cancel(n2, d1, f)
         return f._coprime_make(_p_mul(n1, n2), _p_mul(d1, d2))
 
@@ -766,9 +761,14 @@ class Scalar:
         return other / self
 
     def inverse(self):
-        if not self.num:
+        a = self.laurent
+        if a == {}:
             raise ScalarZeroDivision()
-        return self.field._coprime_make(dict(self.den), dict(self.num))
+        if a is not None and len(a) == 1:
+            ((e, c),) = a.items()
+            return _laurent(self.field, {tuple(-k for k in e): _recip(c)})
+        num, den = self._view()
+        return self.field._coprime_make(dict(den), dict(num))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -778,27 +778,31 @@ class Scalar:
             return f.one
         base = self if n > 0 else self.inverse()
         n = abs(n)
-        if n == 1:
+        if n == 1 or not base:
             return base
-        num = _p_pow(base.num, n) if base.num else {}
-        if not num:
-            return f.zero
-        den = _p_pow(base.den, n)
+        a = base.laurent
+        if a is not None:
+            return _laurent(f, _p_pow(a, n))
         # powers of a coprime pair stay coprime; the monic unit is preserved
-        return Scalar(f, num, den)
+        num, den = base._pair
+        return Scalar(f, _p_pow(num, n), _p_pow(den, n))
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if type(other) is not Scalar:
+            if not isinstance(other, int):
+                return NotImplemented
             other = self.field.from_int(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return (self.field == other.field and self.num == other.num
-                and self.den == other.den)
+        if other.field is not self.field and other.field != self.field:
+            return False
+        return self.laurent == other.laurent and (
+            self.laurent is not None or self._pair == other._pair)
 
     def __hash__(self):
         if self._h is None:
-            self._h = hash((frozenset(self.num.items()),
-                            frozenset(self.den.items())))
+            # equal values have one form, so equal Laurent dicts or numerators
+            a = self.laurent
+            self._h = hash(frozenset(
+                (self._pair[0] if a is None else a).items()))
         return self._h
 
     def __repr__(self):
@@ -1136,9 +1140,4 @@ def specialize(s, assignment, target_field=None):
 
 
 def _q_to_scalar(field, q):
-    num = q.numerator
-    den = q.denominator
-    v = field.from_int(int(num))
-    if den != 1:
-        v = v / field.from_int(int(den))
-    return v
+    return field.from_int(q.numerator) / q.denominator

@@ -498,6 +498,9 @@ F_Z13 = ScalarField((), cyclotomic_order=13)
 _INT_COEF = st.integers(min_value=-6, max_value=6)
 _RATIONAL_COEF = st.one_of(
     _INT_COEF, st.fractions(min_value=-6, max_value=6, max_denominator=7))
+# the same values with each integral Fraction drawn as its int
+_TIDY_RATIONAL_COEF = _RATIONAL_COEF.map(
+    lambda q: q.numerator if q.denominator == 1 else q)
 
 
 def _coef(field, draw, values):
@@ -595,14 +598,27 @@ def _gcd_pair(field):
             parse_scalar("(t^2-1)/(2*t-2)", field))
 
 
-@settings(max_examples=100, deadline=None)
+def _halves(field, text):
+    """Two Laurent values with Fraction coefficients whose sum and whose
+    product with 2 have integral coefficients."""
+    return parse_scalar(text, field), parse_scalar(text, field)
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.sampled_from([F_TL, F_Z13, F_Z3T]).flatmap(
-    lambda f: st.tuples(laurent(f), laurent(f))))
+    lambda f: st.tuples(laurent(f, _TIDY_RATIONAL_COEF),
+                        laurent(f, _TIDY_RATIONAL_COEF))))
 @example(_gcd_pair(F_TL))
 @example(_gcd_pair(F_Z3T))
+@example(_halves(F_TL, "t/2 + lambda^-1/2"))
+@example(_halves(F_Z3T, "zeta*t/2"))
+@example(_halves(F_Z13, "(1 + zeta)/2"))
+@example((parse_scalar("3*t/2", F_TL), parse_scalar("2/3", F_TL)))
+@example((parse_scalar("(t/2 + 1)/lambda", F_TL), F_TL.from_int(2)))
 def test_integer_coefficients_stay_int(pair):
     a, b = pair
-    for s in (a, b, a * b, a + b, a - b, -a):
+    for s in (a, b, a * b, a + b, a - b, -a, a * 2, a ** 2,
+              *((a / b, b.inverse()) if b else ())):
         # an integral coefficient is an int, never a Fraction
         assert all(type(c) is int
                    or type(c) is Fraction and c.denominator != 1
@@ -620,6 +636,55 @@ def test_integer_coefficients_stay_int(pair):
 ])
 def test_monomial_cancellation_matches_reference(a, b):
     _check_against_reference(parse_scalar(a, F_TL), parse_scalar(b, F_TL))
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent(F_TL, _RATIONAL_COEF),
+       rational(F_TL).filter(lambda s: len(s.den) > 1))
+@example(parse_scalar("t^2 + t", F_TL), parse_scalar("1/(t^3 + t^2)", F_TL))
+@example(parse_scalar("1/t", F_TL), parse_scalar("t/(t + 1)", F_TL))
+def test_laurent_and_nonmonomial_operands_match_reference(a, b):
+    # one operand of each form, in both orders; the first example leaves
+    # a monomial denominator, the second a Laurent numerator to cancel
+    _check_against_reference(a, b)
+    _check_against_reference(b, a)
+
+
+@pytest.mark.parametrize("text,other", [
+    ("(t^2 + t)/t^3", "1/t + 1/t^2"),
+    ("t * t^-1", "1"),
+    ("(t^2 + t)/(t + 1)", "t"),
+    ("(3*t^2/lambda)^-1", "lambda/(3*t^2)"),
+    ("((t + lambda)/t)^-1", "t/(t + lambda)"),
+])
+def test_one_value_by_different_paths_has_one_form(text, other):
+    apart = ScalarField(("t", "lambda"))  # equal to F_TL, built apart
+    for field in (F_TL, apart):
+        a, b = parse_scalar(text, field), parse_scalar(other, field)
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert render(a) == render(b)
+        assert (a.laurent, a.num, a.den) == (b.laurent, b.num, b.den)
+    assert parse_scalar(text, F_TL) == parse_scalar(other, apart)
+
+
+def test_laurent_form_and_its_pair():
+    s = parse_scalar("(t^2 + 2*lambda)/(t^3*lambda)", F_TL)
+    assert s.laurent == {(-1, -1): 1, (-3, 0): 2}
+    assert s.num == {(2, 0): 1, (0, 1): 2}
+    assert s.den == {(3, 1): 1}
+    assert parse_scalar("1/(t + 1)", F_TL).laurent is None
+    assert F_TL.zero.laurent == {} and not F_TL.zero
+    assert Scalar(F_TL, s.num, s.den) == s
+
+
+def test_exponents_have_no_range_limit():
+    t = F_TL.var("t")
+    big, small = t ** (2 ** 40), t ** -(2 ** 40)
+    assert big.laurent == {(2 ** 40, 0): 1}
+    assert big * small == 1 and small * big == F_TL.one
+    assert big.inverse() == small
+    assert render(small) == f"1/t^{2 ** 40}"
 
 
 def test_one_operand_returns_the_other():

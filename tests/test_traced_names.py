@@ -62,3 +62,32 @@ def test_traced_key_names_a_wrapped_function(key):
         obj = vars(obj)[attr]
     assert vars(module)[path[0]].__module__ == module.__name__
     assert TRACE["_wrappable"](path[-1], obj), key
+
+
+def test_tracer_classifies_scalar_operands():
+    """The tracer's Scalar counts read num, den and field._one_poly of
+    each operand and result; these counts pin that reading."""
+    from homq.scalars import ScalarField, parse_scalar
+
+    field = ScalarField(("t", "lambda"))
+    laurent = parse_scalar("(t + 1)/t", field)
+    polynomial = parse_scalar("t^2 + lambda", field)
+    rational = parse_scalar("1/(t + lambda)", field)
+    zero = field.zero
+    tracer = TRACE["Tracer"]()
+    mul, add = tracer._classifier("__mul__"), tracer._classifier("__add__")
+    # mul.laurent: the first and the sixth pair; mul.zero_operand: the
+    # fourth and the fifth; nonmonomial_den: the third and the last
+    for a, b in [(laurent, polynomial), (polynomial, polynomial),
+                 (laurent, rational), (zero, laurent), (laurent, 0),
+                 (laurent, 2), (polynomial, 2), (rational, laurent)]:
+        mul((a, b), a * b)
+    # add.den_nontrivial: the first, the fourth and the last pair (whose
+    # sum is zero); nonmonomial_den: the fourth
+    for a, b in [(laurent, polynomial), (polynomial, polynomial),
+                 (laurent, zero), (rational, polynomial), (laurent, 3),
+                 (rational, -rational)]:
+        add((a, b), a + b)
+    assert dict(tracer.scalar) == {
+        "mul.calls": 8, "mul.laurent": 2, "mul.zero_operand": 2,
+        "add.calls": 6, "add.den_nontrivial": 3, "nonmonomial_den": 3}
