@@ -1,11 +1,12 @@
 """The cobraiding bilinear form on a presented Hom-bialgebra.
 
-The form is stored on generator pairs plus unit columns and extended to
-arbitrary elements by recursion: peel a generator off one slot and
-comultiply the other.  On top of the evaluator sit the cobraided axiom
-suite, the two scalar Yang-Baxter identities it implies, the
-alpha-invariance check, and the power twist that composes the stored
-form with iterates of the structure map.
+The form is stored as one table on pairs of words of length at most
+one (generator pairs and the unit columns) and extended to all words by
+one recursion: peel a generator off one slot and comultiply the other.
+On top of the evaluator sit the cobraided axiom suite, the two scalar
+Yang-Baxter identities it implies, the alpha-invariance check, and the
+power twist that composes the stored form with iterates of the
+structure map.
 """
 
 from functools import cache, lru_cache
@@ -33,96 +34,69 @@ class InjectivityError(Exception):
 
 
 class CobraidingForm:
-    """Bilinear form data on generator pairs.
+    """Bilinear form data on pairs of words of length at most one.
 
-    gen_table must list every pair the form is defined on, zeros
-    included; a lookup outside the table is a configuration error, not
-    an implicit zero.  unit_left holds values against the unit in the
-    first slot, unit_right in the second.  Generators present in both
-    unit maps form the covered set; verification ranges over monomials
-    in covered generators only.
+    table holds the generator pairs of gen_table, the unit columns
+    ((), (j,)) of unit_left and ((i,), ()) of unit_right, and ((), ())
+    from unit_unit.  gen_table must list every pair the form is defined
+    on, zeros included; a lookup outside the table is a configuration
+    error, not an implicit zero.  Generators present in both unit
+    columns form the covered set; verification ranges over monomials in
+    covered generators only.
 
-    The form is total when every generator is covered and every ordered
-    generator pair is in gen_table.  A total form has a value on every
-    pair of words, so the recursion skips a term as soon as one factor
-    is zero.  A partial form evaluates every factor, so a missing value
-    still raises CobraidingError wherever the recursion reaches it.
+    The form is total when table holds every such pair.  A total form
+    has a value on every pair of words, so the recursion skips a term as
+    soon as one factor is zero.  A partial form evaluates every factor,
+    so a missing value still raises CobraidingError wherever the
+    recursion reaches it.
     """
 
     def __init__(self, pres, gen_table, unit_left, unit_right, unit_unit=1):
         self.pres = pres
 
-        def gen_index(spec):
+        def gen_word(spec):
             w = pres.word(spec)
             if len(w) != 1:
                 raise PresentationError(f"{spec!r} is not a generator")
-            return w[0]
+            return w
 
         def gen_pair(spec):
             l, r = spec
-            return gen_index(l), gen_index(r)
+            return gen_word(l), gen_word(r)
 
-        def read(table, what, key):
-            out = {}
-            for spec, val in table.items():
+        self.table = table = {}
+        for what, rows, key in (
+                ("gen_table", gen_table, gen_pair),
+                ("unit_left", unit_left, lambda spec: ((), gen_word(spec))),
+                ("unit_right", unit_right, lambda spec: (gen_word(spec), ()))):
+            for spec, val in rows.items():
                 k = key(spec)
-                if k in out:
+                if k in table:
                     raise PresentationError(
                         f"{what} key {spec!r} repeats an earlier key")
-                out[k] = pres.coef(val)
-            return out
-
-        self.gen_table = read(gen_table, "gen_table", gen_pair)
-        self.unit_left = read(unit_left, "unit_left", gen_index)
-        self.unit_right = read(unit_right, "unit_right", gen_index)
-        self.unit_unit = pres.coef(unit_unit)
-        self.covered = frozenset(i for i in self.unit_left
-                                 if i in self.unit_right)
-        for (i, j) in self.gen_table:
-            if i not in self.covered or j not in self.covered:
-                bad = pres.generators[j if i in self.covered else i]
+                table[k] = pres.coef(val)
+        table[(), ()] = pres.coef(unit_unit)
+        cov = self.covered = frozenset(n[0] for m, n in table
+                                       if not m and n and (n, ()) in table)
+        for m, n in table:
+            if m and n and not (m[0] in cov and n[0] in cov):
+                bad = pres.generators[n[0] if m[0] in cov else m[0]]
                 raise PresentationError(
                     f"gen_table mentions {bad} but the unit tables do not "
                     "cover it")
-        n = len(pres.generators)
-        self.total = self.covers_all() and all(
-            (i, j) in self.gen_table for i in range(n) for j in range(n))
-
-    def covers_all(self):
-        return len(self.covered) == len(self.pres.generators)
-
-    def value(self, i, j):
-        v = self.gen_table.get((i, j))
-        if v is None:
-            g = self.pres.generators
-            raise CobraidingError(
-                f"no configured value for the pair ({g[i]}, {g[j]})")
-        return v
-
-    def unit_value_left(self, j):
-        v = self.unit_left.get(j)
-        if v is None:
-            raise CobraidingError(
-                f"no configured value for the pair (1, {self.pres.generators[j]})")
-        return v
-
-    def unit_value_right(self, i):
-        v = self.unit_right.get(i)
-        if v is None:
-            raise CobraidingError(
-                f"no configured value for the pair ({self.pres.generators[i]}, 1)")
-        return v
+        self.total = len(table) == (len(pres.generators) + 1) ** 2
 
     def to_json(self):
         gens = self.pres.generators
-        rows = [{"left": gens[i], "right": gens[j], "value": render(v)}
-                for (i, j), v in sorted(self.gen_table.items())]
-        return {"gen_table": rows,
-                "unit_left": {gens[j]: render(v)
-                              for j, v in sorted(self.unit_left.items())},
-                "unit_right": {gens[i]: render(v)
-                               for i, v in sorted(self.unit_right.items())},
-                "unit_unit": render(self.unit_unit)}
+        items = sorted(self.table.items())
+        return {"gen_table": [{"left": gens[m[0]], "right": gens[n[0]],
+                               "value": render(v)}
+                              for (m, n), v in items if m and n],
+                "unit_left": {gens[n[0]]: render(v)
+                              for (m, n), v in items if n and not m},
+                "unit_right": {gens[m[0]]: render(v)
+                               for (m, n), v in items if m and not n},
+                "unit_unit": render(self.table[(), ()])}
 
     @classmethod
     def from_json(cls, data, pres):
@@ -136,12 +110,13 @@ class CobraidingForm:
 class CobraidedHomBialgebra:
     """A Hom-bialgebra together with a cobraiding form.
 
-    The form tables are always the untwisted ones; alpha_power records
-    how many times the structure map is applied to both slots before
-    the tables are consulted (the power-twisted family keeps H fixed
-    and replaces the form by its composite with alpha^n).  The memos of
-    the form's extension live here, because the extension goes through
-    this host's comultiplication.
+    The form table is always the untwisted one; alpha_power records how
+    many times the structure map is applied to both slots before the
+    table is consulted (the power-twisted family keeps H fixed and
+    replaces the form by its composite with alpha^n).  The memos of the
+    form's extension live here, the word memo seeded with a copy of the
+    table, because the extension goes through this host's
+    comultiplication.
     """
 
     def __init__(self, H, form, alpha_power=0, name=""):
@@ -156,8 +131,7 @@ class CobraidedHomBialgebra:
         self.alpha_power = alpha_power
         self.name = name or H.name
         self._value_cache = {}
-        self._word_cache = {}
-        self._alt_cache = {}
+        self._word_cache = dict(form.table)
 
     def word_pair_value(self, m, n):
         """Instance form on two monomial words (power twist applied)."""
@@ -188,66 +162,51 @@ class CobraidedHomBialgebra:
         return f"<CobraidedHomBialgebra {self.name or 'instance'}{extra}>"
 
 
-def word_value(C, m, n, second_slot_first=False):
+def word_value(C, m, n):
     """Stored (untwisted) form on two monomial words.
 
-    The recursion peels the leading generator off the first slot and
-    comultiplies the second; with second_slot_first it does the mirror
-    image whenever both slots are composite.  The two orders agree on
-    well-formed instances, which is itself a certified property.  The
-    coproduct sums run over the non-zero values: on a total form a term
-    is dropped once one factor is zero, without evaluating the other.
+    The host's memo starts as a copy of the form's table, so a pair of
+    words of length at most one is a hit or a CobraidingError.  Any
+    other pair is a sum over a coproduct, the unit's being 1 (x) 1: the
+    recursion peels the leading generator off a longer first slot and
+    comultiplies the second, else comultiplies the first slot against
+    the second slot's leading generator.  On a total form a term is
+    dropped once one factor is zero, without evaluating the other.
     """
-    memo = C._alt_cache if second_slot_first else C._word_cache
-    return _eval(C, m, n, second_slot_first, memo)
+    return _eval(C, m, n)
 
 
-def _eval(C, m, n, second_first, memo):
+def _eval(C, m, n):
+    memo = C._word_cache
     key = (m, n)
     hit = memo.get(key)
     if hit is not None:
         return hit
     H = C.H
-    form = C.form
-    field = H.pres.field
-    if not m and not n:
-        val = form.unit_unit
-    elif not m:
-        h, rest = n[0], n[1:]
-        if not rest:
-            val = form.unit_value_left(h)
-        else:
-            val = (_eval(C, (), rest, second_first, memo)
-                   * _eval(C, (), (h,), second_first, memo))
-    elif not n:
-        g, rest = m[0], m[1:]
-        if not rest:
-            val = form.unit_value_right(g)
-        else:
-            val = (_eval(C, (g,), (), second_first, memo)
-                   * _eval(C, rest, (), second_first, memo))
-    elif len(m) == 1 and len(n) == 1:
-        val = form.value(m[0], n[0])
-    elif len(m) == 1 or (second_first and len(n) > 1):
+    if len(m) <= 1 and len(n) <= 1:
+        text = H.pres.word_text
+        raise CobraidingError(
+            f"no configured value for the pair ({text(m)}, {text(n)})")
+    total = C.form.total
+    val = H.pres.field.zero
+    if len(m) <= 1:
         # comultiply the first slot against the second slot's leading
         # generator: R(x, hz) = sum R(x1, z) R(x2, h)
-        h, z = n[0], n[1:]
-        val = field.zero
+        h, z = n[:1], n[1:]
         for (w1, w2), c in H.untwisted_delta_word(m).terms.items():
-            a = _eval(C, w1, z, second_first, memo)
-            if a or not form.total:
-                b = _eval(C, w2, (h,), second_first, memo)
+            a = _eval(C, w1, z)
+            if a or not total:
+                b = _eval(C, w2, h)
                 if a and b:
                     val = val + c * (a * b)
     else:
         # peel the first slot's leading generator, comultiply the
         # second slot: R(g m', n) = sum R(g, n1) R(m', n2)
-        g, rest = m[0], m[1:]
-        val = field.zero
+        g, rest = m[:1], m[1:]
         for (w1, w2), c in H.untwisted_delta_word(n).terms.items():
-            a = _eval(C, (g,), w1, second_first, memo)
-            if a or not form.total:
-                b = _eval(C, rest, w2, second_first, memo)
+            a = _eval(C, g, w1)
+            if a or not total:
+                b = _eval(C, rest, w2)
                 if a and b:
                     val = val + c * (a * b)
     memo[key] = val

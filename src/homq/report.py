@@ -63,13 +63,6 @@ class Report:
             out["title"] = self.title
         return out
 
-    def lines(self):
-        out = []
-        for c in self._sorted():
-            deg = f" @deg {c.degree}" if c.degree is not None else ""
-            out.append(f"[{c.status.upper():4s}] {c.name}{deg}")
-        return out
-
     def __repr__(self):
         n = len(self.checks)
         bad = len(self.failures())

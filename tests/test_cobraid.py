@@ -109,8 +109,7 @@ def test_recursion_order_coherence():
     basis = P.graded_basis(3)
     for m in basis:
         for n in basis:
-            assert word_value(C, m, n) == word_value(C, m, n,
-                                                     second_slot_first=True)
+            assert word_value(C, m, n) == reference_eval(C, m, n, True, {})
 
 
 # axiom suites -----------------------------------------------------------------
@@ -194,6 +193,49 @@ def test_gen_table_outside_units_rejected():
         CobraidingForm(P, {("d", "d"): 1}, units, dict(units))
 
 
+@pytest.mark.parametrize("pair", [("d", "d"), ("a", "d"), ("d", "a")])
+def test_gen_table_outside_units_message(pair):
+    P = qm2_presentation(F)
+    units = {"a": 1, "b": 0, "c": 0}
+    with pytest.raises(PresentationError) as exc:
+        CobraidingForm(P, {("a", "a"): 1, pair: 1}, units, dict(units))
+    assert str(exc.value) == \
+        "gen_table mentions d but the unit tables do not cover it"
+
+
+def test_one_sided_unit_column_is_accepted_and_uncovered():
+    # b has a value against the unit in the first slot only
+    P = qm2_presentation(F)
+    form = CobraidingForm(P, {("a", "a"): 1}, {"a": 1, "b": 0}, {"a": 1})
+    assert form.covered == {P.word("a")[0]}
+    assert not form.total
+
+
+def _qm2_tables():
+    return {"gen_table": {(l, r): R_NONZERO.get((l, r), 0)
+                          for l in "abcd" for r in "abcd"},
+            "unit_left": dict(UNIT_ROW), "unit_right": dict(UNIT_ROW)}
+
+
+@pytest.mark.parametrize("table", ["gen_table", "unit_left", "unit_right"])
+def test_one_missing_entry_makes_the_form_partial(table):
+    P = qm2_presentation(F)
+    tables = _qm2_tables()
+    assert CobraidingForm(P, **tables).total
+    if table == "gen_table":
+        del tables["gen_table"]["b", "c"]
+    else:
+        # without d's unit value the form refuses the pairs mentioning d
+        del tables[table]["d"]
+        with pytest.raises(PresentationError, match="mentions d"):
+            CobraidingForm(P, **tables)
+        tables["gen_table"] = {k: v for k, v in tables["gen_table"].items()
+                               if "d" not in k}
+    form = CobraidingForm(P, **tables)
+    assert not form.total
+    assert len(form.covered) == (4 if table == "gen_table" else 3)
+
+
 @pytest.mark.parametrize("extra, units, message", [
     ({((0,), (0,)): 7}, {}, r"gen_table key \(\(0,\), \(0,\)\) repeats"),
     ({}, {(0,): 3}, r"unit_left key \(0,\) repeats"),
@@ -221,8 +263,54 @@ def test_form_json_round_trip():
     data = C.form.to_json()
     back = CobraidingForm.from_json(data, C.H.pres)
     assert back.to_json() == data
-    assert back.gen_table == C.form.gen_table
-    assert back.unit_unit == F.one
+    assert back.table == C.form.table
+    assert back.table[(), ()] == F.one
+
+
+def test_unit_unit_is_the_value_on_the_unit_pair():
+    P = qm2_presentation(F)
+    form = CobraidingForm(P, _qm2_tables()["gen_table"], dict(UNIT_ROW),
+                          dict(UNIT_ROW), unit_unit="q")
+    C = CobraidedHomBialgebra(HomBialgebra(P, DELTA, name="qm2"), form)
+    assert eval_R(C, P.unit(1), P.unit(1)) == F.parse("q")
+    data = form.to_json()
+    assert data["unit_unit"] == "t^2"
+    assert CobraidingForm.from_json(data, P).to_json() == data
+
+
+QM2_FORM_JSON = (
+    '{"gen_table": ['
+    '{"left": "a", "right": "a", "value": "t"}, '
+    '{"left": "a", "right": "b", "value": "0"}, '
+    '{"left": "a", "right": "c", "value": "0"}, '
+    '{"left": "a", "right": "d", "value": "1/t"}, '
+    '{"left": "b", "right": "a", "value": "0"}, '
+    '{"left": "b", "right": "b", "value": "0"}, '
+    '{"left": "b", "right": "c", "value": "(t^4 - 1)/t^3"}, '
+    '{"left": "b", "right": "d", "value": "0"}, '
+    '{"left": "c", "right": "a", "value": "0"}, '
+    '{"left": "c", "right": "b", "value": "0"}, '
+    '{"left": "c", "right": "c", "value": "0"}, '
+    '{"left": "c", "right": "d", "value": "0"}, '
+    '{"left": "d", "right": "a", "value": "1/t"}, '
+    '{"left": "d", "right": "b", "value": "0"}, '
+    '{"left": "d", "right": "c", "value": "0"}, '
+    '{"left": "d", "right": "d", "value": "t"}], '
+    '"unit_left": {"a": "1", "b": "0", "c": "0", "d": "1"}, '
+    '"unit_right": {"a": "1", "b": "0", "c": "0", "d": "1"}, '
+    '"unit_unit": "1"}')
+
+Z5_FORM_JSON = (
+    '{"gen_table": [{"left": "g", "right": "g", "value": "zeta"}], '
+    '"unit_left": {"g": "1"}, "unit_right": {"g": "1"}, "unit_unit": "1"}')
+
+
+@pytest.mark.parametrize("build, text", [
+    pytest.param(lambda: plain_instance().form, QM2_FORM_JSON, id="qm2"),
+    pytest.param(lambda: zn_instance().form, Z5_FORM_JSON, id="z5"),
+])
+def test_form_json_text(build, text):
+    assert json.dumps(build().to_json()) == text
 
 
 def test_form_json_refuses_a_repeated_pair():
@@ -364,26 +452,19 @@ def reference_eval(C, m, n, second_first, memo):
     if hit is not None:
         return hit
     H = C.H
-    form = C.form
     field = H.pres.field
-    if not m and not n:
-        val = form.unit_unit
+    if len(m) <= 1 and len(n) <= 1:
+        val = C.form.table.get(key)
+        if val is None:
+            text = H.pres.word_text
+            raise CobraidingError(
+                f"no configured value for the pair ({text(m)}, {text(n)})")
     elif not m:
-        h, rest = n[0], n[1:]
-        if not rest:
-            val = form.unit_value_left(h)
-        else:
-            val = (reference_eval(C, (), rest, second_first, memo)
-                   * reference_eval(C, (), (h,), second_first, memo))
+        val = (reference_eval(C, (), n[1:], second_first, memo)
+               * reference_eval(C, (), n[:1], second_first, memo))
     elif not n:
-        g, rest = m[0], m[1:]
-        if not rest:
-            val = form.unit_value_right(g)
-        else:
-            val = (reference_eval(C, (g,), (), second_first, memo)
-                   * reference_eval(C, rest, (), second_first, memo))
-    elif len(m) == 1 and len(n) == 1:
-        val = form.value(m[0], n[0])
+        val = (reference_eval(C, m[:1], (), second_first, memo)
+               * reference_eval(C, m[1:], (), second_first, memo))
     elif len(m) == 1 or (second_first and len(n) > 1):
         # comultiply the first slot against the second slot's leading
         # generator: R(x, hz) = sum R(x1, z) R(x2, h)
@@ -438,7 +519,7 @@ def test_sparse_recursion_matches_dense_reference(name):
         memo = {}
         for m in basis:
             for n in basis:
-                assert word_value(C, m, n, second_first) == \
+                assert word_value(C, m, n) == \
                     reference_eval(C, m, n, second_first, memo)
     if C.alpha_power:
         memo = {}
@@ -477,12 +558,13 @@ def _uncovered_d_instance():
 
 
 @pytest.mark.parametrize("name", sorted(PARTIAL_FORMS))
-@pytest.mark.parametrize("second_first", [False, True])
+@pytest.mark.parametrize("second_first", [False])
 def test_partial_form_raises_where_the_dense_recursion_raises(name,
                                                               second_first):
+    # word_value refuses where the dense recursion in its own order does
     build, count = PARTIAL_FORMS[name]
     assert not build().form.total
-    got = _refusals(build, lambda C, m, n: word_value(C, m, n, second_first))
+    got = _refusals(build, word_value)
     want = _refusals(build, lambda C, m, n: reference_eval(C, m, n,
                                                            second_first, {}))
     assert got == want
