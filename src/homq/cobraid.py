@@ -148,7 +148,7 @@ class CobraidedHomBialgebra:
                 u = H.alpha_poly(u)
                 v = H.alpha_poly(v)
             hit = self._value_cache[key] = _bilinear(
-                u, v, lambda wm, wn: word_value(self, wm, wn))
+                pres, u, v, lambda wm, wn: word_value(self, wm, wn))
         return hit
 
     def to_json(self):
@@ -214,21 +214,23 @@ def _eval(C, m, n):
 
 
 def eval_R(C, u, v):
-    """Instance form on two elements, extended bilinearly."""
+    """Instance form on two elements of the host, extended bilinearly."""
     pres = C.H.pres
     if not isinstance(u, NCPoly):
         u = pres.poly(u)
     if not isinstance(v, NCPoly):
         v = pres.poly(v)
-    return _bilinear(u, v, C.word_pair_value)
+    return _bilinear(pres, u, v, C.word_pair_value)
 
 
-def _bilinear(u, v, value):
-    """The sum of cu cv value(wu, wv) over the terms of u and v; a term
-    whose value is zero is dropped before any multiplication."""
-    total = u.pres.field.zero
-    for wm, cm in u.terms.items():
-        for wn, cn in v.terms.items():
+def _bilinear(pres, u, v, value):
+    """The sum of cu cv value(wu, wv) over the terms of u and v, two
+    elements of pres; a term whose value is zero is dropped before any
+    multiplication."""
+    total = pres.field.zero
+    v_terms = pres.terms_of(v)
+    for wm, cm in pres.terms_of(u):
+        for wn, cn in v_terms:
             r = value(wm, wn)
             if r:
                 total = total + (cm * cn) * r
@@ -443,17 +445,16 @@ def check_alpha_invariance(C, degree):
     return rep
 
 
-def alpha_kernel_witness(H, degree=None):
-    """Search the graded pieces up to `degree` (default: the
-    presentation's max degree) for a nonzero element killed by the
-    structure map.  Returns None when every piece has trivial kernel."""
+def alpha_kernel_witness(H):
+    """Search the graded pieces up to the presentation's max degree for
+    a nonzero element killed by the structure map: the first kernel
+    vector of the lowest degree that has one.  Returns None when every
+    piece has trivial kernel."""
     pres = H.pres
     field = pres.field
-    if degree is None:
-        degree = pres.max_degree
     if H.alpha_is_identity:
         return None
-    for d in range(1, degree + 1):
+    for d in range(1, pres.max_degree + 1):
         words = pres.basis_level(d)
         if not words:
             break
@@ -465,13 +466,11 @@ def alpha_kernel_witness(H, degree=None):
         for col, p in enumerate(images):
             for m, c in p.terms.items():
                 rows[row_of[m]][col] = c
-        for vec in kernel_basis(rows, len(words), field):
-            elt = pres.zero_poly()
-            for c, w in zip(vec, words):
-                if not c.is_zero():
-                    elt = elt + NCPoly(pres, {w: c}, _trusted=True)
-            if not elt.is_zero():
-                return {"degree": d, "element": elt.render()}
+        kernel = kernel_basis(rows, len(words), field)
+        if kernel:
+            elt = NCPoly(pres, {w: c for c, w in zip(kernel[0], words)
+                                if not c.is_zero()}, _trusted=True)
+            return {"degree": d, "element": elt.render()}
     return None
 
 

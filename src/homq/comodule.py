@@ -137,17 +137,18 @@ class ComoduleAlgebra:
     """Comodule whose carrier is a presented algebra.
 
     The stored rho table gives the untwisted coaction on carrier
-    generators and is extended multiplicatively.  A twisted instance
-    reads its coaction as the stored table composed with the carrier
-    twisting map and multiplies through that map on both slots.
+    generators and is extended multiplicatively.  The instance is
+    twisted exactly when its host is, since a comodule Hom-algebra is
+    twisted together with its host.  A twisted instance reads its
+    coaction as the stored table composed with the carrier twisting map
+    and multiplies through that map on both slots.
     """
 
-    def __init__(self, host, carrier, rho_table, alpha_table=None,
-                 twisted=False, name=""):
+    def __init__(self, host, carrier, rho_table, alpha_table=None, name=""):
         self.host = host
         self.hom = host_hom(host)
         self.carrier = carrier
-        self.twisted = bool(twisted)
+        self.twisted = self.hom.twisted
         self.name = name
         hpres = self.hom.pres
         if carrier.field is not hpres.field:
@@ -179,7 +180,7 @@ class ComoduleAlgebra:
         return hit
 
     def alpha_poly(self, p):
-        return linear_image(p.terms.items(), self.alpha_word,
+        return linear_image(self.carrier.terms_of(p), self.alpha_word,
                             self.carrier.zero_poly())
 
     def product(self, u, v):
@@ -198,7 +199,8 @@ class ComoduleAlgebra:
         return hit
 
     def base_rho(self, p):
-        return linear_image(p.terms.items(), self.base_rho_word, self._zero)
+        return linear_image(self.carrier.terms_of(p), self.base_rho_word,
+                            self._zero)
 
     def rho_word(self, w):
         """The instance coaction: the stored table composed with the
@@ -211,7 +213,8 @@ class ComoduleAlgebra:
         return hit
 
     def rho(self, p):
-        return linear_image(p.terms.items(), self.rho_word, self._zero)
+        return linear_image(self.carrier.terms_of(p), self.rho_word,
+                            self._zero)
 
     def pair_product(self, t1, t2):
         """Slotwise product with the instance multiplications, each read
@@ -391,16 +394,10 @@ def _apply(front, entries, alpha, state):
     legs 1,2."""
     out = {}
     for (p, q, r), c in state.items():
-        img = entries.get((p, q) if front else (q, r))
-        if not img:
-            continue
-        arow = alpha.get(r if front else p)
-        if not arow:
-            continue
-        for (k, l), c1 in img.items():
-            base = c * c1
-            for m, c2 in arow.items():
-                _bump(out, (k, l, m) if front else (m, k, l), base * c2)
+        pair, leg = ((p, q), r) if front else ((q, r), p)
+        for (kl, m), d in _expand(c, [entries.get(pair, {}).items(),
+                                      alpha.get(leg, {}).items()]):
+            _bump(out, (*kl, m) if front else (m, *kl), d)
     return out
 
 
@@ -469,14 +466,14 @@ def verify_hybe(B):
     return rep
 
 
-def verify_mixed_hybe(U, V, W, invariance_degree=2):
+def verify_mixed_hybe(U, V, W):
     """Check the heterogeneous braid identity for three comodules over
     one cobraided host whose form must be invariant under the structure
-    map (spot-checked up to invariance_degree before anything runs)."""
+    map (spot-checked up to degree 2 before anything runs)."""
     if U.host is not V.host or V.host is not W.host:
         raise ComoduleError("comodules live over different hosts")
     C = _require_cobraided(U, V)
-    inv = check_alpha_invariance(C, invariance_degree)
+    inv = check_alpha_invariance(C, 2)
     if not inv.passed:
         raise ComoduleError(
             "the host form is not invariant under the structure map, "
@@ -506,9 +503,8 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
     alpha_h must be a bialgebra morphism on the host, alpha_a an algebra
     morphism on the carrier, and the coaction must intertwine the two on
     carrier generators; each hypothesis is checked and a failure raises
-    with the offending generator or rule."""
-    if A.twisted:
-        raise PresentationError("twist requires an untwisted base")
+    with the offending generator or rule; a twisted base is refused by
+    twist_hom_bialgebra."""
     H = A.hom
     hpres = H.pres
     carrier = A.carrier
@@ -546,7 +542,7 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
                                      name=A.host.name)
     else:
         host = twisted_h
-    return ComoduleAlgebra(host, carrier, A.rho_gen, a_images, twisted=True,
+    return ComoduleAlgebra(host, carrier, A.rho_gen, a_images,
                            name=name or (A.name and A.name + "_twisted"))
 
 
@@ -579,7 +575,7 @@ def verify_comodule_hom_algebra(M, degree):
 PLANE_KINDS = ("standard", "fermionic")
 
 
-def plane_presentation(field, kind, max_degree=4, name=""):
+def plane_presentation(field, kind):
     """The two quantum planes on x and y: the standard one, commuting
     up to q, and the fully nilpotent fermionic one."""
     if kind == "standard":
@@ -588,8 +584,7 @@ def plane_presentation(field, kind, max_degree=4, name=""):
         rules = [("yx", {"xy": "-q^-1"}), ("xx", {}), ("yy", {})]
     else:
         raise ComoduleError(f"unknown plane kind {kind!r}")
-    return Presentation("xy", rules, field, max_degree=max_degree,
-                        name=name or f"{kind}_plane")
+    return Presentation("xy", rules, field, name=f"{kind}_plane")
 
 
 def _carrier_scalars(carrier, twisted, xi, lam):
@@ -622,7 +617,6 @@ def plane_comodule_algebra(host, kind, xi=None, lam=None, name=""):
                  "y": {("c", "x"): 1, ("d", "y"): 1}}
     alpha_table = {"x": {"x": xi}, "y": {"y": lam.inverse() * xi}}
     return ComoduleAlgebra(host, carrier, rho_table, alpha_table,
-                           twisted=H.twisted,
                            name=name or f"{kind}_plane_coaction")
 
 

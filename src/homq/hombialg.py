@@ -63,7 +63,7 @@ class HomBialgebra:
         return hit
 
     def alpha_poly(self, p):
-        return linear_image(p.terms.items(), self.alpha_word,
+        return linear_image(self.pres.terms_of(p), self.alpha_word,
                             self.pres.zero_poly())
 
     def alpha_tensor(self, t):
@@ -93,7 +93,7 @@ class HomBialgebra:
         return hit
 
     def untwisted_delta(self, p):
-        return linear_image(p.terms.items(), self.untwisted_delta_word,
+        return linear_image(self.pres.terms_of(p), self.untwisted_delta_word,
                             self.pres.unit_tensor(2, 0))
 
     def delta(self, p):
@@ -144,14 +144,6 @@ class HomBialgebra:
     def __repr__(self):
         kind = "twisted" if self.twisted else "plain"
         return f"<HomBialgebra {self.name or 'instance'} ({kind})>"
-
-
-def delta(H, p):
-    return H.delta(p)
-
-
-def apply_alpha(H, p):
-    return H.alpha_poly(p)
 
 
 def _product_table(pres, product):

@@ -207,6 +207,14 @@ class Presentation:
     def zero_poly(self):
         return NCPoly(self, {}, _trusted=True)
 
+    def terms_of(self, p):
+        """The (word, coefficient) pairs of p, which must be an element of
+        this presentation: a word of another one indexes other
+        generators."""
+        if p.pres is not self:
+            raise PresentationError("element of a different presentation")
+        return p.terms.items()
+
     def poly(self, terms):
         return NCPoly(self, self._raw_poly(terms))
 
@@ -627,26 +635,6 @@ class TensorElement:
         return f"TensorElement({self.render()})"
 
 
-# functional entry points kept for symmetry with the other modules
-
-def normal_form(p, pres=None):
-    if isinstance(p, NCPoly):
-        return p
-    return NCPoly(pres, p)
-
-
-def multiply(p, r, pres=None):
-    return p * r
-
-
-def check_local_confluence(pres, degree):
-    return pres.check_local_confluence(degree)
-
-
-def graded_basis(pres, degree):
-    return pres.graded_basis(degree)
-
-
 def generator_table(pres, table, what, convert=None):
     """The images of the generators, in generator order, under a table
     keyed by generator (a list or tuple is read in generator order).
@@ -696,8 +684,3 @@ def linear_image(terms, image, zero):
     for w, c in terms:
         total = total + image(w).scale(c)
     return total
-
-
-def poly_image(p, images, unit):
-    return linear_image(p.terms.items(),
-                        lambda w: word_image(w, images, unit), unit.scale(0))

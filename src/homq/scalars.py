@@ -811,9 +811,6 @@ class Scalar:
     def render(self):
         return render(self)
 
-    def specialize(self, assignment, target_field=None):
-        return specialize(self, assignment, target_field)
-
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -959,11 +956,6 @@ class _Parser:
 
 def parse_scalar(text, field):
     return _Parser(text, field).parse()
-
-
-def canonicalize(s):
-    """Scalars are canonical by construction; exposed for contract symmetry."""
-    return s
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,16 @@ def test_injectivity_witness():
         twist_R_power(C, 1)
 
 
+def test_injectivity_witness_is_the_first_kernel_vector():
+    # alpha(x) = alpha(y) = x kills y - x; the witness is that vector,
+    # not the sum of the kernel basis
+    P = Presentation("xy", [], ScalarField(("t",)), max_degree=3)
+    H = HomBialgebra(P, {"x": {("x", "x"): 1}, "y": {("y", "y"): 1}},
+                     {"x": {"x": 1}, "y": {"x": 1}}, twisted=True)
+    assert alpha_kernel_witness(H) == {"degree": 1,
+                                       "element": "(-1)*x + (1)*y"}
+
+
 # the integers as a group -------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ from homq.ncpoly import (NCPoly, Presentation, PresentationError,
                          TensorElement, _bump, word_key)
 from homq.hombialg import (HomBialgebra, MorphismError, _product_table,
                            pairwise_product, twist_hom_bialgebra)
-from homq.cobraid import CobraidedHomBialgebra
+from homq.cobraid import CobraidedHomBialgebra, eval_R
 from homq.comodule import (Comodule, ComoduleAlgebra, ComoduleError,
                            bvw_operator, b_alpha_operator,
                            closed_form_coaction, plane_comodule_algebra,
@@ -83,7 +83,7 @@ def mixed_plane():
     carrier = Presentation("xy", [("yx", {"xy": "q"}), ("yy", {})], F,
                            max_degree=4, name="mixed_plane")
     return ComoduleAlgebra(host(), carrier, STANDARD_RHO, PLANE_ALPHA,
-                           twisted=True, name="mixed_plane_coaction")
+                           name="mixed_plane_coaction")
 
 
 # Report.to_json() text with timings off, recorded from the per-check
@@ -592,6 +592,20 @@ def test_comodule_algebra_requires_a_shared_field():
                                         "y": {("d", "y"): 1}})
 
 
+@pytest.mark.parametrize("kind", comodule.PLANE_KINDS)
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+def test_plane_is_twisted_exactly_when_its_host_is(kind, twisted):
+    A = plane(kind, twisted)
+    assert A.twisted is A.hom.twisted is twisted
+
+
+def test_twisted_comodule_algebras_have_twisted_hosts():
+    T = twist_comodule_algebra(plane("standard", twisted=False), ALPHA,
+                               PLANE_ALPHA)
+    for A in (T, mixed_plane()):
+        assert A.twisted is A.hom.twisted is True
+
+
 # per-slot tensors against the loops of the two-class design -----------------
 #
 # Before TensorElement carried one presentation per slot, host (x) carrier
@@ -709,3 +723,36 @@ def test_tensors_over_different_slots_do_not_mix():
                 op(other if op.__self__ is t else t)
         with pytest.raises(PresentationError):
             standard.pair_product(t, other)
+
+
+# an element of another presentation ----------------------------------------
+#
+# A word is a tuple of generator indices, so an element of another
+# presentation would be read as some element of the map's own one.  Every
+# public linear map refuses it instead; Q is the standard plane's
+# presentation built anew, so it is foreign to the host and to the carrier.
+
+def _form_with_a(A, first):
+    a = A.hom.pres.gen("a")
+    return lambda p: eval_R(A.host, p, a) if first else eval_R(A.host, a, p)
+
+
+FOREIGN_MAPS = {
+    "host_alpha_poly": lambda A: A.hom.alpha_poly,
+    "host_untwisted_delta": lambda A: A.hom.untwisted_delta,
+    "host_delta": lambda A: A.hom.delta,
+    "eval_R_first_slot": lambda A: _form_with_a(A, True),
+    "eval_R_second_slot": lambda A: _form_with_a(A, False),
+    "carrier_alpha_poly": lambda A: A.alpha_poly,
+    "base_rho": lambda A: A.base_rho,
+    "rho": lambda A: A.rho,
+}
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+@pytest.mark.parametrize("name", sorted(FOREIGN_MAPS))
+def test_linear_maps_refuse_an_element_of_another_presentation(name, twisted):
+    linear_map = FOREIGN_MAPS[name](plane("standard", twisted))
+    Q = Presentation("xy", [("yx", {"xy": "q"})], F)
+    with pytest.raises(PresentationError, match="different presentation"):
+        linear_map(Q.gen("x") + Q.gen("y"))

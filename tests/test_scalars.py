@@ -23,7 +23,6 @@ from homq.scalars import (
     _p_div_exact,
     _p_gcd,
     _p_mul,
-    canonicalize,
     parse_scalar,
     render,
     specialize,
@@ -271,7 +270,6 @@ def test_canonicalize_idempotent_200():
     rng = random.Random(11)
     for _ in range(200):
         s = rnd_scalar(F_TL, rng)
-        assert canonicalize(s) is s
         # canonical forms are stable under arithmetic detours
         assert (s + F_TL.one) - F_TL.one == s
 
