@@ -237,22 +237,25 @@ def _bilinear(pres, u, v, value):
     return total
 
 
-def _eval_word_poly(C, w, p):
-    total = C.H.pres.field.zero
-    for wv, cv in p.terms.items():
-        r = C.word_pair_value(w, wv)
-        if r:
-            total = total + cv * r
-    return total
+def _alpha_slot_forms(C):
+    """The instance form with the structure map in one slot, as two
+    functions of two words, R(alpha w, m) and R(m, alpha w), each
+    memoised for as long as the caller keeps it.  A term whose form
+    value is zero is dropped before it is scaled."""
+    H, R = C.H, C.word_pair_value
+    zero = H.pres.field.zero
 
+    @cache
+    def alpha_first(w, m):
+        return sum((c * r for u, c in H.alpha_word(w).terms.items()
+                    if (r := R(u, m))), zero)
 
-def _eval_poly_word(C, p, w):
-    total = C.H.pres.field.zero
-    for wu, cu in p.terms.items():
-        r = C.word_pair_value(wu, w)
-        if r:
-            total = total + cu * r
-    return total
+    @cache
+    def alpha_second(m, w):
+        return sum((c * r for u, c in H.alpha_word(w).terms.items()
+                    if (r := R(m, u))), zero)
+
+    return alpha_first, alpha_second
 
 
 def covered_basis(C, degree):
@@ -274,60 +277,50 @@ def verify_cobraided(C, degree):
     braided_commutation
         sum y1 x1 R(x2, y2) = sum R(x1, y1) x2 y2
 
-    Both expansions read two memos filled once per call, R(alpha x_i, w)
-    and R(w, alpha x_k) for a basis index and a word w: a product side
-    sums one of them over the terms of a product, a coproduct side sums
-    products of two of them over the legs.  Products of words are read
-    from one table filled on first use.  Every sum runs over the
-    non-zero form values: each value is looked up, so a partial form
-    still raises, and a term with a zero value is dropped before it is
-    multiplied.
+    Both expansions read the two memos of _alpha_slot_forms, R(alpha x, w)
+    and R(w, alpha z) for words x, z and w, filled once per call: a
+    product side sums one of them over the terms of a product, a
+    coproduct side sums products of two of them over the legs.  Products
+    of words are read from one table filled on first use.  Every sum runs
+    over the non-zero form values: each value is looked up, so a partial
+    form still raises, and a term with a zero value is dropped before it
+    is multiplied.
     """
     H = C.H
     pres = H.pres
     zero = pres.field.zero
-    one = pres.field.one
     rep = Report(f"cobraided axioms on {C.name or 'instance'}")
     basis = covered_basis(C, degree)
-    mono = [NCPoly(pres, {w: one}, _trusted=True) for w in basis]
-    names = [pres.word_text(w) for w in basis]
-    alpha_of = [H.alpha_poly(p) for p in mono]
-    delta_of = [list(H.delta(p).terms.items()) for p in mono]
+    names = {w: pres.word_text(w) for w in basis}
+    delta_of = {w: list(H.delta_word(w).terms.items()) for w in basis}
+    alpha_first, alpha_second = _alpha_slot_forms(C)
 
     word_product = _product_table(pres, H.product)
 
-    @cache
-    def alpha_left(i, w):
-        return _eval_poly_word(C, alpha_of[i], w)
-
-    @cache
-    def alpha_right(w, k):
-        return _eval_word_poly(C, w, alpha_of[k])
-
-    def first_expansion(k, i, j):
-        xy = word_product(basis[i], basis[j])
-        left = sum((c * v for w, c in xy if (v := alpha_right(w, k))), zero)
+    def first_expansion(z, x, y):
+        left = sum((c * v for w, c in word_product(x, y)
+                    if (v := alpha_second(w, z))), zero)
         right = zero
-        for (z1, z2), c in delta_of[k]:
-            a, b = alpha_left(i, z1), alpha_left(j, z2)
+        for (z1, z2), c in delta_of[z]:
+            a, b = alpha_first(x, z1), alpha_first(y, z2)
             if a and b:
                 right = right + c * (a * b)
         return left, right
 
-    def second_expansion(i, j, k):
-        yz = word_product(basis[j], basis[k])
-        left = sum((c * v for w, c in yz if (v := alpha_left(i, w))), zero)
+    def second_expansion(x, y, z):
+        left = sum((c * v for w, c in word_product(y, z)
+                    if (v := alpha_first(x, w))), zero)
         right = zero
-        for (x1, x2), c in delta_of[i]:
-            a, b = alpha_right(x1, k), alpha_right(x2, j)
+        for (x1, x2), c in delta_of[x]:
+            a, b = alpha_second(x1, z), alpha_second(x2, y)
             if a and b:
                 right = right + c * (a * b)
         return left, right
 
-    def commutation(i, j):
+    def commutation(x, y):
         left, right = [], []
-        for (x1, x2), cx in delta_of[i]:
-            for (y1, y2), cy in delta_of[j]:
+        for (x1, x2), cx in delta_of[x]:
+            for (y1, y2), cy in delta_of[y]:
                 r_left = C.word_pair_value(x2, y2)
                 r_right = C.word_pair_value(x1, y1)
                 if r_left or r_right:
@@ -339,12 +332,11 @@ def verify_cobraided(C, degree):
         return (_combine(word_product, pres, left),
                 _combine(word_product, pres, right))
 
-    idx = range(len(basis))
-    _scan(rep, "first_slot_product_expansion", [idx] * 3, first_expansion,
+    _scan(rep, "first_slot_product_expansion", [basis] * 3, first_expansion,
           _at(names, "zxy"), degree)
-    _scan(rep, "second_slot_product_expansion", [idx] * 3, second_expansion,
-          _at(names, "xyz"), degree)
-    _scan(rep, "braided_commutation", [idx] * 2, commutation,
+    _scan(rep, "second_slot_product_expansion", [basis] * 3,
+          second_expansion, _at(names, "xyz"), degree)
+    _scan(rep, "braided_commutation", [basis] * 2, commutation,
           _at(names, "xy"), degree)
     return rep
 
@@ -373,21 +365,12 @@ def verify_oqhybe(C, degree):
     H = C.H
     pres = H.pres
     zero = pres.field.zero
-    one = pres.field.one
     rep = Report(f"operator Yang-Baxter identities on {C.name or 'instance'}")
     basis = covered_basis(C, degree)
     names = [pres.word_text(w) for w in basis]
-    delta_of = [list(H.delta(NCPoly(pres, {w: one}, _trusted=True))
-                     .terms.items()) for w in basis]
+    delta_of = [list(H.delta_word(w).terms.items()) for w in basis]
     R = C.word_pair_value
-
-    @cache
-    def R_alpha(m, w):
-        return _eval_word_poly(C, m, H.alpha_word(w))
-
-    @cache
-    def alpha_R(w, m):
-        return _eval_poly_word(C, H.alpha_word(w), m)
+    alpha_first, alpha_second = _alpha_slot_forms(C)
 
     @cache
     def z1_fold(k, g, a):
@@ -423,10 +406,10 @@ def verify_oqhybe(C, degree):
         return sides
 
     idx = [range(len(basis))] * 3
-    _scan(rep, "operator_ybe_first_form", idx, ybe_form(R_alpha, R_alpha, R),
-          _at(names, "xyz"), degree)
-    _scan(rep, "operator_ybe_second_form", idx, ybe_form(R, alpha_R, alpha_R),
-          _at(names, "xyz"), degree)
+    _scan(rep, "operator_ybe_first_form", idx,
+          ybe_form(alpha_second, alpha_second, R), _at(names, "xyz"), degree)
+    _scan(rep, "operator_ybe_second_form", idx,
+          ybe_form(R, alpha_first, alpha_first), _at(names, "xyz"), degree)
     return rep
 
 

@@ -160,24 +160,22 @@ class ComoduleAlgebra:
             carrier, rho_table, "rho table",
             lambda t: t if isinstance(t, TensorElement)
             else TensorElement(slots, dict(t)))
+        if any(t.slots != slots for t in self.rho_gen):
+            raise PresentationError("element of a different presentation")
         if alpha_table is None:
             alpha_table = [carrier.gen(g) for g in carrier.generators]
         self.alpha_gen = generator_table(carrier, alpha_table, "alpha table")
 
-        self._alpha_cache = {}
+        self._alpha_memo = {(): carrier.unit(1)}
         self._zero = TensorElement(slots, {}, _trusted=True)
-        self._base_rho_cache = {(): TensorElement(
+        self._base_rho_memo = {(): TensorElement(
             slots, {((), ()): carrier.field.one}, _trusted=True)}
         self._rho_cache = {}
 
     # carrier maps ------------------------------------------------------------
 
     def alpha_word(self, w):
-        hit = self._alpha_cache.get(w)
-        if hit is None:
-            hit = self._alpha_cache[w] = word_image(w, self.alpha_gen,
-                                                    self.carrier.unit(1))
-        return hit
+        return word_image(w, self.alpha_gen, self._alpha_memo)
 
     def alpha_poly(self, p):
         return linear_image(self.carrier.terms_of(p), self.alpha_word,
@@ -191,12 +189,10 @@ class ComoduleAlgebra:
     # coactions ---------------------------------------------------------------
 
     def base_rho_word(self, w):
-        """Multiplicative extension of the stored untwisted table."""
-        hit = self._base_rho_cache.get(w)
-        if hit is None:
-            hit = self._base_rho_cache[w] = (self.base_rho_word(w[:-1])
-                                             * self.rho_gen[w[-1]])
-        return hit
+        """The untwisted coaction of a carrier word: the stored table
+        extended multiplicatively by ncpoly.word_image, from the unit
+        1 (x) 1, through a memo that lives as long as the instance."""
+        return word_image(w, self.rho_gen, self._base_rho_memo)
 
     def base_rho(self, p):
         return linear_image(self.carrier.terms_of(p), self.base_rho_word,
@@ -506,27 +502,24 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
     with the offending generator or rule; a twisted base is refused by
     twist_hom_bialgebra."""
     H = A.hom
-    hpres = H.pres
     carrier = A.carrier
 
     twisted_h = twist_hom_bialgebra(H, alpha_h)
 
     a_images = generator_table(carrier, alpha_a, "alpha table")
     arep = Report(f"algebra morphism on {carrier.name or 'carrier'}")
-    _relations_preserved(arep, carrier, a_images)
+    a_memo = {(): carrier.unit(1)}
+    _relations_preserved(arep, carrier, a_images, a_memo)
     if not arep.passed:
         raise MorphismError(arep)
 
-    h_images = twisted_h.alpha_gen
-    hunit = hpres.unit(1)
-    aunit = carrier.unit(1)
     for gi, g in enumerate(carrier.generators):
         lhs = A.base_rho(a_images[gi])
         moved = {}
         for (hw, cw), c in A.rho_gen[gi].terms.items():
             for key, d in _expand(c, [
-                    word_image(hw, h_images, hunit).terms.items(),
-                    word_image(cw, a_images, aunit).terms.items()]):
+                    twisted_h.alpha_word(hw).terms.items(),
+                    word_image(cw, a_images, a_memo).terms.items()]):
                 _bump(moved, key, d)
         rhs = TensorElement(lhs.slots, moved, _trusted=True)
         if lhs != rhs:

@@ -39,6 +39,8 @@ class HomBialgebra:
             te = val if isinstance(val, TensorElement) else pres.tensor(2, val)
             if te.arity != 2:
                 raise PresentationError("delta table values need two legs")
+            if te.slots != (pres, pres):
+                raise PresentationError("element of a different presentation")
             return te
 
         self.delta_gen = generator_table(pres, delta_table, "delta table",
@@ -50,17 +52,13 @@ class HomBialgebra:
             p.terms == {(i,): pres.field.one}
             for i, p in enumerate(self.alpha_gen))
 
-        self._alpha_word_cache = {}
-        self._delta_word_cache = {}
+        self._alpha_memo = {(): pres.unit(1)}
+        self._delta_memo = {(): pres.unit_tensor(2)}
 
     # the twisting map --------------------------------------------------------
 
     def alpha_word(self, w):
-        hit = self._alpha_word_cache.get(w)
-        if hit is None:
-            hit = self._alpha_word_cache[w] = word_image(
-                w, self.alpha_gen, self.pres.unit(1))
-        return hit
+        return word_image(w, self.alpha_gen, self._alpha_memo)
 
     def alpha_poly(self, p):
         return linear_image(self.pres.terms_of(p), self.alpha_word,
@@ -86,11 +84,7 @@ class HomBialgebra:
     # coproducts ----------------------------------------------------------------
 
     def untwisted_delta_word(self, w):
-        hit = self._delta_word_cache.get(w)
-        if hit is None:
-            hit = self._delta_word_cache[w] = word_image(
-                w, self.delta_gen, self.pres.unit_tensor(2))
-        return hit
+        return word_image(w, self.delta_gen, self._delta_memo)
 
     def untwisted_delta(self, p):
         return linear_image(self.pres.terms_of(p), self.untwisted_delta_word,
@@ -183,15 +177,15 @@ def pairwise_product(H, t1, t2):
     return slotwise(t1, t2, [prod, prod])
 
 
-def _relations_preserved(rep, pres, images):
+def _relations_preserved(rep, pres, images, memo):
     """Add the check that the generator images satisfy every defining
-    relation of pres, the first violated rule being the witness."""
-    unit = pres.unit(1)
+    relation of pres, the first violated rule being the witness; memo is
+    the caller's word_image memo of images."""
 
     def sides(rule):
         lw, rp = rule
-        return (word_image(lw, images, unit),
-                linear_image(rp.items(), lambda v: word_image(v, images, unit),
+        return (word_image(lw, images, memo),
+                linear_image(rp.items(), lambda v: word_image(v, images, memo),
                              pres.zero_poly()))
 
     _scan(rep, "relations_preserved", [pres.rules], sides,
@@ -204,11 +198,11 @@ def verify_morphism(endo, H):
     pres = H.pres
     images = generator_table(pres, endo, "endomorphism table")
     rep = Report(f"morphism on {H.name or 'instance'}")
-    _relations_preserved(rep, pres, images)
-    unit = pres.unit(1)
+    memo = {(): pres.unit(1)}
+    _relations_preserved(rep, pres, images, memo)
 
     def endo_slot(w):
-        img = word_image(w, images, unit)
+        img = word_image(w, images, memo)
         return TensorElement((pres,), {(v,): c for v, c in img.terms.items()},
                              _trusted=True)
 
@@ -241,11 +235,9 @@ def verify_hom_bialgebra(H, degree):
     pres = H.pres
     rep = Report(f"hom-bialgebra axioms on {H.name or 'instance'}")
     basis = pres.graded_basis(degree)
-    one = pres.field.one
-    mono = [NCPoly(pres, {w: one}, _trusted=True) for w in basis]
     at = _at([pres.word_text(w) for w in basis], "xyz")
     idx = range(len(basis))
-    alpha_of = [H.alpha_poly(p) for p in mono]
+    alpha_of = [H.alpha_word(w) for w in basis]
     alpha_terms = [p.terms.items() for p in alpha_of]
     word_prod = _product_table(pres, H.product)
 
@@ -259,7 +251,7 @@ def verify_hom_bialgebra(H, degree):
 
     @cache
     def delta_of(i):
-        return H.delta(mono[i])
+        return H.delta_word(basis[i])
 
     def hom_coassociativity(i):
         D = delta_of(i)

@@ -639,11 +639,13 @@ def generator_table(pres, table, what, convert=None):
     """The images of the generators, in generator order, under a table
     keyed by generator (a list or tuple is read in generator order).
     Two keys that name one generator, such as "a" and (0,), raise.  Each
-    value goes through convert; by default a value that is not an NCPoly
-    is read as a polynomial of pres."""
+    value goes through convert; by default an NCPoly is read through
+    pres.terms_of, which refuses an element of another presentation, and
+    any other value as a polynomial of pres."""
     if convert is None:
         def convert(val):
-            return val if isinstance(val, NCPoly) else pres.poly(val)
+            return (NCPoly(pres, pres.terms_of(val), _trusted=True)
+                    if isinstance(val, NCPoly) else pres.poly(val))
     if isinstance(table, (list, tuple)):
         if len(table) != len(pres.generators):
             raise PresentationError(f"{what} has wrong length")
@@ -664,15 +666,18 @@ def generator_table(pres, table, what, convert=None):
     return images
 
 
-def word_image(w, images, unit):
-    """Multiplicative extension: the image of a word under gen -> images[i].
-
-    Works for NCPoly images and TensorElement images alike; `unit` is the
-    image of the empty word.
-    """
-    acc = unit
-    for i in w:
-        acc = acc * images[i]
+def word_image(w, images, memo):
+    """Multiplicative extension: the image of a word under gen -> images[i],
+    for NCPoly and TensorElement images alike.  memo maps words to their
+    images and must hold the unit's image at ().  The longest memoised
+    prefix of w is extended one generator at a time, ((unit * g1) * g2)
+    * ..., storing every new prefix, so a value does not depend on which
+    words were asked for before."""
+    n = len(w)
+    while (acc := memo.get(w[:n])) is None:
+        n -= 1
+    for k in range(n, len(w)):
+        acc = memo[w[:k + 1]] = acc * images[w[k]]
     return acc
 
 

@@ -106,7 +106,8 @@ def _scan(rep, name, slots, sides, where, degree=None, render=None):
 
 
 def _at(names, letters):
-    """The location of a tuple of basis indices: the i-th letter keys
-    the name of the i-th index, keys in sorted order.  Letters past the
-    length of the tuple go unused."""
+    """The location of a case tuple: the i-th letter keys names[case[i]],
+    keys in sorted order, so names may be a list read by basis index or
+    a dict read by word.  Letters past the length of the tuple go
+    unused."""
     return lambda *idx: {s: names[i] for s, i in sorted(zip(letters, idx))}

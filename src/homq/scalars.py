@@ -1069,12 +1069,16 @@ def specialize(s, assignment, target_field=None):
     """Evaluate under a variable assignment.
 
     Values may be Scalars of the target field, strings parsed there, or
-    ints.  Source variables missing from the assignment must exist in the
-    target field and map to themselves.  Vanishing denominators raise
-    PoleError naming the assignment.
+    ints.  Every assigned name must be a source variable.  Source
+    variables missing from the assignment must exist in the target field
+    and map to themselves.  Vanishing denominators raise PoleError naming
+    the assignment.
     """
     field = s.field
     target = target_field if target_field is not None else field
+    for name in assignment:
+        if name not in field._var_index:
+            raise UndeclaredVariable(name)
     if field.cyclotomic_order is not None:
         tn = target.cyclotomic_order
         if tn is None or tn % field.cyclotomic_order != 0:

@@ -10,8 +10,7 @@ from homq.cobraid import (CobraidingForm, CobraidedHomBialgebra,
                           CobraidingError, InjectivityError, eval_R,
                           word_value, verify_cobraided, verify_oqhybe,
                           check_alpha_invariance, twist_R_power,
-                          alpha_kernel_witness, covered_basis,
-                          _eval_word_poly, _eval_poly_word)
+                          alpha_kernel_witness, covered_basis)
 from quantum_matrices import (ALPHA, DELTA, R_NONZERO, UNIT_ROW,
                               qm2_form, qm2_presentation)
 
@@ -652,8 +651,8 @@ def reference_verify_cobraided(C, degree):
                     left = eval_R(C, get_prod(i, j), az)
                     right = pres.field.zero
                     for (z1, z2), c in dz:
-                        right = right + c * (_eval_poly_word(C, ax, z1)
-                                             * _eval_poly_word(C, alpha_of[j], z2))
+                        right = right + c * (eval_R(C, ax, {z1: 1})
+                                             * eval_R(C, alpha_of[j], {z2: 1}))
                     if left != right:
                         witness = {"x": names[i], "y": names[j], "z": names[k],
                                    "left": render(left), "right": render(right)}
@@ -676,8 +675,8 @@ def reference_verify_cobraided(C, degree):
                     left = eval_R(C, ax, get_prod(j, k))
                     right = pres.field.zero
                     for (x1, x2), c in dx:
-                        right = right + c * (_eval_word_poly(C, x1, alpha_of[k])
-                                             * _eval_word_poly(C, x2, ay))
+                        right = right + c * (eval_R(C, {x1: 1}, alpha_of[k])
+                                             * eval_R(C, {x2: 1}, ay))
                     if left != right:
                         witness = {"x": names[i], "y": names[j], "z": names[k],
                                    "left": render(left), "right": render(right)}
@@ -747,7 +746,7 @@ def reference_verify_oqhybe(C, degree):
         # R(m, alpha(w)) for monomial words
         v = ra.get((m, w))
         if v is None:
-            v = ra[(m, w)] = _eval_word_poly(C, m, H.alpha_word(w))
+            v = ra[(m, w)] = eval_R(C, {m: 1}, H.alpha_word(w))
         return v
 
     la = {}
@@ -756,7 +755,7 @@ def reference_verify_oqhybe(C, degree):
         # R(alpha(w), m)
         v = la.get((w, m))
         if v is None:
-            v = la[(w, m)] = _eval_poly_word(C, H.alpha_word(w), m)
+            v = la[(w, m)] = eval_R(C, H.alpha_word(w), {m: 1})
         return v
 
     with timed() as tm:

@@ -756,3 +756,36 @@ def test_linear_maps_refuse_an_element_of_another_presentation(name, twisted):
     Q = Presentation("xy", [("yx", {"xy": "q"})], F)
     with pytest.raises(PresentationError, match="different presentation"):
         linear_map(Q.gen("x") + Q.gen("y"))
+
+
+# The generator tables are read when a structure is built or a morphism
+# is checked, and each refuses a value of another presentation there.
+
+FOREIGN_TABLES = {
+    "host_alpha": lambda H, carrier, Q: HomBialgebra(
+        H.pres, DELTA, {**ALPHA, "b": Q.gen("y")}),
+    "host_delta": lambda H, carrier, Q: HomBialgebra(
+        H.pres, {**DELTA, "b": Q.tensor(2, {("x", "y"): 1})}),
+    "host_endomorphism": lambda H, carrier, Q: hombialg.verify_morphism(
+        {**ALPHA, "b": Q.gen("y")}, H),
+    "carrier_alpha": lambda H, carrier, Q: ComoduleAlgebra(
+        H, carrier, STANDARD_RHO, {**PLANE_ALPHA, "y": Q.gen("y")}),
+    "carrier_rho": lambda H, carrier, Q: ComoduleAlgebra(
+        H, carrier, {**STANDARD_RHO,
+                     "y": TensorElement((H.pres, Q), {("d", "y"): 1})}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN_TABLES))
+def test_generator_tables_refuse_an_element_of_another_presentation(name):
+    A = plane("standard", twisted=False)
+    Q = Presentation("xy", [("yx", {"xy": "q"})], F)
+    with pytest.raises(PresentationError,
+                       match="element of a different presentation"):
+        FOREIGN_TABLES[name](A.hom, A.carrier, Q)
+
+
+def test_delta_table_refuses_a_value_with_three_legs():
+    P = qm2_presentation(F)
+    with pytest.raises(PresentationError, match="need two legs"):
+        HomBialgebra(P, {**DELTA, "b": P.tensor(3, {("a", "b", "d"): 1})})

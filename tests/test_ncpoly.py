@@ -360,10 +360,10 @@ def test_word_image_multiplicative():
               P.word("c")[0]: P.gen("c"),
               P.word("d")[0]: P.gen("d")}
     w = P.word("ab")
-    assert word_image(w, images, P.unit(1)) == P.poly({"ab": 2})
+    assert word_image(w, images, {(): P.unit(1)}) == P.poly({"ab": 2})
     p = P.poly({"da": 1})
     img = linear_image(p.terms.items(),
-                       lambda w: word_image(w, images, P.unit(1)),
+                       lambda w: word_image(w, images, {(): P.unit(1)}),
                        P.zero_poly())
     assert img == P.poly({"ad": 2, "bc": "q - q^-1"})
 

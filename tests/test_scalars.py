@@ -226,6 +226,15 @@ def test_specialize_partial_assignment_maps_identity():
     assert specialize(s, {"lambda": 5}) == parse_scalar("5*t", F_TL)
 
 
+@pytest.mark.parametrize("assignment", [{"tt": 5}, {"t": 2, "typo": 7}])
+def test_specialize_refuses_a_name_that_is_not_a_source_variable(assignment):
+    s = parse_scalar("t + 1", F_T)
+    bad = next(name for name in assignment if name != "t")
+    with pytest.raises(UndeclaredVariable) as err:
+        specialize(s, assignment)
+    assert err.value.name == bad
+
+
 def test_specialize_zeta_embedding():
     f3 = ScalarField((), cyclotomic_order=3)
     f12 = ScalarField((), cyclotomic_order=12)
