@@ -240,20 +240,22 @@ def _bilinear(pres, u, v, value):
 def _alpha_slot_forms(C):
     """The instance form with the structure map in one slot, as two
     functions of two words, R(alpha w, m) and R(m, alpha w), each
-    memoised for as long as the caller keeps it.  A term whose form
-    value is zero is dropped before it is scaled."""
+    memoised for as long as the caller keeps it.  The terms of each
+    word's alpha image are read once.  A term whose form value is zero
+    is dropped before it is scaled."""
     H, R = C.H, C.word_pair_value
     zero = H.pres.field.zero
+    alpha_terms = cache(lambda w: tuple(H.alpha_word(w).terms.items()))
 
     @cache
     def alpha_first(w, m):
-        return sum((c * r for u, c in H.alpha_word(w).terms.items()
-                    if (r := R(u, m))), zero)
+        return sum((c * r for u, c in alpha_terms(w) if (r := R(u, m))),
+                   zero)
 
     @cache
     def alpha_second(m, w):
-        return sum((c * r for u, c in H.alpha_word(w).terms.items()
-                    if (r := R(m, u))), zero)
+        return sum((c * r for u, c in alpha_terms(w) if (r := R(m, u))),
+                   zero)
 
     return alpha_first, alpha_second
 

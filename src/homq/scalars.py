@@ -20,6 +20,16 @@ Any other value is a coprime (numerator, denominator) pair, the
 denominator monic under graded lex with the declared variable order,
 and arithmetic that meets one goes through a multivariate gcd.
 
+A verifier multiplies values from a small set over and over (the roots
+of unity of a bicharacter, the monomials q^a*lambda^b of a twisted form),
+so each ScalarField keeps one product table: after the zero and one
+shortcuts, a product of two one-term Laurent values (every value of
+Q(zeta_n), which has no variables) is looked up by its operand pair, and
+a miss computes it as before and stores it.  When the table holds
+_PRODUCTS_SIZE entries it is emptied.  A stored product is the same
+value a miss would compute, and no operation changes a Scalar's value,
+so no result depends on what the table held.
+
 The parser accepts integer literals, declared variable names, ``zeta``
 (when the field has a cyclotomic order), the sugar ``q`` for ``t^2`` and
 ``q_half`` for ``t`` (only when a variable ``t`` is declared and no
@@ -148,16 +158,11 @@ def _uinv_mod(a, m):
     while r:
         q, rem = _udivmod(old_r, r)
         old_r, r = r, rem
-        new_s = list(old_s)
-        # new_s -= q * s
-        need = len(q) + len(s) - 1 if q and s else 0
-        while len(new_s) < need:
-            new_s.append(0)
+        new_s = old_s + [0] * (len(q) + len(s))   # old_s - q * s
         for i, qi in enumerate(q):
-            if not qi:
-                continue
-            for j, sj in enumerate(s):
-                new_s[i + j] -= qi * sj
+            if qi:
+                for j, sj in enumerate(s):
+                    new_s[i + j] -= qi * sj
         old_s, s = s, _utrim(new_s)
     # old_r is the gcd, a nonzero constant here
     g = _recip(old_r[0])
@@ -365,13 +370,13 @@ def _p_div_exact(A, B):
     cinv = _recip(B[eB])
     while R:
         eR = _p_lead(R)
-        d = tuple(x - y for x, y in zip(eR, eB))
+        d = tuple(map(_sub, eR, eB))
         if any(x < 0 for x in d):
             return None
         q = R[eR] * cinv
         out[d] = q
         for e2, c2 in B.items():
-            e = tuple(x + y for x, y in zip(d, e2))
+            e = tuple(map(_add, d, e2))
             p = q * c2
             s = R.get(e)
             if s is None:
@@ -511,6 +516,8 @@ def _cancel(P, Q, field):
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = {"zeta"}
+# entries of a field's product table before it is emptied
+_PRODUCTS_SIZE = 1024
 
 
 class ScalarField:
@@ -521,7 +528,7 @@ class ScalarField:
     """
 
     __slots__ = ("variables", "cyclotomic_order", "nvars", "_cyc", "_var_index",
-                 "_zero_exp", "_one_poly", "zero", "one", "_hash")
+                 "_zero_exp", "_one_poly", "zero", "one", "_hash", "_products")
 
     def __init__(self, variables=(), cyclotomic_order=None):
         variables = tuple(variables)
@@ -549,6 +556,7 @@ class ScalarField:
         self.zero = Scalar(self, {}, self._one_poly)
         self.one = Scalar(self, dict(self._one_poly), self._one_poly)
         self._hash = hash((variables, cyclotomic_order))
+        self._products = {}
 
     def __eq__(self, other):
         return (isinstance(other, ScalarField)
@@ -734,6 +742,14 @@ class Scalar:
                 return other
             if b == one:
                 return self
+            if len(a) == 1 == len(b):
+                products = f._products
+                p = products.get((self, other))
+                if p is None:
+                    if len(products) >= _PRODUCTS_SIZE:
+                        products.clear()
+                    p = products[self, other] = _laurent(f, _p_mul(a, b))
+                return p
             return _laurent(f, _p_mul(a, b))
         if a == {} or b == {}:
             return f.zero
@@ -963,28 +979,20 @@ def parse_scalar(text, field):
 
 
 def _render_coef_rational(q):
-    # returns (sign, numerator string, denominator string or None)
-    neg = q < 0
-    if neg:
-        q = -q
-    num = q.numerator
-    den = q.denominator
-    return neg, str(num), (None if den == 1 else str(den))
+    """(is_negative, numerator string, denominator string or None)."""
+    d = q.denominator
+    return q < 0, str(abs(q.numerator)), (None if d == 1 else str(d))
 
 
 def _render_cyc_parts(c):
-    parts = []
-    for j, a in enumerate(c.v):
-        if not a:
-            continue
-        if j == 0:
-            mono = None
-        elif j == 1:
-            mono = "zeta"
-        else:
-            mono = f"zeta^{j}"
-        parts.append((a, mono))
-    return parts
+    return [(a, None if j == 0 else "zeta" if j == 1 else f"zeta^{j}")
+            for j, a in enumerate(c.v) if a]
+
+
+def _signed_sum(terms):
+    """Nonempty (is_negative, body) pairs as one sum, "-x + y - z"."""
+    s = " ".join(("- " if neg else "+ ") + body for neg, body in terms)
+    return s[2:] if s[0] == "+" else "-" + s[2:]
 
 
 def _term_string(coef, mono):
@@ -995,57 +1003,29 @@ def _term_string(coef, mono):
         inner = []
         for a, zmono in parts:
             neg, ns, ds = _render_coef_rational(a)
-            if zmono is None:
-                body = ns if ds is None else f"{ns}/{ds}"
-            else:
-                body = zmono if (ns == "1" and ds is None) else (
-                    f"{ns}*{zmono}" if ds is None else f"{ns}*{zmono}/{ds}")
-            if not inner:
-                inner.append(("-" if neg else "") + body)
-            else:
-                inner.append(("- " if neg else "+ ") + body)
-        coef_str = "(" + " ".join(inner) + ")"
-        body = coef_str if not mono else f"{coef_str}*{mono}"
-        return False, body
+            body = (ns if zmono is None else
+                    zmono if ns == "1" and ds is None else f"{ns}*{zmono}")
+            inner.append((neg, body if ds is None else f"{body}/{ds}"))
+        body = f"({_signed_sum(inner)})"
+        return False, f"{body}*{mono}" if mono else body
     a, zmono = parts[0]
     neg, ns, ds = _render_coef_rational(a)
-    factors = []
-    if zmono:
-        factors.append(zmono)
-    if mono:
-        factors.append(mono)
-    if not factors:
-        body = ns
-    else:
-        if ns != "1":
-            factors.insert(0, ns)
-        body = "*".join(factors)
-    if ds is not None:
-        body = f"{body}/{ds}"
-    return neg, body
+    factors = [f for f in (zmono, mono) if f]
+    body = "*".join(factors if factors and ns == "1" else [ns, *factors])
+    return neg, body if ds is None else f"{body}/{ds}"
 
 
 def _mono_string(field, e):
-    parts = []
-    for name, k in zip(field.variables, e):
-        if k == 0:
-            continue
-        parts.append(name if k == 1 else f"{name}^{k}")
-    return "*".join(parts)
+    return "*".join(name if k == 1 else f"{name}^{k}"
+                    for name, k in zip(field.variables, e) if k)
 
 
 def _render_poly(field, P):
     if not P:
         return "0"
     terms = sorted(P.items(), key=lambda item: _grlex(item[0]), reverse=True)
-    out = []
-    for e, c in terms:
-        neg, body = _term_string(c, _mono_string(field, e))
-        if not out:
-            out.append(("-" + body) if neg else body)
-        else:
-            out.append(("- " if neg else "+ ") + body)
-    return " ".join(out)
+    return _signed_sum(_term_string(c, _mono_string(field, e))
+                       for e, c in terms)
 
 
 def render(s):

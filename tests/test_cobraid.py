@@ -1,10 +1,12 @@
 import json
+from itertools import count
 
 import pytest
 
-from homq.scalars import ScalarField, render
+from homq.scalars import _PRODUCTS_SIZE, ScalarField, render
 from homq.ncpoly import NCPoly, Presentation, PresentationError
-from homq.hombialg import HomBialgebra, twist_hom_bialgebra
+from homq.hombialg import (HomBialgebra, twist_hom_bialgebra,
+                           verify_hom_bialgebra)
 from homq.report import Report, timed
 from homq.cobraid import (CobraidingForm, CobraidedHomBialgebra,
                           CobraidingError, InjectivityError, eval_R,
@@ -24,8 +26,8 @@ def plain_instance(**kw):
                                  qm2_form(P, **kw))
 
 
-def twisted_instance(**kw):
-    P = qm2_presentation(F)
+def twisted_instance(field=F, **kw):
+    P = qm2_presentation(field)
     H = twist_hom_bialgebra(HomBialgebra(P, DELTA, name="qm2"), ALPHA)
     return CobraidedHomBialgebra(H, qm2_form(P, **kw))
 
@@ -392,6 +394,78 @@ def test_power_twist_closure():
     C1 = twist_R_power(zn_instance(), 1)
     assert verify_cobraided(C1, 3).passed
     assert verify_oqhybe(C1, 2).passed
+
+
+# reports do not depend on the history of the scalar product table ------------
+
+
+def z13_instance(field):
+    """Z/13 twisted by g -> g^12, with R(g, g) = zeta_13."""
+    P = Presentation("g", [("g" * 13, {"1": 1})], field, max_degree=12,
+                     name="z13")
+    H = twist_hom_bialgebra(HomBialgebra(P, {"g": {("g", "g"): 1}}),
+                            {"g": {"g" * 12: 1}})
+    form = CobraidingForm(P, {("g", "g"): "zeta"}, {"g": 1}, {"g": 1})
+    return CobraidedHomBialgebra(H, form)
+
+
+def _reports(instances, degree, churn):
+    """The report texts of verify_cobraided, verify_oqhybe,
+    check_alpha_invariance and verify_hom_bialgebra on each instance.
+    churn() runs before each verifier and before every 257th form value
+    read through word_pair_value."""
+    out = []
+    for C in instances:
+        value, calls = C.word_pair_value, count(1)
+
+        def word_pair_value(m, n, value=value, calls=calls):
+            if next(calls) % 257 == 0:
+                churn()
+            return value(m, n)
+
+        C.word_pair_value = word_pair_value
+        for verify in (verify_cobraided, verify_oqhybe,
+                       check_alpha_invariance):
+            churn()
+            out.append(json.dumps(verify(C, degree).to_json(),
+                                  sort_keys=True))
+        churn()
+        out.append(json.dumps(verify_hom_bialgebra(C.H, min(degree, 3))
+                              .to_json(), sort_keys=True))
+    return out
+
+
+@pytest.mark.parametrize("field,make,degree,witnesses", [
+    (ScalarField(("t", "lambda")),
+     lambda f: [twisted_instance(f),
+                twisted_instance(f, override={("a", "a"): "q"})], 2, True),
+    (ScalarField((), cyclotomic_order=13),
+     lambda f: [z13_instance(f), twist_R_power(z13_instance(f), 1)], 12,
+     False),
+], ids=["twisted_qm2", "z13"])
+def test_reports_do_not_depend_on_the_product_table(field, make, degree,
+                                                    witnesses):
+    products, fresh = field._products, count(10 ** 6)
+    emptied = []
+
+    def unrelated_products():
+        # as many new one-term products as the table holds, so it is
+        # emptied at least once and left holding none of the instance's
+        size = len(products)
+        for _ in range(_PRODUCTS_SIZE):
+            field.from_int(next(fresh)) * field.from_int(3)
+            emptied.append(len(products) < size)
+            size = len(products)
+
+    products.clear()
+    cold = _reports(make(field), degree, lambda: None)
+    assert products
+    warm = _reports(make(field), degree, lambda: None)
+    churned = _reports(make(field), degree, unrelated_products)
+    assert any(emptied)
+    assert warm == cold and churned == cold
+    # the corrupted form's reports render failing values as witnesses
+    assert any('"fail"' in text for text in cold) == witnesses
 
 
 def test_power_twist_zero_is_identity():

@@ -17,6 +17,7 @@ from homq.scalars import (
     UndeclaredVariable,
     ZetaUnavailable,
     _CycNumBase,
+    _PRODUCTS_SIZE,
     _cancel,
     _is_const,
     _p_add,
@@ -109,6 +110,7 @@ def test_negative_exponent_groups():
 F_Z3T = ScalarField(("t",), cyclotomic_order=3)
 F_Z1T = ScalarField(("t",), cyclotomic_order=1)
 F_Z2T = ScalarField(("t",), cyclotomic_order=2)
+F_Z5T = ScalarField(("t",), cyclotomic_order=5)
 
 
 @pytest.mark.parametrize("text, field, want", [
@@ -520,13 +522,14 @@ def _coef(field, draw, values):
 
 
 @st.composite
-def laurent(draw, field, values=_INT_COEF):
-    """A Laurent polynomial, built directly in canonical form: the common
-    negative powers become a monic monomial denominator."""
+def laurent(draw, field, values=_INT_COEF, sizes=st.integers(0, 4)):
+    """A Laurent polynomial of at most `sizes` terms, built directly in
+    canonical form: the common negative powers become a monic monomial
+    denominator."""
     exps = st.tuples(*[st.integers(min_value=-3, max_value=3)
                        for _ in field.variables])
     terms = {}
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+    for _ in range(draw(sizes)):
         c = _coef(field, draw, values)
         if c:
             terms[draw(exps)] = c
@@ -695,9 +698,14 @@ def test_exponents_have_no_range_limit():
 
 
 def test_one_operand_returns_the_other():
-    s = parse_scalar("(t + lambda)/t^2", F_TL)
-    assert F_TL.one * s is s
-    assert s * F_TL.from_int(1) is s
+    # the one-term values are also product table operands
+    for text, field in (("(t + lambda)/t^2", F_TL), ("3*t/lambda", F_TL),
+                        ("zeta^3/t^2", F_Z5T), ("zeta^3 - 2", F_Z13)):
+        s = parse_scalar(text, field)
+        for _ in range(2):         # the product table cold, then warm
+            assert field.one * s is s
+            assert s * field.from_int(1) is s
+            s * s
 
 
 def test_division_makes_a_fraction_never_a_float():
@@ -708,3 +716,75 @@ def test_division_makes_a_fraction_never_a_float():
     assert all(type(c) is not float for c in _coefficients(z))
     assert z * F_Z13.from_int(3) == F_Z13.one
     assert render(parse_scalar("(2*t + 2)/(4*t)", F_T)) == "(t/2 + 1/2)/t"
+
+
+# the product table of one-term values ----------------------------------------
+
+
+def _one_term(field):
+    return laurent(field, _RATIONAL_COEF, st.just(1)).filter(bool)
+
+
+def _apart(s):
+    """s over a field equal to its own but built separately."""
+    f = s.field
+    return Scalar(ScalarField(f.variables, f.cyclotomic_order),
+                  dict(s.num), dict(s.den))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([F_TL, F_Z5T, F_Z13]).flatmap(
+    lambda f: st.tuples(_one_term(f), _one_term(f))))
+@example((parse_scalar("3*t/lambda", F_TL), parse_scalar("t^-1/2", F_TL)))
+@example((parse_scalar("zeta^3", F_Z13), parse_scalar("zeta^11", F_Z13)))
+def test_one_term_products_match_reference_cold_and_warm(pair):
+    a, b = pair
+    want = reference_mul(a, b)
+    a2, b2 = _apart(a), _apart(b)
+    for x, y in ((a, b), (a2, b2), (a, b2), (a2, b)):
+        x.field._products.clear()
+        cold = x * y
+        # warm: the same operands, then equal operands built again
+        again = Scalar(x.field, dict(x.num), dict(x.den))
+        for got in (cold, x * y, again * y, x * _apart(y)):
+            assert got == want and hash(got) == hash(want)
+            assert render(got) == render(want)
+            assert (got.laurent, got.num, got.den) == \
+                (want.laurent, want.num, want.den)
+        if x != 1 and y != 1:
+            # a table product belongs to the left operand's field
+            assert cold.field is x.field
+            assert x * y is cold and x.field._products[x, y] is cold
+
+
+def test_product_table_never_grows_past_its_size():
+    field = ScalarField(("t", "lambda"))
+    t, lam = field.var("t"), field.var("lambda")
+    powers = [t ** i for i in range(2, 2 * _PRODUCTS_SIZE + 9)]
+    sizes = []
+    for i, a in enumerate(powers, 2):
+        assert (a * lam).laurent == {(i, 1): 1}
+        sizes.append(len(field._products))
+    assert max(sizes) == _PRODUCTS_SIZE
+    assert sizes.count(1) == 3       # filled from empty, then emptied twice
+
+
+def test_a_memoised_product_is_not_changed_by_arithmetic_on_it():
+    a, b = parse_scalar("3*t/lambda", F_TL), parse_scalar("t^2/5", F_TL)
+    F_TL._products.clear()
+    p = a * b
+    before = (dict(p.laurent), dict(p.num), dict(p.den), render(p), hash(p))
+    others = [parse_scalar(u, F_TL) for u in
+              ("3*t^3/(5*lambda)", "t + lambda", "1/(t + 1)", "-7", "t/2")]
+    for c in others:
+        for r in (p + c, c + p, p - c, c - p, p * c, c * p, p / c, c / p):
+            r + r
+            r * r
+    for r in (-p, p ** 3, p ** -2, p.inverse(), p * p, p + p, p - p):
+        r + r
+        r * r
+    assert a * b is p
+    after = (dict(p.laurent), dict(p.num), dict(p.den), render(p), hash(p))
+    assert after == before == (
+        {(3, -1): Fraction(3, 5)}, {(3, 0): Fraction(3, 5)}, {(0, 1): 1},
+        "3*t^3/5/lambda", hash(reference_mul(a, b)))
