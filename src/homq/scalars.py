@@ -75,13 +75,6 @@ class ScalarZeroDivision(ScalarError):
         super().__init__(message)
 
 
-class PoleError(ScalarError):
-    def __init__(self, assignment):
-        pretty = ", ".join(f"{k} -> {v}" for k, v in assignment.items())
-        super().__init__(f"denominator vanishes under {{{pretty}}}")
-        self.assignment = dict(assignment)
-
-
 # ---------------------------------------------------------------------------
 # univariate helpers over Q, dense lists low degree first
 
@@ -442,7 +435,7 @@ def _p_gcd(A, B, field):
         g = {}
         for part in groups.values():
             g = part if not g else _p_gcd(g, part, field)
-            if len(g) == 1 and not any(_p_lead(g)):
+            if _is_const(g):
                 break
         return g
 
@@ -477,7 +470,7 @@ def _p_gcd(A, B, field):
         else:
             n = {}
         numerators.append(n)
-    if len(cont) > 1 or any(_p_lead(cont)):
+    if not _is_const(cont):
         numerators = [_p_div_exact(n, cont) if n else n for n in numerators]
     flat = {}
     base = field._zero_exp
@@ -1039,81 +1032,3 @@ def render(s):
     if len(s.den) > 1 or "*" in den_s:
         den_s = f"({den_s})"
     return f"{num_s}/{den_s}"
-
-
-# ---------------------------------------------------------------------------
-# specialization
-
-
-def specialize(s, assignment, target_field=None):
-    """Evaluate under a variable assignment.
-
-    Values may be Scalars of the target field, strings parsed there, or
-    ints.  Every assigned name must be a source variable.  Source
-    variables missing from the assignment must exist in the target field
-    and map to themselves.  Vanishing denominators raise PoleError naming
-    the assignment.
-    """
-    field = s.field
-    target = target_field if target_field is not None else field
-    for name in assignment:
-        if name not in field._var_index:
-            raise UndeclaredVariable(name)
-    if field.cyclotomic_order is not None:
-        tn = target.cyclotomic_order
-        if tn is None or tn % field.cyclotomic_order != 0:
-            raise ScalarError(
-                "target field cannot host the source cyclotomic order")
-
-    values = []
-    for name in field.variables:
-        if name in assignment:
-            v = assignment[name]
-            if isinstance(v, str):
-                v = parse_scalar(v, target)
-            elif isinstance(v, int):
-                v = target.from_int(v)
-            elif isinstance(v, Scalar):
-                if v.field != target:
-                    raise ScalarError(f"assignment for {name!r} lives in the wrong field")
-            else:
-                raise ScalarError(f"cannot interpret assignment for {name!r}")
-        else:
-            if name not in target._var_index:
-                raise UndeclaredVariable(name)
-            v = target.var(name)
-        values.append(v)
-
-    def map_coef(c):
-        if isinstance(c, _CycNumBase):
-            n = c.ORDER
-            step = target.cyclotomic_order // n
-            z = target.zeta() ** step
-            acc = target.zero
-            zp = target.one
-            for j, a in enumerate(c.v):
-                if a:
-                    acc = acc + zp * _q_to_scalar(target, a)
-                zp = zp * z
-            return acc
-        return _q_to_scalar(target, c)
-
-    def eval_poly(P):
-        acc = target.zero
-        for e, c in P.items():
-            term = map_coef(c)
-            for v, k in zip(values, e):
-                if k:
-                    term = term * v ** k
-            acc = acc + term
-        return acc
-
-    num_v = eval_poly(s.num)
-    den_v = eval_poly(s.den)
-    if den_v.is_zero():
-        raise PoleError(assignment)
-    return num_v / den_v
-
-
-def _q_to_scalar(field, q):
-    return field.from_int(q.numerator) / q.denominator

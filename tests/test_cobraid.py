@@ -256,6 +256,23 @@ def test_form_over_another_field_refused():
         CobraidedHomBialgebra(H, qm2_form(P_t))
 
 
+def test_form_over_another_presentation_refused():
+    # the free algebra on a, b, c, d carries the same coproduct
+    H = HomBialgebra(Presentation("abcd", [], F), DELTA, name="free")
+    with pytest.raises(PresentationError, match="underlying presentation"):
+        CobraidedHomBialgebra(H, qm2_form(qm2_presentation(F)))
+
+
+@pytest.mark.parametrize("table, units", [
+    ({("ab", "a"): 1}, {}),
+    ({}, {"1": 1}),
+], ids=["gen_table", "unit_left"])
+def test_form_key_that_is_not_a_generator_refused(table, units):
+    P = qm2_presentation(F)
+    with pytest.raises(PresentationError, match="is not a generator"):
+        CobraidingForm(P, table, {**UNIT_ROW, **units}, dict(UNIT_ROW))
+
+
 # serialization ---------------------------------------------------------------
 
 
@@ -471,6 +488,17 @@ def test_reports_do_not_depend_on_the_product_table(field, make, degree,
 def test_power_twist_zero_is_identity():
     C = zn_instance()
     assert twist_R_power(C, 0) is C
+
+
+def test_power_twist_refuses_a_negative_power():
+    with pytest.raises(ValueError, match="nonnegative"):
+        twist_R_power(zn_instance(), -1)
+
+
+@pytest.mark.parametrize("build", [plain_instance, zn_instance],
+                         ids=["identity", "injective"])
+def test_no_injectivity_witness_when_alpha_is_injective(build):
+    assert alpha_kernel_witness(build().H) is None
 
 
 def test_alpha_invariance_mod_square():

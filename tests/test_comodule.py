@@ -8,7 +8,7 @@ from homq.ncpoly import (NCPoly, Presentation, PresentationError,
                          TensorElement, _bump, word_key)
 from homq.hombialg import (HomBialgebra, MorphismError, _product_table,
                            pairwise_product, twist_hom_bialgebra)
-from homq.cobraid import CobraidedHomBialgebra, eval_R
+from homq.cobraid import CobraidedHomBialgebra, CobraidingForm, eval_R
 from homq.comodule import (Comodule, ComoduleAlgebra, ComoduleError,
                            bvw_operator, b_alpha_operator,
                            closed_form_coaction, plane_comodule_algebra,
@@ -449,6 +449,61 @@ def test_b_alpha_twists_each_output_leg_by_its_own_carrier_map():
 def test_fermionic_degree_3_piece_is_empty():
     with pytest.raises(ComoduleError, match="empty"):
         plane("fermionic").piece(3)
+
+
+# refusals of the braided operators -------------------------------------------
+
+
+def test_mixed_hybe_refuses_a_form_that_is_not_alpha_invariant():
+    # Z/5 twisted by g -> g^2 with R(g, g) = zeta: R(alpha g, alpha g) =
+    # zeta^4, so the host form is not invariant
+    F5 = ScalarField((), cyclotomic_order=5)
+    P = Presentation("g", [("ggggg", {"1": 1})], F5, max_degree=4,
+                     name="zn5")
+    H = twist_hom_bialgebra(HomBialgebra(P, {"g": {("g", "g"): 1}}),
+                            {"g": {"gg": 1}})
+    C = CobraidedHomBialgebra(
+        H, CobraidingForm(P, {("g", "g"): "zeta"}, {"g": 1}, {"g": 1}))
+    U = Comodule(C, ["e"], {"e": {("g", "e"): 1}})
+    with pytest.raises(ComoduleError, match="not invariant") as info:
+        verify_mixed_hybe(U, U, U)
+    (check,) = info.value.report.failures()
+    assert check.name == "alpha_invariance"
+    assert (check.witness["x"], check.witness["y"]) == ("g", "g")
+
+
+@pytest.mark.parametrize("pieces, message", [
+    (lambda: (plane("standard").piece(1), plane("standard").piece(1)),
+     "comodules live over different hosts"),
+    (lambda: (Comodule(host().H, "xy", STANDARD_RHO),) * 2,
+     "host carries no cobraiding form"),
+], ids=["two_hosts", "no_form"])
+def test_operators_need_one_cobraided_host(pieces, message):
+    V, W = pieces()
+    for build in (bvw_operator, b_alpha_operator):
+        with pytest.raises(ComoduleError, match=message):
+            build(V, W)
+
+
+def test_mixed_hybe_refuses_comodules_over_two_hosts():
+    U = V = plane("standard").piece(1)
+    W = plane("standard").piece(1)
+    with pytest.raises(ComoduleError, match="different hosts"):
+        verify_mixed_hybe(U, V, W)
+
+
+def test_hybe_refuses_a_non_square_operator():
+    A = plane("standard")
+    with pytest.raises(ComoduleError, match="square carrier pair$"):
+        verify_hybe(bvw_operator(A.piece(1), A.piece(2)))
+
+
+def test_plane_builders_refuse_bad_input():
+    with pytest.raises(ComoduleError, match="unknown plane kind 'bosonic'"):
+        comodule.plane_presentation(F, "bosonic")
+    G = HomBialgebra(Presentation("g", [], F), {"g": {("g", "g"): 1}})
+    with pytest.raises(ComoduleError, match="generators a, b, c, d"):
+        plane_comodule_algebra(G, "standard")
 
 
 # finite-carrier tables -------------------------------------------------------

@@ -100,6 +100,24 @@ def test_longer_rhs_rejected():
         Presentation("ab", [("ba", {"aba": 1})], F)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Presentation(["a", ""], [], F), "bad generator name ''"),
+    (lambda: Presentation(["a*b"], [], F), r"bad generator name 'a\*b'"),
+    (lambda: Presentation(["1"], [], F), "bad generator name '1'"),
+    (lambda: Presentation("ab", [("1", {})], F), "empty rule left side"),
+    (lambda: plane_standard().word((0, 2)), "generator index 2 out of range"),
+    (lambda: plane_standard().poly({"x": ScalarField(("s",)).one}),
+     "coefficient from a different field"),
+    (lambda: plane_standard().poly({"x": 0.5}), "bad coefficient 0.5"),
+    (lambda: plane_standard().gen("x") + plane_standard().gen("x"),
+     "operands from different presentations"),
+], ids=["empty_name", "star_name", "unit_name", "empty_lhs", "index_range",
+        "foreign_coefficient", "float_coefficient", "two_presentations"])
+def test_presentation_refuses_bad_input(build, message):
+    with pytest.raises(PresentationError, match=message):
+        build()
+
+
 # graded bases -----------------------------------------------------------------
 
 

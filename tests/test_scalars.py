@@ -8,7 +8,6 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from homq.scalars import (
-    PoleError,
     Scalar,
     ScalarError,
     ScalarField,
@@ -26,7 +25,6 @@ from homq.scalars import (
     _p_mul,
     parse_scalar,
     render,
-    specialize,
 )
 
 
@@ -150,6 +148,10 @@ def test_syntax_error_position():
     with pytest.raises(ScalarSyntaxError) as err:
         parse_scalar("t^(-1)", F_T)
     assert err.value.position == 2
+    for text in ("t t", "(t"):
+        with pytest.raises(ScalarSyntaxError) as err:
+            parse_scalar(text, F_T)
+        assert err.value.position == 2
 
 
 def test_unexpected_character():
@@ -162,11 +164,17 @@ def test_undeclared_variable():
         parse_scalar("t * y", F_T)
     assert err.value.name == "y"
     assert err.value.position == 4
+    with pytest.raises(UndeclaredVariable) as err:
+        F_T.var("y")
+    assert err.value.name == "y"
+    assert err.value.position is None
 
 
 def test_zeta_unavailable():
     with pytest.raises(ZetaUnavailable):
         parse_scalar("zeta + 1", F_T)
+    with pytest.raises(ZetaUnavailable):
+        F_T.zeta()
 
 
 def test_division_by_zero_scalar():
@@ -191,58 +199,13 @@ def test_field_declaration_errors():
         ScalarField(("t", "q"))
     with pytest.raises(ValueError):
         ScalarField(("2bad",))
+    with pytest.raises(ValueError, match="cyclotomic_order"):
+        ScalarField(cyclotomic_order=0)
 
 
 def test_mixed_field_arithmetic_rejected():
     with pytest.raises(ScalarError):
         F_T.one + F_TL.one
-
-
-# specialization --------------------------------------------------------------
-
-
-def test_specialize_pole():
-    s = parse_scalar("1/(q - 1)", F_T)
-    with pytest.raises(PoleError) as err:
-        specialize(s, {"t": 1})
-    assert err.value.assignment == {"t": 1}
-
-
-def test_specialize_values():
-    s = parse_scalar("1/(q - 1)", F_T)
-    assert specialize(s, {"t": 2}) == F_T.from_int(1) / F_T.from_int(3)
-    lam = parse_scalar("(t^2-1)*lambda + lambda", F_TL)
-    out = specialize(lam, {"lambda": 3}, F_TL)
-    assert out == parse_scalar("3*t^2", F_TL)
-
-
-def test_specialize_into_cyclotomic_target():
-    f4 = ScalarField((), cyclotomic_order=4)
-    s = parse_scalar("1/(q - 1)", F_T)
-    out = specialize(s, {"t": "zeta"}, f4)
-    assert out == f4.from_int(-1) / f4.from_int(2)
-
-
-def test_specialize_partial_assignment_maps_identity():
-    s = parse_scalar("t*lambda", F_TL)
-    assert specialize(s, {"lambda": 5}) == parse_scalar("5*t", F_TL)
-
-
-@pytest.mark.parametrize("assignment", [{"tt": 5}, {"t": 2, "typo": 7}])
-def test_specialize_refuses_a_name_that_is_not_a_source_variable(assignment):
-    s = parse_scalar("t + 1", F_T)
-    bad = next(name for name in assignment if name != "t")
-    with pytest.raises(UndeclaredVariable) as err:
-        specialize(s, assignment)
-    assert err.value.name == bad
-
-
-def test_specialize_zeta_embedding():
-    f3 = ScalarField((), cyclotomic_order=3)
-    f12 = ScalarField((), cyclotomic_order=12)
-    s = parse_scalar("zeta + zeta^2", f3)
-    out = specialize(s, {}, f12)
-    assert out == f12.from_int(-1)
 
 
 # round trips and idempotence -------------------------------------------------
