@@ -297,7 +297,7 @@ def verify_cobraided(C, degree):
     delta_of = {w: list(H.delta_word(w).terms.items()) for w in basis}
     alpha_first, alpha_second = _alpha_slot_forms(C)
 
-    word_product = _product_table(pres, H.product)
+    word_product = _product_table(H.word_product)
 
     def first_expansion(z, x, y):
         left = sum((c * v for w, c in word_product(x, y)

@@ -15,11 +15,10 @@ of the same instance.
 
 from .cobraid import CobraidedHomBialgebra, check_alpha_invariance
 from .hombialg import (MorphismError, _product_table, _relations_preserved,
-                       twist_hom_bialgebra)
-from .ncpoly import (NCPoly, Presentation, PresentationError, TensorElement,
-                     _bump, _expand, generator_table, json_row,
-                     linear_image, render_legs, slotwise, word_image,
-                     word_key)
+                       _word_product, twist_hom_bialgebra)
+from .ncpoly import (Presentation, PresentationError, TensorElement, _bump,
+                     _expand, generator_table, json_row, linear_image,
+                     render_legs, slotwise, word_image, word_key)
 from .report import Report, _scan, timed
 from .scalars import render
 
@@ -171,6 +170,8 @@ class ComoduleAlgebra:
         self._base_rho_memo = {(): TensorElement(
             slots, {((), ()): carrier.field.one}, _trusted=True)}
         self._rho_cache = {}
+        self.word_product = _word_product(
+            carrier, self.alpha_word if self.twisted else None)
 
     # carrier maps ------------------------------------------------------------
 
@@ -213,11 +214,11 @@ class ComoduleAlgebra:
                             self._zero)
 
     def pair_product(self, t1, t2):
-        """Slotwise product with the instance multiplications, each read
-        from a word-product table local to this call."""
-        H = self.hom
-        return slotwise(t1, t2, [_product_table(H.pres, H.product),
-                                 _product_table(self.carrier, self.product)])
+        """Slotwise product with the instance multiplications: the host
+        word products are read as they come, the carrier ones from a
+        word-product table local to this call."""
+        return slotwise(t1, t2, [self.hom.word_product,
+                                 _product_table(self.word_product)])
 
     # graded pieces -------------------------------------------------------------
 
@@ -542,20 +543,22 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
 def verify_comodule_hom_algebra(M, degree):
     """Check that the instance coaction is multiplicative for the
     instance products on basis-monomial pairs of total degree at most
-    `degree`."""
+    `degree`.  Both sides read the carrier products from one table local
+    to this call; the host products of the right side are read as they
+    come, since no two pairs share one."""
     carrier = M.carrier
-    one = carrier.field.one
     words = carrier.graded_basis(degree)
     rep = Report(f"comodule algebra on {M.name or 'carrier'}")
     pairs = [(u, v) for u in words for v in words
              if len(u) + len(v) <= degree]
     rho = {w: M.rho_word(w) for w in words}
+    carrier_product = _product_table(M.word_product)
 
     def multiplicativity(pair):
         u, v = pair
-        lhs = M.rho(M.product(NCPoly(carrier, {u: one}, _trusted=True),
-                              NCPoly(carrier, {v: one}, _trusted=True)))
-        return lhs, M.pair_product(rho[u], rho[v])
+        return (linear_image(carrier_product(u, v), M.rho_word, M._zero),
+                slotwise(rho[u], rho[v], [M.hom.word_product,
+                                          carrier_product]))
 
     _scan(rep, "coaction_multiplicativity", [pairs], multiplicativity,
           lambda pair: {"left_factor": carrier.word_text(pair[0]),

@@ -54,6 +54,8 @@ class HomBialgebra:
 
         self._alpha_memo = {(): pres.unit(1)}
         self._delta_memo = {(): pres.unit_tensor(2)}
+        self.word_product = _word_product(
+            pres, self.alpha_word if twisted else None)
 
     # the twisting map --------------------------------------------------------
 
@@ -140,22 +142,33 @@ class HomBialgebra:
         return f"<HomBialgebra {self.name or 'instance'} ({kind})>"
 
 
-def _product_table(pres, product):
-    """A memo of an algebra product on pres that lives as long as the
-    returned prod: prod(u, v) is the tuple of (word, coefficient) terms
-    of product(u, v) on two words, filled on first use, with equal
+def _word_product(pres, alpha_word):
+    """The instance product of two words of pres, at the word level:
+    product(u, v) gives the (word, coefficient) pairs of the normal form
+    of u + v.  A twisted instance passes its memoised twisting map on
+    words as alpha_word, and the normal form is then mapped through it
+    by linear_image: the twisted product alpha(uv).  No one-term NCPoly
+    is built."""
+    if alpha_word is None:
+        return lambda u, v: pres.normal_word(u + v).items()
+    zero = pres.zero_poly()
+    return lambda u, v: linear_image(pres.normal_word(u + v).items(),
+                                     alpha_word, zero).terms.items()
+
+
+def _product_table(product):
+    """A memo of a word-level product (see _word_product) that lives as
+    long as the returned prod: prod(u, v) is the tuple of (word,
+    coefficient) terms of product(u, v), filled on first use, with equal
     coefficients stored as one object."""
-    one = pres.field.one
     table = {}
     coefs = {}
 
     def prod(u, v):
         hit = table.get((u, v))
         if hit is None:
-            p = product(NCPoly(pres, {u: one}, _trusted=True),
-                        NCPoly(pres, {v: one}, _trusted=True))
             hit = table[u, v] = tuple((w, coefs.setdefault(c, c))
-                                      for w, c in p.terms.items())
+                                      for w, c in product(u, v))
         return hit
     return prod
 
@@ -173,7 +186,7 @@ def _combine(prod, pres, terms):
 
 def pairwise_product(H, t1, t2):
     """Slotwise product of two arity-2 tensors using the instance product."""
-    prod = _product_table(H.pres, H.product)
+    prod = _product_table(H.word_product)
     return slotwise(t1, t2, [prod, prod])
 
 
@@ -239,7 +252,7 @@ def verify_hom_bialgebra(H, degree):
     idx = range(len(basis))
     alpha_of = [H.alpha_word(w) for w in basis]
     alpha_terms = [p.terms.items() for p in alpha_of]
-    word_prod = _product_table(pres, H.product)
+    word_prod = _product_table(H.word_product)
 
     def prod(i, j):
         return word_prod(basis[i], basis[j])

@@ -5,10 +5,19 @@ products with one presentation per slot.
 Monomials are words: tuples of generator indices, the empty tuple being the
 unit.  A Presentation fixes the generator order, and every rewrite rule must
 strictly decrease the graded-lex order on words, which makes exhaustive
-rewriting terminate.  Confluence is not checked yet: check_local_confluence
-resolves the overlaps up to a degree when called, but no verifier calls it,
-so a non-confluent presentation gives normal forms that depend on the order
-of reduction.
+rewriting terminate.
+
+Normal forms are computed at the word level and memoised per presentation:
+normal_word extends the longest memoised prefix of a word one generator at
+a time, so the rewriter only ever sees a normal word followed by one
+generator.  Elements and tensors are sums over such word normal forms, and
+a word map extends to them through linear_image.
+
+Confluence is not checked yet: check_local_confluence resolves the overlaps
+up to a degree when called, but no verifier calls it.  On a non-confluent
+presentation no reduction order gives a meaningful normal form: the result
+of normal_word depends on which words were reduced, and memoised, before,
+so such a presentation must be refused, not reduced in some other order.
 """
 
 import heapq
@@ -78,7 +87,7 @@ class Presentation:
             self._rules_by_first.setdefault(lw[0], []).append((lw, rp, len(lw)))
         self._lhs_set = {lw for lw, _ in self.rules}
         self._max_lhs = max((len(lw) for lw, _ in self.rules), default=0)
-        self._nf_cache = {}
+        self._nf_cache = {(): {(): field.one}}
 
     # words -----------------------------------------------------------------
 
@@ -149,10 +158,42 @@ class Presentation:
         return None
 
     def normal_word(self, w):
-        """Normal form of a single word as a dict word -> Scalar."""
-        hit = self._nf_cache.get(w)
-        if hit is not None:
-            return hit
+        """Normal form of a single word as a dict word -> Scalar.
+
+        The longest memoised prefix of w is extended one generator g at
+        a time: the normal form of prefix + g is the sum, over the terms
+        c*x of the prefix's normal form, of c times the normal form of
+        x + g, each read from the memo or, on a miss, reduced by
+        _reduce.  Every new prefix is memoised.  So only words x + g
+        with x normal are ever reduced, and there is no recursion depth
+        to run out of.  On a confluent presentation every reduction
+        order gives the one normal form (Bergman's diamond lemma), so
+        the order chosen here changes nothing but the cost; on any other
+        no order gives a meaningful one (see the module docstring)."""
+        cache, one = self._nf_cache, self.field.one
+        n = len(w)
+        while (acc := cache.get(w[:n])) is None:
+            n -= 1
+        for k in range(n, len(w)):
+            g, out = w[k:k + 1], {}
+            for x, c in acc.items():
+                v = x + g
+                sub = cache.get(v)
+                if sub is None:
+                    sub = cache[v] = self._reduce(v)
+                if len(acc) == 1 and c is one:
+                    out = sub
+                else:
+                    for u, sc in sub.items():
+                        _bump(out, u, c * sc)
+            acc = cache[w[:k + 1]] = out
+        return acc
+
+    def _reduce(self, w):
+        """Normal form of w by exhaustive rewriting: the graded-lex
+        largest pending word is rewritten first, and a pending word
+        other than w whose normal form is memoised is read from the
+        memo."""
         out = {}
         pending = {w: self.field.one}
         heap = [_heap_key(w)]
@@ -187,7 +228,6 @@ class Presentation:
                         del pending[v]
                     else:
                         pending[v] = acc
-        self._nf_cache[w] = out
         return out
 
     def is_normal_word(self, w):
@@ -682,10 +722,15 @@ def word_image(w, images, memo):
 
 
 def linear_image(terms, image, zero):
-    """Linear extension of a word map: the sum, starting from `zero`, of
-    image(w) scaled by c over the (w, c) pairs of `terms`.  Works for any
-    image type with scale() and +."""
-    total = zero
+    """Linear extension of a word map: the sum of c times image(w) over
+    the (w, c) pairs of terms, for NCPoly and TensorElement images
+    alike.  Every image term is added into one dict with _bump, so no
+    partial sum is built; zero is the zero of the image's slots, and the
+    result has the same slots."""
+    out = {}
     for w, c in terms:
-        total = total + image(w).scale(c)
-    return total
+        for key, v in image(w).terms.items():
+            _bump(out, key, c * v)
+    if isinstance(zero, NCPoly):
+        return NCPoly(zero.pres, out, _trusted=True)
+    return TensorElement(zero.slots, out, _trusted=True)

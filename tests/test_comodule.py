@@ -760,8 +760,27 @@ def test_coproduct_products_match_reference_loops(twisted):
             m1, m2 = Mixed(t1), Mixed(t2)
             same(t1 * t2, reference_pair_mul_plain(None, m1, m2))
             same(pairwise_product(H, t1, t2),
-                 reference_pairwise(_product_table(pres, H.product), pres,
+                 reference_pairwise(_product_table(H.word_product), pres,
                                     t1, t2))
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+def test_product_tables_match_the_poly_products(twisted):
+    """The word-level instance product, read through a product table,
+    has the terms of the NCPoly product on every pair of basis words of
+    degree at most 3, for the host and for both plane carriers."""
+    planes = [plane(kind, twisted) for kind in comodule.PLANE_KINDS]
+    for alg, pres in [(planes[0].hom, planes[0].hom.pres)] + [
+            (A, A.carrier) for A in planes]:
+        prod = _product_table(alg.word_product)
+        words = pres.graded_basis(3)
+        mono = {w: NCPoly(pres, {w: pres.field.one}, _trusted=True)
+                for w in words}
+        for u in words:
+            for v in words:
+                want = alg.product(mono[u], mono[v]).terms
+                assert len(prod(u, v)) == len(want)
+                assert dict(prod(u, v)) == want
 
 
 def test_tensors_over_different_slots_do_not_mix():

@@ -396,7 +396,7 @@ def test_pairwise_product_matches_reference():
 
 def test_product_table_shares_equal_coefficients():
     H = twisted()
-    prod = _product_table(H.pres, H.product)
+    prod = _product_table(H.word_product)
     words = H.pres.graded_basis(2)
     seen = {}
     for u in words:

@@ -199,6 +199,75 @@ def test_wrong_inverse_scale_detected():
     assert any(f["word"] in ("ada", "dad") for f in res.failures)
 
 
+# normal forms by prefix extension --------------------------------------------
+#
+# normal_word extends the longest memoised prefix of a word one generator at
+# a time and reduces only words x + g with x normal.  On a confluent
+# presentation that must give what reducing the whole word gives, whatever
+# was asked before.  Each fixture is certified confluent first, with
+# Bergman's diamond lemma at degree 2*max_lhs - 1.
+
+
+def z5_presentation():
+    return Presentation("g", [("ggggg", {"1": 1})],
+                        ScalarField((), cyclotomic_order=5))
+
+
+NORMAL_FORM_FIXTURES = {
+    "qm2": lambda: qm2_presentation(F),
+    "standard_plane": plane_standard,
+    "fermionic_plane": plane_fermionic,
+    "z5": z5_presentation,
+    "special": lambda: Presentation("bcad", special_rules("q"), F),
+}
+
+
+def certified(make):
+    P = make()
+    max_lhs = max(len(lw) for lw, _ in P.rules)
+    assert P.check_local_confluence(2 * max_lhs - 1).passed
+    return P
+
+
+def words_up_to(P, length):
+    level, out = [()], [()]
+    for _ in range(length):
+        level = [w + (g,) for w in level for g in range(len(P.generators))]
+        out.extend(level)
+    return out
+
+
+@pytest.mark.parametrize("make", NORMAL_FORM_FIXTURES.values(),
+                         ids=NORMAL_FORM_FIXTURES.keys())
+def test_normal_word_equals_whole_word_reduction(make):
+    words = words_up_to(certified(make), 5)
+    # the whole word reduced at once, on a presentation that has reduced
+    # nothing before
+    want = {w: make()._reduce(w) for w in words}
+    shuffled = list(words)
+    random.Random(17).shuffle(shuffled)
+    for order in (words, words[::-1], shuffled):
+        P = make()
+        assert {w: P.normal_word(w) for w in order} == want
+
+
+def test_standard_plane_closed_form():
+    # y^n x^m = q^(nm) x^m y^n
+    P = certified(plane_standard)
+    x, y = P.word("x"), P.word("y")
+    for n in range(7):
+        for m in range(7):
+            assert P.normal_word(y * n + x * m) == {
+                x * m + y * n: P.coef(f"q^{n * m}")}
+
+
+def test_normal_word_of_a_long_word():
+    # longer than the default recursion limit
+    P = plane_standard()
+    x, y = P.word("x"), P.word("y")
+    assert P.normal_word(y * 1500 + x) == {x + y * 1500: P.coef("q^1500")}
+
+
 # invariants --------------------------------------------------------------------
 
 
@@ -384,6 +453,49 @@ def test_word_image_multiplicative():
                        lambda w: word_image(w, images, {(): P.unit(1)}),
                        P.zero_poly())
     assert img == P.poly({"ad": 2, "bc": "q - q^-1"})
+
+
+def reference_linear_image(terms, image, zero):
+    total = zero
+    for w, c in terms:
+        total = total + image(w).scale(c)
+    return total
+
+
+def test_linear_image_matches_the_sum_of_scaled_images():
+    P = qm2_presentation(F)
+    images = [P.poly({"da": 1}), P.poly({"ab": 2, "c": "q"}), P.gen("d")]
+    memo = {(): P.unit(1)}
+
+    def poly_image(w):
+        return word_image(w, images, memo)
+
+    def tensor_image(w):
+        return P.tensor(2, {(w, w): 1, (w, "1"): "q"})
+
+    one, minus = F.one, F.from_int(-1)
+    a, b, c = P.word("a"), P.word("b"), P.word("c")
+    # a's image cancels after the third pair and comes back with the
+    # fifth; b's cancels for good with the last
+    terms = [(a, one), (b, one), (a, minus), (c, F.parse("t")),
+             (a, F.from_int(3)), (b, minus)]
+    for image, zero in ((poly_image, P.zero_poly()),
+                        (tensor_image, P.unit_tensor(2, 0))):
+        got = linear_image(terms, image, zero)
+        want = reference_linear_image(terms, image, zero)
+        assert got == want and got.render() == want.render()
+        assert type(got) is type(zero) and not got.is_zero()
+
+
+def test_linear_image_of_no_terms_is_the_zero_of_its_slots():
+    P, Q = qm2_presentation(F), plane_standard()
+    zero = P.zero_poly()
+    got = linear_image([], None, zero)
+    assert type(got) is NCPoly and got.pres is P and got.is_zero()
+    zero = TensorElement((P, Q), {})
+    got = linear_image([], None, zero)
+    assert type(got) is TensorElement and got.slots == (P, Q)
+    assert got.is_zero()
 
 
 # serialization -----------------------------------------------------------------
