@@ -19,7 +19,7 @@ from .hombialg import (MorphismError, _product_table, _relations_preserved,
 from .ncpoly import (Presentation, PresentationError, TensorElement, _bump,
                      _expand, generator_table, json_row, linear_image,
                      render_legs, slotwise, word_image, word_key)
-from .report import Report, _scan, timed
+from .report import Report, _scan
 from .scalars import render
 
 
@@ -384,6 +384,9 @@ def b_alpha_operator(V, W=None, name=""):
 
 # three-leg composition helpers; states are dicts (p, q, r) -> Scalar
 
+# a carrier leg: sorted by its label, rendered as text
+_LABEL = (lambda x: x, str)
+
 
 def _apply(front, entries, alpha, state):
     """Apply (Op (x) alpha) when front, the operator on legs 0,1 and alpha
@@ -398,25 +401,27 @@ def _apply(front, entries, alpha, state):
     return out
 
 
-def _chain(state, stages):
-    for front, entries, alpha in stages:
-        state = _apply(front, entries, alpha, state)
-    return state
+def _braid_scan(rep, name, labels, ops, alphas, one):
+    """Add the braid check `name` over the label triples of U, V, W:
+    ops are the entries of B_UV, B_UW and B_VW, alphas the carrier maps
+    of U, V and W.  The left side applies alpha_U (x) B_VW, then
+    B_UW (x) alpha_V, then alpha_W (x) B_UV; the right side applies
+    B_UV (x) alpha_W, then alpha_V (x) B_UW, then B_VW (x) alpha_U."""
+    b_uv, b_uw, b_vw = ops
+    a_u, a_v, a_w = alphas
+    lhs = [(False, b_vw, a_u), (True, b_uw, a_v), (False, b_uv, a_w)]
+    rhs = [(True, b_uv, a_w), (False, b_uw, a_v), (True, b_vw, a_u)]
 
+    def chain(stages, case):
+        state = {case: one}
+        for front, entries, alpha in stages:
+            state = _apply(front, entries, alpha, state)
+        return state
 
-def _render_state(terms):
-    return render_legs(terms, [(lambda x: x, str)] * 3)
-
-
-def _triple(i, j, k):
-    return {"triple": f"{i} (x) {j} (x) {k}"}
-
-
-def _braid_sides(lhs_stages, rhs_stages, one):
-    def sides(i, j, k):
-        start = {(i, j, k): one}
-        return _chain(start, lhs_stages), _chain(start, rhs_stages)
-    return sides
+    _scan(rep, name, labels,
+          lambda *case: (chain(lhs, case), chain(rhs, case)),
+          lambda i, j, k: {"triple": f"{i} (x) {j} (x) {k}"},
+          render=lambda t: render_legs(t, [_LABEL] * 3))
 
 
 def verify_hybe(B):
@@ -433,33 +438,21 @@ def verify_hybe(B):
     alpha = B.alpha_v
     rep = Report(f"Yang-Baxter operator checks on {B.name or 'operator'}")
     ent = B.entries
+    _braid_scan(rep, "hybe", [labels] * 3, (ent,) * 3, (alpha,) * 3,
+                B.field.one)
 
-    back, front = (False, ent, alpha), (True, ent, alpha)
-    _scan(rep, "hybe", [labels] * 3,
-          _braid_sides([back, front, back], [front, back, front],
-                       B.field.one),
-          _triple, render=_render_state)
+    def commutation(i, j):
+        # (alpha (x) alpha) after B, and B after (alpha (x) alpha)
+        right = {}
+        for pair, c in _twist_legs({(i, j): B.field.one}, alpha,
+                                   alpha).items():
+            for key, d in ent.get(pair, {}).items():
+                _bump(right, key, c * d)
+        return _twist_legs(ent.get((i, j), {}), alpha, alpha), right
 
-    # the commutation witness names the pair and has no sides to render,
-    # so this check keeps its own loop
-    witness = None
-    with timed() as tm:
-        for i in labels:
-            for j in labels:
-                after = _twist_legs(ent.get((i, j), {}), alpha, alpha)
-                before = {}
-                for i2, c1 in alpha.get(i, {}).items():
-                    for j2, c2 in alpha.get(j, {}).items():
-                        cc = c1 * c2
-                        for key, c in ent.get((i2, j2), {}).items():
-                            _bump(before, key, cc * c)
-                if after != before:
-                    witness = {"pair": f"{i} (x) {j}"}
-                    break
-            if witness:
-                break
-    rep.add("alpha_commutation", "fail" if witness else "pass", witness,
-            wall_time=tm.seconds)
+    _scan(rep, "alpha_commutation", [labels] * 2, commutation,
+          lambda i, j: {"pair": f"{i} (x) {j}"},
+          render=lambda t: render_legs(t, [_LABEL] * 2))
     return rep
 
 
@@ -477,17 +470,9 @@ def verify_mixed_hybe(U, V, W):
             "so the mixed braid identity is not guaranteed", report=inv)
     rep = Report("mixed braid identity")
     rep.extend(inv)
-
-    b_uv = bvw_operator(U, V).entries
-    b_uw = bvw_operator(U, W).entries
-    b_vw = bvw_operator(V, W).entries
-    lhs_stages = [(False, b_vw, U.alpha), (True, b_uw, V.alpha),
-                  (False, b_uv, W.alpha)]
-    rhs_stages = [(True, b_uv, W.alpha), (False, b_uw, V.alpha),
-                  (True, b_vw, U.alpha)]
-    _scan(rep, "mixed_hybe", [U.labels, V.labels, W.labels],
-          _braid_sides(lhs_stages, rhs_stages, C.H.pres.field.one),
-          _triple, render=_render_state)
+    ops = [bvw_operator(X, Y).entries for X, Y in ((U, V), (U, W), (V, W))]
+    _braid_scan(rep, "mixed_hybe", [U.labels, V.labels, W.labels], ops,
+                (U.alpha, V.alpha, W.alpha), C.H.pres.field.one)
     return rep
 
 
@@ -514,7 +499,7 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
     if not arep.passed:
         raise MorphismError(arep)
 
-    for gi, g in enumerate(carrier.generators):
+    def intertwining(gi):
         lhs = A.base_rho(a_images[gi])
         moved = {}
         for (hw, cw), c in A.rho_gen[gi].terms.items():
@@ -522,13 +507,16 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
                     twisted_h.alpha_word(hw).terms.items(),
                     word_image(cw, a_images, a_memo).terms.items()]):
                 _bump(moved, key, d)
-        rhs = TensorElement(lhs.slots, moved, _trusted=True)
-        if lhs != rhs:
-            raise ComoduleError(
-                f"coaction does not intertwine the twisting maps on "
-                f"generator {g}",
-                witness={"generator": g, "left": lhs.render(),
-                         "right": rhs.render()})
+        return lhs, TensorElement(lhs.slots, moved, _trusted=True)
+
+    irep = Report()
+    _scan(irep, "intertwining", [range(len(carrier.generators))],
+          intertwining, lambda gi: {"generator": carrier.generators[gi]})
+    if not irep.passed:
+        witness = irep.checks[0].witness
+        raise ComoduleError(
+            f"coaction does not intertwine the twisting maps on "
+            f"generator {witness['generator']}", witness=witness)
 
     if isinstance(A.host, CobraidedHomBialgebra):
         host = CobraidedHomBialgebra(twisted_h, A.host.form,

@@ -842,9 +842,9 @@ class _Parser:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
                 out.append(("int", text[i:j], i))
                 i = j
@@ -988,24 +988,24 @@ def _signed_sum(terms):
     return s[2:] if s[0] == "+" else "-" + s[2:]
 
 
+def _rational_term(a, factors):
+    """Render the rational a times the nonempty strings of factors, with
+    no "1*"; returns (is_negative, body)."""
+    neg, ns, ds = _render_coef_rational(a)
+    factors = [f for f in factors if f]
+    body = "*".join(factors if factors and ns == "1" else [ns, *factors])
+    return neg, body if ds is None else f"{body}/{ds}"
+
+
 def _term_string(coef, mono):
     """Render one term; returns (is_negative, body)."""
     parts = (_render_cyc_parts(coef) if isinstance(coef, _CycNumBase)
              else [(coef, None)])
     if len(parts) > 1:
-        inner = []
-        for a, zmono in parts:
-            neg, ns, ds = _render_coef_rational(a)
-            body = (ns if zmono is None else
-                    zmono if ns == "1" and ds is None else f"{ns}*{zmono}")
-            inner.append((neg, body if ds is None else f"{body}/{ds}"))
-        body = f"({_signed_sum(inner)})"
+        body = f"({_signed_sum(_rational_term(a, [z]) for a, z in parts)})"
         return False, f"{body}*{mono}" if mono else body
     a, zmono = parts[0]
-    neg, ns, ds = _render_coef_rational(a)
-    factors = [f for f in (zmono, mono) if f]
-    body = "*".join(factors if factors and ns == "1" else [ns, *factors])
-    return neg, body if ds is None else f"{body}/{ds}"
+    return _rational_term(a, [zmono, mono])
 
 
 def _mono_string(field, e):

@@ -173,7 +173,9 @@ PINNED = {
     'corrupted_operator': (
         '{"checks": [{"name": "alpha_commutation", "status": "fail", '
         '"degree": null, "wall_time": null, "witness": {"pair": "x (x) '
-        'x"}}, {"name": "hybe", "status": "fail", "degree": null, '
+        'x", "left": "(t*xi^4)*[x (x) x] + (xi^2/lambda^2)*[y (x) y]", '
+        '"right": "(t*xi^4)*[x (x) x] + (xi^2)*[y (x) y]"}}, '
+        '{"name": "hybe", "status": "fail", "degree": null, '
         '"wall_time": null, "witness": {"triple": "x (x) x (x) x", "left": '
         '"(t^3*xi^9)*[x (x) x (x) x] + (t^2*xi^7)*[x (x) y (x) y] + '
         '(xi^7/lambda^2)*[y (x) x (x) y] + ((t^4*lambda^2*xi^7 - '

@@ -1,3 +1,4 @@
+import heapq
 import operator
 import random
 
@@ -5,9 +6,9 @@ import pytest
 
 from homq.scalars import ScalarField, render
 from homq.ncpoly import (Presentation, PresentationError, NCPoly,
-                         TensorElement, word_key, word_image, linear_image,
-                         generator_table)
-from quantum_matrices import qm2_presentation
+                         TensorElement, _bump, word_key, word_image,
+                         linear_image, generator_table)
+from quantum_matrices import QM2_RULES, qm2_presentation
 
 
 F = ScalarField(("t",))
@@ -164,9 +165,12 @@ def test_fermionic_confluent_at_4():
     assert plane_fermionic().check_local_confluence(4).passed
 
 
+def contradictory():
+    return Presentation("ab", [("ba", {"ab": 1}), ("ba", {"ab": 2})], F)
+
+
 def test_contradictory_rules_fail():
-    P = Presentation("ab", [("ba", {"ab": 1}), ("ba", {"ab": 2})], F)
-    res = P.check_local_confluence(4)
+    res = contradictory().check_local_confluence(4)
     assert not res.passed
     assert any(f["word"] == "ba" for f in res.failures)
 
@@ -188,6 +192,25 @@ def special_rules(da_coef):
 def test_special_system_confluent_at_4():
     P = Presentation("bcad", special_rules("q"), F)
     assert P.check_local_confluence(4).passed
+
+
+def naive_glq2():
+    # M_q(2) plus a central D with bcD -> q*adD - q: not confluent, so the
+    # regression fixture of a confluence certificate
+    rules = (QM2_RULES + [("D" + g, {g + "D": 1}) for g in "abcd"]
+             + [("bcD", {"adD": "q", "1": "-q"})])
+    return Presentation("abcdD", rules, F, name="naive_glq2")
+
+
+def test_naive_glq2_ambiguities():
+    P = naive_glq2()
+    res = P.check_local_confluence(3)
+    assert res.passed and res.checked == 10
+    res = P.check_local_confluence(4)
+    assert res.checked == 17
+    assert [(f["word"], f["rule_pair"]) for f in res.failures] == [
+        ("cbcD", [2, 10]), ("dbcD", [3, 10]),
+        ("bcDc", [10, 8]), ("bcDd", [10, 9])]
 
 
 def test_wrong_inverse_scale_detected():
@@ -222,6 +245,57 @@ NORMAL_FORM_FIXTURES = {
 }
 
 
+def reference_reduce(P, w):
+    """The reference for Presentation._reduce: a heap pops the graded-lex
+    largest pending word first, and every word is scanned from position
+    0."""
+
+    def _heap_key(w):
+        # min-heap entry that pops the graded-lex LARGEST word first
+        return (-len(w), tuple(-x for x in w), w)
+
+    out = {}
+    pending = {w: P.field.one}
+    heap = [_heap_key(w)]
+    while heap:
+        u = heapq.heappop(heap)[2]
+        c = pending.pop(u, None)
+        if c is None or c.is_zero():
+            continue
+        if u != w:
+            sub = P._nf_cache.get(u)
+            if sub is not None:
+                for v, sc in sub.items():
+                    _bump(out, v, c * sc)
+                continue
+        m = P._find_match(u)
+        if m is None:
+            _bump(out, u, c)
+            continue
+        i, lw, rp = m
+        pre, post = u[:i], u[i + len(lw):]
+        for rw, rc in rp.items():
+            v = pre + rw + post
+            nc = c * rc
+            acc = pending.get(v)
+            if acc is None:
+                if not nc.is_zero():
+                    pending[v] = nc
+                    heapq.heappush(heap, _heap_key(v))
+            else:
+                acc = acc + nc
+                if acc.is_zero():
+                    del pending[v]
+                else:
+                    pending[v] = acc
+    return out
+
+
+# every fixture above, and two that are not confluent
+ALL_FIXTURES = dict(NORMAL_FORM_FIXTURES, naive_glq2=naive_glq2,
+                    contradictory=contradictory)
+
+
 def certified(make):
     P = make()
     max_lhs = max(len(lw) for lw, _ in P.rules)
@@ -243,12 +317,54 @@ def test_normal_word_equals_whole_word_reduction(make):
     words = words_up_to(certified(make), 5)
     # the whole word reduced at once, on a presentation that has reduced
     # nothing before
-    want = {w: make()._reduce(w) for w in words}
+    want = {w: reference_reduce(make(), w) for w in words}
     shuffled = list(words)
     random.Random(17).shuffle(shuffled)
     for order in (words, words[::-1], shuffled):
         P = make()
         assert {w: P.normal_word(w) for w in order} == want
+
+
+@pytest.mark.parametrize("make", ALL_FIXTURES.values(),
+                         ids=ALL_FIXTURES.keys())
+def test_reduce_equals_reference_reduce(make):
+    # the rewrite order is the reference's, so even a non-confluent
+    # presentation must give the same dicts; _reduce memoises nothing, so
+    # every word meets a presentation that has reduced nothing before
+    P, Q = make(), make()
+    for w in words_up_to(P, 5):
+        assert P._reduce(w) == reference_reduce(Q, w)
+    assert len(P._nf_cache) == len(Q._nf_cache) == 1
+
+
+@pytest.mark.parametrize("make", ALL_FIXTURES.values(),
+                         ids=ALL_FIXTURES.keys())
+def test_basis_levels_are_the_normal_words(make):
+    P = make()
+    words = words_up_to(P, 5)
+    for d in range(6):
+        assert P.basis_level(d) == sorted(
+            (w for w in words if len(w) == d and P.is_normal_word(w)),
+            key=word_key)
+
+
+def test_normal_word_scans_each_word_from_the_last_rewrite(monkeypatch):
+    # a rewrite at i can only leave a match from i - max_lhs + 1 on, so
+    # walking x left across y^1500 visits O(n) positions, not O(n^2)
+    visits = 0
+    find_match = Presentation._find_match
+
+    def counting(self, u, start=0):
+        nonlocal visits
+        m = find_match(self, u, start)
+        visits += (len(u) if m is None else m[0] + 1) - max(start, 0)
+        return m
+
+    monkeypatch.setattr(Presentation, "_find_match", counting)
+    P = plane_standard()
+    x, y = P.word("x"), P.word("y")
+    assert P.normal_word(y * 1500 + x) == {x + y * 1500: P.coef("q^1500")}
+    assert visits <= 10 * 1501
 
 
 def test_standard_plane_closed_form():

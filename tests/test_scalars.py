@@ -119,9 +119,10 @@ F_Z5T = ScalarField(("t",), cyclotomic_order=5)
     # one signed zeta part over a denominator
     ("-zeta*t/2", F_Z3T, "-zeta*t/2"),
     ("zeta/2", F_Z3T, "zeta/2"),
-    # several zeta parts: a part with a numerator of 1 keeps its "1*"
-    ("(1 + zeta)*t/2", F_Z3T, "(1/2 + 1*zeta/2)*t"),
-    ("2 - zeta^3/3", F_Z5, "(2 - 1*zeta^3/3)"),
+    # several zeta parts: a part with a numerator of 1 drops its "1*",
+    # as a whole coefficient does
+    ("(1 + zeta)*t/2", F_Z3T, "(1/2 + zeta/2)*t"),
+    ("2 - zeta^3/3", F_Z5, "(2 - zeta^3/3)"),
     ("-zeta^2 + 3*zeta^3/2", F_Z5, "(-zeta^2 + 3*zeta^3/2)"),
 ])
 def test_render_term_shapes(text, field, want):
@@ -152,6 +153,12 @@ def test_syntax_error_position():
         with pytest.raises(ScalarSyntaxError) as err:
             parse_scalar(text, F_T)
         assert err.value.position == 2
+    # a digit that int() does not read, such as a superscript two
+    for text, position in (("t^\u00b2", 2), ("\u00b2", 0)):
+        with pytest.raises(ScalarSyntaxError) as err:
+            parse_scalar(text, F_T)
+        assert err.value.position == position
+        assert str(err.value).startswith("unexpected character '\u00b2'")
 
 
 def test_unexpected_character():
