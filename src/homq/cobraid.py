@@ -437,8 +437,6 @@ def alpha_kernel_witness(H):
     piece has trivial kernel."""
     pres = H.pres
     field = pres.field
-    if H.alpha_is_identity:
-        return None
     for d in range(1, pres.max_degree + 1):
         words = pres.basis_level(d)
         if not words:

@@ -48,9 +48,6 @@ class HomBialgebra:
         if alpha_table is None:
             alpha_table = [pres.gen(g) for g in pres.generators]
         self.alpha_gen = generator_table(pres, alpha_table, "alpha table")
-        self.alpha_is_identity = all(
-            p.terms == {(i,): pres.field.one}
-            for i, p in enumerate(self.alpha_gen))
 
         self._alpha_memo = {(): pres.unit(1)}
         self._delta_memo = {(): pres.unit_tensor(2)}

@@ -20,9 +20,10 @@ earlier match would lie in the unchanged prefix of the rewritten word.
 
 Confluence is not checked yet: check_local_confluence resolves the overlaps
 up to a degree when called, but no verifier calls it.  On a non-confluent
-presentation no reduction order gives a meaningful normal form: the result
-of normal_word depends on which words were reduced, and memoised, before,
-so such a presentation must be refused, not reduced in some other order.
+presentation no reduction order gives a meaningful normal form, so such a
+presentation must be refused, not reduced in some other order.  Still,
+_reduce reads no memo and depends on its argument alone, so normal_word
+gives each word one answer, whatever was asked for before.
 """
 
 from .scalars import Scalar, render
@@ -195,24 +196,17 @@ class Presentation:
 
     def _reduce(self, w):
         """Normal form of w by exhaustive rewriting: the graded-lex
-        largest pending word is rewritten first, and a pending word
-        other than w whose normal form is memoised is read from the
-        memo.  A pending word maps to its coefficient and its scan
-        start: 0 for w, i - max_lhs + 1 for a word made by a rewrite at
-        i; a word reached twice may keep either bound.  max over the
-        pending words replaces a heap: over the benchmark workloads and
-        the tests, at most 5 words were ever pending."""
+        largest pending word is rewritten first.  A pending word maps to
+        its coefficient and its scan start: 0 for w, i - max_lhs + 1 for
+        a word made by a rewrite at i; a word reached twice may keep
+        either bound.  max over the pending words replaces a heap: over
+        the benchmark workloads and the tests, at most 5 words were ever
+        pending."""
         out = {}
         pending = {w: (self.field.one, 0)}
         while pending:
             u = max(pending, key=word_key)
             c, start = pending.pop(u)
-            if u != w:
-                sub = self._nf_cache.get(u)
-                if sub is not None:
-                    for v, sc in sub.items():
-                        _bump(out, v, c * sc)
-                    continue
             m = self._find_match(u, start)
             if m is None:
                 _bump(out, u, c)

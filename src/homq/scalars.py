@@ -9,7 +9,8 @@ rationals.  No floats anywhere: a rational coefficient is a Python
 ``int`` until a division makes it a ``fractions.Fraction``, and every
 division goes through ``_recip``.  An integral ``Fraction`` is stored
 as its ``int``.  One dense ``_udivmod`` does every polynomial division
-with remainder.
+with remainder, the reduction of every Q(zeta_n) value modulo the
+cyclotomic polynomial included.
 
 Every scalar has exactly one form, so equality is plain structural
 equality, which is what every verifier in the package relies on.  A
@@ -169,21 +170,28 @@ def _uinv_mod(a, m):
 class _CycNumBase:
     """Element of Q(zeta_n), stored as a coefficient tuple of length phi(n).
 
-    Subclasses are generated per order and carry the reduction rows for
-    zeta^phi .. zeta^(2 phi - 2) as class data, so multiplication is a
-    convolution plus table folds.  An integral Fraction entry is stored
+    Subclasses are generated per order and carry PHI, the n-th cyclotomic
+    polynomial, as class data.  Every product, inverse and constant is
+    built by ``_mod_phi``, the remainder by PHI that ``_udivmod``
+    computes, so a product is a convolution and one division; sums and
+    negatives need no reduction.  An integral Fraction entry is stored
     as its int.
     """
 
     __slots__ = ("v",)
     ORDER = None
     DEG = None
-    RED = ()
     PHI = ()
 
     def __init__(self, v):
         v = tuple(v)
         self.v = tuple(map(_tidy, v)) if _Q in map(type, v) else v
+
+    @classmethod
+    def _mod_phi(cls, dense):
+        """The element whose coefficients are dense (any length) mod PHI."""
+        r = _udivmod(dense, cls.PHI)[1]
+        return cls(r + [0] * (cls.DEG - len(r)))
 
     def __bool__(self):
         return any(self.v)
@@ -206,31 +214,19 @@ class _CycNumBase:
         return type(self)(tuple(-a for a in self.v))
 
     def __mul__(self, other):
-        deg = self.DEG
-        if deg == 1:
-            return type(self)((self.v[0] * other.v[0],))
-        out = [0] * (2 * deg - 1)
+        out = [0] * (2 * self.DEG - 1)
         for i, a in enumerate(self.v):
             if not a:
                 continue
             for j, b in enumerate(other.v):
                 if b:
                     out[i + j] += a * b
-        for i in range(2 * deg - 2, deg - 1, -1):
-            c = out[i]
-            if c:
-                for j, rj in enumerate(self.RED[i - deg]):
-                    if rj:
-                        out[j] += c * rj
-        return type(self)(out[:deg])
+        return self._mod_phi(out)
 
     def inverse(self):
         if not any(self.v):
             raise ScalarZeroDivision()
-        dense = _utrim(list(self.v))
-        inv = _uinv_mod(dense, list(self.PHI))
-        inv = list(inv) + [0] * (self.DEG - len(inv))
-        return type(self)(inv[: self.DEG])
+        return self._mod_phi(_uinv_mod(_utrim(list(self.v)), self.PHI))
 
     def __repr__(self):  # debugging aid only
         return f"cyc{self.ORDER}{tuple(str(c) for c in self.v)}"
@@ -238,31 +234,13 @@ class _CycNumBase:
 
 @lru_cache(maxsize=None)
 def _cyc_class(n):
-    phi = _cyclotomic_coeffs(n)
-    deg = len(phi) - 1
-    rows = []
-    cur = [-c for c in phi[:deg]]
-    rows.append(tuple(cur))
-    for _ in range(deg - 2):
-        top = cur[deg - 1]
-        cur = [0] + cur[: deg - 1]
-        if top:
-            cur = [a + top * b for a, b in zip(cur, rows[0])]
-        rows.append(tuple(cur))
-
     cls = type(f"_Cyc{n}", (_CycNumBase,), {"__slots__": ()})
     cls.ORDER = n
-    cls.DEG = deg
-    cls.RED = tuple(rows)
-    cls.PHI = phi
-    cls.ZERO = cls((0,) * deg)
-    cls.ONE = cls((1,) + (0,) * (deg - 1))
-    if deg > 1:
-        cls.ZETA = cls((0, 1) + (0,) * (deg - 2))
-    elif n == 1:
-        cls.ZETA = cls.ONE
-    else:  # n == 2
-        cls.ZETA = cls((-1,))
+    cls.PHI = _cyclotomic_coeffs(n)
+    cls.DEG = len(cls.PHI) - 1
+    cls.ZERO = cls._mod_phi([])
+    cls.ONE = cls._mod_phi([1])
+    cls.ZETA = cls._mod_phi([0, 1])
     return cls
 
 
@@ -569,10 +547,7 @@ class ScalarField:
         return self._cyc.ONE if self._cyc else 1
 
     def _coef_from_int(self, v):
-        if self._cyc:
-            deg = self._cyc.DEG
-            return self._cyc((v,) + (0,) * (deg - 1))
-        return v
+        return self._cyc._mod_phi([v]) if self._cyc else v
 
     # constructors ---------------------------------------------------------
 
@@ -825,6 +800,12 @@ class Scalar:
 # parsing
 
 
+# \d is str.isdecimal, \w is str.isalnum or "_", and \s is str.isspace.
+# Every character but trailing whitespace lies in a match; with "." for
+# \S, backtracking would match trailing whitespace as a token.
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|(\S))")
+
+
 class _Parser:
     def __init__(self, text, field):
         self.text = text
@@ -835,33 +816,19 @@ class _Parser:
     @staticmethod
     def _tokenize(text):
         out = []
-        i = 0
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdecimal():
-                j = i
-                while j < n and text[j].isdecimal():
-                    j += 1
-                out.append(("int", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                out.append(("name", text[i:j], i))
-                i = j
-                continue
-            if ch in "+-*/^()":
-                out.append((ch, ch, i))
-                i += 1
-                continue
-            raise ScalarSyntaxError(f"unexpected character {ch!r}", i)
-        out.append(("end", "", n))
+        for m in _TOKEN.finditer(text):
+            kind = m.lastindex
+            tok = m.group(kind)
+            pos = m.start(kind)
+            if kind == 1:
+                out.append(("int", tok, pos))
+            elif kind == 2 and (tok[0].isalpha() or tok[0] == "_"):
+                out.append(("name", tok, pos))
+            elif kind == 3 and tok in "+-*/^()":
+                out.append((tok, tok, pos))
+            else:
+                raise ScalarSyntaxError(f"unexpected character {tok[0]!r}", pos)
+        out.append(("end", "", len(text)))
         return out
 
     def _peek(self):

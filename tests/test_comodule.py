@@ -453,6 +453,20 @@ def test_fermionic_degree_3_piece_is_empty():
         plane("fermionic").piece(3)
 
 
+@pytest.mark.parametrize("rho, alpha, message", [
+    (dict(STANDARD_RHO, x={("a", "x"): 1, ("b", "y"): 1, ("1", "1"): 1}),
+     None, "coaction leaves the degree-1 piece at x"),
+    (STANDARD_RHO, {"x": {"x": 1, "1": 1}, "y": {"y": 1}},
+     "twisting map leaves the degree-1 piece at x"),
+], ids=["coaction", "twisting_map"])
+def test_piece_refuses_a_map_that_leaves_its_degree(rho, alpha, message):
+    A = ComoduleAlgebra(host(twisted=False),
+                        comodule.plane_presentation(F, "standard"), rho,
+                        alpha)
+    with pytest.raises(ComoduleError, match=f"^{message}$"):
+        A.piece(1)
+
+
 # refusals of the braided operators -------------------------------------------
 
 
@@ -638,8 +652,15 @@ def test_closed_form_rejects_inadmissible_exponents():
     A = plane("fermionic")
     with pytest.raises(ValueError):
         closed_form_coaction(A, "fermionic", 2, 0)
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        closed_form_coaction(plane("standard"), "standard", -1, 0)
     with pytest.raises(ComoduleError):
         closed_form_coaction(A, "bosonic", 1, 0)
+
+
+def test_q_binomial_is_zero_outside_0_to_n():
+    assert comodule.q_binomial(F, 3, -1).is_zero()
+    assert comodule.q_binomial(F, 3, 4).is_zero()
 
 
 def test_comodule_algebra_requires_a_shared_field():

@@ -168,6 +168,13 @@ def test_identity_twist_equals_plain_verification():
         [(c.name, c.status) for c in r2._sorted()]
 
 
+def test_zero_tensor_maps_to_the_zero_of_the_image_slots():
+    H = twisted()
+    P = H.pres
+    out = P.tensor(2, {}).map_slots([H._alpha_slot, H.delta_word])
+    assert out.slots == (P, P, P) and out.terms == {}
+
+
 def test_nonidentity_alpha_without_twist_breaks_hom_associativity():
     # plain product with a nontrivial twisting map violates the twisted
     # associativity shape: alpha(b)(1*1) != (b*1)alpha(1)

@@ -1,8 +1,10 @@
 import heapq
 import operator
 import random
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homq.scalars import ScalarField, render
 from homq.ncpoly import (Presentation, PresentationError, NCPoly,
@@ -107,13 +109,16 @@ def test_longer_rhs_rejected():
     (lambda: Presentation(["1"], [], F), "bad generator name '1'"),
     (lambda: Presentation("ab", [("1", {})], F), "empty rule left side"),
     (lambda: plane_standard().word((0, 2)), "generator index 2 out of range"),
+    (lambda: Presentation("ab", [], F).word(["a", "z"]),
+     "unknown generator 'z'$"),
     (lambda: plane_standard().poly({"x": ScalarField(("s",)).one}),
      "coefficient from a different field"),
     (lambda: plane_standard().poly({"x": 0.5}), "bad coefficient 0.5"),
     (lambda: plane_standard().gen("x") + plane_standard().gen("x"),
      "operands from different presentations"),
 ], ids=["empty_name", "star_name", "unit_name", "empty_lhs", "index_range",
-        "foreign_coefficient", "float_coefficient", "two_presentations"])
+        "unknown_name", "foreign_coefficient", "float_coefficient",
+        "two_presentations"])
 def test_presentation_refuses_bad_input(build, message):
     with pytest.raises(PresentationError, match=message):
         build()
@@ -337,6 +342,78 @@ def test_reduce_equals_reference_reduce(make):
     assert len(P._nf_cache) == len(Q._nf_cache) == 1
 
 
+def history_dependent():
+    # not confluent: baa rewrites to t*b by the first rule and to aaa
+    # through the second, and bba rewrites to baa
+    return Presentation("ab", [("baa", {"b": "t"}), ("ba", {"aa": 1})], F)
+
+
+def test_normal_word_does_not_depend_on_what_was_asked_before():
+    assert not history_dependent().check_local_confluence(5).passed
+    P = history_dependent()
+    b, aaa = P.word("b"), P.word("aaa")
+    assert P.normal_word(P.word("bba")) == {b: F.parse("t")}
+    # reducing bba passes through the pending word baa, whose normal
+    # form, once known, must not stand in for further rewriting
+    P = history_dependent()
+    assert P.normal_word(P.word("baa")) == {aaa: F.one}
+    assert P.normal_word(P.word("bba")) == {b: F.parse("t")}
+
+
+def assert_order_free(make, words):
+    """normal_word of each word in three query orders equals its value on
+    a presentation that has reduced nothing before."""
+    want = {w: make().normal_word(w) for w in words}
+    shuffled = list(words)
+    random.Random(29).shuffle(shuffled)
+    for order in (words, words[::-1], shuffled):
+        P = make()
+        assert {w: P.normal_word(w) for w in order} == want
+
+
+HISTORY_FIXTURES = dict(ALL_FIXTURES, history_dependent=history_dependent)
+
+
+@pytest.mark.parametrize("make", HISTORY_FIXTURES.values(),
+                         ids=HISTORY_FIXTURES.keys())
+def test_normal_word_does_not_depend_on_the_query_order(make):
+    # confluent or not: a non-confluent presentation has no meaningful
+    # normal form, but each word still gets one answer
+    assert_order_free(make, words_up_to(make(), 4 if make is naive_glq2
+                                        else 5))
+
+
+@st.composite
+def small_rules(draw):
+    """1-4 rules over 2-3 generators, left sides of length 2-3, each right
+    side up to two graded-lex smaller words."""
+    gens = "abc"[:draw(st.integers(2, 3))]
+    words = ["".join(w) for n in range(4) for w in product(gens, repeat=n)]
+    rules = []
+    for _ in range(draw(st.integers(1, 4))):
+        lhs = draw(st.sampled_from([w for w in words if len(w) >= 2]))
+        smaller = [w for w in words if (len(w), w) < (len(lhs), lhs)]
+        rhs = draw(st.lists(st.sampled_from(smaller), max_size=2,
+                            unique=True))
+        rules.append((lhs, {w: draw(st.sampled_from(["1", "-1", "2", "t"]))
+                            for w in rhs}))
+    return gens, rules
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_rules())
+# a presentation whose answers depended on the query order
+@example(("ab", [("aab", {}), ("aa", {"": "1"}), ("aa", {}),
+                 ("ba", {"ab": "1"})]))
+def test_small_presentations_answer_in_any_query_order(gens_rules):
+    gens, rules = gens_rules
+
+    def make():
+        return Presentation(gens, rules, F)
+
+    assert_order_free(make, words_up_to(make(), 5))
+
+
 @pytest.mark.parametrize("make", ALL_FIXTURES.values(),
                          ids=ALL_FIXTURES.keys())
 def test_basis_levels_are_the_normal_words(make):
@@ -466,6 +543,8 @@ def test_poly_int_and_scalar_operands_act_as_units():
     assert q == P.unit(q)
     assert p != 2 and p != q
     assert P.zero_poly() == 0
+    for zero in (p.scale(0), p * 0, 0 * p):
+        assert zero.terms == {}
     # any other operand is refused
     for op in (operator.add, operator.sub, operator.mul):
         with pytest.raises(TypeError):

@@ -16,6 +16,7 @@ from homq.scalars import (
     UndeclaredVariable,
     ZetaUnavailable,
     _CycNumBase,
+    _Parser,
     _PRODUCTS_SIZE,
     _cancel,
     _is_const,
@@ -159,6 +160,62 @@ def test_syntax_error_position():
             parse_scalar(text, F_T)
         assert err.value.position == position
         assert str(err.value).startswith("unexpected character '\u00b2'")
+
+
+def reference_tokenize(text):
+    """The reference for _Parser._tokenize: a loop over the characters."""
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            out.append(("int", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(("name", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*/^()":
+            out.append((ch, ch, i))
+            i += 1
+            continue
+        raise ScalarSyntaxError(f"unexpected character {ch!r}", i)
+    out.append(("end", "", n))
+    return out
+
+
+def _tokens_or_refusal(tokenize, text):
+    try:
+        return tokenize(text)
+    except ScalarSyntaxError as err:
+        return str(err), err.position
+
+
+# ASCII digits, names and operators, with a superscript two, an Arabic-Indic
+# three, a line separator, a no-break space, a fullwidth t, a Roman twelve,
+# accented and Greek letters, a zero-width space, and two stray symbols
+_TOKEN_ALPHABET = ("09tq_x+-*/^() \t\n\u00b2\u0663\u2028\u00a0\uff54"
+                   "\u216b\u00e9\u03bb\u200b$.")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(_TOKEN_ALPHABET, max_size=12))
+@example("t + 1 \u00a0\u2028")
+@example("2\u00b2t ")
+def test_tokenize_matches_reference_tokenize(text):
+    assert (_tokens_or_refusal(_Parser._tokenize, text)
+            == _tokens_or_refusal(reference_tokenize, text))
 
 
 def test_unexpected_character():
