@@ -1,19 +1,23 @@
 """The cobraiding bilinear form on a presented Hom-bialgebra.
 
-The form is stored as one table on pairs of words of length at most
+The form R is stored as one table on pairs of words of length at most
 one (generator pairs and the unit columns) and extended to all words by
-one recursion: peel a generator off one slot and comultiply the other.
-On top of the evaluator sit the cobraided axiom suite, the two scalar
-Yang-Baxter identities it implies, the alpha-invariance check, and the
-power twist that composes the stored form with iterates of the
-structure map.
+one recursion, word_value: peel a generator off one slot and comultiply
+the other.  Every reading of R on images of the structure map,
+R(alpha^i x, alpha^j y), is one CobraidedHomBialgebra.alpha_value.  On
+top sit the cobraided axiom suite, the two scalar Yang-Baxter
+identities it implies, the alpha-invariance check, and the power twist.
+
+The instance keeps the memos that outlive a call: word_value's, the
+alpha^k word images and the power-twisted pair values.  The verifiers
+keep theirs for one call: R(alpha x, w), R(w, alpha z) and products.
 """
 
 from functools import cache, lru_cache
 
 from .hombialg import _combine, _product_table
 from .linalg import kernel_basis
-from .ncpoly import NCPoly, PresentationError, json_row
+from .ncpoly import NCPoly, PresentationError, json_row, linear_image
 from .report import Report, _at, _scan
 from .scalars import render
 
@@ -110,13 +114,11 @@ class CobraidingForm:
 class CobraidedHomBialgebra:
     """A Hom-bialgebra together with a cobraiding form.
 
-    The form table is always the untwisted one; alpha_power records how
-    many times the structure map is applied to both slots before the
-    table is consulted (the power-twisted family keeps H fixed and
-    replaces the form by its composite with alpha^n).  The memos of the
-    form's extension live here, the word memo seeded with a copy of the
-    table, because the extension goes through this host's
-    comultiplication.
+    The form table is always the untwisted one, R; alpha_power p is the
+    number of times the structure map is applied to both slots first, so
+    the instance form is R(alpha^p x, alpha^p y).  Its three memos go
+    through this host's maps: word_value's, seeded with a copy of the
+    table; alpha^k(w) for k >= 1; and the pair values when p > 0.
     """
 
     def __init__(self, H, form, alpha_power=0, name=""):
@@ -132,23 +134,40 @@ class CobraidedHomBialgebra:
         self.name = name or H.name
         self._value_cache = {}
         self._word_cache = dict(form.table)
+        self._alpha_cache = {}
 
     def word_pair_value(self, m, n):
         """Instance form on two monomial words (power twist applied)."""
         if not self.alpha_power:
             return word_value(self, m, n)
-        key = (m, n)
-        hit = self._value_cache.get(key)
+        hit = self._value_cache.get((m, n))
         if hit is None:
-            H = self.H
-            pres = H.pres
-            u = NCPoly(pres, {m: pres.field.one}, _trusted=True)
-            v = NCPoly(pres, {n: pres.field.one}, _trusted=True)
-            for _ in range(self.alpha_power):
-                u = H.alpha_poly(u)
-                v = H.alpha_poly(v)
-            hit = self._value_cache[key] = _bilinear(
-                pres, u, v, lambda wm, wn: word_value(self, wm, wn))
+            hit = self._value_cache[m, n] = self.alpha_value(m, n, 0, 0)
+        return hit
+
+    def alpha_value(self, m, n, i, j):
+        """R(alpha^(p+i) m, alpha^(p+j) n) for words m and n, R the stored
+        form and p the alpha_power: the sum of cu cv R(u, v) over the
+        terms of the two memoised images, each value read through
+        word_value.  A term whose value is zero is dropped before it is
+        scaled.  The sum itself is not memoised."""
+        p = self.alpha_power
+        v_terms = self._alpha_terms(p + j, n)
+        return sum((cu * cv * r for u, cu in self._alpha_terms(p + i, m)
+                    for v, cv in v_terms if (r := word_value(self, u, v))),
+                   self.H.pres.field.zero)
+
+    def _alpha_terms(self, k, w):
+        """The terms of alpha^k(w) as a tuple of (word, coefficient)
+        pairs, each image built from the one before; alpha^0(w) is w."""
+        H = self.H
+        if not k:
+            return ((w, H.pres.field.one),)
+        hit = self._alpha_cache.get((k, w))
+        if hit is None:
+            hit = self._alpha_cache[k, w] = tuple(linear_image(
+                self._alpha_terms(k - 1, w), H.alpha_word,
+                H.pres.zero_poly()).terms.items())
         return hit
 
     def to_json(self):
@@ -214,50 +233,17 @@ def _eval(C, m, n):
 
 
 def eval_R(C, u, v):
-    """Instance form on two elements of the host, extended bilinearly."""
+    """Instance form on two elements of the host, extended bilinearly; a
+    term whose value is zero is dropped before it is scaled."""
     pres = C.H.pres
     if not isinstance(u, NCPoly):
         u = pres.poly(u)
     if not isinstance(v, NCPoly):
         v = pres.poly(v)
-    return _bilinear(pres, u, v, C.word_pair_value)
-
-
-def _bilinear(pres, u, v, value):
-    """The sum of cu cv value(wu, wv) over the terms of u and v, two
-    elements of pres; a term whose value is zero is dropped before any
-    multiplication."""
-    total = pres.field.zero
     v_terms = pres.terms_of(v)
-    for wm, cm in pres.terms_of(u):
-        for wn, cn in v_terms:
-            r = value(wm, wn)
-            if r:
-                total = total + (cm * cn) * r
-    return total
-
-
-def _alpha_slot_forms(C):
-    """The instance form with the structure map in one slot, as two
-    functions of two words, R(alpha w, m) and R(m, alpha w), each
-    memoised for as long as the caller keeps it.  The terms of each
-    word's alpha image are read once.  A term whose form value is zero
-    is dropped before it is scaled."""
-    H, R = C.H, C.word_pair_value
-    zero = H.pres.field.zero
-    alpha_terms = cache(lambda w: tuple(H.alpha_word(w).terms.items()))
-
-    @cache
-    def alpha_first(w, m):
-        return sum((c * r for u, c in alpha_terms(w) if (r := R(u, m))),
-                   zero)
-
-    @cache
-    def alpha_second(m, w):
-        return sum((c * r for u, c in alpha_terms(w) if (r := R(m, u))),
-                   zero)
-
-    return alpha_first, alpha_second
+    return sum((cm * cn * r for wm, cm in pres.terms_of(u)
+                for wn, cn in v_terms if (r := C.word_pair_value(wm, wn))),
+               pres.field.zero)
 
 
 def covered_basis(C, degree):
@@ -279,14 +265,14 @@ def verify_cobraided(C, degree):
     braided_commutation
         sum y1 x1 R(x2, y2) = sum R(x1, y1) x2 y2
 
-    Both expansions read the two memos of _alpha_slot_forms, R(alpha x, w)
-    and R(w, alpha z) for words x, z and w, filled once per call: a
-    product side sums one of them over the terms of a product, a
-    coproduct side sums products of two of them over the legs.  Products
-    of words are read from one table filled on first use.  Every sum runs
-    over the non-zero form values: each value is looked up, so a partial
-    form still raises, and a term with a zero value is dropped before it
-    is multiplied.
+    Both expansions read two memos of alpha_value, R(alpha x, w) and
+    R(w, alpha z) for words x, z and w, filled once per call: a product
+    side sums one of them over the terms of a product, a coproduct side
+    sums products of two of them over the legs.  Products of words are
+    read from one table filled on first use.  Every sum runs over the
+    non-zero form values: each value is looked up, so a partial form
+    still raises, and a term with a zero value is dropped before it is
+    multiplied.
     """
     H = C.H
     pres = H.pres
@@ -295,7 +281,8 @@ def verify_cobraided(C, degree):
     basis = covered_basis(C, degree)
     names = {w: pres.word_text(w) for w in basis}
     delta_of = {w: list(H.delta_word(w).terms.items()) for w in basis}
-    alpha_first, alpha_second = _alpha_slot_forms(C)
+    alpha_first = cache(lambda x, w: C.alpha_value(x, w, 1, 0))
+    alpha_second = cache(lambda w, z: C.alpha_value(w, z, 0, 1))
 
     word_product = _product_table(H.word_product)
 
@@ -372,7 +359,8 @@ def verify_oqhybe(C, degree):
     names = [pres.word_text(w) for w in basis]
     delta_of = [list(H.delta_word(w).terms.items()) for w in basis]
     R = C.word_pair_value
-    alpha_first, alpha_second = _alpha_slot_forms(C)
+    alpha_first = cache(lambda x, w: C.alpha_value(x, w, 1, 0))
+    alpha_second = cache(lambda w, z: C.alpha_value(w, z, 0, 1))
 
     @cache
     def z1_fold(k, g, a):
@@ -418,15 +406,12 @@ def verify_oqhybe(C, degree):
 def check_alpha_invariance(C, degree):
     """Check that applying the structure map to both slots leaves the
     instance form unchanged on covered basis monomials."""
-    H = C.H
-    pres = H.pres
+    pres = C.H.pres
     rep = Report(f"alpha invariance on {C.name or 'instance'}")
     basis = covered_basis(C, degree)
-    alpha_of = [H.alpha_word(w) for w in basis]
-    _scan(rep, "alpha_invariance", [range(len(basis))] * 2,
-          lambda i, j: (eval_R(C, alpha_of[i], alpha_of[j]),
-                        C.word_pair_value(basis[i], basis[j])),
-          _at([pres.word_text(w) for w in basis], "xy"), degree)
+    _scan(rep, "alpha_invariance", [basis] * 2,
+          lambda x, y: (C.alpha_value(x, y, 1, 1), C.word_pair_value(x, y)),
+          _at({w: pres.word_text(w) for w in basis}, "xy"), degree)
     return rep
 
 

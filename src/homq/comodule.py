@@ -209,10 +209,6 @@ class ComoduleAlgebra:
             hit = self._rho_cache[w] = self.base_rho(self.alpha_word(w))
         return hit
 
-    def rho(self, p):
-        return linear_image(self.carrier.terms_of(p), self.rho_word,
-                            self._zero)
-
     def pair_product(self, t1, t2):
         """Slotwise product with the instance multiplications: the host
         word products are read as they come, the carrier ones from a

@@ -158,9 +158,9 @@ def _uinv_mod(a, m):
                 for j, sj in enumerate(s):
                     new_s[i + j] -= qi * sj
         old_s, s = s, _utrim(new_s)
-    # old_r is the gcd, a nonzero constant here
+    # old_r is the gcd, a nonzero constant, and deg old_s < deg m
     g = _recip(old_r[0])
-    return _udivmod([c * g for c in old_s], m)[1]
+    return [c * g for c in old_s]
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +226,7 @@ class _CycNumBase:
     def inverse(self):
         if not any(self.v):
             raise ScalarZeroDivision()
-        return self._mod_phi(_uinv_mod(_utrim(list(self.v)), self.PHI))
+        return self._mod_phi(_uinv_mod(self.v, self.PHI))
 
     def __repr__(self):  # debugging aid only
         return f"cyc{self.ORDER}{tuple(str(c) for c in self.v)}"

@@ -510,6 +510,20 @@ def test_alpha_invariance_mod_square():
     assert rep.passed, rep.to_json()
 
 
+def test_kernel_search_stops_at_the_first_empty_piece():
+    # in Z/3 every word of length 3 or more reduces to a shorter one, so
+    # the search ends at degree 3, below max_degree
+    F3 = ScalarField((), cyclotomic_order=3)
+    P = Presentation("g", [("ggg", {"1": 1})], F3, max_degree=5, name="z3")
+    assert P.basis_level(3) == []
+    H = twist_hom_bialgebra(HomBialgebra(P, {"g": {("g", "g"): 1}}),
+                            {"g": {"gg": 1}})
+    C = CobraidedHomBialgebra(H, CobraidingForm(P, {("g", "g"): "zeta"},
+                                                {"g": 1}, {"g": 1}))
+    assert alpha_kernel_witness(H) is None
+    assert verify_cobraided(twist_R_power(C, 1), 2).passed
+
+
 def test_injectivity_witness():
     FQ = ScalarField(("t",))
     P = Presentation("x", [("xx", {})], FQ, max_degree=4)
@@ -550,6 +564,42 @@ def test_integer_group_power_twist():
     C1 = twist_R_power(C, 1)
     assert C1.word_pair_value(P.word("u"), P.word("u")) == q ** 9
     assert verify_cobraided(C1, 3).passed
+
+
+# the form on alpha images against repeated alpha_poly -------------------------
+
+
+def reference_alpha_value(C, m, n, i, j):
+    """R(alpha^(p+i) m, alpha^(p+j) n), p = C.alpha_power: the bilinear
+    sum of word_value over the two images, each built by alpha_poly."""
+    H = C.H
+    pres = H.pres
+    u = NCPoly(pres, {m: pres.field.one}, _trusted=True)
+    v = NCPoly(pres, {n: pres.field.one}, _trusted=True)
+    for _ in range(C.alpha_power + i):
+        u = H.alpha_poly(u)
+    for _ in range(C.alpha_power + j):
+        v = H.alpha_poly(v)
+    total = pres.field.zero
+    for wm, cm in u.terms.items():
+        for wn, cn in v.terms.items():
+            total = total + cm * cn * word_value(C, wm, wn)
+    return total
+
+
+@pytest.mark.parametrize("power", [0, 1])
+@pytest.mark.parametrize("build", [twisted_instance, zn_instance],
+                         ids=["twisted_qm2", "z5k2"])
+def test_alpha_value_matches_repeated_alpha_poly(build, power):
+    C = twist_R_power(build(), power)
+    assert C.alpha_power == power
+    words = covered_basis(C, 2)
+    for i in range(3):
+        for j in range(3):
+            for m in words:
+                for n in words:
+                    assert C.alpha_value(m, n, i, j) == \
+                        reference_alpha_value(C, m, n, i, j), (m, n, i, j)
 
 
 # the sparse form recursion against the dense one ------------------------------

@@ -585,6 +585,17 @@ def test_twist_of_plain_plane_passes():
     assert verify_comodule_hom_algebra(T, 3).passed
 
 
+def test_twist_over_a_host_without_a_form():
+    # a plain Hom-bialgebra host has no form to carry over, so the
+    # twisted host is the twisted Hom-bialgebra itself
+    H = HomBialgebra(qm2_presentation(F), DELTA, name="qm2")
+    T = twist_comodule_algebra(plane_comodule_algebra(H, "standard"), ALPHA,
+                               PLANE_ALPHA)
+    assert type(T.host) is HomBialgebra and T.host.twisted
+    assert verify_comodule(T, 3).passed
+    assert verify_comodule_hom_algebra(T, 3).passed
+
+
 def test_twist_checks_the_host_map_once(monkeypatch):
     calls = []
     original = hombialg.verify_morphism
@@ -842,7 +853,6 @@ FOREIGN_MAPS = {
     "eval_R_second_slot": lambda A: _form_with_a(A, False),
     "carrier_alpha_poly": lambda A: A.alpha_poly,
     "base_rho": lambda A: A.base_rho,
-    "rho": lambda A: A.rho,
 }
 
 

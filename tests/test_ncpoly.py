@@ -360,6 +360,13 @@ def test_normal_word_does_not_depend_on_what_was_asked_before():
     assert P.normal_word(P.word("bba")) == {b: F.parse("t")}
 
 
+def test_reduce_drops_a_pending_word_whose_coefficient_cancels():
+    # bb -> -ab - ba, then ba -> -ab + b cancels the pending ab
+    P = Presentation("ab", [("bb", {"ab": -1, "ba": -1}),
+                            ("ba", {"ab": -1, "b": 1})], F)
+    assert P.normal_word((1, 1)) == {(1,): F.from_int(-1)}
+
+
 def assert_order_free(make, words):
     """normal_word of each word in three query orders equals its value on
     a presentation that has reduced nothing before."""
@@ -579,6 +586,11 @@ def test_tensor_componentwise_product():
     t1 = P.tensor(2, {("b", "c"): 1})
     t2 = P.tensor(2, {("a", "a"): 1})
     assert t1 * t2 == P.tensor(2, {("ab", "ac"): "q^2"})
+
+
+def test_tensor_drops_a_zero_coefficient():
+    P = plane_standard()
+    assert P.tensor(2, {("x", "y"): 0}).terms == {}
 
 
 def test_tensor_arity_mismatch():

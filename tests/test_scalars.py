@@ -19,11 +19,13 @@ from homq.scalars import (
     _Parser,
     _PRODUCTS_SIZE,
     _cancel,
+    _cyc_class,
     _is_const,
     _p_add,
     _p_div_exact,
     _p_gcd,
     _p_mul,
+    _uinv_mod,
     parse_scalar,
     render,
 )
@@ -99,6 +101,21 @@ def test_zeta_reduction():
 def test_zeta_inverse_exact():
     s = parse_scalar("1/(zeta - zeta^4)", F_Z5)
     assert (s * parse_scalar("zeta - zeta^4", F_Z5)) == F_Z5.one
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_cyclotomic_inverse_needs_no_second_reduction(n):
+    # the Bezout coefficient of the inverse already has degree below
+    # deg Phi_n, so inverse reduces it once
+    cls = _cyc_class(n)
+    rng = random.Random(n)
+    for _ in range(20):
+        x = cls([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                 for _ in range(cls.DEG)])
+        if not x:
+            continue
+        assert len(_uinv_mod(x.v, cls.PHI)) < len(cls.PHI)
+        assert x * x.inverse() == cls.ONE
 
 
 def test_negative_exponent_groups():
@@ -270,6 +287,12 @@ def test_field_declaration_errors():
 def test_mixed_field_arithmetic_rejected():
     with pytest.raises(ScalarError):
         F_T.one + F_TL.one
+
+
+def test_scalars_of_two_fields_are_unequal():
+    # equality compares, it does not refuse: the same value over another
+    # field is a different scalar
+    assert (ScalarField(("t",)).one == ScalarField(("u",)).one) is False
 
 
 # round trips and idempotence -------------------------------------------------
