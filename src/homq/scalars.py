@@ -23,13 +23,20 @@ and arithmetic that meets one goes through a multivariate gcd.
 
 A verifier multiplies values from a small set over and over (the roots
 of unity of a bicharacter, the monomials q^a*lambda^b of a twisted form),
-so each ScalarField keeps one product table: after the zero and one
-shortcuts, a product of two one-term Laurent values (every value of
-Q(zeta_n), which has no variables) is looked up by its operand pair, and
-a miss computes it as before and stores it.  When the table holds
-_PRODUCTS_SIZE entries it is emptied.  A stored product is the same
-value a miss would compute, and no operation changes a Scalar's value,
-so no result depends on what the table held.
+so each ScalarField keeps one product table.  A product with the field's
+``one`` (which ``from_int(1)`` returns) is the other operand, found by
+identity before any dict is compared.  A one-term Laurent value (every
+value of Q(zeta_n), which has no variables) gets a small int id the
+first time it is a product operand: the field's registry maps its
+content, the exponent tuple and the coefficient (a Q(zeta_n) one as its
+tuple ``v``), to an id drawn from one process-wide counter, so no id
+ever names two values, even after a registry is emptied or in another
+field equal to this one.  A product of two such values is looked up by
+its pair of ids, and a miss computes it as before and stores it.  The
+table and the registry are each emptied when they hold _PRODUCTS_SIZE
+entries.  A stored product is the same value a miss would compute, and
+no operation changes a Scalar's value, so no result depends on what the
+table or the registry held.
 
 The parser accepts integer literals, declared variable names, ``zeta``
 (when the field has a cyclotomic order), the sugar ``q`` for ``t^2`` and
@@ -44,6 +51,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction as _Q
 from functools import lru_cache
+from itertools import count
 from operator import add as _add, sub as _sub
 
 class ScalarError(Exception):
@@ -487,8 +495,11 @@ def _cancel(P, Q, field):
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = {"zeta"}
-# entries of a field's product table before it is emptied
+# entries of a field's product table, or of its id registry, before it
+# is emptied
 _PRODUCTS_SIZE = 1024
+# the ids of one-term values, shared by every field; 0 is never an id
+_IDS = count(1)
 
 
 class ScalarField:
@@ -499,7 +510,8 @@ class ScalarField:
     """
 
     __slots__ = ("variables", "cyclotomic_order", "nvars", "_cyc", "_var_index",
-                 "_zero_exp", "_one_poly", "zero", "one", "_hash", "_products")
+                 "_zero_exp", "_one_poly", "zero", "one", "_hash", "_products",
+                 "_ids")
 
     def __init__(self, variables=(), cyclotomic_order=None):
         variables = tuple(variables)
@@ -528,6 +540,7 @@ class ScalarField:
         self.one = Scalar(self, dict(self._one_poly), self._one_poly)
         self._hash = hash((variables, cyclotomic_order))
         self._products = {}
+        self._ids = {}
 
     def __eq__(self, other):
         return (isinstance(other, ScalarField)
@@ -554,6 +567,8 @@ class ScalarField:
     def from_int(self, v):
         if v == 0:
             return self.zero
+        if v == 1:
+            return self.one
         return Scalar(self, {self._zero_exp: self._coef_from_int(v)},
                       self._one_poly)
 
@@ -597,7 +612,7 @@ def _laurent(field, terms):
     s.field = field
     s.laurent = _p_tidy(terms)
     s._pair = None
-    s._h = None
+    s._h = s._k = None
     return s
 
 
@@ -605,13 +620,15 @@ class Scalar:
     """Canonical rational function, built by a ScalarField or from a
     canonical (num, den) pair.  ``laurent`` is its Laurent dict, or None
     when its reduced denominator is not a monomial; ``num`` and ``den``
-    read either form as the canonical pair."""
+    read either form as the canonical pair.  ``_k`` is the id of a
+    one-term Laurent value once it has been a product operand."""
 
-    __slots__ = ("field", "laurent", "_pair", "_h")
+    __slots__ = ("field", "laurent", "_pair", "_h", "_k")
 
     def __init__(self, field, num, den):
         num, den = _p_tidy(num), _p_tidy(den)
-        self.field, self._pair, self._h = field, (num, den), None
+        self.field, self._pair = field, (num, den)
+        self._h = self._k = None
         self.laurent = None
         if len(den) == 1:
             (d,) = den
@@ -623,6 +640,19 @@ class Scalar:
             num, d = _split(self.laurent, self.field._zero_exp)
             self._pair = (num, self.field._mono(d))
         return self._pair
+
+    def _id(self):
+        """Give a one-term Laurent value the id of its content."""
+        ((e, c),) = self.laurent.items()
+        ids = self.field._ids
+        key = (e, c.v if isinstance(c, _CycNumBase) else c)
+        k = ids.get(key)
+        if k is None:
+            if len(ids) >= _PRODUCTS_SIZE:
+                ids.clear()
+            k = ids[key] = next(_IDS)
+        self._k = k
+        return k
 
     num = property(lambda self: self._view()[0])
     den = property(lambda self: self._view()[1])
@@ -701,22 +731,22 @@ class Scalar:
             if other is None:
                 return NotImplemented
         f = self.field
+        if self is f.one:
+            return other
+        if other is f.one:
+            return self
         a, b = self.laurent, other.laurent
         if a is not None and b is not None:
             if not a or not b:
                 return f.zero
-            one = f._one_poly
-            if a == one:
-                return other
-            if b == one:
-                return self
             if len(a) == 1 == len(b):
                 products = f._products
-                p = products.get((self, other))
+                key = (self._k or self._id(), other._k or other._id())
+                p = products.get(key)
                 if p is None:
                     if len(products) >= _PRODUCTS_SIZE:
                         products.clear()
-                    p = products[self, other] = _laurent(f, _p_mul(a, b))
+                    p = products[key] = _laurent(f, _p_mul(a, b))
                 return p
             return _laurent(f, _p_mul(a, b))
         if a == {} or b == {}:

@@ -485,6 +485,18 @@ def test_reports_do_not_depend_on_the_product_table(field, make, degree,
     assert any('"fail"' in text for text in cold) == witnesses
 
 
+def test_alpha_zero_image_multiplies_by_identity():
+    # alpha_value multiplies by the coefficient of an alpha^0 image, which
+    # is the field's one, so each such product returns its other operand
+    for C in (twisted_instance(), zn_instance()):
+        one = C.H.pres.field.one
+        for w in C.H.pres.basis_level(2):
+            ((u, c),) = C._alpha_terms(0, w)
+            assert u == w and c is one
+            for _, cv in C._alpha_terms(1, w):
+                assert c * cv is cv and cv * c is cv
+
+
 def test_power_twist_zero_is_identity():
     C = zn_instance()
     assert twist_R_power(C, 0) is C

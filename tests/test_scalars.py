@@ -1,12 +1,14 @@
 import operator
 import random
 import time
+import tokenize
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from homq import scalars
 from homq.scalars import (
     Scalar,
     ScalarError,
@@ -750,11 +752,14 @@ def test_exponents_have_no_range_limit():
 def test_one_operand_returns_the_other():
     # the one-term values are also product table operands
     for text, field in (("(t + lambda)/t^2", F_TL), ("3*t/lambda", F_TL),
-                        ("zeta^3/t^2", F_Z5T), ("zeta^3 - 2", F_Z13)):
+                        ("(t + 1)/(t - lambda)", F_TL),
+                        ("zeta^3/t^2", F_Z5T), ("zeta^3 - 2", F_Z13),
+                        ("zeta^2/3 + 1", F_Z5)):
         s = parse_scalar(text, field)
+        assert field.from_int(1) is field.one
         for _ in range(2):         # the product table cold, then warm
-            assert field.one * s is s
-            assert s * field.from_int(1) is s
+            assert field.one * s is s and s * field.one is s
+            assert s * field.from_int(1) is s and 1 * s is s
             s * s
 
 
@@ -804,7 +809,85 @@ def test_one_term_products_match_reference_cold_and_warm(pair):
         if x != 1 and y != 1:
             # a table product belongs to the left operand's field
             assert cold.field is x.field
-            assert x * y is cold and x.field._products[x, y] is cold
+            assert x * y is cold
+            assert x.field._products[x._k, y._k] is cold
+
+
+def _rebuilt(s):
+    """s built again in its own field, as _apart builds it in another."""
+    return Scalar(s.field, dict(s.num), dict(s.den))
+
+
+@pytest.mark.parametrize("texts, field", [
+    (("3*t/lambda", "t^-1/2"), F_TL), (("zeta^3", "zeta^4/3"), F_Z13)])
+def test_equal_operands_reach_one_table_entry(texts, field, monkeypatch):
+    calls = []
+
+    def counted(A, B):
+        calls.append(1)
+        return _p_mul(A, B)
+
+    a, b = (parse_scalar(text, field) for text in texts)
+    field._products.clear()
+    monkeypatch.setattr(scalars, "_p_mul", counted)
+    p = a * b
+    assert len(calls) == 1
+    a2, b2 = _rebuilt(a), _rebuilt(b)
+    assert a2 is not a and b2 is not b
+    assert a2 * b2 is p and a * b2 is p and len(calls) == 1
+    assert (a2._k, b2._k) == (a._k, b._k)
+
+
+def test_an_id_is_never_reused():
+    field = ScalarField(("t", "lambda"))
+    t, lam = field.var("t"), field.var("lambda")
+    assert (t * lam).laurent == {(1, 1): 1}
+    old = {t._k, lam._k}
+    i = 1
+    while True:
+        # a new value each time, until one empties the registry and is
+        # the first value of the emptied registry to get an id
+        i += 1
+        x = t ** i
+        assert (x * lam).laurent == {(i, 1): 1}
+        if len(field._ids) == 1:
+            break
+    fresh = [x, field.var("t"), field.var("lambda"),
+             parse_scalar("2*t^3", field), parse_scalar("lambda^-2/7", field)]
+    for u in [t, lam] + fresh:
+        for v in [t, lam] + fresh:
+            assert u * v == reference_mul(u, v)
+    ids = [s._k for s in fresh]
+    assert len(set(ids)) == len(ids) and not old & set(ids)
+
+
+@pytest.mark.parametrize("texts, variables, order", [
+    (("3*t/lambda", "t^-1/2", "lambda^2", "-t"), ("t", "lambda"), None),
+    (("zeta^3", "2*zeta", "zeta^4/3", "-1"), (), 5)])
+def test_products_across_equal_fields(texts, variables, order):
+    field, twin = (ScalarField(variables, order) for _ in range(2))
+    assert twin == field and twin is not field
+    # the twin's values in the other order, so that ids counted per field
+    # would name different values in the two
+    values = [parse_scalar(text, field) for text in texts]
+    values += [parse_scalar(text, twin) for text in reversed(texts)]
+    for _ in range(2):             # the product tables cold, then warm
+        for x in values:
+            for y in values:
+                p = x * y
+                assert p == reference_mul(x, y) and p.field is x.field
+                assert render(p) == render(reference_mul(x, y))
+
+
+def test_scalars_module_stays_below_the_parser_token_doubling():
+    """The compile of scalars.py is the peak memory of a process that
+    only multiplies cyclotomic values (the zn13 benchmark workload).  The
+    parser grows its token array by doubling, so a module of 8,192 tokens
+    or more raises that peak, and peak_rss_mb with it, by about 0.5 MB."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    with open(scalars.__file__, "rb") as f:
+        n = sum(tok.type not in skip for tok in tokenize.tokenize(f.readline))
+    assert n < 8192
 
 
 def test_product_table_never_grows_past_its_size():
