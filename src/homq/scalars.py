@@ -15,11 +15,31 @@ cyclotomic polynomial included.
 Every scalar has exactly one form, so equality is plain structural
 equality, which is what every verifier in the package relies on.  A
 value whose reduced denominator is a monomial (a Laurent polynomial, the
-common case) is one dict {signed exponent tuple: coefficient}; between
-two of them ``*`` and ``+`` are a product and a sum with no cancellation.
-Any other value is a coprime (numerator, denominator) pair, the
-denominator monic under graded lex with the declared variable order,
-and arithmetic that meets one goes through a multivariate gcd.
+common case) is one dict {exponent key: coefficient}; between two of
+them ``*`` and ``+`` are a product and a sum with no cancellation.  Any
+other value is a coprime (numerator, denominator) pair, the denominator
+monic under graded lex with the declared variable order, and arithmetic
+that meets one goes through a multivariate gcd.
+
+Every polynomial dict here, Laurent, numerator, denominator or gcd
+operand, is keyed by packed exponent vectors: a key is one non-negative
+int whose 64-bit field i (bits 64i to 64i + 63) holds e_i + 2^61, so an
+exponent is valid when -2^61 <= e_i < 2^61.  With z the field's zero
+key ``_zero_exp``, which is also the key of the unit, a product of
+monomials is the key ea + eb - z and an inverse is 2z - e, one int
+operation each.  Bits 62 and 63 of every field are the guard, the mask
+``_g``: no valid key sets one, and an exponent that leaves the range
+sets one in its own field, by overflow or by the borrow of an
+underflow.  Every key that arithmetic can push out of the range, in
+``_p_mul``, ``_split``, ``Scalar.__init__`` and ``Scalar.inverse``,
+passes that one AND (``_checked``), and a key that fails it raises
+ScalarError("exponent out of range"), so no exponent wraps;
+``_p_div_exact`` tests each quotient key for exponents in [0, 2^61)
+with one AND too.  ``ScalarField._pack`` and ``_unpack`` convert between
+keys and exponent tuples, and ``_pack`` refuses an exponent out of range
+the same way.
+Only code that reads one variable at a time unpacks: graded lex order,
+rendering, ``_split`` and the gcd path.
 
 A verifier multiplies values from a small set over and over (the roots
 of unity of a bicharacter, the monomials q^a*lambda^b of a twisted form),
@@ -28,7 +48,7 @@ so each ScalarField keeps one product table.  A product with the field's
 identity before any dict is compared.  A one-term Laurent value (every
 value of Q(zeta_n), which has no variables) gets a small int id the
 first time it is a product operand: the field's registry maps its
-content, the exponent tuple and the coefficient (a Q(zeta_n) one as its
+content, the exponent key and the coefficient (a Q(zeta_n) one as its
 tuple ``v``), to an id drawn from one process-wide counter, so no id
 ever names two values, even after a registry is emptied or in another
 field equal to this one.  A product of two such values is looked up by
@@ -50,9 +70,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction as _Q
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import count
-from operator import add as _add, sub as _sub
+from operator import add as _add, or_ as _or, sub as _sub
 
 class ScalarError(Exception):
     """Base for everything raised by this module."""
@@ -253,11 +273,24 @@ def _cyc_class(n):
 
 
 # ---------------------------------------------------------------------------
-# sparse polynomial dicts {exponent tuple: coefficient}
+# sparse polynomial dicts {exponent key: coefficient}; the module
+# docstring gives the key layout, its range and its guard
+
+_BIAS = 1 << 61
+_MASK = (1 << 64) - 1
+_RANGE = range(-_BIAS, _BIAS)
 
 
-def _grlex(e):
-    return (sum(e), e)
+def _checked(P, g):
+    """P (keys, or a dict of them), refused if a key has a guard bit of g."""
+    if reduce(_or, P, 0) & g:
+        raise ScalarError("exponent out of range")
+    return P
+
+
+def _grlex(e, field):
+    e = field._unpack(e)
+    return sum(e), e
 
 
 def _p_add(A, B):
@@ -279,16 +312,19 @@ def _p_neg(A):
     return {e: -c for e, c in A.items()}
 
 
-def _p_mul(A, B):
+def _p_mul(A, B, field):
+    z = field._zero_exp
     if len(B) == 1:
         A, B = B, A
     if len(A) == 1:
         ((ea, ca),) = A.items()
-        return {tuple(map(_add, ea, eb)): ca * cb for eb, cb in B.items()}
+        ea -= z
+        return _checked({ea + eb: ca * cb for eb, cb in B.items()}, field._g)
     out = {}
     for ea, ca in A.items():
+        ea -= z
         for eb, cb in B.items():
-            e = tuple(map(_add, ea, eb))
+            e = ea + eb
             p = ca * cb
             s = out.get(e)
             if s is None:
@@ -299,7 +335,7 @@ def _p_mul(A, B):
                     out[e] = s
                 else:
                     del out[e]
-    return out
+    return _checked(out, field._g)
 
 
 def _p_scale(A, c):
@@ -313,49 +349,55 @@ def _p_tidy(A):
     return A
 
 
-def _split(P, d):
+def _split(P, d, field):
     """P and x^d over their common monomial factor (the latter as its
-    exponent); with d zero, the (num, den) pair of a Laurent dict P."""
-    s = d
+    key); with d the zero key, the (num, den) pair of a Laurent dict P."""
+    s = field._unpack(d)
     for e in P:
-        s = tuple(map(min, s, e))
-    if not any(s):
+        s = tuple(map(min, s, field._unpack(e)))
+    off = field._zero_exp - field._pack(s)
+    if not off:
         return P, d
-    return ({tuple(map(_sub, e, s)): c for e, c in P.items()},
-            tuple(map(_sub, d, s)))
+    d += off
+    P = {e + off: c for e, c in P.items()}
+    _checked([d, *P], field._g)
+    return P, d
 
 
-def _p_pow(A, n):
+def _p_pow(A, n, field):
     out = None
     base = A
     while n:
         if n & 1:
-            out = base if out is None else _p_mul(out, base)
+            out = base if out is None else _p_mul(out, base, field)
         n >>= 1
         if n:
-            base = _p_mul(base, base)
+            base = _p_mul(base, base, field)
     return out
 
 
-def _p_lead(A):
-    return max(A, key=_grlex)
+def _p_lead(A, field):
+    return max(A, key=lambda e: _grlex(e, field))
 
 
-def _p_div_exact(A, B):
+def _p_div_exact(A, B, field):
     """Quotient A / B, or None when B does not divide A exactly."""
+    z = field._zero_exp
     out = {}
     R = dict(A)
-    eB = _p_lead(B)
+    eB = _p_lead(B, field)
     cinv = _recip(B[eB])
     while R:
-        eR = _p_lead(R)
-        d = tuple(map(_sub, eR, eB))
-        if any(x < 0 for x in d):
+        eR = _p_lead(R, field)
+        d = eR - eB
+        # every exponent of x^d lies in [0, 2^61): each field has bit 61
+        # (a bit of z) and no guard bit
+        if d + z & (field._g | z) != z:
             return None
         q = R[eR] * cinv
-        out[d] = q
+        out[d + z] = q
         for e2, c2 in B.items():
-            e = tuple(map(_add, d, e2))
+            e = d + e2
             p = q * c2
             s = R.get(e)
             if s is None:
@@ -374,18 +416,15 @@ def _gcd_uni(A, B, i, field):
     zero = field._cyc.ZERO if field._cyc else 0
 
     def todense(P):
-        d = max(e[i] for e in P)
-        out = [zero] * (d + 1)
-        for e, c in P.items():
-            out[e[i]] = c
+        P = {field._unpack(e)[i]: c for e, c in P.items()}
+        out = [zero] * (max(P) + 1)
+        for k, c in P.items():
+            out[k] = c
         return out
 
-    base = field._zero_exp
-    out = {}
-    for k, c in enumerate(_ugcd(todense(A), todense(B))):
-        if c:
-            out[base[:i] + (k,) + base[i + 1 :]] = c
-    return out
+    step = 1 << 64 * i
+    return {field._zero_exp + k * step: c
+            for k, c in enumerate(_ugcd(todense(A), todense(B))) if c}
 
 
 @lru_cache(maxsize=None)
@@ -400,8 +439,9 @@ def _p_gcd(A, B, field):
     inputs recurse through the fraction field of the remaining variables,
     which keeps intermediate coefficient growth in check.
     """
-    used = [i for i in range(field.nvars)
-            if any(e[i] for e in A) or any(e[i] for e in B)]
+    # the fields of the exponents that are not zero in some key
+    moved = reduce(_or, (e ^ field._zero_exp for e in (*A, *B)))
+    used = [i for i in range(field.nvars) if moved >> 64 * i & _MASK]
     if not used:
         return dict(field._one_poly)
     if len(used) == 1:
@@ -415,13 +455,12 @@ def _p_gcd(A, B, field):
     def content(P):
         groups = {}
         for e, c in P.items():
-            key = e[m]
-            sub_e = e[:m] + (0,) + e[m + 1 :]
-            groups.setdefault(key, {})[sub_e] = c
+            k = (e >> 64 * m & _MASK) - _BIAS
+            groups.setdefault(k, {})[e - (k << 64 * m)] = c
         g = {}
         for part in groups.values():
             g = part if not g else _p_gcd(g, part, field)
-            if _is_const(g):
+            if _is_const(g, field):
                 break
         return g
 
@@ -431,10 +470,9 @@ def _p_gcd(A, B, field):
         groups = {}
         top = 0
         for e, c in P.items():
-            d = e[m]
-            top = max(top, d)
-            sub_e = tuple(e[i] for i in others)
-            groups.setdefault(d, {})[sub_e] = c
+            e = field._unpack(e)
+            top = max(top, e[m])
+            groups.setdefault(e[m], {})[sub._pack([e[i] for i in others])] = c
         out = [sub.zero] * (top + 1)
         for d, poly in groups.items():
             out[d] = Scalar(sub, poly, sub._one_poly)
@@ -446,32 +484,32 @@ def _p_gcd(A, B, field):
     den_prod = dict(sub._one_poly)
     for c in h:
         if c.num:
-            den_prod = _p_mul(den_prod, c.den)
+            den_prod = _p_mul(den_prod, c.den, sub)
     cont = {}
     numerators = []
     for c in h:
         if c.num:
-            n = _p_mul(c.num, _p_div_exact(den_prod, c.den))
+            n = _p_mul(c.num, _p_div_exact(den_prod, c.den, sub), sub)
             cont = n if not cont else _p_gcd(cont, n, sub)
         else:
             n = {}
         numerators.append(n)
-    if not _is_const(cont):
-        numerators = [_p_div_exact(n, cont) if n else n for n in numerators]
+    if not _is_const(cont, sub):
+        numerators = [_p_div_exact(n, cont, sub) if n else n
+                      for n in numerators]
     flat = {}
-    base = field._zero_exp
     for d, n in enumerate(numerators):
         for sub_e, c in n.items():
-            e = list(base)
-            for pos, i in enumerate(others):
-                e[i] = sub_e[pos]
+            e = [0] * field.nvars
+            for i, k in zip(others, sub._unpack(sub_e)):
+                e[i] = k
             e[m] = d
-            flat[tuple(e)] = c
-    return _p_mul(cont_g, flat)
+            flat[field._pack(e)] = c
+    return _p_mul(cont_g, flat, field)
 
 
-def _is_const(g):
-    return len(g) == 1 and not any(_p_lead(g))
+def _is_const(g, field):
+    return len(g) == 1 and field._zero_exp in g
 
 
 def _cancel(P, Q, field):
@@ -479,15 +517,15 @@ def _cancel(P, Q, field):
     if len(Q) == 1:
         # gcd with a monomial is the common monomial factor
         ((d, c),) = Q.items()
-        P, e = _split(P, d)
-        return P, (Q if e is d else {e: c})
+        P, e = _split(P, d, field)
+        return P, (Q if e == d else {e: c})
     if len(P) == 1:
         Q, P = _cancel(Q, P, field)
         return P, Q
     g = _p_gcd(P, Q, field)
-    if _is_const(g):
+    if _is_const(g, field):
         return P, Q
-    return _p_div_exact(P, g), _p_div_exact(Q, g)
+    return _p_div_exact(P, g, field), _p_div_exact(Q, g, field)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +548,8 @@ class ScalarField:
     """
 
     __slots__ = ("variables", "cyclotomic_order", "nvars", "_cyc", "_var_index",
-                 "_zero_exp", "_one_poly", "zero", "one", "_hash", "_products",
-                 "_ids")
+                 "_zero_exp", "_g", "_one_poly", "zero", "one", "_hash",
+                 "_products", "_ids")
 
     def __init__(self, variables=(), cyclotomic_order=None):
         variables = tuple(variables)
@@ -534,7 +572,8 @@ class ScalarField:
         self.nvars = len(variables)
         self._cyc = _cyc_class(cyclotomic_order) if cyclotomic_order else None
         self._var_index = {n: i for i, n in enumerate(variables)}
-        self._zero_exp = (0,) * self.nvars
+        self._zero_exp = sum(_BIAS << 64 * i for i in range(self.nvars))
+        self._g = 6 * self._zero_exp   # bits 62 and 63 of every field
         self._one_poly = {self._zero_exp: self._coef_one()}
         self.zero = Scalar(self, {}, self._one_poly)
         self.one = Scalar(self, dict(self._one_poly), self._one_poly)
@@ -576,8 +615,8 @@ class ScalarField:
         i = self._var_index.get(name)
         if i is None:
             raise UndeclaredVariable(name)
-        e = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Scalar(self, {e: self._coef_one()}, self._one_poly)
+        return Scalar(self, {self._zero_exp + (1 << 64 * i): self._coef_one()},
+                      self._one_poly)
 
     def zeta(self):
         if not self._cyc:
@@ -587,9 +626,21 @@ class ScalarField:
     def parse(self, text):
         return parse_scalar(text, self)
 
+    # exponent keys ---------------------------------------------------------
+
+    def _pack(self, e):
+        """The key of the exponent vector e."""
+        if not all(k in _RANGE for k in e):
+            raise ScalarError("exponent out of range")
+        return self._zero_exp + sum(k << 64 * i for i, k in enumerate(e))
+
+    def _unpack(self, e):
+        """The exponent vector of the key e."""
+        return tuple((e >> 64 * i & _MASK) - _BIAS for i in range(self.nvars))
+
     def _mono(self, e):
-        """The monic monomial x^e as a denominator dict."""
-        return {e: self._coef_one()} if any(e) else self._one_poly
+        """The monic monomial x^e, e a key, as a denominator dict."""
+        return self._one_poly if e == self._zero_exp else {e: self._coef_one()}
 
     def _coprime_make(self, num, den):
         """Construct from an already coprime pair, normalizing the unit."""
@@ -597,20 +648,25 @@ class ScalarField:
             raise ScalarZeroDivision()
         if not num:
             return self.zero
-        one = self._coef_one()
-        lc = den[_p_lead(den)]
-        if lc != one:
+        lc = den[_p_lead(den, self)]
+        if lc != self._coef_one():
             inv = _recip(lc)
             num = _p_scale(num, inv)
             den = _p_scale(den, inv)
+        if num == den == self._one_poly:
+            return self.one
         return Scalar(self, num, den)
 
 
 def _laurent(field, terms):
-    """The Scalar whose Laurent dict is terms (nonzero coefficients)."""
+    """The Scalar whose Laurent dict is terms (nonzero coefficients); the
+    field's one when that is 1."""
+    terms = _p_tidy(terms)
+    if terms == field._one_poly:
+        return field.one
     s = object.__new__(Scalar)
     s.field = field
-    s.laurent = _p_tidy(terms)
+    s.laurent = terms
     s._pair = None
     s._h = s._k = None
     return s
@@ -620,8 +676,14 @@ class Scalar:
     """Canonical rational function, built by a ScalarField or from a
     canonical (num, den) pair.  ``laurent`` is its Laurent dict, or None
     when its reduced denominator is not a monomial; ``num`` and ``den``
-    read either form as the canonical pair.  ``_k`` is the id of a
-    one-term Laurent value once it has been a product operand."""
+    read either form as the canonical pair.  Every dict is keyed by
+    packed exponent vectors (see the module docstring): field i of a key
+    is bits 64i to 64i + 63 and holds e_i + 2^61, with -2^61 <= e_i <
+    2^61, a key with a bit 62 or 63 set in any field is refused, and
+    ``num`` and ``den`` of a Laurent value unpack its keys once, in
+    ``_split``.  A value equal to 1 that arithmetic produces is the
+    field's ``one``.  ``_k`` is the id of a one-term Laurent value once
+    it has been a product operand."""
 
     __slots__ = ("field", "laurent", "_pair", "_h", "_k")
 
@@ -632,13 +694,16 @@ class Scalar:
         self.laurent = None
         if len(den) == 1:
             (d,) = den
-            self.laurent = {tuple(map(_sub, e, d)): c for e, c in num.items()}
+            off = field._zero_exp - d
+            self.laurent = _checked({e + off: c for e, c in num.items()},
+                                    field._g)
 
     def _view(self):
         """The canonical (num, den) pair, computed once."""
         if self._pair is None:
-            num, d = _split(self.laurent, self.field._zero_exp)
-            self._pair = (num, self.field._mono(d))
+            f = self.field
+            num, d = _split(self.laurent, f._zero_exp, f)
+            self._pair = (num, f._mono(d))
         return self._pair
 
     def _id(self):
@@ -692,17 +757,17 @@ class Scalar:
             return _laurent(f, num) if num else f.zero
         (n1, d1), (n2, d2) = self._view(), other._view()
         g = _p_gcd(d1, d2, f)
-        e1 = _p_div_exact(d1, g)
-        e2 = _p_div_exact(d2, g)
-        num = _p_add(_p_mul(n1, e2), _p_mul(n2, e1))
+        e1 = _p_div_exact(d1, g, f)
+        e2 = _p_div_exact(d2, g, f)
+        num = _p_add(_p_mul(n1, e2, f), _p_mul(n2, e1, f))
         if not num:
             return f.zero
         # common factors of the sum with the denominator sit inside g
-        h = g if _is_const(g) else _p_gcd(num, g, f)
-        if not _is_const(h):
-            num = _p_div_exact(num, h)
-            g = _p_div_exact(g, h)
-        return f._coprime_make(num, _p_mul(_p_mul(g, e1), e2))
+        h = g if _is_const(g, f) else _p_gcd(num, g, f)
+        if not _is_const(h, f):
+            num = _p_div_exact(num, h, f)
+            g = _p_div_exact(g, h, f)
+        return f._coprime_make(num, _p_mul(_p_mul(g, e1, f), e2, f))
 
     __radd__ = __add__
 
@@ -746,9 +811,9 @@ class Scalar:
                 if p is None:
                     if len(products) >= _PRODUCTS_SIZE:
                         products.clear()
-                    p = products[key] = _laurent(f, _p_mul(a, b))
+                    p = products[key] = _laurent(f, _p_mul(a, b, f))
                 return p
-            return _laurent(f, _p_mul(a, b))
+            return _laurent(f, _p_mul(a, b, f))
         if a == {} or b == {}:
             return f.zero
         # cross-cancel so the product of the reduced parts is coprime
@@ -758,7 +823,7 @@ class Scalar:
             n1, d2 = _cancel(n1, d2, f)
         if d1 != one:
             n2, d1 = _cancel(n2, d1, f)
-        return f._coprime_make(_p_mul(n1, n2), _p_mul(d1, d2))
+        return f._coprime_make(_p_mul(n1, n2, f), _p_mul(d1, d2, f))
 
     __rmul__ = __mul__
 
@@ -780,7 +845,9 @@ class Scalar:
             raise ScalarZeroDivision()
         if a is not None and len(a) == 1:
             ((e, c),) = a.items()
-            return _laurent(self.field, {tuple(-k for k in e): _recip(c)})
+            f = self.field
+            e = 2 * f._zero_exp - e
+            return _laurent(f, _checked({e: _recip(c)}, f._g))
         num, den = self._view()
         return self.field._coprime_make(dict(den), dict(num))
 
@@ -796,10 +863,10 @@ class Scalar:
             return base
         a = base.laurent
         if a is not None:
-            return _laurent(f, _p_pow(a, n))
+            return _laurent(f, _p_pow(a, n, f))
         # powers of a coprime pair stay coprime; the monic unit is preserved
         num, den = base._pair
-        return Scalar(f, _p_pow(num, n), _p_pow(den, n))
+        return Scalar(f, _p_pow(num, n, f), _p_pow(den, n, f))
 
     def __eq__(self, other):
         if type(other) is not Scalar:
@@ -1007,13 +1074,14 @@ def _term_string(coef, mono):
 
 def _mono_string(field, e):
     return "*".join(name if k == 1 else f"{name}^{k}"
-                    for name, k in zip(field.variables, e) if k)
+                    for name, k in zip(field.variables, field._unpack(e)) if k)
 
 
 def _render_poly(field, P):
     if not P:
         return "0"
-    terms = sorted(P.items(), key=lambda item: _grlex(item[0]), reverse=True)
+    terms = sorted(P.items(), key=lambda item: _grlex(item[0], field),
+                   reverse=True)
     return _signed_sum(_term_string(c, _mono_string(field, e))
                        for e, c in terms)
 

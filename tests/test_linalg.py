@@ -20,7 +20,7 @@ def to_sympy(s):
         total = sympy.Integer(0)
         for exps, c in p.items():
             term = sympy.Rational(c.numerator, c.denominator)
-            for sym, e in zip(syms, exps):
+            for sym, e in zip(syms, s.field._unpack(exps)):
                 term *= sym ** e
             total += term
         return total

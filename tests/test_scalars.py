@@ -1,4 +1,5 @@
 import operator
+import pathlib
 import random
 import time
 import tokenize
@@ -37,6 +38,13 @@ F_T = ScalarField(("t",))
 F_TL = ScalarField(("t", "lambda"))
 F_Z5 = ScalarField((), cyclotomic_order=5)
 F_QP = ScalarField(("q", "p"))
+
+
+def _exponents(field, P):
+    """The polynomial dict P with each packed key unpacked into its
+    exponent tuple.  The tests read keys through it and build them with
+    field._pack."""
+    return {field._unpack(e): c for e, c in P.items()}
 
 
 def rnd_poly_scalar(field, rng, max_terms=3, max_exp=3, coef_bound=5):
@@ -402,9 +410,9 @@ def test_hypothesis_ring_properties(a, b):
 # independent oracle ----------------------------------------------------------
 
 
-def _to_sympy(poly_dict, syms):
+def _to_sympy(field, poly_dict, syms):
     total = sympy.Integer(0)
-    for e, c in poly_dict.items():
+    for e, c in _exponents(field, poly_dict).items():
         term = sympy.Rational(int(c.numerator), int(c.denominator))
         for s, k in zip(syms, e):
             term *= s ** k
@@ -423,9 +431,9 @@ def test_gcd_reduction_against_sympy():
         if b.is_zero() or c.is_zero():
             continue
         mine = (a * c) / (b * c)
-        a_s, b_s, c_s = (_to_sympy(x.num, syms) for x in (a, b, c))
-        num_s = _to_sympy(mine.num, syms)
-        den_s = _to_sympy(mine.den, syms)
+        a_s, b_s, c_s = (_to_sympy(F_TL, x.num, syms) for x in (a, b, c))
+        num_s = _to_sympy(F_TL, mine.num, syms)
+        den_s = _to_sympy(F_TL, mine.den, syms)
         # cross multiplication: mine equals (a c)/(b c) exactly
         assert sympy.expand(num_s * b_s * c_s - den_s * a_s * c_s) == 0
         # coprime: no nonconstant common divisor survives
@@ -485,31 +493,32 @@ def reference_add(self, other):
         if d1 == one_poly:
             return Scalar(f, num, d1)
         h = _p_gcd(num, d1, f)
-        if _is_const(h):
+        if _is_const(h, f):
             return f._coprime_make(num, dict(d1))
-        return f._coprime_make(_p_div_exact(num, h), _p_div_exact(d1, h))
+        return f._coprime_make(_p_div_exact(num, h, f),
+                               _p_div_exact(d1, h, f))
     if d1 == one_poly:
         # denominator is d2; the sum stays coprime to it
-        return f._coprime_make(_p_add(_p_mul(n1, d2), n2), dict(d2))
+        return f._coprime_make(_p_add(_p_mul(n1, d2, f), n2), dict(d2))
     if d2 == one_poly:
-        return f._coprime_make(_p_add(n1, _p_mul(n2, d1)), dict(d1))
+        return f._coprime_make(_p_add(n1, _p_mul(n2, d1, f)), dict(d1))
     g = _p_gcd(d1, d2, f)
-    if _is_const(g):
-        num = _p_add(_p_mul(n1, d2), _p_mul(n2, d1))
+    if _is_const(g, f):
+        num = _p_add(_p_mul(n1, d2, f), _p_mul(n2, d1, f))
         if not num:
             return f.zero
-        return f._coprime_make(num, _p_mul(d1, d2))
-    e1 = _p_div_exact(d1, g)
-    e2 = _p_div_exact(d2, g)
-    num = _p_add(_p_mul(n1, e2), _p_mul(n2, e1))
+        return f._coprime_make(num, _p_mul(d1, d2, f))
+    e1 = _p_div_exact(d1, g, f)
+    e2 = _p_div_exact(d2, g, f)
+    num = _p_add(_p_mul(n1, e2, f), _p_mul(n2, e1, f))
     if not num:
         return f.zero
     # common factors of the sum with the denominator sit inside g
     h = _p_gcd(num, g, f)
-    if not _is_const(h):
-        num = _p_div_exact(num, h)
-        g = _p_div_exact(g, h)
-    return f._coprime_make(num, _p_mul(_p_mul(g, e1), e2))
+    if not _is_const(h, f):
+        num = _p_div_exact(num, h, f)
+        g = _p_div_exact(g, h, f)
+    return f._coprime_make(num, _p_mul(_p_mul(g, e1, f), e2, f))
 
 
 def reference_mul(self, other):
@@ -522,13 +531,13 @@ def reference_mul(self, other):
     one_poly = f._one_poly
     n1, d1, n2, d2 = self.num, self.den, other.num, other.den
     if d1 == one_poly and d2 == one_poly:
-        return Scalar(f, _p_mul(n1, n2), one_poly)
+        return Scalar(f, _p_mul(n1, n2, f), one_poly)
     # cross-cancel so the product of the reduced parts is coprime
     if d2 != one_poly:
         n1, d2 = _cancel(n1, d2, f)
     if d1 != one_poly:
         n2, d1 = _cancel(n2, d1, f)
-    return f._coprime_make(_p_mul(n1, n2), _p_mul(d1, d2))
+    return f._coprime_make(_p_mul(n1, n2, f), _p_mul(d1, d2, f))
 
 
 # reference_truediv is Scalar.__truediv__ as it was before division became
@@ -551,7 +560,7 @@ def reference_truediv(self, other):
         n1, n2 = _cancel(n1, n2, f)
     if d1 != one_poly or d2 != one_poly:
         d1, d2 = _cancel(d1, d2, f)
-    return f._coprime_make(_p_mul(n1, d2), _p_mul(d1, n2))
+    return f._coprime_make(_p_mul(n1, d2, f), _p_mul(d1, n2, f))
 
 
 F_Z13 = ScalarField((), cyclotomic_order=13)
@@ -588,8 +597,9 @@ def laurent(draw, field, values=_INT_COEF, sizes=st.integers(0, 4)):
     if not terms:
         return field.zero
     low = [min(0, min(e[i] for e in terms)) for i in range(field.nvars)]
-    num = {tuple(k - m for k, m in zip(e, low)): c for e, c in terms.items()}
-    den = tuple(-m for m in low)
+    num = {field._pack([k - m for k, m in zip(e, low)]): c
+           for e, c in terms.items()}
+    den = field._pack([-m for m in low])
     return Scalar(field, num, field._mono(den))
 
 
@@ -732,9 +742,9 @@ def test_one_value_by_different_paths_has_one_form(text, other):
 
 def test_laurent_form_and_its_pair():
     s = parse_scalar("(t^2 + 2*lambda)/(t^3*lambda)", F_TL)
-    assert s.laurent == {(-1, -1): 1, (-3, 0): 2}
-    assert s.num == {(2, 0): 1, (0, 1): 2}
-    assert s.den == {(3, 1): 1}
+    assert _exponents(F_TL, s.laurent) == {(-1, -1): 1, (-3, 0): 2}
+    assert _exponents(F_TL, s.num) == {(2, 0): 1, (0, 1): 2}
+    assert _exponents(F_TL, s.den) == {(3, 1): 1}
     assert parse_scalar("1/(t + 1)", F_TL).laurent is None
     assert F_TL.zero.laurent == {} and not F_TL.zero
     assert Scalar(F_TL, s.num, s.den) == s
@@ -743,10 +753,89 @@ def test_laurent_form_and_its_pair():
 def test_exponents_have_no_range_limit():
     t = F_TL.var("t")
     big, small = t ** (2 ** 40), t ** -(2 ** 40)
-    assert big.laurent == {(2 ** 40, 0): 1}
+    assert _exponents(F_TL, big.laurent) == {(2 ** 40, 0): 1}
     assert big * small == 1 and small * big == F_TL.one
     assert big.inverse() == small
     assert render(small) == f"1/t^{2 ** 40}"
+
+
+_LOW, _HIGH = -2 ** 61, 2 ** 61      # the exponent range is [_LOW, _HIGH)
+# exponents inside the range, at both of its ends, and just outside it
+_EXPONENT = st.one_of(st.integers(_LOW, _HIGH - 1),
+                      st.sampled_from([_LOW - 1, _LOW, -1, 0, 1, _HIGH - 1,
+                                       _HIGH]))
+_FIELDS = [ScalarField([f"x{i}" for i in range(n)]) for n in range(5)]
+
+
+def _in_range(e):
+    return all(_LOW <= k < _HIGH for k in e)
+
+
+def _terms(n):
+    return st.dictionaries(st.tuples(*[_EXPONENT] * n),
+                           st.integers(-3, 3).filter(bool),
+                           min_size=1, max_size=3)
+
+
+def _tuple_mul(A, B):
+    """The product of two dicts keyed by exponent tuples."""
+    out = {}
+    for ea, ca in A.items():
+        for eb, cb in B.items():
+            e = tuple(map(operator.add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(_terms(n), _terms(n))))
+def test_packed_keys_round_trip_and_add(pair):
+    A, B = pair
+    field = _FIELDS[len(next(iter(A)))]
+    for e in (*A, *B):
+        if not _in_range(e):
+            with pytest.raises(ScalarError, match="exponent out of range"):
+                field._pack(e)
+            return
+        assert field._unpack(field._pack(e)) == e
+    packed = [{field._pack(e): c for e, c in P.items()} for P in (A, B)]
+    want = _tuple_mul(A, B)
+    if all(map(_in_range, want)):
+        assert _exponents(field, _p_mul(*packed, field)) == want
+    else:
+        with pytest.raises(ScalarError, match="exponent out of range"):
+            _p_mul(*packed, field)
+    e, c = next(iter(A.items()))
+    x = Scalar(field, {field._pack(e): c}, field._one_poly)
+    if _in_range(tuple(-k for k in e)):
+        assert _exponents(field, x.inverse().laurent) == {
+            tuple(-k for k in e): Fraction(1, c)}
+    else:
+        with pytest.raises(ScalarError, match="exponent out of range"):
+            x.inverse()
+
+
+def test_exponents_out_of_range_are_refused():
+    with pytest.raises(ScalarError, match="exponent out of range"):
+        parse_scalar(f"t^{_HIGH}", F_TL)
+    x = F_TL.var("t") ** (2 ** 40)
+    for _ in range(20):
+        x = x * x
+    assert _exponents(F_TL, x.laurent) == {(2 ** 60, 0): 1}
+    with pytest.raises(ScalarError, match="exponent out of range"):
+        x * x
+    low = parse_scalar(f"t^{_LOW}", F_TL)
+    assert _exponents(F_TL, low.laurent) == {(_LOW, 0): 1}
+    with pytest.raises(ScalarError, match="exponent out of range"):
+        low.inverse()
+
+
+def test_a_result_equal_to_one_is_the_field_one():
+    t, one = F_TL.var("t"), F_TL.one
+    assert t * t ** -1 is one
+    assert (t + 1) / (t + 1) is one
+    assert (-one) * (-one) is one
+    assert F_Z5.zeta() ** 5 is F_Z5.one
 
 
 def test_one_operand_returns_the_other():
@@ -765,8 +854,8 @@ def test_one_operand_returns_the_other():
 
 def test_division_makes_a_fraction_never_a_float():
     third = F_TL.from_int(3).inverse()
-    assert third.num == {(0, 0): Fraction(1, 3)}
-    assert type(third.num[(0, 0)]) is Fraction
+    assert _exponents(F_TL, third.num) == {(0, 0): Fraction(1, 3)}
+    assert type(_exponents(F_TL, third.num)[(0, 0)]) is Fraction
     z = F_Z13.from_int(3).inverse()
     assert all(type(c) is not float for c in _coefficients(z))
     assert z * F_Z13.from_int(3) == F_Z13.one
@@ -823,9 +912,9 @@ def _rebuilt(s):
 def test_equal_operands_reach_one_table_entry(texts, field, monkeypatch):
     calls = []
 
-    def counted(A, B):
+    def counted(A, B, field):
         calls.append(1)
-        return _p_mul(A, B)
+        return _p_mul(A, B, field)
 
     a, b = (parse_scalar(text, field) for text in texts)
     field._products.clear()
@@ -841,7 +930,7 @@ def test_equal_operands_reach_one_table_entry(texts, field, monkeypatch):
 def test_an_id_is_never_reused():
     field = ScalarField(("t", "lambda"))
     t, lam = field.var("t"), field.var("lambda")
-    assert (t * lam).laurent == {(1, 1): 1}
+    assert _exponents(field, (t * lam).laurent) == {(1, 1): 1}
     old = {t._k, lam._k}
     i = 1
     while True:
@@ -849,7 +938,7 @@ def test_an_id_is_never_reused():
         # the first value of the emptied registry to get an id
         i += 1
         x = t ** i
-        assert (x * lam).laurent == {(i, 1): 1}
+        assert _exponents(field, (x * lam).laurent) == {(i, 1): 1}
         if len(field._ids) == 1:
             break
     fresh = [x, field.var("t"), field.var("lambda"),
@@ -879,15 +968,29 @@ def test_products_across_equal_fields(texts, variables, order):
                 assert render(p) == render(reference_mul(x, y))
 
 
+def _token_count(path):
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    with open(path, "rb") as f:
+        return sum(tok.type not in skip
+                   for tok in tokenize.tokenize(f.readline))
+
+
 def test_scalars_module_stays_below_the_parser_token_doubling():
     """The compile of scalars.py is the peak memory of a process that
     only multiplies cyclotomic values (the zn13 benchmark workload).  The
     parser grows its token array by doubling, so a module of 8,192 tokens
     or more raises that peak, and peak_rss_mb with it, by about 0.5 MB."""
-    skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
-    with open(scalars.__file__, "rb") as f:
-        n = sum(tok.type not in skip for tok in tokenize.tokenize(f.readline))
-    assert n < 8192
+    assert _token_count(scalars.__file__) < 8192
+
+
+@pytest.mark.parametrize("path", sorted(
+    pathlib.Path(scalars.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_every_module_stays_below_the_parser_token_doubling(path):
+    """The compile of the largest module of homq is the peak memory of
+    importing the package, so no module may reach the 8,192 tokens at
+    which the parser doubles its token array (see the test above); it
+    would raise setup_s and peak_rss_mb of every workload."""
+    assert _token_count(path) < 8192
 
 
 def test_product_table_never_grows_past_its_size():
@@ -896,7 +999,7 @@ def test_product_table_never_grows_past_its_size():
     powers = [t ** i for i in range(2, 2 * _PRODUCTS_SIZE + 9)]
     sizes = []
     for i, a in enumerate(powers, 2):
-        assert (a * lam).laurent == {(i, 1): 1}
+        assert _exponents(field, (a * lam).laurent) == {(i, 1): 1}
         sizes.append(len(field._products))
     assert max(sizes) == _PRODUCTS_SIZE
     assert sizes.count(1) == 3       # filled from empty, then emptied twice
@@ -906,7 +1009,8 @@ def test_a_memoised_product_is_not_changed_by_arithmetic_on_it():
     a, b = parse_scalar("3*t/lambda", F_TL), parse_scalar("t^2/5", F_TL)
     F_TL._products.clear()
     p = a * b
-    before = (dict(p.laurent), dict(p.num), dict(p.den), render(p), hash(p))
+    before = (*(_exponents(F_TL, d) for d in (p.laurent, p.num, p.den)),
+              render(p), hash(p))
     others = [parse_scalar(u, F_TL) for u in
               ("3*t^3/(5*lambda)", "t + lambda", "1/(t + 1)", "-7", "t/2")]
     for c in others:
@@ -917,7 +1021,8 @@ def test_a_memoised_product_is_not_changed_by_arithmetic_on_it():
         r + r
         r * r
     assert a * b is p
-    after = (dict(p.laurent), dict(p.num), dict(p.den), render(p), hash(p))
+    after = (*(_exponents(F_TL, d) for d in (p.laurent, p.num, p.den)),
+             render(p), hash(p))
     assert after == before == (
         {(3, -1): Fraction(3, 5)}, {(3, 0): Fraction(3, 5)}, {(0, 1): 1},
         "3*t^3/5/lambda", hash(reference_mul(a, b)))
