@@ -10,7 +10,8 @@ identities it implies, the alpha-invariance check, and the power twist.
 
 The instance keeps the memos that outlive a call: word_value's, the
 alpha^k word images and the power-twisted pair values.  The verifiers
-keep theirs for one call: R(alpha x, w), R(w, alpha z) and products.
+keep theirs for one call: R(alpha x, w), R(w, alpha z), products, and
+the folds of their contractions, each kept for one pair of outer cases.
 """
 
 from functools import cache, lru_cache
@@ -268,11 +269,18 @@ def verify_cobraided(C, degree):
     Both expansions read two memos of alpha_value, R(alpha x, w) and
     R(w, alpha z) for words x, z and w, filled once per call: a product
     side sums one of them over the terms of a product, a coproduct side
-    sums products of two of them over the legs.  Products of words are
-    read from one table filled on first use.  Every sum runs over the
-    non-zero form values: each value is looked up, so a partial form
-    still raises, and a term with a zero value is dropped before it is
-    multiplied.
+    is a contraction of two of them over the legs.  Products of words
+    are read from one table filled on first use.  Each coproduct side
+    folds the factor that does not change in the innermost slot once
+    per pair of outer cases: the first expansion, scanned (z, x, y),
+    folds (z, x) into the legs (z2, c R(alpha x, z1)) of Delta z, and
+    the second, scanned (x, y, z), folds (x, y) into the legs
+    (x1, c R(x2, alpha y)) of Delta x; each case then reads one value
+    per leg of its fold.  A fold keeps its non-zero legs when the form
+    is total, and every leg, zeros included, when it is partial, so
+    that every value the sums need is still looked up and a partial
+    form still raises.  A term with a zero value is dropped before it
+    is multiplied.
     """
     H = C.H
     pres = H.pres
@@ -285,25 +293,42 @@ def verify_cobraided(C, degree):
     alpha_second = cache(lambda w, z: C.alpha_value(w, z, 0, 1))
 
     word_product = _product_table(H.word_product)
+    total = C.form.total
+
+    @lru_cache(maxsize=1)
+    def z_fold(z, x):
+        # the legs (z2, c R(alpha x, z1)) of Delta z
+        return [(z2, c * a) for (z1, z2), c in delta_of[z]
+                if (a := alpha_first(x, z1)) or not total]
+
+    @lru_cache(maxsize=1)
+    def x_fold(x, y):
+        # the legs (x1, c R(x2, alpha y)) of Delta x
+        return [(x1, c * b) for (x1, x2), c in delta_of[x]
+                if (b := alpha_second(x2, y)) or not total]
 
     def first_expansion(z, x, y):
-        left = sum((c * v for w, c in word_product(x, y)
-                    if (v := alpha_second(w, z))), zero)
-        right = zero
-        for (z1, z2), c in delta_of[z]:
-            a, b = alpha_first(x, z1), alpha_first(y, z2)
-            if a and b:
-                right = right + c * (a * b)
+        left = right = zero
+        for w, c in word_product(x, y):
+            v = alpha_second(w, z)
+            if v:
+                left = left + c * v
+        for z2, u in z_fold(z, x):
+            v = alpha_first(y, z2)
+            if u and v:
+                right = right + u * v
         return left, right
 
     def second_expansion(x, y, z):
-        left = sum((c * v for w, c in word_product(y, z)
-                    if (v := alpha_first(x, w))), zero)
-        right = zero
-        for (x1, x2), c in delta_of[x]:
-            a, b = alpha_second(x1, z), alpha_second(x2, y)
-            if a and b:
-                right = right + c * (a * b)
+        left = right = zero
+        for w, c in word_product(y, z):
+            v = alpha_first(x, w)
+            if v:
+                left = left + c * v
+        for x1, u in x_fold(x, y):
+            v = alpha_second(x1, z)
+            if u and v:
+                right = right + u * v
         return left, right
 
     def commutation(x, y):
@@ -368,8 +393,12 @@ def verify_oqhybe(C, degree):
 
     def contract_z(k, g, a, h, b):
         # sum of cz g(a, z1) h(b, z2) over the coproduct of z_k
-        return sum((w * v for z2, w in z1_fold(k, g, a) if (v := h(b, z2))),
-                   zero)
+        out = zero
+        for z2, w in z1_fold(k, g, a):
+            v = h(b, z2)
+            if v:
+                out = out + w * v
+        return out
 
     def ybe_form(f, g, h):
         @lru_cache(maxsize=1)
@@ -389,10 +418,16 @@ def verify_oqhybe(C, degree):
 
         def sides(i, j, k):
             left, right = fold(i, j)
-            return (sum((u * v for a, b, u in left
-                         if (v := contract_z(k, g, a, h, b))), zero),
-                    sum((u * v for a, b, u in right
-                         if (v := contract_z(k, h, b, g, a))), zero))
+            lhs = rhs = zero
+            for a, b, u in left:
+                v = contract_z(k, g, a, h, b)
+                if v:
+                    lhs = lhs + u * v
+            for a, b, u in right:
+                v = contract_z(k, h, b, g, a)
+                if v:
+                    rhs = rhs + u * v
+            return lhs, rhs
         return sides
 
     idx = [range(len(basis))] * 3

@@ -744,6 +744,25 @@ def test_partial_form_raises_where_the_dense_recursion_raises(name,
     assert len(got) == count
 
 
+# the first pair each verifier reads and finds missing, by degree 1, 2, 3
+PARTIAL_REFUSALS = {
+    ("d_uncovered", "cobraided"): ["(1, d)", "(a, d)", "(a, d)"],
+    ("d_uncovered", "oqhybe"): ["(1, d)"] * 3,
+    ("dd_dropped", "cobraided"): ["(d, d)"] * 3,
+    ("dd_dropped", "oqhybe"): ["(d, d)"] * 3,
+}
+
+
+@pytest.mark.parametrize("name, verifier", sorted(PARTIAL_REFUSALS))
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_verifiers_refuse_a_partial_form(name, verifier, degree):
+    run = {"cobraided": verify_cobraided, "oqhybe": verify_oqhybe}[verifier]
+    pair = PARTIAL_REFUSALS[name, verifier][degree - 1]
+    with pytest.raises(CobraidingError) as exc:
+        run(PARTIAL_FORMS[name][0](), degree)
+    assert str(exc.value) == f"no configured value for the pair {pair}"
+
+
 # the contractions against the loops they replaced ----------------------------
 
 
@@ -762,7 +781,12 @@ REFERENCE_CASES = [
     ("dd=q", _corrupted(("d", "d"), "q"), "oqhybe", 2),
     ("dd=2", _corrupted(("d", "d"), "2"), "oqhybe", 2),
     ("aa=q", _corrupted(("a", "a"), "q"), "cobraided", 3),
+    ("aa=q^-1", _corrupted(("a", "a"), "q^-1"), "cobraided", 3),
+    ("aa=2", _corrupted(("a", "a"), "2"), "cobraided", 3),
+    ("aa=q_half^3", _corrupted(("a", "a"), "q_half^3"), "cobraided", 3),
     ("bc=0", _corrupted(("b", "c"), 0), "cobraided", 2),
+    ("plain_qm2", plain_instance, "cobraided", 2),
+    ("plain_qm2", plain_instance, "oqhybe", 2),
     ("z5k4", _power_twisted_zn(4), "cobraided", 3),
     ("z5k4", _power_twisted_zn(4), "oqhybe", 2),
     ("z5k2", _power_twisted_zn(2), "cobraided", 3),
