@@ -7,10 +7,12 @@ the other.  Every reading of R on images of the structure map,
 R(alpha^i x, alpha^j y), is one CobraidedHomBialgebra.alpha_value.  On
 top sit the cobraided axiom suite, the two scalar Yang-Baxter
 identities it implies, the alpha-invariance check, and the power twist.
+The second cobraided product expansion is the first one for the
+transposed form R^t(a, b) = R(b, a) over the co-opposite coproduct.
 
 The instance keeps the memos that outlive a call: word_value's, the
 alpha^k word images and the power-twisted pair values.  The verifiers
-keep theirs for one call: R(alpha x, w), R(w, alpha z), products, and
+keep theirs for one call: R(alpha a, w), R(w, alpha a), products, and
 the folds of their contractions, each kept for one pair of outer cases.
 """
 
@@ -233,25 +235,28 @@ def _eval(C, m, n):
     return val
 
 
-def eval_R(C, u, v):
-    """Instance form on two elements of the host, extended bilinearly; a
-    term whose value is zero is dropped before it is scaled."""
-    pres = C.H.pres
-    if not isinstance(u, NCPoly):
-        u = pres.poly(u)
-    if not isinstance(v, NCPoly):
-        v = pres.poly(v)
-    v_terms = pres.terms_of(v)
-    return sum((cm * cn * r for wm, cm in pres.terms_of(u)
-                for wn, cn in v_terms if (r := C.word_pair_value(wm, wn))),
-               pres.field.zero)
-
-
 def covered_basis(C, degree):
     """Basis monomials of total degree <= degree in covered generators."""
     covered = C.form.covered
     return [w for w in C.H.pres.graded_basis(degree)
             if all(i in covered for i in w)]
+
+
+def _fold(legs, read, a, keep):
+    """The legs (l2, c read(a, l1)) of the legs ((l1, l2), c), in order;
+    keep, true exactly on a partial form, keeps the zero ones, so that
+    every value the sums need is looked up and a partial form raises."""
+    return [(l2, c * v) for (l1, l2), c in legs
+            if (v := read(a, l1)) or keep]
+
+
+def _dot(fold, read, b, out):
+    """out plus the sum of u read(b, l2) over the legs (l2, u) of a
+    _fold; a term whose read(b, l2) is zero is dropped before it is scaled."""
+    for l2, u in fold:
+        if v := read(b, l2):
+            out = out + u * v
+    return out
 
 
 def verify_cobraided(C, degree):
@@ -266,21 +271,18 @@ def verify_cobraided(C, degree):
     braided_commutation
         sum y1 x1 R(x2, y2) = sum R(x1, y1) x2 y2
 
-    Both expansions read two memos of alpha_value, R(alpha x, w) and
-    R(w, alpha z) for words x, z and w, filled once per call: a product
-    side sums one of them over the terms of a product, a coproduct side
-    is a contraction of two of them over the legs.  Products of words
-    are read from one table filled on first use.  Each coproduct side
-    folds the factor that does not change in the innermost slot once
-    per pair of outer cases: the first expansion, scanned (z, x, y),
-    folds (z, x) into the legs (z2, c R(alpha x, z1)) of Delta z, and
-    the second, scanned (x, y, z), folds (x, y) into the legs
-    (x1, c R(x2, alpha y)) of Delta x; each case then reads one value
-    per leg of its fold.  A fold keeps its non-zero legs when the form
-    is total, and every leg, zeros included, when it is partial, so
-    that every value the sums need is still looked up and a partial
-    form still raises.  A term with a zero value is dropped before it
-    is multiplied.
+    The second expansion is the first for the transposed form R^t(a, b)
+    = R(b, a) over the co-opposite coproduct, so one contraction checks
+    both: sides(a, b, c) compares outer(a, bc) with the sum of inner(b,
+    a1) inner(c, a2), outer and inner being the call's memos of R(w,
+    alpha a) and R(alpha a, w), keyed (a, w).  The first expansion runs
+    it over Delta, scanned (z, x, y); the second swaps the two memos and
+    runs over Delta^cop, scanned (x, y, z), and so reads every product
+    and value in the order of its axiom.  Products of words come from
+    one table filled on first use.  The coproduct side folds (a, b) once
+    per pair of outer cases into the legs (a2, c inner(b, a1)) of Delta a
+    (see _fold), and each case reads one value per leg.  A term with a
+    zero value is dropped before it is multiplied.
     """
     H = C.H
     pres = H.pres
@@ -289,47 +291,32 @@ def verify_cobraided(C, degree):
     basis = covered_basis(C, degree)
     names = {w: pres.word_text(w) for w in basis}
     delta_of = {w: list(H.delta_word(w).terms.items()) for w in basis}
-    alpha_first = cache(lambda x, w: C.alpha_value(x, w, 1, 0))
-    alpha_second = cache(lambda w, z: C.alpha_value(w, z, 0, 1))
+    cop_of = {w: [((l2, l1), c) for (l1, l2), c in legs]
+              for w, legs in delta_of.items()}
+    # R(alpha a, w) and R(w, alpha a)
+    alpha_left = cache(lambda a, w: C.alpha_value(a, w, 1, 0))
+    alpha_right = cache(lambda a, w: C.alpha_value(w, a, 0, 1))
 
-    word_product = _product_table(H.word_product)
-    total = C.form.total
+    word_prod = _product_table(H.product)
+    keep = not C.form.total
 
-    @lru_cache(maxsize=1)
-    def z_fold(z, x):
-        # the legs (z2, c R(alpha x, z1)) of Delta z
-        return [(z2, c * a) for (z1, z2), c in delta_of[z]
-                if (a := alpha_first(x, z1)) or not total]
+    def expansion(outer, inner, delta):
+        @lru_cache(maxsize=1)
+        def fold(a, b):
+            return _fold(delta[a], inner, b, keep)
 
-    @lru_cache(maxsize=1)
-    def x_fold(x, y):
-        # the legs (x1, c R(x2, alpha y)) of Delta x
-        return [(x1, c * b) for (x1, x2), c in delta_of[x]
-                if (b := alpha_second(x2, y)) or not total]
-
-    def first_expansion(z, x, y):
-        left = right = zero
-        for w, c in word_product(x, y):
-            v = alpha_second(w, z)
-            if v:
-                left = left + c * v
-        for z2, u in z_fold(z, x):
-            v = alpha_first(y, z2)
-            if u and v:
-                right = right + u * v
-        return left, right
-
-    def second_expansion(x, y, z):
-        left = right = zero
-        for w, c in word_product(y, z):
-            v = alpha_first(x, w)
-            if v:
-                left = left + c * v
-        for x1, u in x_fold(x, y):
-            v = alpha_second(x1, z)
-            if u and v:
-                right = right + u * v
-        return left, right
+        def sides(a, b, c):
+            left = right = zero
+            for w, k in word_prod(b, c):
+                v = outer(a, w)
+                if v:
+                    left = left + k * v
+            for a2, u in fold(a, b):
+                v = inner(c, a2)
+                if u and v:
+                    right = right + u * v
+            return left, right
+        return sides
 
     def commutation(x, y):
         left, right = [], []
@@ -343,13 +330,15 @@ def verify_cobraided(C, degree):
                         left.append((y1, x1, c * r_left))
                     if r_right:
                         right.append((x2, y2, c * r_right))
-        return (_combine(word_product, pres, left),
-                _combine(word_product, pres, right))
+        return (_combine(word_prod, pres, left),
+                _combine(word_prod, pres, right))
 
-    _scan(rep, "first_slot_product_expansion", [basis] * 3, first_expansion,
-          _at(names, "zxy"), degree)
+    _scan(rep, "first_slot_product_expansion", [basis] * 3,
+          expansion(alpha_right, alpha_left, delta_of), _at(names, "zxy"),
+          degree)
     _scan(rep, "second_slot_product_expansion", [basis] * 3,
-          second_expansion, _at(names, "xyz"), degree)
+          expansion(alpha_left, alpha_right, cop_of), _at(names, "xyz"),
+          degree)
     _scan(rep, "braided_commutation", [basis] * 2, commutation,
           _at(names, "xy"), degree)
     return rep
@@ -372,9 +361,9 @@ def verify_oqhybe(C, degree):
     the fold U_xy contracts the legs of x and y that f takes, (x1, y1) on
     the left and (x2, y2) on the right, and keeps its non-zero entries by
     the other two legs.  For z, V_z contracts the coproduct of z with the
-    two other factors at those legs; the factor on z1 is memoised per
-    (z, leg) on first use, so V_z costs one product per leg z2.  Each
-    triple is the sparse dot product of U_xy with V_z.
+    two other factors at those legs; the factor on z1 is folded per
+    (z, leg) on first use (see _fold), so V_z costs one product per leg
+    z2.  Each triple is the sparse dot product of U_xy with V_z.
     """
     H = C.H
     pres = H.pres
@@ -386,19 +375,9 @@ def verify_oqhybe(C, degree):
     R = C.word_pair_value
     alpha_first = cache(lambda x, w: C.alpha_value(x, w, 1, 0))
     alpha_second = cache(lambda w, z: C.alpha_value(w, z, 0, 1))
+    keep = not C.form.total
 
-    @cache
-    def z1_fold(k, g, a):
-        return [(z2, c * v) for (z1, z2), c in delta_of[k] if (v := g(a, z1))]
-
-    def contract_z(k, g, a, h, b):
-        # sum of cz g(a, z1) h(b, z2) over the coproduct of z_k
-        out = zero
-        for z2, w in z1_fold(k, g, a):
-            v = h(b, z2)
-            if v:
-                out = out + w * v
-        return out
+    z1_fold = cache(lambda k, g, a: _fold(delta_of[k], g, a, keep))
 
     def ybe_form(f, g, h):
         @lru_cache(maxsize=1)
@@ -420,11 +399,11 @@ def verify_oqhybe(C, degree):
             left, right = fold(i, j)
             lhs = rhs = zero
             for a, b, u in left:
-                v = contract_z(k, g, a, h, b)
+                v = _dot(z1_fold(k, g, a), h, b, zero)
                 if v:
                     lhs = lhs + u * v
             for a, b, u in right:
-                v = contract_z(k, h, b, g, a)
+                v = _dot(z1_fold(k, h, b), g, a, zero)
                 if v:
                     rhs = rhs + u * v
             return lhs, rhs

@@ -15,7 +15,7 @@ of the same instance.
 
 from .cobraid import CobraidedHomBialgebra, check_alpha_invariance
 from .hombialg import (MorphismError, _product_table, _relations_preserved,
-                       _word_product, twist_hom_bialgebra)
+                       _word_terms, twist_hom_bialgebra)
 from .ncpoly import (Presentation, PresentationError, TensorElement, _bump,
                      _expand, generator_table, json_row, linear_image,
                      render_legs, slotwise, word_image, word_key)
@@ -170,8 +170,6 @@ class ComoduleAlgebra:
         self._base_rho_memo = {(): TensorElement(
             slots, {((), ()): carrier.field.one}, _trusted=True)}
         self._rho_cache = {}
-        self.word_product = _word_product(
-            carrier, self.alpha_word if self.twisted else None)
 
     # carrier maps ------------------------------------------------------------
 
@@ -183,9 +181,9 @@ class ComoduleAlgebra:
                             self.carrier.zero_poly())
 
     def product(self, u, v):
-        """The carrier's own multiplication (twisted when flagged)."""
-        raw = u * v
-        return self.alpha_poly(raw) if self.twisted else raw
+        """The carrier's own product of two words (see _word_terms)."""
+        return _word_terms(self.carrier, u, v,
+                           self.alpha_word if self.twisted else None)
 
     # coactions ---------------------------------------------------------------
 
@@ -213,8 +211,8 @@ class ComoduleAlgebra:
         """Slotwise product with the instance multiplications: the host
         word products are read as they come, the carrier ones from a
         word-product table local to this call."""
-        return slotwise(t1, t2, [self.hom.word_product,
-                                 _product_table(self.word_product)])
+        return slotwise(t1, t2, [self.hom.product,
+                                 _product_table(self.product)])
 
     # graded pieces -------------------------------------------------------------
 
@@ -536,13 +534,12 @@ def verify_comodule_hom_algebra(M, degree):
     pairs = [(u, v) for u in words for v in words
              if len(u) + len(v) <= degree]
     rho = {w: M.rho_word(w) for w in words}
-    carrier_product = _product_table(M.word_product)
+    carrier_product = _product_table(M.product)
 
     def multiplicativity(pair):
         u, v = pair
         return (linear_image(carrier_product(u, v), M.rho_word, M._zero),
-                slotwise(rho[u], rho[v], [M.hom.word_product,
-                                          carrier_product]))
+                slotwise(rho[u], rho[v], [M.hom.product, carrier_product]))
 
     _scan(rep, "coaction_multiplicativity", [pairs], multiplicativity,
           lambda pair: {"left_factor": carrier.word_text(pair[0]),

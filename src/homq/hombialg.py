@@ -7,6 +7,9 @@ selects between the plain bialgebra reading (product = concatenation,
 coproduct = table extension, twisting map along for the ride) and the
 twisted reading where the product is alpha after multiplication and the
 coproduct is the table extension after alpha.
+
+The product works on words.  cobraid.py checks the second cobraided
+expansion as the first one for R^t(a, b) = R(b, a) over Delta^cop.
 """
 
 from functools import cache
@@ -51,8 +54,6 @@ class HomBialgebra:
 
         self._alpha_memo = {(): pres.unit(1)}
         self._delta_memo = {(): pres.unit_tensor(2)}
-        self.word_product = _word_product(
-            pres, self.alpha_word if twisted else None)
 
     # the twisting map --------------------------------------------------------
 
@@ -68,17 +69,14 @@ class HomBialgebra:
         return t.map_slots(fns)
 
     def _alpha_slot(self, w):
-        img = self.alpha_word(w)
-        return TensorElement((self.pres,),
-                             {(v,): c for v, c in img.terms.items()},
-                             _trusted=True)
+        return _slot(self.alpha_word(w))
 
     # products ----------------------------------------------------------------
 
     def product(self, u, v):
-        """The instance's own multiplication (twisted when flagged)."""
-        raw = u * v
-        return self.alpha_poly(raw) if self.twisted else raw
+        """The instance's own product of two words (see _word_terms)."""
+        return _word_terms(self.pres, u, v,
+                           self.alpha_word if self.twisted else None)
 
     # coproducts ----------------------------------------------------------------
 
@@ -139,23 +137,27 @@ class HomBialgebra:
         return f"<HomBialgebra {self.name or 'instance'} ({kind})>"
 
 
-def _word_product(pres, alpha_word):
-    """The instance product of two words of pres, at the word level:
-    product(u, v) gives the (word, coefficient) pairs of the normal form
-    of u + v.  A twisted instance passes its memoised twisting map on
-    words as alpha_word, and the normal form is then mapped through it
-    by linear_image: the twisted product alpha(uv).  No one-term NCPoly
-    is built."""
+def _slot(poly):
+    """poly as a one-slot TensorElement, the shape map_slots takes."""
+    return TensorElement((poly.pres,),
+                         {(v,): c for v, c in poly.terms.items()},
+                         _trusted=True)
+
+
+def _word_terms(pres, u, v, alpha_word):
+    """The (word, coefficient) pairs of the normal form of u + v, mapped
+    through alpha_word, the memoised twisting map of a twisted instance,
+    unless it is None: the twisted product alpha(uv).  No one-term
+    NCPoly is built."""
+    terms = pres.normal_word(u + v).items()
     if alpha_word is None:
-        return lambda u, v: pres.normal_word(u + v).items()
-    zero = pres.zero_poly()
-    return lambda u, v: linear_image(pres.normal_word(u + v).items(),
-                                     alpha_word, zero).terms.items()
+        return terms
+    return linear_image(terms, alpha_word, pres.zero_poly()).terms.items()
 
 
 def _product_table(product):
-    """A memo of a word-level product (see _word_product) that lives as
-    long as the returned prod: prod(u, v) is the tuple of (word,
+    """A memo of a word-level instance product (see _word_terms) that
+    lives as long as the returned prod: prod(u, v) is the tuple of (word,
     coefficient) terms of product(u, v), filled on first use, with equal
     coefficients stored as one object."""
     table = {}
@@ -179,12 +181,6 @@ def _combine(prod, pres, terms):
             for w, cw in prod(u, v):
                 _bump(raw, w, c * cw)
     return NCPoly(pres, raw, _trusted=True)
-
-
-def pairwise_product(H, t1, t2):
-    """Slotwise product of two arity-2 tensors using the instance product."""
-    prod = _product_table(H.word_product)
-    return slotwise(t1, t2, [prod, prod])
 
 
 def _relations_preserved(rep, pres, images, memo):
@@ -212,9 +208,7 @@ def verify_morphism(endo, H):
     _relations_preserved(rep, pres, images, memo)
 
     def endo_slot(w):
-        img = word_image(w, images, memo)
-        return TensorElement((pres,), {(v,): c for v, c in img.terms.items()},
-                             _trusted=True)
+        return _slot(word_image(w, images, memo))
 
     _scan(rep, "comultiplication_preserved", [range(len(images))],
           lambda i: (H.untwisted_delta(images[i]),
@@ -249,7 +243,7 @@ def verify_hom_bialgebra(H, degree):
     idx = range(len(basis))
     alpha_of = [H.alpha_word(w) for w in basis]
     alpha_terms = [p.terms.items() for p in alpha_of]
-    word_prod = _product_table(H.word_product)
+    word_prod = _product_table(H.product)
 
     def prod(i, j):
         return word_prod(basis[i], basis[j])

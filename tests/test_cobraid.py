@@ -9,12 +9,13 @@ from homq.hombialg import (HomBialgebra, twist_hom_bialgebra,
                            verify_hom_bialgebra)
 from homq.report import Report, timed
 from homq.cobraid import (CobraidingForm, CobraidedHomBialgebra,
-                          CobraidingError, InjectivityError, eval_R,
-                          word_value, verify_cobraided, verify_oqhybe,
+                          CobraidingError, InjectivityError, word_value,
+                          verify_cobraided, verify_oqhybe,
                           check_alpha_invariance, twist_R_power,
                           alpha_kernel_witness, covered_basis)
 from quantum_matrices import (ALPHA, DELTA, R_NONZERO, UNIT_ROW,
                               qm2_form, qm2_presentation)
+from reference_products import element_product, eval_R
 
 
 F = ScalarField(("t", "lambda"))
@@ -763,6 +764,61 @@ def test_verifiers_refuse_a_partial_form(name, verifier, degree):
     assert str(exc.value) == f"no configured value for the pair {pair}"
 
 
+# Sweedler's H_4: forms that split the two product expansions -----------------
+
+
+FH4 = ScalarField(("s", "lambda"))
+
+
+def h4_instance(twisted, override=None):
+    """Sweedler's H_4 on g < x, with gg = 1, xx = 0 and xg = -gx, g
+    group-like and Delta x = x (x) 1 + g (x) x; twisted by x -> lambda x
+    when asked.  The form is r(g, g) = -1, r(g, x) = r(x, g) = 0 and
+    r(x, x) = s, with the entries of override replacing values."""
+    P = Presentation("gx", [("gg", {"1": 1}), ("xx", {}), ("xg", {"gx": -1})],
+                     FH4, name="h4")
+    H = HomBialgebra(P, {"g": {("g", "g"): 1},
+                         "x": {("x", "1"): 1, ("g", "x"): 1}}, name="h4")
+    if twisted:
+        H = twist_hom_bialgebra(H, {"g": {"g": 1}, "x": {"x": "lambda"}},
+                                name="h4_t")
+    table = {("g", "g"): -1, ("g", "x"): 0, ("x", "g"): 0, ("x", "x"): "s"}
+    table.update(override or {})
+    units = {"g": 1, "x": 0}
+    return CobraidedHomBialgebra(H, CobraidingForm(P, table, dict(units),
+                                                   dict(units)))
+
+
+FIRST, SECOND, COMMUTATION = ("first_slot_product_expansion",
+                              "second_slot_product_expansion",
+                              "braided_commutation")
+FORMS = ("operator_ybe_first_form", "operator_ybe_second_form")
+
+# each form and the checks it fails at degree 2.  r(g, x) = 1 and
+# r(x, g) = 1 are mirror images: each fails one expansion only, so an
+# expansion transposed in the wrong direction swaps their verdicts
+H4_FORMS = {
+    "true": ({}, set()),
+    "gx=1": ({("g", "x"): 1}, {SECOND, COMMUTATION, *FORMS}),
+    "xg=1": ({("x", "g"): 1}, {FIRST, COMMUTATION, *FORMS}),
+    "gg=1": ({("g", "g"): 1}, {FIRST, SECOND, COMMUTATION}),
+}
+
+
+def _h4(twisted, name):
+    return lambda: h4_instance(twisted, H4_FORMS[name][0])
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+@pytest.mark.parametrize("name", sorted(H4_FORMS))
+def test_h4_form_verdicts(name, twisted):
+    C = _h4(twisted, name)()
+    assert verify_hom_bialgebra(C.H, 3).passed
+    failed = {c.name for verify in (verify_cobraided, verify_oqhybe)
+              for c in verify(C, 2).failures()}
+    assert failed == H4_FORMS[name][1]
+
+
 # the contractions against the loops they replaced ----------------------------
 
 
@@ -772,6 +828,11 @@ def _power_twisted_zn(k):
 
 def _corrupted(pair, value):
     return lambda: twisted_instance(override={pair: value})
+
+
+def _z13(power):
+    return lambda: twist_R_power(
+        z13_instance(ScalarField((), cyclotomic_order=13)), power)
 
 
 REFERENCE_CASES = [
@@ -791,7 +852,14 @@ REFERENCE_CASES = [
     ("z5k4", _power_twisted_zn(4), "oqhybe", 2),
     ("z5k2", _power_twisted_zn(2), "cobraided", 3),
     ("z5k2", _power_twisted_zn(2), "oqhybe", 2),
-]
+    ("z13", _z13(0), "cobraided", 12),
+    ("z13", _z13(0), "oqhybe", 12),
+    ("z13_power_1", _z13(1), "cobraided", 12),
+    ("z13_power_1", _z13(1), "oqhybe", 12),
+] + [(f"h4_{'twisted' if twisted else 'plain'}_{name}", _h4(twisted, name),
+      verifier, 2)
+     for twisted in (False, True) for name in sorted(H4_FORMS)
+     for verifier in ("cobraided", "oqhybe")]
 
 
 @pytest.mark.parametrize(
@@ -825,7 +893,7 @@ def reference_verify_cobraided(C, degree):
     def get_prod(i, j):
         p = prod.get((i, j))
         if p is None:
-            p = prod[(i, j)] = H.product(mono[i], mono[j])
+            p = prod[(i, j)] = element_product(H, mono[i], mono[j])
         return p
 
     with timed() as tm:
@@ -885,7 +953,7 @@ def reference_verify_cobraided(C, degree):
             if p is None:
                 pu = NCPoly(pres, {u: one}, _trusted=True)
                 pv = NCPoly(pres, {v: one}, _trusted=True)
-                p = pw[(u, v)] = H.product(pu, pv)
+                p = pw[(u, v)] = element_product(H, pu, pv)
             return p
 
         for i in range(n):

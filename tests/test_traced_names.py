@@ -91,3 +91,26 @@ def test_tracer_classifies_scalar_operands():
     assert dict(tracer.scalar) == {
         "mul.calls": 8, "mul.laurent": 2, "mul.zero_operand": 2,
         "add.calls": 6, "add.den_nontrivial": 3, "nonmonomial_den": 3}
+
+
+def test_host_products_are_counted():
+    """hombialg.product.calls reads the host products a run computes:
+    the verifiers multiply words through HomBialgebra.product."""
+    # the tracer wraps every layer, so each must be imported; comodule
+    # imports all the others
+    importlib.import_module("homq.comodule")
+    from homq.hombialg import (HomBialgebra, twist_hom_bialgebra,
+                               verify_hom_bialgebra)
+    from homq.scalars import ScalarField
+    from quantum_matrices import ALPHA, DELTA, qm2_presentation
+
+    H = twist_hom_bialgebra(
+        HomBialgebra(qm2_presentation(ScalarField(("t", "lambda"))), DELTA),
+        ALPHA)
+    tracer = TRACE["Tracer"]()
+    tracer.install()
+    try:
+        verify_hom_bialgebra(H, 1)
+    finally:
+        tracer.restore()
+    assert tracer.calls["hombialg.HomBialgebra.product"] > 0
