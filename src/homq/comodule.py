@@ -176,10 +176,6 @@ class ComoduleAlgebra:
     def alpha_word(self, w):
         return word_image(w, self.alpha_gen, self._alpha_memo)
 
-    def alpha_poly(self, p):
-        return linear_image(self.carrier.terms_of(p), self.alpha_word,
-                            self.carrier.zero_poly())
-
     def product(self, u, v):
         """The carrier's own product of two words (see _word_terms)."""
         return _word_terms(self.carrier, u, v,

@@ -8,7 +8,9 @@ of multivariate rational functions over a cyclotomic extension of the
 rationals.  No floats anywhere: a rational coefficient is a Python
 ``int`` until a division makes it a ``fractions.Fraction``, and every
 division goes through ``_recip``.  An integral ``Fraction`` is stored
-as its ``int``.  One dense ``_udivmod`` does every polynomial division
+as its ``int``; a Laurent sum or product looks for one (``_p_tidy``)
+only when an operand has a ``Fraction`` coefficient, since ints alone
+give ints.  One dense ``_udivmod`` does every polynomial division
 with remainder, the reduction of every Q(zeta_n) value modulo the
 cyclotomic polynomial included.
 
@@ -24,22 +26,30 @@ that meets one goes through a multivariate gcd.
 Every polynomial dict here, Laurent, numerator, denominator or gcd
 operand, is keyed by packed exponent vectors: a key is one non-negative
 int whose 64-bit field i (bits 64i to 64i + 63) holds e_i + 2^61, so an
-exponent is valid when -2^61 <= e_i < 2^61.  With z the field's zero
-key ``_zero_exp``, which is also the key of the unit, a product of
-monomials is the key ea + eb - z and an inverse is 2z - e, one int
-operation each.  Bits 62 and 63 of every field are the guard, the mask
-``_g``: no valid key sets one, and an exponent that leaves the range
-sets one in its own field, by overflow or by the borrow of an
-underflow.  Every key that arithmetic can push out of the range, in
-``_p_mul``, ``_split``, ``Scalar.__init__`` and ``Scalar.inverse``,
-passes that one AND (``_checked``), and a key that fails it raises
-ScalarError("exponent out of range"), so no exponent wraps;
-``_p_div_exact`` tests each quotient key for exponents in [0, 2^61)
-with one AND too.  ``ScalarField._pack`` and ``_unpack`` convert between
-keys and exponent tuples, and ``_pack`` refuses an exponent out of range
-the same way.
-Only code that reads one variable at a time unpacks: graded lex order,
-rendering, ``_split`` and the gcd path.
+exponent is valid when -2^61 <= e_i < 2^61.  With z the field's zero key
+``_zero_exp``, which is also the key of the unit, a product of monomials
+is the key ea + eb - z and an inverse is 2z - e, one int operation
+each.  Bits 62 and 63 of every field are the guard, the mask ``_g``: no
+valid key sets one, and an exponent that leaves the range sets one in
+its own field, by overflow or by the borrow of an underflow.  A key that
+fails that one AND (``_checked``) raises ScalarError("exponent out of
+range"), so no exponent wraps.  The exact guard runs on every key of
+``_split`` (but the one ``render`` makes, below), ``Scalar.__init__``, a
+monomial ``Scalar.inverse`` and every product of the (num, den) path.  A
+Laurent product or power runs it only when the operands' exponent bounds
+(see ``Scalar``) sum to 2^61 or more: below that, every exponent of the
+result has |e_i| < 2^61, so every field of every key it can emit holds a
+value in (0, 2^62), no borrow or carry crosses a field, and no key can
+fail.  ``_p_div_exact`` tests each quotient key for exponents in [0,
+2^61) with one AND too.  ``ScalarField._pack`` and ``_unpack`` convert
+between keys and exponent tuples, and ``_pack`` refuses an exponent out
+of range the same way.  Only code that reads one variable at a time
+unpacks: graded lex order, rendering, ``_split``, the exponent bound of
+a value built from keys and the gcd path.  ``render`` splits a Laurent
+value unchecked: every exponent of its (num, den) pair lies in [0,
+2^62), which a field holds exactly, so a value whose pair has no valid
+key (an exponent -2^61, or a span of 2^61 or more) renders; ``num`` and
+``den`` refuse it, and so does arithmetic that needs its pair.
 
 A verifier multiplies values from a small set over and over (the roots
 of unity of a bicharacter, the monomials q^a*lambda^b of a twisted form),
@@ -312,14 +322,18 @@ def _p_neg(A):
     return {e: -c for e, c in A.items()}
 
 
-def _p_mul(A, B, field):
+def _p_mul(A, B, field, checked=True):
+    """A * B; its keys pass the guard unless checked is false, which a
+    caller may pass only when no exponent of the product can leave the
+    range."""
     z = field._zero_exp
     if len(B) == 1:
         A, B = B, A
     if len(A) == 1:
         ((ea, ca),) = A.items()
         ea -= z
-        return _checked({ea + eb: ca * cb for eb, cb in B.items()}, field._g)
+        out = {ea + eb: ca * cb for eb, cb in B.items()}
+        return _checked(out, field._g) if checked else out
     out = {}
     for ea, ca in A.items():
         ea -= z
@@ -335,23 +349,31 @@ def _p_mul(A, B, field):
                     out[e] = s
                 else:
                     del out[e]
-    return _checked(out, field._g)
+    return _checked(out, field._g) if checked else out
 
 
 def _p_scale(A, c):
     return {e: v * c for e, v in A.items()}
 
 
+def _has_frac(A):
+    return _Q in map(type, A.values())
+
+
 def _p_tidy(A):
     """A with every integral Fraction coefficient an int."""
-    if _Q in map(type, A.values()):
+    if _has_frac(A):
         return {e: _tidy(c) for e, c in A.items()}
     return A
 
 
-def _split(P, d, field):
+def _split(P, d, field, checked=True):
     """P and x^d over their common monomial factor (the latter as its
-    key); with d the zero key, the (num, den) pair of a Laurent dict P."""
+    key); with d the zero key, the (num, den) pair of a Laurent dict P.
+    Unless checked is false, a key out of the range is refused.  The pair
+    of a Laurent dict is exact without the check: every exponent of it
+    lies in [0, 2^62), so each field holds less than 2^63 and no carry
+    crosses a field, and _unpack reads it back."""
     s = field._unpack(d)
     for e in P:
         s = tuple(map(min, s, field._unpack(e)))
@@ -360,19 +382,20 @@ def _split(P, d, field):
         return P, d
     d += off
     P = {e + off: c for e, c in P.items()}
-    _checked([d, *P], field._g)
+    if checked:
+        _checked([d, *P], field._g)
     return P, d
 
 
-def _p_pow(A, n, field):
+def _p_pow(A, n, field, checked=True):
     out = None
     base = A
     while n:
         if n & 1:
-            out = base if out is None else _p_mul(out, base, field)
+            out = base if out is None else _p_mul(out, base, field, checked)
         n >>= 1
         if n:
-            base = _p_mul(base, base, field)
+            base = _p_mul(base, base, field, checked)
     return out
 
 
@@ -608,20 +631,20 @@ class ScalarField:
             return self.zero
         if v == 1:
             return self.one
-        return Scalar(self, {self._zero_exp: self._coef_from_int(v)},
-                      self._one_poly)
+        return _laurent(self, {self._zero_exp: self._coef_from_int(v)}, 0,
+                        False)
 
     def var(self, name):
         i = self._var_index.get(name)
         if i is None:
             raise UndeclaredVariable(name)
-        return Scalar(self, {self._zero_exp + (1 << 64 * i): self._coef_one()},
-                      self._one_poly)
+        return _laurent(self, {self._zero_exp + (1 << 64 * i):
+                               self._coef_one()}, 1, False)
 
     def zeta(self):
         if not self._cyc:
             raise ZetaUnavailable()
-        return Scalar(self, {self._zero_exp: self._cyc.ZETA}, self._one_poly)
+        return _laurent(self, {self._zero_exp: self._cyc.ZETA}, 0, False)
 
     def parse(self, text):
         return parse_scalar(text, self)
@@ -658,15 +681,22 @@ class ScalarField:
         return Scalar(self, num, den)
 
 
-def _laurent(field, terms):
-    """The Scalar whose Laurent dict is terms (nonzero coefficients); the
-    field's one when that is 1."""
-    terms = _p_tidy(terms)
+def _laurent(field, terms, bound, frac):
+    """The Scalar whose Laurent dict is terms (nonzero coefficients), with
+    ``bound`` bound; the field's one when that is 1.  The coefficients
+    are scanned only when frac (an operand has a Fraction coefficient)
+    is set: each integral Fraction becomes its int, and ``frac`` says
+    whether a Fraction is left."""
+    if frac:
+        terms = _p_tidy(terms)
+        frac = _has_frac(terms)
     if terms == field._one_poly:
         return field.one
     s = object.__new__(Scalar)
     s.field = field
     s.laurent = terms
+    s.bound = bound
+    s.frac = frac
     s._pair = None
     s._h = s._k = None
     return s
@@ -683,20 +713,35 @@ class Scalar:
     ``num`` and ``den`` of a Laurent value unpack its keys once, in
     ``_split``.  A value equal to 1 that arithmetic produces is the
     field's ``one``.  ``_k`` is the id of a one-term Laurent value once
-    it has been a product operand."""
+    it has been a product operand.
 
-    __slots__ = ("field", "laurent", "_pair", "_h", "_k")
+    A Laurent value also carries two facts, which arithmetic derives
+    from its operands without reading their terms (both are None on a
+    (num, den) value):
+
+    - ``bound``, an upper bound on every |e_i| of its terms: exact when
+      the value is built from keys, the sum of the operands' bounds for
+      a product (n times the base's for a power), the larger one for a
+      sum, the operand's for a negative or an inverse.  A product whose
+      bound is below 2^61 skips the guard.
+    - ``frac``, whether some coefficient is a ``Fraction``.  A sum or a
+      product tidies its coefficients only when an operand's is set."""
+
+    __slots__ = ("field", "laurent", "bound", "frac", "_pair", "_h", "_k")
 
     def __init__(self, field, num, den):
         num, den = _p_tidy(num), _p_tidy(den)
         self.field, self._pair = field, (num, den)
         self._h = self._k = None
-        self.laurent = None
+        self.laurent = self.bound = self.frac = None
         if len(den) == 1:
             (d,) = den
             off = field._zero_exp - d
             self.laurent = _checked({e + off: c for e, c in num.items()},
                                     field._g)
+            self.bound = max((abs(k) for e in self.laurent
+                              for k in field._unpack(e)), default=0)
+            self.frac = _has_frac(num)
 
     def _view(self):
         """The canonical (num, den) pair, computed once."""
@@ -754,7 +799,10 @@ class Scalar:
             return self
         if a is not None and b is not None:
             num = _p_add(a, b)
-            return _laurent(f, num) if num else f.zero
+            if not num:
+                return f.zero
+            return _laurent(f, num, max(self.bound, other.bound),
+                            self.frac or other.frac)
         (n1, d1), (n2, d2) = self._view(), other._view()
         g = _p_gcd(d1, d2, f)
         e1 = _p_div_exact(d1, g, f)
@@ -776,7 +824,8 @@ class Scalar:
         if a is None:
             num, den = self._pair
             return Scalar(self.field, _p_neg(num), den)
-        return _laurent(self.field, _p_neg(a)) if a else self
+        return _laurent(self.field, _p_neg(a), self.bound,
+                        self.frac) if a else self
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -804,16 +853,21 @@ class Scalar:
         if a is not None and b is not None:
             if not a or not b:
                 return f.zero
+            key = None
             if len(a) == 1 == len(b):
                 products = f._products
                 key = (self._k or self._id(), other._k or other._id())
                 p = products.get(key)
-                if p is None:
-                    if len(products) >= _PRODUCTS_SIZE:
-                        products.clear()
-                    p = products[key] = _laurent(f, _p_mul(a, b, f))
-                return p
-            return _laurent(f, _p_mul(a, b, f))
+                if p is not None:
+                    return p
+                if len(products) >= _PRODUCTS_SIZE:
+                    products.clear()
+            bound = self.bound + other.bound
+            p = _laurent(f, _p_mul(a, b, f, bound >= _BIAS), bound,
+                         self.frac or other.frac)
+            if key:
+                products[key] = p
+            return p
         if a == {} or b == {}:
             return f.zero
         # cross-cancel so the product of the reduced parts is coprime
@@ -846,8 +900,9 @@ class Scalar:
         if a is not None and len(a) == 1:
             ((e, c),) = a.items()
             f = self.field
-            e = 2 * f._zero_exp - e
-            return _laurent(f, _checked({e: _recip(c)}, f._g))
+            c = _tidy(_recip(c))
+            return _laurent(f, _checked({2 * f._zero_exp - e: c}, f._g),
+                            self.bound, type(c) is _Q)
         num, den = self._view()
         return self.field._coprime_make(dict(den), dict(num))
 
@@ -863,7 +918,9 @@ class Scalar:
             return base
         a = base.laurent
         if a is not None:
-            return _laurent(f, _p_pow(a, n, f))
+            bound = base.bound * n
+            return _laurent(f, _p_pow(a, n, f, bound >= _BIAS), bound,
+                            base.frac)
         # powers of a coprime pair stay coprime; the monic unit is preserved
         num, den = base._pair
         return Scalar(f, _p_pow(num, n, f), _p_pow(den, n, f))
@@ -1087,13 +1144,21 @@ def _render_poly(field, P):
 
 
 def render(s):
+    """s as its canonical pair, "num/den" or "num".  A Laurent value's
+    pair is split unchecked (see _split), so it renders even when its pair
+    has an exponent out of the key range."""
     field = s.field
-    num_s = _render_poly(field, s.num)
-    if s.den == field._one_poly:
+    if s._pair:
+        num, den = s._pair
+    else:
+        num, d = _split(s.laurent, field._zero_exp, field, False)
+        den = field._mono(d)
+    num_s = _render_poly(field, num)
+    if den == field._one_poly:
         return num_s
-    den_s = _render_poly(field, s.den)
-    if len(s.num) > 1 or num_s.startswith("-"):
+    den_s = _render_poly(field, den)
+    if len(num) > 1 or num_s.startswith("-"):
         num_s = f"({num_s})"
-    if len(s.den) > 1 or "*" in den_s:
+    if len(den) > 1 or "*" in den_s:
         den_s = f"({den_s})"
     return f"{num_s}/{den_s}"

@@ -1,17 +1,31 @@
-"""Element-level products and the bilinear form on elements, as the
-reference loops of the tests read them.  The package multiplies words
-(HomBialgebra.product, ComoduleAlgebra.product) and reads the form on
-words; these extend both to elements, one-term polynomials included."""
+"""Element-level products, the carrier map and the bilinear form on
+elements, as the reference loops of the tests read them.  The package
+multiplies words (HomBialgebra.product, ComoduleAlgebra.product), maps
+carrier words (ComoduleAlgebra.alpha_word) and reads the form on words;
+these extend them to elements, one-term polynomials included."""
 
+from homq.comodule import ComoduleAlgebra
 from homq.hombialg import _product_table
-from homq.ncpoly import NCPoly, slotwise
+from homq.ncpoly import NCPoly, linear_image, slotwise
+
+
+def carrier_alpha_poly(M, p):
+    """The carrier map of a ComoduleAlgebra M on an element p of its
+    carrier, read through Presentation.terms_of, which refuses an element
+    of another presentation."""
+    return linear_image(M.carrier.terms_of(p), M.alpha_word,
+                        M.carrier.zero_poly())
 
 
 def element_product(A, u, v):
     """The instance multiplication of two elements of a HomBialgebra or
     a ComoduleAlgebra A: u * v, and alpha(u * v) when A is twisted."""
     raw = u * v
-    return A.alpha_poly(raw) if A.twisted else raw
+    if not A.twisted:
+        return raw
+    if isinstance(A, ComoduleAlgebra):
+        return carrier_alpha_poly(A, raw)
+    return A.alpha_poly(raw)
 
 
 def pairwise_product(H, t1, t2):

@@ -16,7 +16,8 @@ from homq.comodule import (Comodule, ComoduleAlgebra, ComoduleError,
                            verify_hybe, verify_mixed_hybe)
 from plane_closed_forms import closed_form_coaction, q_binomial
 from quantum_matrices import ALPHA, DELTA, qm2_form, qm2_presentation
-from reference_products import element_product, eval_R, pairwise_product
+from reference_products import (carrier_alpha_poly, element_product, eval_R,
+                                pairwise_product)
 
 
 F = ScalarField(("t", "lambda", "xi"))
@@ -853,7 +854,7 @@ FOREIGN_MAPS = {
     "host_delta": lambda A: A.hom.delta,
     "eval_R_first_slot": lambda A: _form_with_a(A, True),
     "eval_R_second_slot": lambda A: _form_with_a(A, False),
-    "carrier_alpha_poly": lambda A: A.alpha_poly,
+    "carrier_alpha_poly": lambda A: lambda p: carrier_alpha_poly(A, p),
     "base_rho": lambda A: A.base_rho,
 }
 

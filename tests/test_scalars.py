@@ -1,6 +1,7 @@
 import operator
 import pathlib
 import random
+import sys
 import time
 import tokenize
 from fractions import Fraction
@@ -10,6 +11,9 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from homq import scalars
+from homq.cobraid import CobraidedHomBialgebra, verify_cobraided
+from homq.comodule import plane_comodule_algebra, verify_comodule
+from homq.hombialg import HomBialgebra, twist_hom_bialgebra
 from homq.scalars import (
     Scalar,
     ScalarError,
@@ -32,6 +36,7 @@ from homq.scalars import (
     parse_scalar,
     render,
 )
+from quantum_matrices import ALPHA, DELTA, qm2_form, qm2_presentation
 
 
 F_T = ScalarField(("t",))
@@ -830,6 +835,201 @@ def test_exponents_out_of_range_are_refused():
         low.inverse()
 
 
+@pytest.mark.parametrize("text, want", [
+    # exponent -2^61: the denominator t^(2^61) has no packed key
+    (f"t^{_LOW}", f"1/t^{_HIGH}"),
+    # exponent span 2^61: the numerator t^(2^61) has no packed key
+    (f"t^{2 ** 60} + t^-{2 ** 60}", f"(t^{_HIGH} + 1)/t^{2 ** 60}"),
+])
+def test_a_value_whose_pair_leaves_the_key_range_renders(text, want):
+    s = parse_scalar(text, F_T)
+    assert render(s) == want and repr(s) == f"Scalar({want})"
+    assert s == parse_scalar(text, F_T) and s - s == 0
+    with pytest.raises(ScalarError, match="exponent out of range"):
+        s.num
+    # arithmetic that needs the pair still refuses it
+    with pytest.raises(ScalarError, match="exponent out of range"):
+        s / (F_T.var("t") + 1)
+
+
+# the exponent bound and the Fraction flag ------------------------------------
+#
+# A Laurent product skips the guard below a bound sum of 2^61, and a sum or
+# product skips the tidy when no operand has a Fraction coefficient.  The
+# exponents here sit near +-2^60, where bound sums cross 2^61, and the
+# coefficients include Fractions whose products and sums are integral.
+
+_NEAR = st.one_of(st.integers(-2, 2),
+                  st.integers(-3, 3).map(lambda k: 2 ** 60 + k),
+                  st.integers(-3, 3).map(lambda k: -2 ** 60 + k))
+_HALVES = st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-1, 2),
+                           Fraction(3, 2), Fraction(2, 3), Fraction(1, 3)])
+
+
+def _monomial(field, e, c):
+    """c * x^e, built from keys: positive exponents above, negative below."""
+    return Scalar(field, {field._pack([max(k, 0) for k in e]): c},
+                  field._mono(field._pack([max(-k, 0) for k in e])))
+
+
+@st.composite
+def _near_values(draw, field=F_TL):
+    """A Laurent value and its terms keyed by exponent tuples."""
+    terms = draw(st.dictionaries(st.tuples(*[_NEAR] * field.nvars), _HALVES,
+                                 min_size=1, max_size=3))
+    value = field.zero
+    for e, c in terms.items():
+        value = value + _monomial(field, e, c)
+    return value, terms
+
+
+def _outcome(op, *args):
+    try:
+        return op(*args)
+    except ScalarError as exc:
+        return str(exc)
+
+
+def _tuple_pow(A, n):
+    """A ** n over exponent tuples; None when it is not Laurent."""
+    if n < 0:
+        if len(A) > 1:
+            return None
+        ((e, c),) = A.items()
+        A, n = {tuple(-k for k in e): 1 / Fraction(c)}, -n
+    out = {(0,) * len(next(iter(A))): 1}
+    for _ in range(n):
+        out = _tuple_mul(out, A)
+    return out
+
+
+def _tuple_add(A, B):
+    out = dict(A)
+    for e, c in B.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _check_laurent_result(got, exact):
+    """got against its exact terms (None: not a Laurent value), and the
+    invariants of bound and frac on a Laurent result."""
+    if exact is not None:
+        if not all(map(_in_range, exact)):
+            assert got == "exponent out of range"
+            return
+        assert isinstance(got, Scalar)
+        assert _exponents(got.field, got.laurent) == exact
+    if isinstance(got, str) or got.laurent is None:
+        return
+    assert got.bound >= max((abs(k) for e in _exponents(got.field,
+                                                         got.laurent)
+                             for k in e), default=0)
+    assert got.frac == (Fraction in {type(c) for c in got.laurent.values()})
+    assert all(type(c) is int or c.denominator != 1
+               for c in got.laurent.values())
+
+
+def reference_pow(a, n):
+    out = a.field.one
+    for _ in range(abs(n)):
+        out = reference_mul(out, a)
+    return out if n >= 0 else reference_truediv(a.field.one, out)
+
+
+def reference_sub(a, b):
+    return reference_add(a, reference_mul(b, -1))
+
+
+def _sum_needs_a_large_gcd(A, B):
+    """Whether reference_add of the values with terms A and B takes a gcd
+    of large degree: both have a denominator, and an exponent is large."""
+    exps = [[k for e in T for k in e] for T in (A, B)]
+    return max(map(min, exps)) < 0 and max(
+        abs(k) for k in exps[0] + exps[1]) >= 2 ** 10
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_near_values(), _near_values(), st.integers(-2, 3))
+@example((parse_scalar(f"t^{2 ** 60}", F_TL), {(2 ** 60, 0): 1}),
+         (parse_scalar(f"t^{2 ** 60}/2", F_TL),
+          {(2 ** 60, 0): Fraction(1, 2)}), 2)
+@example((parse_scalar(f"t^{2 ** 60 - 1}/2", F_TL),
+          {(2 ** 60 - 1, 0): Fraction(1, 2)}),
+         (parse_scalar(f"2*t^{2 ** 60}", F_TL), {(2 ** 60, 0): 2}), -1)
+def test_laurent_fast_paths_match_the_guarded_reference(x, y, n):
+    """Each Laurent *, +, -, neg, ** and / gives the value, or the refusal
+    text, of the always guarded and tidied reference, and its exact terms
+    on exponent tuples.  The reference reads each operand's (num, den)
+    pair, which may need a key out of range where the value has none;
+    where it refuses for that reason, the exact terms decide.  A sum of
+    two values with denominators is checked against the exact terms
+    alone when an exponent is large: reference_add takes a gcd of the
+    denominators, dense and of degree near 2^60 here."""
+    (a, A), (b, B) = x, y
+    p = _outcome(operator.mul, a, b)
+    sums = not _sum_needs_a_large_gcd(A, B)
+    cases = [
+        (operator.mul, reference_mul, (a, b), _tuple_mul(A, B)),
+        (operator.add, sums and reference_add, (a, b), _tuple_add(A, B)),
+        (operator.sub, sums and reference_sub, (a, b),
+         _tuple_add(A, {e: -c for e, c in B.items()})),
+        (operator.neg, lambda u: reference_mul(u, -1), (a,),
+         {e: -c for e, c in A.items()}),
+        (operator.pow, reference_pow, (a, n), _tuple_pow(A, n)),
+    ]
+    if len(B) == 1:
+        # by a polynomial, both sides would take a gcd of degree near 2^60
+        cases.append((operator.truediv, reference_truediv, (a, b),
+                      _tuple_mul(A, _tuple_pow(B, -1))))
+    if isinstance(p, Scalar):
+        # a product's bound is the sum of its operands', so it may be loose
+        P = _tuple_mul(A, B)
+        cases += [(operator.mul, reference_mul, (p, a), _tuple_mul(P, A)),
+                  (operator.add, not _sum_needs_a_large_gcd(P, B)
+                   and reference_add, (p, b), _tuple_add(P, B)),
+                  (operator.pow, reference_pow, (p, n), _tuple_pow(P, n))]
+    for op, ref, args, exact in cases:
+        got = _outcome(op, *args)
+        want = _outcome(ref, *args) if ref else None
+        _check_laurent_result(got, exact)
+        if isinstance(want, Scalar):
+            assert got == want and render(got) == render(want)
+            assert (got.laurent, got._view()) == (want.laurent, want._view())
+        elif want is not None and got != want:
+            # the reference refused an operand's pair, not the result
+            assert want == "exponent out of range" and exact is not None
+
+
+def _scan_callers(monkeypatch):
+    """Count the calls of the guard and the tidy by calling function."""
+    callers = []
+    for name in ("_checked", "_p_tidy"):
+        def counted(*args, _fn=getattr(scalars, name), _name=name):
+            callers.append((_name, sys._getframe(1).f_code.co_name))
+            return _fn(*args)
+        monkeypatch.setattr(scalars, name, counted)
+    return callers
+
+
+def test_laurent_arithmetic_of_the_verifiers_scans_no_result(monkeypatch):
+    field = ScalarField(("t", "lambda", "xi"))
+    P = qm2_presentation(field)
+    C = CobraidedHomBialgebra(
+        twist_hom_bialgebra(HomBialgebra(P, DELTA), ALPHA), qm2_form(P))
+    M = plane_comodule_algebra(C, "standard")
+    callers = _scan_callers(monkeypatch)
+    assert verify_comodule(M, 3).passed and verify_cobraided(C, 1).passed
+    # a Laurent product scans in _p_mul, a sum or product tidies in _laurent
+    assert ("_checked", "_p_mul") not in callers
+    assert ("_p_tidy", "_laurent") not in callers
+    # a bound sum of 2^61 runs the guard again, which refuses t^(2^61)
+    x = (F_TL.var("t") ** 2 ** 40) ** 2 ** 20
+    assert x.bound == 2 ** 60 and ("_checked", "_p_mul") not in callers
+    with pytest.raises(ScalarError, match="exponent out of range"):
+        x * x
+    assert callers[-1] == ("_checked", "_p_mul")
+
+
 def test_a_result_equal_to_one_is_the_field_one():
     t, one = F_TL.var("t"), F_TL.one
     assert t * t ** -1 is one
@@ -912,9 +1112,9 @@ def _rebuilt(s):
 def test_equal_operands_reach_one_table_entry(texts, field, monkeypatch):
     calls = []
 
-    def counted(A, B, field):
+    def counted(A, B, field, *checked):
         calls.append(1)
-        return _p_mul(A, B, field)
+        return _p_mul(A, B, field, *checked)
 
     a, b = (parse_scalar(text, field) for text in texts)
     field._products.clear()
