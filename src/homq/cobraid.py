@@ -1,18 +1,19 @@
 """The cobraiding bilinear form on a presented Hom-bialgebra.
 
-The form R is stored as one table on pairs of words of length at most
-one (generator pairs and the unit columns) and extended to all words by
-one recursion, word_value: peel a generator off one slot and comultiply
-the other.  Every reading of R on images of the structure map,
-R(alpha^i x, alpha^j y), is one CobraidedHomBialgebra.alpha_value.  On
-top sit the cobraided axiom suite, the two scalar Yang-Baxter
-identities it implies, the alpha-invariance check, and the power twist.
-The second cobraided product expansion is the first one for the
-transposed form R^t(a, b) = R(b, a) over the co-opposite coproduct.
+The form R is stored as one table with a value on every pair of words
+of length at most one (generator pairs and the unit columns), and is
+extended to all words by one recursion, word_value: peel a generator
+off one slot and comultiply the other.  Every reading of R on images
+of the structure map, R(alpha^i x, alpha^j y), is one
+CobraidedHomBialgebra.alpha_value.  On top sit the cobraided axiom
+suite, the two scalar Yang-Baxter identities it implies, the
+alpha-invariance check, and the power twist.  The second cobraided
+product expansion is the first one for the transposed form
+R^t(a, b) = R(b, a) over the co-opposite coproduct.
 
-The instance keeps the memos that outlive a call: word_value's, the
+The instance holds the memos that outlive a call: word_value's, the
 alpha^k word images and the power-twisted pair values.  The verifiers
-keep theirs for one call: R(alpha a, w), R(w, alpha a), products, and
+hold theirs for one call: R(alpha a, w), R(w, alpha a), products, and
 the folds of their contractions, each kept for one pair of outer cases.
 """
 
@@ -26,7 +27,8 @@ from .scalars import render
 
 
 class CobraidingError(Exception):
-    """Raised when the form is evaluated outside its configured domain."""
+    """Raised when a form table lacks the value of a pair of words of
+    length at most one."""
 
 
 class InjectivityError(Exception):
@@ -45,17 +47,12 @@ class CobraidingForm:
 
     table holds the generator pairs of gen_table, the unit columns
     ((), (j,)) of unit_left and ((i,), ()) of unit_right, and ((), ())
-    from unit_unit.  gen_table must list every pair the form is defined
-    on, zeros included; a lookup outside the table is a configuration
-    error, not an implicit zero.  Generators present in both unit
-    columns form the covered set; verification ranges over monomials in
-    covered generators only.
-
-    The form is total when table holds every such pair.  A total form
-    has a value on every pair of words, so the recursion skips a term as
-    soon as one factor is zero.  A partial form evaluates every factor,
-    so a missing value still raises CobraidingError wherever the
-    recursion reaches it.
+    from unit_unit.  The tables must give a value, zeros included, on
+    every pair of words of length at most one: a missing pair is a
+    configuration error, not an implicit zero, and the first one, with
+    the left word outer and each word in the order 1, g_0, g_1, ..., is
+    refused with CobraidingError.  So the form has a value on every pair
+    of words.
     """
 
     def __init__(self, pres, gen_table, unit_left, unit_right, unit_unit=1):
@@ -83,15 +80,13 @@ class CobraidingForm:
                         f"{what} key {spec!r} repeats an earlier key")
                 table[k] = pres.coef(val)
         table[(), ()] = pres.coef(unit_unit)
-        cov = self.covered = frozenset(n[0] for m, n in table
-                                       if not m and n and (n, ()) in table)
-        for m, n in table:
-            if m and n and not (m[0] in cov and n[0] in cov):
-                bad = pres.generators[n[0] if m[0] in cov else m[0]]
-                raise PresentationError(
-                    f"gen_table mentions {bad} but the unit tables do not "
-                    "cover it")
-        self.total = len(table) == (len(pres.generators) + 1) ** 2
+        words = [()] + [(i,) for i in range(len(pres.generators))]
+        for m in words:
+            for n in words:
+                if (m, n) not in table:
+                    text = pres.word_text
+                    raise CobraidingError("no configured value for the pair "
+                                          f"({text(m)}, {text(n)})")
 
     def to_json(self):
         gens = self.pres.generators
@@ -188,12 +183,12 @@ def word_value(C, m, n):
     """Stored (untwisted) form on two monomial words.
 
     The host's memo starts as a copy of the form's table, so a pair of
-    words of length at most one is a hit or a CobraidingError.  Any
-    other pair is a sum over a coproduct, the unit's being 1 (x) 1: the
-    recursion peels the leading generator off a longer first slot and
-    comultiplies the second, else comultiplies the first slot against
-    the second slot's leading generator.  On a total form a term is
-    dropped once one factor is zero, without evaluating the other.
+    words of length at most one is a hit.  Any other pair is a sum over
+    a coproduct, the unit's being 1 (x) 1: the recursion peels the
+    leading generator off a longer first slot and comultiplies the
+    second, else comultiplies the first slot against the second slot's
+    leading generator.  A term is dropped once one factor is zero,
+    without evaluating the other.
     """
     return _eval(C, m, n)
 
@@ -205,49 +200,29 @@ def _eval(C, m, n):
     if hit is not None:
         return hit
     H = C.H
-    if len(m) <= 1 and len(n) <= 1:
-        text = H.pres.word_text
-        raise CobraidingError(
-            f"no configured value for the pair ({text(m)}, {text(n)})")
-    total = C.form.total
     val = H.pres.field.zero
     if len(m) <= 1:
         # comultiply the first slot against the second slot's leading
         # generator: R(x, hz) = sum R(x1, z) R(x2, h)
         h, z = n[:1], n[1:]
         for (w1, w2), c in H.untwisted_delta_word(m).terms.items():
-            a = _eval(C, w1, z)
-            if a or not total:
-                b = _eval(C, w2, h)
-                if a and b:
-                    val = val + c * (a * b)
+            if (a := _eval(C, w1, z)) and (b := _eval(C, w2, h)):
+                val = val + c * (a * b)
     else:
         # peel the first slot's leading generator, comultiply the
         # second slot: R(g m', n) = sum R(g, n1) R(m', n2)
         g, rest = m[:1], m[1:]
         for (w1, w2), c in H.untwisted_delta_word(n).terms.items():
-            a = _eval(C, g, w1)
-            if a or not total:
-                b = _eval(C, rest, w2)
-                if a and b:
-                    val = val + c * (a * b)
+            if (a := _eval(C, g, w1)) and (b := _eval(C, rest, w2)):
+                val = val + c * (a * b)
     memo[key] = val
     return val
 
 
-def covered_basis(C, degree):
-    """Basis monomials of total degree <= degree in covered generators."""
-    covered = C.form.covered
-    return [w for w in C.H.pres.graded_basis(degree)
-            if all(i in covered for i in w)]
-
-
-def _fold(legs, read, a, keep):
-    """The legs (l2, c read(a, l1)) of the legs ((l1, l2), c), in order;
-    keep, true exactly on a partial form, keeps the zero ones, so that
-    every value the sums need is looked up and a partial form raises."""
-    return [(l2, c * v) for (l1, l2), c in legs
-            if (v := read(a, l1)) or keep]
+def _fold(legs, read, a):
+    """The legs (l2, c read(a, l1)) of the legs ((l1, l2), c) whose
+    value read(a, l1) is not zero, in order."""
+    return [(l2, c * v) for (l1, l2), c in legs if (v := read(a, l1))]
 
 
 def _dot(fold, read, b, out):
@@ -260,8 +235,8 @@ def _dot(fold, read, b, out):
 
 
 def verify_cobraided(C, degree):
-    """Check the three cobraided axioms on all covered basis monomials
-    of degree <= degree, with the instance's own product xy, coproduct
+    """Check the three cobraided axioms on all basis monomials of
+    degree <= degree, with the instance's own product xy, coproduct
     x1 (x) x2 and structure map alpha:
 
     first_slot_product_expansion
@@ -288,7 +263,7 @@ def verify_cobraided(C, degree):
     pres = H.pres
     zero = pres.field.zero
     rep = Report(f"cobraided axioms on {C.name or 'instance'}")
-    basis = covered_basis(C, degree)
+    basis = pres.graded_basis(degree)
     names = {w: pres.word_text(w) for w in basis}
     delta_of = {w: list(H.delta_word(w).terms.items()) for w in basis}
     cop_of = {w: [((l2, l1), c) for (l1, l2), c in legs]
@@ -298,12 +273,11 @@ def verify_cobraided(C, degree):
     alpha_right = cache(lambda a, w: C.alpha_value(w, a, 0, 1))
 
     word_prod = _product_table(H.product)
-    keep = not C.form.total
 
     def expansion(outer, inner, delta):
         @lru_cache(maxsize=1)
         def fold(a, b):
-            return _fold(delta[a], inner, b, keep)
+            return _fold(delta[a], inner, b)
 
         def sides(a, b, c):
             left = right = zero
@@ -313,7 +287,7 @@ def verify_cobraided(C, degree):
                     left = left + k * v
             for a2, u in fold(a, b):
                 v = inner(c, a2)
-                if u and v:
+                if v:
                     right = right + u * v
             return left, right
         return sides
@@ -346,7 +320,7 @@ def verify_cobraided(C, degree):
 
 def verify_oqhybe(C, degree):
     """Check the two scalar Hom-Yang-Baxter identities implied by the
-    cobraided axioms on all covered basis-monomial triples (x, y, z),
+    cobraided axioms on all basis-monomial triples (x, y, z),
     with coproduct x1 (x) x2 and structure map alpha:
 
     operator_ybe_first_form
@@ -359,7 +333,7 @@ def verify_oqhybe(C, degree):
     Both read sum f(x1, y1) g(x2, z1) h(y2, z2) = sum h(y1, z1) g(x1, z2)
     f(x2, y2), and each side is a partial contraction.  For a pair (x, y)
     the fold U_xy contracts the legs of x and y that f takes, (x1, y1) on
-    the left and (x2, y2) on the right, and keeps its non-zero entries by
+    the left and (x2, y2) on the right, and holds its non-zero entries by
     the other two legs.  For z, V_z contracts the coproduct of z with the
     two other factors at those legs; the factor on z1 is folded per
     (z, leg) on first use (see _fold), so V_z costs one product per leg
@@ -369,15 +343,13 @@ def verify_oqhybe(C, degree):
     pres = H.pres
     zero = pres.field.zero
     rep = Report(f"operator Yang-Baxter identities on {C.name or 'instance'}")
-    basis = covered_basis(C, degree)
+    basis = pres.graded_basis(degree)
     names = [pres.word_text(w) for w in basis]
     delta_of = [list(H.delta_word(w).terms.items()) for w in basis]
     R = C.word_pair_value
     alpha_first = cache(lambda x, w: C.alpha_value(x, w, 1, 0))
     alpha_second = cache(lambda w, z: C.alpha_value(w, z, 0, 1))
-    keep = not C.form.total
-
-    z1_fold = cache(lambda k, g, a: _fold(delta_of[k], g, a, keep))
+    z1_fold = cache(lambda k, g, a: _fold(delta_of[k], g, a))
 
     def ybe_form(f, g, h):
         @lru_cache(maxsize=1)
@@ -419,10 +391,10 @@ def verify_oqhybe(C, degree):
 
 def check_alpha_invariance(C, degree):
     """Check that applying the structure map to both slots leaves the
-    instance form unchanged on covered basis monomials."""
+    instance form unchanged on basis monomials."""
     pres = C.H.pres
     rep = Report(f"alpha invariance on {C.name or 'instance'}")
-    basis = covered_basis(C, degree)
+    basis = pres.graded_basis(degree)
     _scan(rep, "alpha_invariance", [basis] * 2,
           lambda x, y: (C.alpha_value(x, y, 1, 1), C.word_pair_value(x, y)),
           _at({w: pres.word_text(w) for w in basis}, "xy"), degree)

@@ -434,20 +434,12 @@ def _p_div_exact(A, B, field):
     return out
 
 
-def _gcd_uni(A, B, i, field):
-    """Monic Euclid in the single variable i over the coefficient field."""
-    zero = field._cyc.ZERO if field._cyc else 0
-
-    def todense(P):
-        P = {field._unpack(e)[i]: c for e, c in P.items()}
-        out = [zero] * (max(P) + 1)
-        for k, c in P.items():
-            out[k] = c
-        return out
-
-    step = 1 << 64 * i
-    return {field._zero_exp + k * step: c
-            for k, c in enumerate(_ugcd(todense(A), todense(B))) if c}
+# The highest degree in one variable that _p_gcd writes out densely.  Its
+# monic Euclid over Q on two generic polynomials of degree 256 takes about
+# 4 s (2-vCPU x86-64 host), and the cost grows faster than the square of
+# the degree; a larger gcd is refused, not left to run for minutes or to
+# allocate one slot per degree (2^60 of them for t^(2^60) + 1).
+_DENSE_MAX = 256
 
 
 @lru_cache(maxsize=None)
@@ -458,18 +450,17 @@ def _subfield_for(names, order):
 def _p_gcd(A, B, field):
     """gcd of two nonzero polynomial dicts, up to a nonzero constant.
 
-    Univariate inputs run a dense monic Euclid directly; multivariate
-    inputs recurse through the fraction field of the remaining variables,
-    which keeps intermediate coefficient growth in check.
+    The last variable in use is the main one.  The content in it is a
+    gcd in the other variables, and the primitive part comes from a dense
+    monic Euclid over their fraction field (Q, or Q(zeta_n), when there
+    are none), which keeps intermediate coefficient growth in check.  A
+    degree above _DENSE_MAX in the main variable is refused.
     """
     # the fields of the exponents that are not zero in some key
     moved = reduce(_or, (e ^ field._zero_exp for e in (*A, *B)))
     used = [i for i in range(field.nvars) if moved >> 64 * i & _MASK]
     if not used:
         return dict(field._one_poly)
-    if len(used) == 1:
-        return _gcd_uni(A, B, used[0], field)
-
     m = used[-1]
     others = tuple(used[:-1])
     sub = _subfield_for(tuple(field.variables[i] for i in others),
@@ -496,6 +487,9 @@ def _p_gcd(A, B, field):
             e = field._unpack(e)
             top = max(top, e[m])
             groups.setdefault(e[m], {})[sub._pack([e[i] for i in others])] = c
+        if top > _DENSE_MAX:
+            raise ScalarError(f"a gcd of degree {top} is past the dense "
+                              f"limit {_DENSE_MAX}")
         out = [sub.zero] * (top + 1)
         for d, poly in groups.items():
             out[d] = Scalar(sub, poly, sub._one_poly)

@@ -12,7 +12,7 @@ from homq.cobraid import (CobraidingForm, CobraidedHomBialgebra,
                           CobraidingError, InjectivityError, word_value,
                           verify_cobraided, verify_oqhybe,
                           check_alpha_invariance, twist_R_power,
-                          alpha_kernel_witness, covered_basis)
+                          alpha_kernel_witness)
 from quantum_matrices import (ALPHA, DELTA, R_NONZERO, UNIT_ROW,
                               qm2_form, qm2_presentation)
 from reference_products import element_product, eval_R
@@ -165,10 +165,10 @@ def test_alpha_invariance_formal_lambda():
 
 
 def test_uncovered_pair_raises():
-    C = plain_instance(drop=("d", "d"))
-    P = C.H.pres
-    with pytest.raises(CobraidingError, match=r"\(d, d\)"):
-        eval_R(C, P.gen("d"), P.gen("d"))
+    # the form is refused when it is built, not when the pair is read
+    with pytest.raises(CobraidingError) as exc:
+        plain_instance(drop=("d", "d"))
+    assert str(exc.value) == "no configured value for the pair (d, d)"
 
 
 def test_form_memo_is_per_host():
@@ -191,26 +191,27 @@ def test_form_memo_is_per_host():
 def test_gen_table_outside_units_rejected():
     P = qm2_presentation(F)
     units = {"a": 1, "b": 0, "c": 0}
-    with pytest.raises(PresentationError, match="d"):
+    with pytest.raises(CobraidingError, match=r"\(1, d\)"):
         CobraidingForm(P, {("d", "d"): 1}, units, dict(units))
 
 
 @pytest.mark.parametrize("pair", [("d", "d"), ("a", "d"), ("d", "a")])
 def test_gen_table_outside_units_message(pair):
+    # the pairs are scanned left word outer, each in the order 1, a, ...,
+    # d: the unit row lacks d before any generator pair is reached
     P = qm2_presentation(F)
     units = {"a": 1, "b": 0, "c": 0}
-    with pytest.raises(PresentationError) as exc:
+    with pytest.raises(CobraidingError) as exc:
         CobraidingForm(P, {("a", "a"): 1, pair: 1}, units, dict(units))
-    assert str(exc.value) == \
-        "gen_table mentions d but the unit tables do not cover it"
+    assert str(exc.value) == "no configured value for the pair (1, d)"
 
 
-def test_one_sided_unit_column_is_accepted_and_uncovered():
-    # b has a value against the unit in the first slot only
+def test_one_sided_unit_column_is_refused():
+    # b has a value against the unit in the first slot only, and c none
     P = qm2_presentation(F)
-    form = CobraidingForm(P, {("a", "a"): 1}, {"a": 1, "b": 0}, {"a": 1})
-    assert form.covered == {P.word("a")[0]}
-    assert not form.total
+    with pytest.raises(CobraidingError) as exc:
+        CobraidingForm(P, {("a", "a"): 1}, {"a": 1, "b": 0}, {"a": 1})
+    assert str(exc.value) == "no configured value for the pair (1, c)"
 
 
 def _qm2_tables():
@@ -219,23 +220,32 @@ def _qm2_tables():
             "unit_left": dict(UNIT_ROW), "unit_right": dict(UNIT_ROW)}
 
 
-@pytest.mark.parametrize("table", ["gen_table", "unit_left", "unit_right"])
-def test_one_missing_entry_makes_the_form_partial(table):
+# each table of M_q(2)'s form, the entry deleted from it and the pair
+# refused without it
+MISSING_ENTRIES = {"gen_table": (("b", "c"), "(b, c)"),
+                   "unit_left": ("d", "(1, d)"),
+                   "unit_right": ("d", "(d, 1)")}
+
+
+@pytest.mark.parametrize("table", sorted(MISSING_ENTRIES))
+def test_one_missing_entry_is_refused(table):
+    # by the constructor, and by from_json on a serialized form read back
+    # from outside
     P = qm2_presentation(F)
     tables = _qm2_tables()
-    assert CobraidingForm(P, **tables).total
+    data = json.loads(json.dumps(CobraidingForm(P, **tables).to_json()))
+    entry, pair = MISSING_ENTRIES[table]
+    del tables[table][entry]
     if table == "gen_table":
-        del tables["gen_table"]["b", "c"]
+        data[table] = [row for row in data[table]
+                       if (row["left"], row["right"]) != entry]
     else:
-        # without d's unit value the form refuses the pairs mentioning d
-        del tables[table]["d"]
-        with pytest.raises(PresentationError, match="mentions d"):
-            CobraidingForm(P, **tables)
-        tables["gen_table"] = {k: v for k, v in tables["gen_table"].items()
-                               if "d" not in k}
-    form = CobraidingForm(P, **tables)
-    assert not form.total
-    assert len(form.covered) == (4 if table == "gen_table" else 3)
+        del data[table][entry]
+    for build in (lambda: CobraidingForm(P, **tables),
+                  lambda: CobraidingForm.from_json(data, P)):
+        with pytest.raises(CobraidingError) as exc:
+            build()
+        assert str(exc.value) == f"no configured value for the pair {pair}"
 
 
 @pytest.mark.parametrize("extra, units, message", [
@@ -606,7 +616,7 @@ def reference_alpha_value(C, m, n, i, j):
 def test_alpha_value_matches_repeated_alpha_poly(build, power):
     C = twist_R_power(build(), power)
     assert C.alpha_power == power
-    words = covered_basis(C, 2)
+    words = C.H.pres.graded_basis(2)
     for i in range(3):
         for j in range(3):
             for m in words:
@@ -628,11 +638,7 @@ def reference_eval(C, m, n, second_first, memo):
     H = C.H
     field = H.pres.field
     if len(m) <= 1 and len(n) <= 1:
-        val = C.form.table.get(key)
-        if val is None:
-            text = H.pres.word_text
-            raise CobraidingError(
-                f"no configured value for the pair ({text(m)}, {text(n)})")
+        val = C.form.table[key]
     elif not m:
         val = (reference_eval(C, (), n[1:], second_first, memo)
                * reference_eval(C, (), n[:1], second_first, memo))
@@ -687,8 +693,7 @@ SPARSE_CASES = {
 @pytest.mark.parametrize("name", sorted(SPARSE_CASES))
 def test_sparse_recursion_matches_dense_reference(name):
     C = SPARSE_CASES[name]()
-    assert C.form.total
-    basis = covered_basis(C, 3)
+    basis = C.H.pres.graded_basis(3)
     for second_first in (False, True):
         memo = {}
         for m in basis:
@@ -703,23 +708,10 @@ def test_sparse_recursion_matches_dense_reference(name):
                     reference_word_pair_value(C, m, n, memo)
 
 
-def _refusals(C, evaluate, degree=2):
-    """The word pairs of degree <= degree on which evaluate raises
-    CobraidingError, with the message; one fresh instance per pair."""
-    words = C().H.pres.graded_basis(degree)
-    out = {}
-    for m in words:
-        for n in words:
-            try:
-                evaluate(C(), m, n)
-            except CobraidingError as exc:
-                out[m, n] = str(exc)
-    return out
-
-
+# two partial tables on M_q(2) and the first pair each lacks
 PARTIAL_FORMS = {
-    "dd_dropped": (lambda: plain_instance(drop=("d", "d")), 84),
-    "d_uncovered": (lambda: _uncovered_d_instance(), 184),
+    "dd_dropped": (lambda: plain_instance(drop=("d", "d")), "(d, d)"),
+    "d_uncovered": (lambda: _uncovered_d_instance(), "(1, d)"),
 }
 
 
@@ -731,36 +723,17 @@ def _uncovered_d_instance():
                                  CobraidingForm(P, table, units, dict(units)))
 
 
-@pytest.mark.parametrize("name", sorted(PARTIAL_FORMS))
-@pytest.mark.parametrize("second_first", [False])
-def test_partial_form_raises_where_the_dense_recursion_raises(name,
-                                                              second_first):
-    # word_value refuses where the dense recursion in its own order does
-    build, count = PARTIAL_FORMS[name]
-    assert not build().form.total
-    got = _refusals(build, word_value)
-    want = _refusals(build, lambda C, m, n: reference_eval(C, m, n,
-                                                           second_first, {}))
-    assert got == want
-    assert len(got) == count
-
-
-# the first pair each verifier reads and finds missing, by degree 1, 2, 3
-PARTIAL_REFUSALS = {
-    ("d_uncovered", "cobraided"): ["(1, d)", "(a, d)", "(a, d)"],
-    ("d_uncovered", "oqhybe"): ["(1, d)"] * 3,
-    ("dd_dropped", "cobraided"): ["(d, d)"] * 3,
-    ("dd_dropped", "oqhybe"): ["(d, d)"] * 3,
-}
-
-
-@pytest.mark.parametrize("name, verifier", sorted(PARTIAL_REFUSALS))
+@pytest.mark.parametrize("name, verifier",
+                         [(name, verifier) for name in sorted(PARTIAL_FORMS)
+                          for verifier in ("cobraided", "oqhybe")])
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_verifiers_refuse_a_partial_form(name, verifier, degree):
+    # the form is refused when it is built, before the verifier runs, at
+    # the same pair whatever the verifier and the degree
     run = {"cobraided": verify_cobraided, "oqhybe": verify_oqhybe}[verifier]
-    pair = PARTIAL_REFUSALS[name, verifier][degree - 1]
+    build, pair = PARTIAL_FORMS[name]
     with pytest.raises(CobraidingError) as exc:
-        run(PARTIAL_FORMS[name][0](), degree)
+        run(build(), degree)
     assert str(exc.value) == f"no configured value for the pair {pair}"
 
 
@@ -880,7 +853,7 @@ def reference_verify_cobraided(C, degree):
     H = C.H
     pres = H.pres
     rep = Report(f"cobraided axioms on {C.name or 'instance'}")
-    basis = covered_basis(C, degree)
+    basis = pres.graded_basis(degree)
     one = pres.field.one
     mono = [NCPoly(pres, {w: one}, _trusted=True) for w in basis]
     names = [pres.word_text(w) for w in basis]
@@ -989,7 +962,7 @@ def reference_verify_oqhybe(C, degree):
     pres = H.pres
     field = pres.field
     rep = Report(f"operator Yang-Baxter identities on {C.name or 'instance'}")
-    basis = covered_basis(C, degree)
+    basis = pres.graded_basis(degree)
     one = field.one
     mono = [NCPoly(pres, {w: one}, _trusted=True) for w in basis]
     names = [pres.word_text(w) for w in basis]

@@ -89,6 +89,15 @@ def test_cancel_linear_factor():
     assert s == parse_scalar("t + 1", F_T)
 
 
+def test_a_gcd_past_the_dense_limit_is_refused():
+    # each sum takes a gcd of degree above `degree` in t, which would be
+    # written out as one list slot per degree
+    for degree in (2 ** 60, scalars._DENSE_MAX + 1):
+        a = parse_scalar(f"1/(t^{degree} + 1)", F_T)
+        with pytest.raises(ScalarError, match="past the dense limit"):
+            a + parse_scalar("1/(t + 1)", F_T)
+
+
 def test_content_normalization():
     assert render(parse_scalar("(2*t)/4", F_T)) == "t/2"
 
