@@ -12,12 +12,14 @@ product expansion is the first one for the transposed form
 R^t(a, b) = R(b, a) over the co-opposite coproduct.
 
 The instance holds the memos that outlive a call: word_value's, the
-alpha^k word images and the power-twisted pair values.  The verifiers
-hold theirs for one call: R(alpha a, w), R(w, alpha a), products, and
-the folds of their contractions, each kept for one pair of outer cases.
+recursion's folds of a coproduct against a generator, the alpha^k word
+images and the power-twisted pair values; a power twist shares all but
+the last with its base.  The verifiers hold theirs for one call:
+R(alpha a, w), R(w, alpha a), products, and the folds of their
+contractions, each kept for one pair of outer cases.
 """
 
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 
 from .hombialg import _combine, _product_table
 from .linalg import kernel_basis
@@ -114,9 +116,10 @@ class CobraidedHomBialgebra:
 
     The form table is always the untwisted one, R; alpha_power p is the
     number of times the structure map is applied to both slots first, so
-    the instance form is R(alpha^p x, alpha^p y).  Its three memos go
+    the instance form is R(alpha^p x, alpha^p y).  Its four memos go
     through this host's maps: word_value's, seeded with a copy of the
-    table; alpha^k(w) for k >= 1; and the pair values when p > 0.
+    table; the recursion's folds, keyed (g, n); alpha^k(w) for k >= 1;
+    and the pair values when p > 0.
     """
 
     def __init__(self, H, form, alpha_power=0, name=""):
@@ -132,6 +135,7 @@ class CobraidedHomBialgebra:
         self.name = name or H.name
         self._value_cache = {}
         self._word_cache = dict(form.table)
+        self._fold_cache = {}
         self._alpha_cache = {}
 
     def word_pair_value(self, m, n):
@@ -188,7 +192,9 @@ def word_value(C, m, n):
     leading generator off a longer first slot and comultiplies the
     second, else comultiplies the first slot against the second slot's
     leading generator.  A term is dropped once one factor is zero,
-    without evaluating the other.
+    without evaluating the other.  The peel reads the host's fold of Delta
+    n against R(g, .) (see _fold), built once per (g, n), so the legs
+    with R(g, n1) = 0 are dropped once and not for every word g m'.
     """
     return _eval(C, m, n)
 
@@ -212,16 +218,20 @@ def _eval(C, m, n):
         # peel the first slot's leading generator, comultiply the
         # second slot: R(g m', n) = sum R(g, n1) R(m', n2)
         g, rest = m[:1], m[1:]
-        for (w1, w2), c in H.untwisted_delta_word(n).terms.items():
-            if (a := _eval(C, g, w1)) and (b := _eval(C, rest, w2)):
-                val = val + c * (a * b)
+        read = partial(_eval, C)
+        fold = C._fold_cache.get((g, n))
+        if fold is None:
+            fold = C._fold_cache[g, n] = _fold(
+                H.untwisted_delta_word(n).terms.items(), read, g)
+        val = _dot(fold, read, rest, val)
     memo[key] = val
     return val
 
 
 def _fold(legs, read, a):
     """The legs (l2, c read(a, l1)) of the legs ((l1, l2), c) whose
-    value read(a, l1) is not zero, in order."""
+    value read(a, l1) is not zero, in order: the coproduct side of the
+    verifiers' contractions and the peel of the form recursion."""
     return [(l2, c * v) for (l1, l2), c in legs if (v := read(a, l1))]
 
 
@@ -439,5 +449,8 @@ def twist_R_power(C, n):
     witness = alpha_kernel_witness(C.H)
     if witness is not None:
         raise InjectivityError(witness)
-    return CobraidedHomBialgebra(C.H, C.form,
-                                 alpha_power=C.alpha_power + n, name=C.name)
+    D = CobraidedHomBialgebra(C.H, C.form, alpha_power=C.alpha_power + n,
+                              name=C.name)
+    D._word_cache, D._fold_cache, D._alpha_cache = (
+        C._word_cache, C._fold_cache, C._alpha_cache)
+    return D

@@ -186,6 +186,38 @@ def test_form_memo_is_per_host():
     g, gh = P.gen("g"), P.poly({"gh": 1})
     assert eval_R(hosts[0], g, gh) == FT.parse("t")
     assert eval_R(hosts[1], g, gh) == FT.parse("2*t")
+    # two forms on one bialgebra: the word values and the recursion's
+    # folds of the true form must not leak into the host of R(a, a) = 2,
+    # compared with a host on a bialgebra of its own
+    P = qm2_presentation(F)
+    H, H2 = (twist_hom_bialgebra(HomBialgebra(P, DELTA, name="qm2"), ALPHA)
+             for _ in range(2))
+    bad = qm2_form(P, override={("a", "a"): 2})
+    first, second = (CobraidedHomBialgebra(H, form)
+                     for form in (qm2_form(P), bad))
+    basis = P.graded_basis(3)
+    for m in basis:
+        for n in basis:
+            word_value(first, m, n)
+    assert first._fold_cache
+    fresh = CobraidedHomBialgebra(H2, bad)
+    for m in basis:
+        for n in basis:
+            assert word_value(second, m, n) == word_value(fresh, m, n), (m, n)
+    assert word_value(second, (0, 0), (0,)) != word_value(first, (0, 0), (0,))
+
+
+def test_power_twist_shares_the_memos_of_its_base():
+    # word values, recursion folds and alpha^k images depend only on the
+    # bialgebra and the form; the pair values depend on the power
+    C = zn_instance()
+    C1 = twist_R_power(C, 1)
+    C2 = twist_R_power(C1, 1)
+    for D in (C1, C2):
+        assert D._word_cache is C._word_cache
+        assert D._fold_cache is C._fold_cache
+        assert D._alpha_cache is C._alpha_cache
+    assert len({id(D._value_cache) for D in (C, C1, C2)}) == 3
 
 
 def test_gen_table_outside_units_rejected():

@@ -375,13 +375,24 @@ def twisted_z5():
     return twist_hom_bialgebra(base, {"g": {"gg": 1}})
 
 
+def shifted_line():
+    # alpha(x) = x + 1 on the free algebra on x: every alpha image of a
+    # word of positive length has more than one term, and the twist by
+    # this algebra map is Hom-associative but not comultiplicative
+    P = Presentation("x", [], F, max_degree=4)
+    return HomBialgebra(P, {"x": {("x", "1"): 1, ("1", "x"): 1}},
+                        {"x": {"x": 1, "1": 1}}, twisted=True)
+
+
 REFERENCE_CASES = (
     [("plain", plain, 2), ("twisted", twisted, 2)]
     + [(f"direct{change}", direct_twist(change), degree)
        for change in NON_MORPHISMS for degree in (2, 3)]
     + [("alpha_without_twist", untwisted_with_alpha, 1),
        ("untwisted_coproduct", untwisted_coproduct, 1),
-       ("z5_twisted", twisted_z5, 4)])
+       ("z5_twisted", twisted_z5, 4),
+       ("shifted_line", shifted_line, 4),
+       ("direct{'b': 0}", direct_twist({"b": {}}), 2)])
 
 
 @pytest.mark.parametrize(
