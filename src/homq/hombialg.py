@@ -235,58 +235,47 @@ def verify_hom_bialgebra(H, degree):
     """Run the structure axioms over all basis monomials of total degree
     at most `degree`, using the instance's own product, coproduct, and
     twisting map.  The three product checks are contractions against one
-    table of word products, filled on first use, and two memos of the
-    products with an alpha image, lam(i, w) = alpha(x_i) w and rho(w, k)
-    = w alpha(x_k): multiplicativity's right side and hom_associativity's
-    left side read lam, and its right side reads rho.  Every coproduct
-    of a word is read from one memo of delta_word."""
+    table of word products, filled on first use."""
     pres = H.pres
     rep = Report(f"hom-bialgebra axioms on {H.name or 'instance'}")
     basis = pres.graded_basis(degree)
     at = _at([pres.word_text(w) for w in basis], "xyz")
     idx = range(len(basis))
-    alpha_terms = [H.alpha_word(w).terms.items() for w in basis]
+    alpha_of = [H.alpha_word(w) for w in basis]
+    alpha_terms = [p.terms.items() for p in alpha_of]
     word_prod = _product_table(H.product)
-    delta_word = cache(H.delta_word)
-    zero, zero2 = pres.zero_poly(), pres.unit_tensor(2, 0)
 
     def prod(i, j):
         return word_prod(basis[i], basis[j])
 
-    def alpha_product(pairs):
-        # sum c prod(u, v) over pairs (u, v, c); one pair scales a row
-        if len(pairs) != 1:
-            return tuple(_combine(word_prod, pres, pairs).terms.items())
-        ((u, v, c),) = pairs
-        return tuple((w, c * cw) for w, cw in word_prod(u, v))
+    def times(left, right):
+        # the instance product of two sums of (word, coefficient) pairs
+        return _combine(word_prod, pres, ((u, v, cu * cv) for u, cu in left
+                                          for v, cv in right))
 
-    lam = cache(lambda i, w: alpha_product([(u, w, c)
-                                            for u, c in alpha_terms[i]]))
-    rho = cache(lambda w, k: alpha_product([(w, v, c)
-                                            for v, c in alpha_terms[k]]))
+    @cache
+    def delta_of(i):
+        return H.delta_word(basis[i])
 
     def hom_coassociativity(i):
-        D = delta_word(basis[i])
-        return (D.map_slots([H._alpha_slot, delta_word]),
-                D.map_slots([delta_word, H._alpha_slot]))
+        D = delta_of(i)
+        return (D.map_slots([H._alpha_slot, H.delta_word]),
+                D.map_slots([H.delta_word, H._alpha_slot]))
 
     _scan(rep, "multiplicativity", [idx] * 2,
-          lambda i, j: (linear_image(prod(i, j), H.alpha_word, zero),
-                        _combine(lam, pres, ((i, v, c)
-                                             for v, c in alpha_terms[j]))),
-          at, degree)
+          lambda i, j: (linear_image(prod(i, j), H.alpha_word,
+                                     pres.zero_poly()),
+                        times(alpha_terms[i], alpha_terms[j])), at, degree)
     _scan(rep, "hom_associativity", [idx] * 3,
-          lambda i, j, k: (
-              _combine(lam, pres, ((i, w, c) for w, c in prod(j, k))),
-              _combine(rho, pres, ((w, k, c) for w, c in prod(i, j)))),
-          at, degree)
+          lambda i, j, k: (times(alpha_terms[i], prod(j, k)),
+                           times(prod(i, j), alpha_terms[k])), at, degree)
     _scan(rep, "comultiplicativity", [idx],
-          lambda i: (linear_image(alpha_terms[i], delta_word, zero2),
-                     H.alpha_tensor(delta_word(basis[i]))), at, degree)
+          lambda i: (H.delta(alpha_of[i]), H.alpha_tensor(delta_of(i))),
+          at, degree)
     _scan(rep, "hom_coassociativity", [idx], hom_coassociativity, at, degree)
     _scan(rep, "product_coproduct_compatibility", [idx] * 2,
-          lambda i, j: (linear_image(prod(i, j), delta_word, zero2),
-                        slotwise(delta_word(basis[i]), delta_word(basis[j]),
+          lambda i, j: (H.delta(NCPoly(pres, prod(i, j), _trusted=True)),
+                        slotwise(delta_of(i), delta_of(j),
                                  [word_prod, word_prod])),
           at, degree)
     return rep
