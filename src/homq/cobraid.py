@@ -270,7 +270,7 @@ def verify_cobraided(C, degree):
     zero value is dropped before it is multiplied.
     """
     H = C.H
-    pres = H.pres
+    pres = H.pres._certified()
     zero = pres.field.zero
     rep = Report(f"cobraided axioms on {C.name or 'instance'}")
     basis = pres.graded_basis(degree)
@@ -350,7 +350,7 @@ def verify_oqhybe(C, degree):
     z2.  Each triple is the sparse dot product of U_xy with V_z.
     """
     H = C.H
-    pres = H.pres
+    pres = H.pres._certified()
     zero = pres.field.zero
     rep = Report(f"operator Yang-Baxter identities on {C.name or 'instance'}")
     basis = pres.graded_basis(degree)
@@ -402,7 +402,7 @@ def verify_oqhybe(C, degree):
 def check_alpha_invariance(C, degree):
     """Check that applying the structure map to both slots leaves the
     instance form unchanged on basis monomials."""
-    pres = C.H.pres
+    pres = C.H.pres._certified()
     rep = Report(f"alpha invariance on {C.name or 'instance'}")
     basis = pres.graded_basis(degree)
     _scan(rep, "alpha_invariance", [basis] * 2,

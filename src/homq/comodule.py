@@ -217,7 +217,7 @@ class ComoduleAlgebra:
 
         With base=True the piece carries the untwisted coaction, which
         is the input the output-twisted Yang-Baxter operator wants."""
-        carrier = self.carrier
+        carrier = self.carrier._certified()
         words = carrier.basis_level(degree)
         if not words:
             raise ComoduleError(f"degree-{degree} piece is empty")
@@ -249,10 +249,12 @@ def verify_comodule(M, degree=None):
     """Check Hom-coassociativity and comultiplicativity of the coaction
     on the carrier basis (up to total degree for algebra carriers)."""
     H = M.hom
+    H.pres._certified()
     rep = Report(f"comodule axioms on {M.name or 'carrier'}")
     if isinstance(M, ComoduleAlgebra):
         degree = 3 if degree is None else degree
-        cases, text = M.carrier.graded_basis(degree), M.carrier.word_text
+        carrier = M.carrier._certified()
+        cases, text = carrier.graded_basis(degree), carrier.word_text
 
         def rho_row(x):
             return M.rho_word(x).terms
@@ -524,7 +526,8 @@ def verify_comodule_hom_algebra(M, degree):
     `degree`.  Both sides read the carrier products from one table local
     to this call; the host products of the right side are read as they
     come, since no two pairs share one."""
-    carrier = M.carrier
+    M.hom.pres._certified()
+    carrier = M.carrier._certified()
     words = carrier.graded_basis(degree)
     rep = Report(f"comodule algebra on {M.name or 'carrier'}")
     pairs = [(u, v) for u in words for v in words

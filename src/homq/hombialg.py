@@ -201,7 +201,7 @@ def _relations_preserved(rep, pres, images, memo):
 def verify_morphism(endo, H):
     """Check that the generator table endo defines a bialgebra morphism:
     it preserves every defining relation and commutes with the coproduct."""
-    pres = H.pres
+    pres = H.pres._certified()
     images = generator_table(pres, endo, "endomorphism table")
     rep = Report(f"morphism on {H.name or 'instance'}")
     memo = {(): pres.unit(1)}
@@ -236,7 +236,7 @@ def verify_hom_bialgebra(H, degree):
     at most `degree`, using the instance's own product, coproduct, and
     twisting map.  The three product checks are contractions against one
     table of word products, filled on first use."""
-    pres = H.pres
+    pres = H.pres._certified()
     rep = Report(f"hom-bialgebra axioms on {H.name or 'instance'}")
     basis = pres.graded_basis(degree)
     at = _at([pres.word_text(w) for w in basis], "xyz")

@@ -18,12 +18,15 @@ len(u) - max_lhs when all of u but its last letter is normal, and in the
 rewriter from i - max_lhs + 1 for a word made by a rewrite at i, since an
 earlier match would lie in the unchanged prefix of the rewritten word.
 
-Confluence is not checked yet: check_local_confluence resolves the overlaps
-up to a degree when called, but no verifier calls it.  On a non-confluent
-presentation no reduction order gives a meaningful normal form, so such a
-presentation must be refused, not reduced in some other order.  Still,
-_reduce reads no memo and depends on its argument alone, so normal_word
-gives each word one answer, whatever was asked for before.
+On a non-confluent presentation no reduction order gives a meaningful
+normal form, so every verifier refuses such a presentation rather than
+reduce it in some other order: it reads its presentations through
+Presentation._certified, which resolves every ambiguity
+(check_local_confluence at degree 2*max_lhs - 1, Bergman's diamond lemma)
+once per presentation and raises a PresentationError that names the first
+failing one.  Still, _reduce reads no memo and depends on its argument
+alone, so normal_word gives each word one answer, whatever was asked for
+before.
 """
 
 from .scalars import Scalar, render
@@ -86,6 +89,7 @@ class Presentation:
             self._rules_by_first.setdefault(lw[0], []).append((lw, rp, len(lw)))
         self._max_lhs = max((len(lw) for lw, _ in self.rules), default=0)
         self._nf_cache = {(): {(): field.one}}
+        self._certificate = None
 
     # words -----------------------------------------------------------------
 
@@ -332,6 +336,24 @@ class Presentation:
             if a != b:
                 failures.append(self._confluence_failure(i, j, w, a, b))
         return ConfluenceResult(self, degree, checked, failures)
+
+    def _certified(self):
+        """This presentation, once it passes the full certificate: every
+        ambiguity has length at most 2*max_lhs - 1, so resolving those is
+        Bergman's complete check.  The result is kept; a failure raises
+        a PresentationError that names the first failing ambiguity."""
+        cert = self._certificate
+        if cert is None:
+            cert = self._certificate = self.check_local_confluence(
+                2 * self._max_lhs - 1)
+        if not cert:
+            f = cert.failures[0]
+            raise PresentationError(
+                f"{self.name or 'presentation'} is not confluent: the "
+                f"ambiguity {f['word']} of rules {f['rule_pair'][0]} and "
+                f"{f['rule_pair'][1]} has the normal forms {f['first']} "
+                f"and {f['second']}")
+        return self
 
     def _confluence_failure(self, i, j, w, a, b):
         return {

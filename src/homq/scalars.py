@@ -7,15 +7,15 @@ Every coefficient in this package is a scalar drawn from a field
 of multivariate rational functions over a cyclotomic extension of the
 rationals.  No floats anywhere: a rational coefficient is a Python
 ``int`` until a division makes it a ``fractions.Fraction``, and every
-division goes through ``_recip``.  An integral ``Fraction`` is stored
-as its ``int``; a Laurent sum or product looks for one (``_p_tidy``)
-only when an operand has a ``Fraction`` coefficient, since ints alone
-give ints.  One dense ``_udivmod`` does every polynomial division
-with remainder, the reduction of every Q(zeta_n) value modulo the
-cyclotomic polynomial included.
+division goes through ``_recip``.  Coefficients compare by value
+(``Fraction(2) == 2``, and the two hash alike), so a coefficient stays
+whatever arithmetic returns.  One dense ``_udivmod`` does every
+polynomial division with remainder, the reduction of every Q(zeta_n)
+value modulo the cyclotomic polynomial included.
 
 Every scalar has exactly one form, so equality is plain structural
-equality, which is what every verifier in the package relies on.  A
+equality on coefficient values, which is what every verifier in the
+package relies on.  A
 value whose reduced denominator is a monomial (a Laurent polynomial, the
 common case) is one dict {exponent key: coefficient}; between two of
 them ``*`` and ``+`` are a product and a sum with no cancellation.  Any
@@ -131,13 +131,6 @@ def _recip(c):
     return c.inverse()
 
 
-def _tidy(c):
-    """c, an int if it is an integral Fraction."""
-    if type(c) is _Q and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 def _utrim(a):
     while a and not a[-1]:
         a.pop()
@@ -212,8 +205,7 @@ class _CycNumBase:
     polynomial, as class data.  Every product, inverse and constant is
     built by ``_mod_phi``, the remainder by PHI that ``_udivmod``
     computes, so a product is a convolution and one division; sums and
-    negatives need no reduction.  An integral Fraction entry is stored
-    as its int.
+    negatives need no reduction.
     """
 
     __slots__ = ("v",)
@@ -222,8 +214,7 @@ class _CycNumBase:
     PHI = ()
 
     def __init__(self, v):
-        v = tuple(v)
-        self.v = tuple(map(_tidy, v)) if _Q in map(type, v) else v
+        self.v = tuple(v)
 
     @classmethod
     def _mod_phi(cls, dense):
@@ -356,17 +347,6 @@ def _p_scale(A, c):
     return {e: v * c for e, v in A.items()}
 
 
-def _has_frac(A):
-    return _Q in map(type, A.values())
-
-
-def _p_tidy(A):
-    """A with every integral Fraction coefficient an int."""
-    if _has_frac(A):
-        return {e: _tidy(c) for e, c in A.items()}
-    return A
-
-
 def _split(P, d, field, checked=True):
     """P and x^d over their common monomial factor (the latter as its
     key); with d the zero key, the (num, den) pair of a Laurent dict P.
@@ -434,11 +414,13 @@ def _p_div_exact(A, B, field):
     return out
 
 
-# The highest degree in one variable that _p_gcd writes out densely.  Its
-# monic Euclid over Q on two generic polynomials of degree 256 takes about
-# 4 s (2-vCPU x86-64 host), and the cost grows faster than the square of
-# the degree; a larger gcd is refused, not left to run for minutes or to
-# allocate one slot per degree (2^60 of them for t^(2^60) + 1).
+# The bound on the dense Euclid of _p_gcd.  On main-variable degrees d_A
+# and d_B it does about (d_A + 1)(d_B + 1) coefficient operations, and a
+# gcd is refused, before any list is allocated, when that product passes
+# (_DENSE_MAX + 1)^2.  Over Q, two generic polynomials of degree 256 take
+# about 4 s (2-vCPU x86-64 host), and the cost grows faster than the
+# product; a sparse pair such as t + 1 and t^300 + 1 costs little, and
+# t^(2^60) + 1 would need one list slot per degree.
 _DENSE_MAX = 256
 
 
@@ -454,7 +436,7 @@ def _p_gcd(A, B, field):
     gcd in the other variables, and the primitive part comes from a dense
     monic Euclid over their fraction field (Q, or Q(zeta_n), when there
     are none), which keeps intermediate coefficient growth in check.  A
-    degree above _DENSE_MAX in the main variable is refused.
+    pair whose main-variable degrees pass the bound above is refused.
     """
     # the fields of the exponents that are not zero in some key
     moved = reduce(_or, (e ^ field._zero_exp for e in (*A, *B)))
@@ -462,6 +444,10 @@ def _p_gcd(A, B, field):
     if not used:
         return dict(field._one_poly)
     m = used[-1]
+    da, db = (max((e >> 64 * m & _MASK) - _BIAS for e in P) for P in (A, B))
+    if (da + 1) * (db + 1) > (_DENSE_MAX + 1) ** 2:
+        raise ScalarError(f"a gcd of degrees {da} and {db} is past the "
+                          f"dense limit {_DENSE_MAX}")
     others = tuple(used[:-1])
     sub = _subfield_for(tuple(field.variables[i] for i in others),
                         field.cyclotomic_order)
@@ -480,22 +466,17 @@ def _p_gcd(A, B, field):
 
     cont_g = _p_gcd(content(A), content(B), field)
 
-    def to_scalar_coeffs(P):
+    def to_scalar_coeffs(P, top):
         groups = {}
-        top = 0
         for e, c in P.items():
             e = field._unpack(e)
-            top = max(top, e[m])
             groups.setdefault(e[m], {})[sub._pack([e[i] for i in others])] = c
-        if top > _DENSE_MAX:
-            raise ScalarError(f"a gcd of degree {top} is past the dense "
-                              f"limit {_DENSE_MAX}")
         out = [sub.zero] * (top + 1)
         for d, poly in groups.items():
             out[d] = Scalar(sub, poly, sub._one_poly)
         return out
 
-    h = _ugcd(to_scalar_coeffs(A), to_scalar_coeffs(B))
+    h = _ugcd(to_scalar_coeffs(A, da), to_scalar_coeffs(B, db))
 
     # clear denominators and take the primitive part in the main variable
     den_prod = dict(sub._one_poly)
@@ -625,20 +606,19 @@ class ScalarField:
             return self.zero
         if v == 1:
             return self.one
-        return _laurent(self, {self._zero_exp: self._coef_from_int(v)}, 0,
-                        False)
+        return _laurent(self, {self._zero_exp: self._coef_from_int(v)}, 0)
 
     def var(self, name):
         i = self._var_index.get(name)
         if i is None:
             raise UndeclaredVariable(name)
         return _laurent(self, {self._zero_exp + (1 << 64 * i):
-                               self._coef_one()}, 1, False)
+                               self._coef_one()}, 1)
 
     def zeta(self):
         if not self._cyc:
             raise ZetaUnavailable()
-        return _laurent(self, {self._zero_exp: self._cyc.ZETA}, 0, False)
+        return _laurent(self, {self._zero_exp: self._cyc.ZETA}, 0)
 
     def parse(self, text):
         return parse_scalar(text, self)
@@ -675,22 +655,15 @@ class ScalarField:
         return Scalar(self, num, den)
 
 
-def _laurent(field, terms, bound, frac):
+def _laurent(field, terms, bound):
     """The Scalar whose Laurent dict is terms (nonzero coefficients), with
-    ``bound`` bound; the field's one when that is 1.  The coefficients
-    are scanned only when frac (an operand has a Fraction coefficient)
-    is set: each integral Fraction becomes its int, and ``frac`` says
-    whether a Fraction is left."""
-    if frac:
-        terms = _p_tidy(terms)
-        frac = _has_frac(terms)
+    ``bound`` bound; the field's one when that is 1."""
     if terms == field._one_poly:
         return field.one
     s = object.__new__(Scalar)
     s.field = field
     s.laurent = terms
     s.bound = bound
-    s.frac = frac
     s._pair = None
     s._h = s._k = None
     return s
@@ -709,25 +682,20 @@ class Scalar:
     field's ``one``.  ``_k`` is the id of a one-term Laurent value once
     it has been a product operand.
 
-    A Laurent value also carries two facts, which arithmetic derives
-    from its operands without reading their terms (both are None on a
-    (num, den) value):
+    A Laurent value also carries ``bound``, an upper bound on every |e_i|
+    of its terms, which arithmetic derives from its operands without
+    reading their terms (None on a (num, den) value): exact when the
+    value is built from keys, the sum of the operands' bounds for a
+    product (n times the base's for a power), the larger one for a sum,
+    the operand's for a negative or an inverse.  A product whose bound
+    is below 2^61 skips the guard."""
 
-    - ``bound``, an upper bound on every |e_i| of its terms: exact when
-      the value is built from keys, the sum of the operands' bounds for
-      a product (n times the base's for a power), the larger one for a
-      sum, the operand's for a negative or an inverse.  A product whose
-      bound is below 2^61 skips the guard.
-    - ``frac``, whether some coefficient is a ``Fraction``.  A sum or a
-      product tidies its coefficients only when an operand's is set."""
-
-    __slots__ = ("field", "laurent", "bound", "frac", "_pair", "_h", "_k")
+    __slots__ = ("field", "laurent", "bound", "_pair", "_h", "_k")
 
     def __init__(self, field, num, den):
-        num, den = _p_tidy(num), _p_tidy(den)
         self.field, self._pair = field, (num, den)
         self._h = self._k = None
-        self.laurent = self.bound = self.frac = None
+        self.laurent = self.bound = None
         if len(den) == 1:
             (d,) = den
             off = field._zero_exp - d
@@ -735,7 +703,6 @@ class Scalar:
                                     field._g)
             self.bound = max((abs(k) for e in self.laurent
                               for k in field._unpack(e)), default=0)
-            self.frac = _has_frac(num)
 
     def _view(self):
         """The canonical (num, den) pair, computed once."""
@@ -795,8 +762,7 @@ class Scalar:
             num = _p_add(a, b)
             if not num:
                 return f.zero
-            return _laurent(f, num, max(self.bound, other.bound),
-                            self.frac or other.frac)
+            return _laurent(f, num, max(self.bound, other.bound))
         (n1, d1), (n2, d2) = self._view(), other._view()
         g = _p_gcd(d1, d2, f)
         e1 = _p_div_exact(d1, g, f)
@@ -818,8 +784,7 @@ class Scalar:
         if a is None:
             num, den = self._pair
             return Scalar(self.field, _p_neg(num), den)
-        return _laurent(self.field, _p_neg(a), self.bound,
-                        self.frac) if a else self
+        return _laurent(self.field, _p_neg(a), self.bound) if a else self
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -857,8 +822,7 @@ class Scalar:
                 if len(products) >= _PRODUCTS_SIZE:
                     products.clear()
             bound = self.bound + other.bound
-            p = _laurent(f, _p_mul(a, b, f, bound >= _BIAS), bound,
-                         self.frac or other.frac)
+            p = _laurent(f, _p_mul(a, b, f, bound >= _BIAS), bound)
             if key:
                 products[key] = p
             return p
@@ -894,9 +858,8 @@ class Scalar:
         if a is not None and len(a) == 1:
             ((e, c),) = a.items()
             f = self.field
-            c = _tidy(_recip(c))
-            return _laurent(f, _checked({2 * f._zero_exp - e: c}, f._g),
-                            self.bound, type(c) is _Q)
+            return _laurent(f, _checked({2 * f._zero_exp - e: _recip(c)},
+                                        f._g), self.bound)
         num, den = self._view()
         return self.field._coprime_make(dict(den), dict(num))
 
@@ -913,8 +876,7 @@ class Scalar:
         a = base.laurent
         if a is not None:
             bound = base.bound * n
-            return _laurent(f, _p_pow(a, n, f, bound >= _BIAS), bound,
-                            base.frac)
+            return _laurent(f, _p_pow(a, n, f, bound >= _BIAS), bound)
         # powers of a coprime pair stay coprime; the monic unit is preserved
         num, den = base._pair
         return Scalar(f, _p_pow(num, n, f), _p_pow(den, n, f))

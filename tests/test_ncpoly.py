@@ -10,7 +10,14 @@ from homq.scalars import ScalarField, render
 from homq.ncpoly import (Presentation, PresentationError, NCPoly,
                          TensorElement, _bump, word_key, word_image,
                          linear_image, generator_table)
-from quantum_matrices import QM2_RULES, qm2_presentation
+from homq.cobraid import (CobraidedHomBialgebra, CobraidingForm,
+                          check_alpha_invariance, verify_cobraided,
+                          verify_oqhybe)
+from homq.comodule import (ComoduleAlgebra, plane_comodule_algebra,
+                           verify_comodule, verify_comodule_hom_algebra)
+from homq.hombialg import HomBialgebra, verify_hom_bialgebra, verify_morphism
+from quantum_matrices import (DELTA, QM2_RULES, R_NONZERO, UNIT_ROW,
+                              qm2_presentation)
 
 
 F = ScalarField(("t",))
@@ -216,6 +223,75 @@ def test_naive_glq2_ambiguities():
     assert [(f["word"], f["rule_pair"]) for f in res.failures] == [
         ("cbcD", [2, 10]), ("dbcD", [3, 10]),
         ("bcDc", [10, 8]), ("bcDd", [10, 9])]
+
+
+def _refusal_cases():
+    """Every verifier call on a presentation that fails the certificate:
+    M_q(2)'s coproduct on naive_glq2 with D grouplike and a total form,
+    the standard plane over it, and M_q(2) coacting on a carrier whose
+    two rules rewrite yx two ways."""
+    P = naive_glq2()
+    H = HomBialgebra(P, dict(DELTA, D={("D", "D"): 1}))
+    units = dict(UNIT_ROW, D=1)
+    C = CobraidedHomBialgebra(H, CobraidingForm(
+        P, {(l, r): R_NONZERO.get((l, r), 0) for l in P.generators
+            for r in P.generators}, units, units))
+    M = plane_comodule_algebra(C, "standard")
+    Q = qm2_presentation(F)
+    host = HomBialgebra(Q, DELTA)
+    carrier = Presentation("xy", [("yx", {"xy": 1}), ("yx", {"xy": 2})], F,
+                           name="contradictory")
+    N = ComoduleAlgebra(host, carrier, {"x": {("a", "x"): 1},
+                                        "y": {("d", "y"): 1}})
+    host_refusal = "naive_glq2 is not confluent: the ambiguity cbcD"
+    carrier_refusal = "contradictory is not confluent: the ambiguity yx"
+    return {
+        "verify_hom_bialgebra": (lambda: verify_hom_bialgebra(H, 2),
+                                 host_refusal),
+        "verify_morphism": (lambda: verify_morphism(
+            {g: {g: 1} for g in P.generators}, H), host_refusal),
+        "verify_cobraided": (lambda: verify_cobraided(C, 2), host_refusal),
+        "verify_oqhybe": (lambda: verify_oqhybe(C, 2), host_refusal),
+        "check_alpha_invariance": (lambda: check_alpha_invariance(C, 2),
+                                   host_refusal),
+        "verify_comodule_host": (lambda: verify_comodule(M, 2),
+                                 host_refusal),
+        "verify_comodule_piece_host": (lambda: verify_comodule(M.piece(1)),
+                                       host_refusal),
+        "verify_comodule_hom_algebra_host": (
+            lambda: verify_comodule_hom_algebra(M, 2), host_refusal),
+        "verify_comodule_carrier": (lambda: verify_comodule(N, 2),
+                                    carrier_refusal),
+        "verify_comodule_hom_algebra_carrier": (
+            lambda: verify_comodule_hom_algebra(N, 2), carrier_refusal),
+        "piece_carrier": (lambda: N.piece(1), carrier_refusal),
+    }
+
+
+@pytest.mark.parametrize("case", _refusal_cases())
+def test_non_confluent_presentation_is_refused(case):
+    # on a non-confluent presentation no verdict means anything: unrefused,
+    # the degree-2 sweep of verify_hom_bialgebra on naive_glq2 reported
+    # hom_associativity and product_coproduct_compatibility failures
+    call, message = _refusal_cases()[case]
+    with pytest.raises(PresentationError) as err:
+        call()
+    assert str(err.value).startswith(message)
+
+
+def test_non_confluent_refusal_names_the_first_ambiguity():
+    P = naive_glq2()
+    H = HomBialgebra(P, dict(DELTA, D={("D", "D"): 1}))
+    for _ in range(2):             # the certificate computed, then kept
+        with pytest.raises(PresentationError) as err:
+            verify_hom_bialgebra(H, 1)
+        assert str(err.value) == (
+            "naive_glq2 is not confluent: the ambiguity cbcD of rules 2 "
+            "and 10 has the normal forms (1)*bccD and (-t^2)*c + "
+            "(t^4)*acdD")
+    assert P._certificate.degree == 5
+    assert [f["word"] for f in P._certificate.failures] == [
+        "cbcD", "dbcD", "bcDc", "bcDd"]
 
 
 def test_wrong_inverse_scale_detected():

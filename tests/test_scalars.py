@@ -4,6 +4,7 @@ import random
 import sys
 import time
 import tokenize
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -90,12 +91,22 @@ def test_cancel_linear_factor():
 
 
 def test_a_gcd_past_the_dense_limit_is_refused():
-    # each sum takes a gcd of degree above `degree` in t, which would be
-    # written out as one list slot per degree
-    for degree in (2 ** 60, scalars._DENSE_MAX + 1):
-        a = parse_scalar(f"1/(t^{degree} + 1)", F_T)
-        with pytest.raises(ScalarError, match="past the dense limit"):
-            a + parse_scalar("1/(t + 1)", F_T)
+    # each sum takes a gcd whose dense Euclid would pass (_DENSE_MAX + 1)^2
+    # coefficient operations: a dense pair of degree _DENSE_MAX + 1, and a
+    # binomial that would take one list slot per degree, 2^60 of them; both
+    # are refused before a list is allocated
+    d = scalars._DENSE_MAX + 1
+    for a, b in ((f"1/(t^{d} + t + 1)", f"1/(t^{d} + 2)"),
+                 (f"1/(t^{2 ** 60} + 1)", "1/(t + 1)")):
+        a, b = parse_scalar(a, F_T), parse_scalar(b, F_T)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScalarError, match="past the dense limit"):
+                a + b
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 def test_content_normalization():
@@ -201,6 +212,15 @@ def test_syntax_error_position():
             parse_scalar(text, F_T)
         assert err.value.position == position
         assert str(err.value).startswith("unexpected character '\u00b2'")
+    # an atom that is missing: the parser's fall-through refusal
+    for text, message, position in ((")", "unexpected ')'", 0),
+                                    ("t +", "unexpected end of input", 3),
+                                    ("2*", "unexpected end of input", 2),
+                                    ("", "unexpected end of input", 0)):
+        with pytest.raises(ScalarSyntaxError) as err:
+            parse_scalar(text, F_T)
+        assert err.value.position == position
+        assert str(err.value) == f"{message} (at position {position})"
 
 
 def reference_tokenize(text):
@@ -455,6 +475,21 @@ def test_gcd_reduction_against_sympy():
         assert g.total_degree() == 0
 
 
+@pytest.mark.parametrize("text", ["(t + 1)/(t^300 + 1)", "1/(t^300+1) + 1",
+                                  "1/(t^257 + 1) + 1/(t + 1)"])
+def test_a_sparse_gcd_past_the_dense_degree_matches_sympy(text):
+    # each gcd has a degree above _DENSE_MAX in t, and a cheap Euclid
+    t = sympy.Symbol("t")
+    want = sympy.cancel(sympy.sympify(text.replace("^", "**"),
+                                      locals={"t": t}))
+    num_s, den_s = sympy.fraction(want)
+    s = parse_scalar(text, F_T)
+    mine_num = _to_sympy(F_T, s.num, (t,))
+    mine_den = _to_sympy(F_T, s.den, (t,))
+    assert sympy.expand(mine_num * den_s - mine_den * num_s) == 0
+    assert sympy.degree(mine_den, t) == sympy.degree(den_s, t)
+
+
 def test_bivariate_gcd_keeps_its_coefficients_small():
     # gcd(num a, num b) is 1.  A Euclid over Q(t) whose remainders are
     # not made monic took about 47 s of CPU on this pair (2-vCPU VM):
@@ -684,6 +719,17 @@ def _gcd_pair(field):
             parse_scalar("(t^2-1)/(2*t-2)", field))
 
 
+def _swap_coefficients(s, swap):
+    """s built from its pair with swap applied to every rational
+    coefficient, inside the tuples of Q(zeta_n) coefficients too."""
+    def coef(c):
+        if isinstance(c, _CycNumBase):
+            return type(c)(map(swap, c.v))
+        return swap(c)
+    return Scalar(s.field, *({e: coef(c) for e, c in P.items()}
+                             for P in (s.num, s.den)))
+
+
 def _halves(field, text):
     """Two Laurent values with Fraction coefficients whose sum and whose
     product with 2 have integral coefficients."""
@@ -701,14 +747,25 @@ def _halves(field, text):
 @example(_halves(F_Z13, "(1 + zeta)/2"))
 @example((parse_scalar("3*t/2", F_TL), parse_scalar("2/3", F_TL)))
 @example((parse_scalar("(t/2 + 1)/lambda", F_TL), F_TL.from_int(2)))
-def test_integer_coefficients_stay_int(pair):
+def test_integral_fractions_and_ints_are_one_value(pair):
+    """A coefficient stays whatever arithmetic returns, so an integral
+    one may be an int or a Fraction; the two must be one value."""
     a, b = pair
+    field = a.field
+    one_term = [field.from_int(2), field.from_int(3).inverse(),
+                field.var(field.variables[0]) if field.variables
+                else field.zeta()]
     for s in (a, b, a * b, a + b, a - b, -a, a * 2, a ** 2,
               *((a / b, b.inverse()) if b else ())):
-        # an integral coefficient is an int, never a Fraction
-        assert all(type(c) is int
-                   or type(c) is Fraction and c.denominator != 1
-                   for c in _coefficients(s))
+        as_int = _swap_coefficients(
+            s, lambda q: q.numerator if q.denominator == 1 else q)
+        for x in (as_int, _swap_coefficients(as_int, Fraction)):
+            assert x == s and s == x
+            assert hash(x) == hash(s)
+            assert render(x) == render(s)
+            for u in one_term:
+                for _ in range(2):     # the product table cold, then warm
+                    assert x * u == s * u and u * x == u * s
 
 
 @pytest.mark.parametrize("a,b", [
@@ -861,10 +918,9 @@ def test_a_value_whose_pair_leaves_the_key_range_renders(text, want):
         s / (F_T.var("t") + 1)
 
 
-# the exponent bound and the Fraction flag ------------------------------------
+# the exponent bound ----------------------------------------------------------
 #
-# A Laurent product skips the guard below a bound sum of 2^61, and a sum or
-# product skips the tidy when no operand has a Fraction coefficient.  The
+# A Laurent product skips the guard below a bound sum of 2^61.  The
 # exponents here sit near +-2^60, where bound sums cross 2^61, and the
 # coefficients include Fractions whose products and sums are integral.
 
@@ -921,7 +977,7 @@ def _tuple_add(A, B):
 
 def _check_laurent_result(got, exact):
     """got against its exact terms (None: not a Laurent value), and the
-    invariants of bound and frac on a Laurent result."""
+    invariant of bound on a Laurent result."""
     if exact is not None:
         if not all(map(_in_range, exact)):
             assert got == "exponent out of range"
@@ -933,9 +989,6 @@ def _check_laurent_result(got, exact):
     assert got.bound >= max((abs(k) for e in _exponents(got.field,
                                                          got.laurent)
                              for k in e), default=0)
-    assert got.frac == (Fraction in {type(c) for c in got.laurent.values()})
-    assert all(type(c) is int or c.denominator != 1
-               for c in got.laurent.values())
 
 
 def reference_pow(a, n):
@@ -967,7 +1020,7 @@ def _sum_needs_a_large_gcd(A, B):
          (parse_scalar(f"2*t^{2 ** 60}", F_TL), {(2 ** 60, 0): 2}), -1)
 def test_laurent_fast_paths_match_the_guarded_reference(x, y, n):
     """Each Laurent *, +, -, neg, ** and / gives the value, or the refusal
-    text, of the always guarded and tidied reference, and its exact terms
+    text, of the always guarded reference, and its exact terms
     on exponent tuples.  The reference reads each operand's (num, den)
     pair, which may need a key out of range where the value has none;
     where it refuses for that reason, the exact terms decide.  A sum of
@@ -1010,13 +1063,13 @@ def test_laurent_fast_paths_match_the_guarded_reference(x, y, n):
 
 
 def _scan_callers(monkeypatch):
-    """Count the calls of the guard and the tidy by calling function."""
+    """Count the calls of the guard by calling function."""
     callers = []
-    for name in ("_checked", "_p_tidy"):
-        def counted(*args, _fn=getattr(scalars, name), _name=name):
-            callers.append((_name, sys._getframe(1).f_code.co_name))
-            return _fn(*args)
-        monkeypatch.setattr(scalars, name, counted)
+
+    def counted(*args, _fn=scalars._checked):
+        callers.append(("_checked", sys._getframe(1).f_code.co_name))
+        return _fn(*args)
+    monkeypatch.setattr(scalars, "_checked", counted)
     return callers
 
 
@@ -1028,9 +1081,8 @@ def test_laurent_arithmetic_of_the_verifiers_scans_no_result(monkeypatch):
     M = plane_comodule_algebra(C, "standard")
     callers = _scan_callers(monkeypatch)
     assert verify_comodule(M, 3).passed and verify_cobraided(C, 1).passed
-    # a Laurent product scans in _p_mul, a sum or product tidies in _laurent
+    # a Laurent product scans in _p_mul
     assert ("_checked", "_p_mul") not in callers
-    assert ("_p_tidy", "_laurent") not in callers
     # a bound sum of 2^61 runs the guard again, which refuses t^(2^61)
     x = (F_TL.var("t") ** 2 ** 40) ** 2 ** 20
     assert x.bound == 2 ** 60 and ("_checked", "_p_mul") not in callers
