@@ -23,7 +23,8 @@ from functools import cache, lru_cache, partial
 
 from .hombialg import _combine, _product_table
 from .linalg import kernel_basis
-from .ncpoly import NCPoly, PresentationError, json_row, linear_image
+from .ncpoly import (NCPoly, PresentationError, _render_raw, json_row,
+                     linear_image)
 from .report import Report, _at, _scan
 from .scalars import render
 
@@ -314,8 +315,7 @@ def verify_cobraided(C, degree):
                         left.append((y1, x1, c * r_left))
                     if r_right:
                         right.append((x2, y2, c * r_right))
-        return (_combine(word_prod, pres, left),
-                _combine(word_prod, pres, right))
+        return _combine(word_prod, left), _combine(word_prod, right)
 
     _scan(rep, "first_slot_product_expansion", [basis] * 3,
           expansion(alpha_right, alpha_left, delta_of), _at(names, "zxy"),
@@ -324,7 +324,7 @@ def verify_cobraided(C, degree):
           expansion(alpha_left, alpha_right, cop_of), _at(names, "xyz"),
           degree)
     _scan(rep, "braided_commutation", [basis] * 2, commutation,
-          _at(names, "xy"), degree)
+          _at(names, "xy"), degree, lambda raw: _render_raw(pres, raw))
     return rep
 
 

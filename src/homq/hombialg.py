@@ -8,15 +8,17 @@ coproduct = table extension, twisting map along for the ride) and the
 twisted reading where the product is alpha after multiplication and the
 coproduct is the table extension after alpha.
 
-The product works on words.  cobraid.py checks the second cobraided
-expansion as the first one for R^t(a, b) = R(b, a) over Delta^cop.
+The product works on words.  The product checks of verify_hom_bialgebra
+compare plain dicts, keyed by words or by pairs of words, and render only
+a witness.  cobraid.py checks the second cobraided expansion as the first
+one for R^t(a, b) = R(b, a) over Delta^cop.
 """
 
-from functools import cache
+from functools import cache, partial
 
-from .ncpoly import (NCPoly, Presentation, TensorElement, PresentationError,
-                     _bump, generator_table, json_row, linear_image,
-                     slotwise, word_image, word_key)
+from .ncpoly import (Presentation, TensorElement, PresentationError, _bump,
+                     _render_raw, generator_table, json_row, linear_image,
+                     render_legs, word_image, word_key)
 from .report import Report, _at, _scan
 from .scalars import render
 
@@ -172,15 +174,17 @@ def _product_table(product):
     return prod
 
 
-def _combine(prod, pres, terms):
-    """The sum of c * prod(u, v) over the (u, v, c) triples of terms; a
-    pair with a zero coefficient is not looked up."""
+def _combine(prod, terms):
+    """The sum of c * prod(u, v) over the (u, v, c) triples of terms, as
+    the plain dict word -> coefficient that _bump sums, so it compares
+    like the NCPoly it stands for and renders with _render_raw; a pair
+    with a zero coefficient is not looked up."""
     raw = {}
     for u, v, c in terms:
         if c:
             for w, cw in prod(u, v):
                 _bump(raw, w, c * cw)
-    return NCPoly(pres, raw, _trusted=True)
+    return raw
 
 
 def _relations_preserved(rep, pres, images, memo):
@@ -235,7 +239,13 @@ def verify_hom_bialgebra(H, degree):
     """Run the structure axioms over all basis monomials of total degree
     at most `degree`, using the instance's own product, coproduct, and
     twisting map.  The three product checks are contractions against one
-    table of word products, filled on first use."""
+    table of word products, filled on first use, whose sides are plain
+    dicts keyed by words (see _combine) or, for compatibility, by pairs
+    of words; only a witness is rendered, to the text of the NCPoly or
+    TensorElement the dict stands for.  delta is the call's memo of the
+    instance coproduct of a word, read by the two coproduct checks and by
+    compatibility, which reads Delta(xy) as the sum of c Delta(w) over
+    the terms c w of xy."""
     pres = H.pres._certified()
     rep = Report(f"hom-bialgebra axioms on {H.name or 'instance'}")
     basis = pres.graded_basis(degree)
@@ -244,38 +254,52 @@ def verify_hom_bialgebra(H, degree):
     alpha_of = [H.alpha_word(w) for w in basis]
     alpha_terms = [p.terms.items() for p in alpha_of]
     word_prod = _product_table(H.product)
+    delta = cache(H.delta_word)
 
     def prod(i, j):
         return word_prod(basis[i], basis[j])
 
     def times(left, right):
         # the instance product of two sums of (word, coefficient) pairs
-        return _combine(word_prod, pres, ((u, v, cu * cv) for u, cu in left
-                                          for v, cv in right))
-
-    @cache
-    def delta_of(i):
-        return H.delta_word(basis[i])
+        return _combine(word_prod, ((u, v, cu * cv) for u, cu in left
+                                    for v, cv in right))
 
     def hom_coassociativity(i):
-        D = delta_of(i)
-        return (D.map_slots([H._alpha_slot, H.delta_word]),
-                D.map_slots([H.delta_word, H._alpha_slot]))
+        D = delta(basis[i])
+        return (D.map_slots([H._alpha_slot, delta]),
+                D.map_slots([delta, H._alpha_slot]))
+
+    def compatibility(i, j):
+        left, right = {}, {}
+        for w, c in prod(i, j):
+            for key, v in delta(w).terms.items():
+                _bump(left, key, c * v)
+        for (a, b), c1 in delta(basis[i]).terms.items():
+            for (x, y), c2 in delta(basis[j]).terms.items():
+                c = c1 * c2
+                second = word_prod(b, y)
+                for u, cu in word_prod(a, x):
+                    k = c * cu
+                    for v, cv in second:
+                        _bump(right, (u, v), k * cv)
+        return left, right
+
+    poly_text = partial(_render_raw, pres)
 
     _scan(rep, "multiplicativity", [idx] * 2,
           lambda i, j: (linear_image(prod(i, j), H.alpha_word,
-                                     pres.zero_poly()),
-                        times(alpha_terms[i], alpha_terms[j])), at, degree)
+                                     pres.zero_poly()).terms,
+                        times(alpha_terms[i], alpha_terms[j])),
+          at, degree, poly_text)
     _scan(rep, "hom_associativity", [idx] * 3,
           lambda i, j, k: (times(alpha_terms[i], prod(j, k)),
-                           times(prod(i, j), alpha_terms[k])), at, degree)
+                           times(prod(i, j), alpha_terms[k])),
+          at, degree, poly_text)
     _scan(rep, "comultiplicativity", [idx],
-          lambda i: (H.delta(alpha_of[i]), H.alpha_tensor(delta_of(i))),
+          lambda i: (H.delta(alpha_of[i]), H.alpha_tensor(delta(basis[i]))),
           at, degree)
     _scan(rep, "hom_coassociativity", [idx], hom_coassociativity, at, degree)
-    _scan(rep, "product_coproduct_compatibility", [idx] * 2,
-          lambda i, j: (H.delta(NCPoly(pres, prod(i, j), _trusted=True)),
-                        slotwise(delta_of(i), delta_of(j),
-                                 [word_prod, word_prod])),
-          at, degree)
+    _scan(rep, "product_coproduct_compatibility", [idx] * 2, compatibility,
+          at, degree,
+          lambda terms: render_legs(terms, [(word_key, pres.word_text)] * 2))
     return rep

@@ -280,19 +280,26 @@ class Presentation:
                     nxt.append(v)
         return nxt
 
-    def basis_level(self, degree):
-        """Normal words of total degree exactly `degree`, graded-lex order."""
+    def _levels(self, degree):
+        """The normal words of each total degree 0, 1, ..., `degree`, one
+        graded-lex list per degree; a negative degree raises ValueError
+        before any level is given."""
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
         level = [()]
+        yield level
         for _ in range(degree):
             level = self._next_level(level)
+            yield level
+
+    def basis_level(self, degree):
+        """Normal words of total degree exactly `degree`, graded-lex order."""
+        *_, level = self._levels(degree)
         return level
 
     def graded_basis(self, degree):
-        level, out = [()], [()]
-        for _ in range(degree):
-            level = self._next_level(level)
-            out.extend(level)
-        return out
+        """Normal words of total degree at most `degree`, graded-lex order."""
+        return [w for level in self._levels(degree) for w in level]
 
     # confluence ----------------------------------------------------------------
 

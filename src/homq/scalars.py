@@ -893,10 +893,18 @@ class Scalar:
 
     def __hash__(self):
         if self._h is None:
-            # equal values have one form, so equal Laurent dicts or numerators
+            # equal values have one form, so equal Laurent dicts or
+            # numerators; a rational constant hashes as that rational,
+            # since it equals the int it may be
             a = self.laurent
+            c = 0 if a == {} else None
+            if a is not None and len(a) == 1:
+                c = a.get(self.field._zero_exp)
+            if isinstance(c, _CycNumBase):
+                c = None if any(c.v[1:]) else c.v[0]
             self._h = hash(frozenset(
-                (self._pair[0] if a is None else a).items()))
+                (self._pair[0] if a is None else a).items())
+                if c is None else c)
         return self._h
 
     def __repr__(self):

@@ -550,6 +550,13 @@ def test_power_twist_refuses_a_negative_power():
         twist_R_power(zn_instance(), -1)
 
 
+@pytest.mark.parametrize("verify, degree", [(verify_oqhybe, -3),
+                                             (check_alpha_invariance, -2)])
+def test_negative_degree_is_refused(verify, degree):
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify(twisted_instance(), degree)
+
+
 @pytest.mark.parametrize("build", [plain_instance, zn_instance],
                          ids=["identity", "injective"])
 def test_no_injectivity_witness_when_alpha_is_injective(build):

@@ -391,6 +391,15 @@ def test_planes_are_comodule_hom_algebras(kind):
     assert verify_comodule_hom_algebra(A, 3).passed
 
 
+@pytest.mark.parametrize("call", [
+    lambda A: verify_comodule(A, -1),
+    lambda A: verify_comodule_hom_algebra(A, -1),
+    lambda A: A.piece(-1)], ids=["comodule", "comodule_hom_algebra", "piece"])
+def test_negative_degree_is_refused(call):
+    with pytest.raises(ValueError, match="nonnegative"):
+        call(plane("standard"))
+
+
 def test_mixed_plane_is_not_a_comodule_algebra():
     A = mixed_plane()
     bad = verify_comodule_hom_algebra(A, 2).failures()

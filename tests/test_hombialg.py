@@ -384,10 +384,29 @@ def shifted_line():
                         {"x": {"x": 1, "1": 1}}, twisted=True)
 
 
+def sweedler(x_image):
+    """Sweedler's four-dimensional Hopf algebra on g < x, twisted directly
+    along g -> g, x -> x_image.  In Delta(x) Delta(x) the terms -gx (x) x
+    and gx (x) x cancel, so every accumulator must drop a zero entry."""
+    P = Presentation("gx", [("gg", {"1": 1}), ("xx", {}), ("xg", {"gx": -1})],
+                     F, max_degree=3)
+    return lambda: HomBialgebra(P, {"g": {("g", "g"): 1},
+                                    "x": {("x", "1"): 1, ("g", "x"): 1}},
+                                {"g": {"g": 1}, "x": x_image}, twisted=True)
+
+
+# x -> lambda x is a bialgebra morphism; x -> gx keeps the relations but
+# not the coproduct; x -> x + g keeps neither
+SWEEDLER_TWISTS = {"lambda_x": {"x": "lambda"}, "gx": {"gx": 1},
+                   "x_plus_g": {"x": 1, "g": 1}}
+
+
 REFERENCE_CASES = (
     [("plain", plain, 2), ("twisted", twisted, 2)]
     + [(f"direct{change}", direct_twist(change), degree)
        for change in NON_MORPHISMS for degree in (2, 3)]
+    + [(f"sweedler_{name}", sweedler(image), degree)
+       for name, image in SWEEDLER_TWISTS.items() for degree in (2, 3)]
     + [("alpha_without_twist", untwisted_with_alpha, 1),
        ("untwisted_coproduct", untwisted_coproduct, 1),
        ("z5_twisted", twisted_z5, 4),
@@ -401,6 +420,25 @@ REFERENCE_CASES = (
 def test_contractions_match_reference_loops(build, degree):
     got = text(verify_hom_bialgebra(build(), degree))
     assert got == text(reference_verify_hom_bialgebra(build(), degree))
+
+
+@pytest.mark.parametrize("name, failing", [
+    ("lambda_x", set()),
+    ("gx", {"comultiplicativity", "hom_coassociativity",
+            "product_coproduct_compatibility"}),
+    ("x_plus_g", {"multiplicativity", "hom_associativity",
+                  "comultiplicativity", "hom_coassociativity",
+                  "product_coproduct_compatibility"})])
+def test_sweedler_twists_fail_the_expected_axioms(name, failing):
+    for degree in (2, 3):
+        rep = verify_hom_bialgebra(sweedler(SWEEDLER_TWISTS[name])(), degree)
+        assert {c.name for c in rep.failures()} == failing
+        assert len(rep.checks) == 5
+
+
+def test_negative_degree_is_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_hom_bialgebra(twisted(), -1)
 
 
 def test_pairwise_product_matches_reference():

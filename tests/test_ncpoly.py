@@ -508,6 +508,14 @@ def test_basis_levels_are_the_normal_words(make):
             key=word_key)
 
 
+@pytest.mark.parametrize("degree", [-1, -3])
+def test_basis_functions_refuse_a_negative_degree(degree):
+    P = next(iter(ALL_FIXTURES.values()))()
+    for basis in (P.basis_level, P.graded_basis):
+        with pytest.raises(ValueError, match="nonnegative"):
+            basis(degree)
+
+
 def test_normal_word_scans_each_word_from_the_last_rewrite(monkeypatch):
     # a rewrite at i can only leave a match from i - max_lhs + 1 on, so
     # walking x left across y^1500 visits O(n) positions, not O(n^2)

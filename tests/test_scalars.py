@@ -441,6 +441,20 @@ def test_hypothesis_ring_properties(a, b):
         assert (a / b) * b == a
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+       st.integers(min_value=1, max_value=10 ** 6))
+def test_equal_rational_constants_hash_equal(n, d):
+    # Python requires a == b to imply hash(a) == hash(b)
+    for field in (F_T, F_TL, F_Z5, F_Z5T):
+        k = field.from_int(n)
+        assert k == n and hash(k) == hash(n)
+        assert n in {k} and k in {n} and ((k + field.one) - 1) in {n}
+        q = parse_scalar(f"{n}/{d}", field)
+        assert hash(q) == hash(Fraction(n, d))
+        assert hash(q * d) == hash(n)
+
+
 # independent oracle ----------------------------------------------------------
 
 
