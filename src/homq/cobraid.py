@@ -324,7 +324,7 @@ def verify_cobraided(C, degree):
           expansion(alpha_left, alpha_right, cop_of), _at(names, "xyz"),
           degree)
     _scan(rep, "braided_commutation", [basis] * 2, commutation,
-          _at(names, "xy"), degree, lambda raw: _render_raw(pres, raw))
+          _at(names, "xy"), degree, partial(_render_raw, pres))
     return rep
 
 

@@ -255,6 +255,7 @@ def verify_hom_bialgebra(H, degree):
     alpha_terms = [p.terms.items() for p in alpha_of]
     word_prod = _product_table(H.product)
     delta = cache(H.delta_word)
+    zero_tensor = pres.unit_tensor(2, 0)
 
     def prod(i, j):
         return word_prod(basis[i], basis[j])
@@ -270,10 +271,7 @@ def verify_hom_bialgebra(H, degree):
                 D.map_slots([delta, H._alpha_slot]))
 
     def compatibility(i, j):
-        left, right = {}, {}
-        for w, c in prod(i, j):
-            for key, v in delta(w).terms.items():
-                _bump(left, key, c * v)
+        left, right = linear_image(prod(i, j), delta, zero_tensor).terms, {}
         for (a, b), c1 in delta(basis[i]).terms.items():
             for (x, y), c2 in delta(basis[j]).terms.items():
                 c = c1 * c2
