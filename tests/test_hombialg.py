@@ -388,11 +388,13 @@ def sweedler(x_image):
     """Sweedler's four-dimensional Hopf algebra on g < x, twisted directly
     along g -> g, x -> x_image.  In Delta(x) Delta(x) the terms -gx (x) x
     and gx (x) x cancel, so every accumulator must drop a zero entry."""
-    P = Presentation("gx", [("gg", {"1": 1}), ("xx", {}), ("xg", {"gx": -1})],
-                     F, max_degree=3)
-    return lambda: HomBialgebra(P, {"g": {("g", "g"): 1},
-                                    "x": {("x", "1"): 1, ("g", "x"): 1}},
-                                {"g": {"g": 1}, "x": x_image}, twisted=True)
+    def build():
+        P = Presentation("gx", [("gg", {"1": 1}), ("xx", {}),
+                                ("xg", {"gx": -1})], F, max_degree=3)
+        return HomBialgebra(P, {"g": {("g", "g"): 1},
+                                "x": {("x", "1"): 1, ("g", "x"): 1}},
+                            {"g": {"g": 1}, "x": x_image}, twisted=True)
+    return build
 
 
 # x -> lambda x is a bialgebra morphism; x -> gx keeps the relations but
