@@ -23,8 +23,8 @@ from functools import cache, lru_cache, partial
 
 from .hombialg import _combine, _product_table
 from .linalg import kernel_basis
-from .ncpoly import (NCPoly, PresentationError, _render_raw, json_row,
-                     linear_image)
+from .ncpoly import (NCPoly, PresentationError, _bump, _render_raw,
+                     json_row, linear_image)
 from .report import Report, _at, _scan
 from .scalars import render
 
@@ -370,12 +370,12 @@ def verify_oqhybe(C, degree):
                     c = cx * cy
                     u = f(x1, y1)
                     if u:
-                        left[x2, y2] = left.get((x2, y2), zero) + c * u
+                        _bump(left, (x2, y2), c * u)
                     u = f(x2, y2)
                     if u:
-                        right[x1, y1] = right.get((x1, y1), zero) + c * u
-            return ([(a, b, u) for (a, b), u in left.items() if u],
-                    [(a, b, u) for (a, b), u in right.items() if u])
+                        _bump(right, (x1, y1), c * u)
+            return ([(a, b, u) for (a, b), u in left.items()],
+                    [(a, b, u) for (a, b), u in right.items()])
 
         def sides(i, j, k):
             left, right = fold(i, j)

@@ -11,11 +11,17 @@ The coaction of a twisted comodule algebra is always derived from the
 stored untwisted generator table composed with the carrier twisting map,
 so the table stays valid data for both the plain and the twisted reading
 of the same instance.
+
+Every coaction check is one of the contractions of hombialg.py, which
+also check a Hom-bialgebra as the comodule rho = Delta over itself.
 """
 
+from functools import cache, partial
+
 from .cobraid import CobraidedHomBialgebra, check_alpha_invariance
-from .hombialg import (MorphismError, _product_table, _relations_preserved,
-                       _word_terms, twist_hom_bialgebra)
+from .hombialg import (MorphismError, _coassociativity, _intertwining,
+                       _multiplicativity, _product_table,
+                       _relations_preserved, _word_terms, twist_hom_bialgebra)
 from .ncpoly import (Presentation, PresentationError, TensorElement, _bump,
                      _expand, generator_table, json_row, linear_image,
                      render_legs, slotwise, word_image, word_key)
@@ -150,7 +156,7 @@ class ComoduleAlgebra:
         self.twisted = self.hom.twisted
         self.name = name
         hpres = self.hom.pres
-        if carrier.field is not hpres.field:
+        if carrier.field != hpres.field:
             raise PresentationError(
                 "host and carrier must share one scalar field")
 
@@ -247,7 +253,9 @@ class ComoduleAlgebra:
 
 def verify_comodule(M, degree=None):
     """Check Hom-coassociativity and comultiplicativity of the coaction
-    on the carrier basis (up to total degree for algebra carriers)."""
+    on the carrier basis (up to total degree for algebra carriers), as
+    hombialg._coassociativity and _intertwining, through a call-local
+    memo of the host coproduct of a word."""
     H = M.hom
     H.pres._certified()
     rep = Report(f"comodule axioms on {M.name or 'carrier'}")
@@ -255,46 +263,27 @@ def verify_comodule(M, degree=None):
         degree = 3 if degree is None else degree
         carrier = M.carrier._certified()
         cases, text = carrier.graded_basis(degree), carrier.word_text
-
-        def rho_row(x):
-            return M.rho_word(x).terms
-
-        def alpha_row(x):
-            return M.alpha_word(x).terms
+        rho_row, alpha_row = (lambda x: M.rho_word(x).terms,
+                              lambda x: M.alpha_word(x).terms)
     else:
         degree, cases, text = None, M.labels, str
         rho_row, alpha_row = M.rho.__getitem__, M.alpha.__getitem__
 
-    def hom_coassociativity(x):
-        lhs, rhs = {}, {}
-        for (hw, m), c in rho_row(x).items():
-            for (v, ws), d in _expand(c, [alpha_row(m).items(),
-                                          H.delta_word(hw).terms.items()]):
-                _bump(lhs, (*ws, v), d)
-            for (w1, hm), d in _expand(c, [H.alpha_word(hw).terms.items(),
-                                           rho_row(m).items()]):
-                _bump(rhs, (w1, *hm), d)
-        return lhs, rhs
+    delta = cache(lambda w: H.delta_word(w).terms)
 
-    def comultiplicativity(x):
-        lhs, rhs = {}, {}
-        for (hw, m), c in rho_row(x).items():
-            for key, d in _expand(c, [H.alpha_word(hw).terms.items(),
-                                      alpha_row(m).items()]):
-                _bump(lhs, key, d)
-        for m, ac in alpha_row(x).items():
-            for key, c in rho_row(m).items():
-                _bump(rhs, key, c * ac)
-        return lhs, rhs
+    def host_alpha(w):
+        return H.alpha_word(w).terms
 
     def where(x):
         return {"element": text(x)}
 
     # the carrier leg sorts by its text, so labels and words sort alike
     host, leg = (word_key, H.pres.word_text), (text, text)
-    _scan(rep, "coaction_hom_coassociativity", [cases], hom_coassociativity,
+    _scan(rep, "coaction_hom_coassociativity", [cases],
+          partial(_coassociativity, rho_row, delta, host_alpha, alpha_row),
           where, degree, render=lambda t: render_legs(t, [host, host, leg]))
-    _scan(rep, "coaction_comultiplicativity", [cases], comultiplicativity,
+    _scan(rep, "coaction_comultiplicativity", [cases],
+          lambda x: _intertwining(rho_row, host_alpha, alpha_row, x)[::-1],
           where, degree, render=lambda t: render_legs(t, [host, leg]))
     return rep
 
@@ -491,19 +480,15 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
     if not arep.passed:
         raise MorphismError(arep)
 
-    def intertwining(gi):
-        lhs = A.base_rho(a_images[gi])
-        moved = {}
-        for (hw, cw), c in A.rho_gen[gi].terms.items():
-            for key, d in _expand(c, [
-                    twisted_h.alpha_word(hw).terms.items(),
-                    word_image(cw, a_images, a_memo).terms.items()]):
-                _bump(moved, key, d)
-        return lhs, TensorElement(lhs.slots, moved, _trusted=True)
-
     irep = Report()
     _scan(irep, "intertwining", [range(len(carrier.generators))],
-          intertwining, lambda gi: {"generator": carrier.generators[gi]})
+          lambda gi: _intertwining(
+              lambda w: A.base_rho_word(w).terms,
+              lambda w: twisted_h.alpha_word(w).terms,
+              lambda w: word_image(w, a_images, a_memo).terms, (gi,)),
+          lambda gi: {"generator": carrier.generators[gi]},
+          render=lambda t: render_legs(t, [(word_key, H.pres.word_text),
+                                           (word_key, carrier.word_text)]))
     if not irep.passed:
         witness = irep.checks[0].witness
         raise ComoduleError(
@@ -523,26 +508,25 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
 def verify_comodule_hom_algebra(M, degree):
     """Check that the instance coaction is multiplicative for the
     instance products on basis-monomial pairs of total degree at most
-    `degree`.  Both sides read the carrier products from one table local
-    to this call; the host products of the right side are read as they
-    come, since no two pairs share one."""
-    M.hom.pres._certified()
+    `degree`, as hombialg._multiplicativity.  Carrier products and the
+    coaction of a word are read from memos local to this call, host
+    products as they come, since no two pairs share one."""
+    hpres = M.hom.pres._certified()
     carrier = M.carrier._certified()
     words = carrier.graded_basis(degree)
     rep = Report(f"comodule algebra on {M.name or 'carrier'}")
     pairs = [(u, v) for u in words for v in words
              if len(u) + len(v) <= degree]
-    rho = {w: M.rho_word(w) for w in words}
+    rho = cache(lambda w: M.rho_word(w).terms)
     carrier_product = _product_table(M.product)
 
-    def multiplicativity(pair):
-        u, v = pair
-        return (linear_image(carrier_product(u, v), M.rho_word, M._zero),
-                slotwise(rho[u], rho[v], [M.hom.product, carrier_product]))
-
-    _scan(rep, "coaction_multiplicativity", [pairs], multiplicativity,
+    _scan(rep, "coaction_multiplicativity", [pairs],
+          lambda pair: _multiplicativity(rho, M.hom.product, carrier_product,
+                                         *pair),
           lambda pair: {"left_factor": carrier.word_text(pair[0]),
-                        "right_factor": carrier.word_text(pair[1])}, degree)
+                        "right_factor": carrier.word_text(pair[1])}, degree,
+          lambda t: render_legs(t, [(word_key, hpres.word_text),
+                                    (word_key, carrier.word_text)]))
     return rep
 
 

@@ -12,13 +12,18 @@ The product works on words.  The product checks of verify_hom_bialgebra
 compare plain dicts, keyed by words or by pairs of words, and render only
 a witness.  cobraid.py checks the second cobraided expansion as the first
 one for R^t(a, b) = R(b, a) over Delta^cop.
+
+A Hom-bialgebra is a comodule over itself (rho = Delta, alpha_M = alpha),
+so its coproduct checks, that of verify_morphism and every coaction check
+of comodule.py are the three plain-dict contractions _intertwining,
+_coassociativity and _multiplicativity.
 """
 
 from functools import cache, partial
 
 from .ncpoly import (Presentation, TensorElement, PresentationError, _bump,
-                     _render_raw, generator_table, json_row, linear_image,
-                     render_legs, word_image, word_key)
+                     _expand, _render_raw, generator_table, json_row,
+                     linear_image, render_legs, word_image, word_key)
 from .report import Report, _at, _scan
 from .scalars import render
 
@@ -65,13 +70,6 @@ class HomBialgebra:
     def alpha_poly(self, p):
         return linear_image(self.pres.terms_of(p), self.alpha_word,
                             self.pres.zero_poly())
-
-    def alpha_tensor(self, t):
-        fns = [self._alpha_slot] * t.arity
-        return t.map_slots(fns)
-
-    def _alpha_slot(self, w):
-        return _slot(self.alpha_word(w))
 
     # products ----------------------------------------------------------------
 
@@ -139,13 +137,6 @@ class HomBialgebra:
         return f"<HomBialgebra {self.name or 'instance'} ({kind})>"
 
 
-def _slot(poly):
-    """poly as a one-slot TensorElement, the shape map_slots takes."""
-    return TensorElement((poly.pres,),
-                         {(v,): c for v, c in poly.terms.items()},
-                         _trusted=True)
-
-
 def _word_terms(pres, u, v, alpha_word):
     """The (word, coefficient) pairs of the normal form of u + v, mapped
     through alpha_word, the memoised twisting map of a twisted instance,
@@ -187,6 +178,55 @@ def _combine(prod, terms):
     return raw
 
 
+def _intertwining(rho, f, g, x):
+    """rho(g x) and (f (x) g) rho(x), as dicts that _bump sums.  Each word
+    map gives a plain dict: rho keyed by (host word, carrier key), f and
+    g keyed by word or carrier key.  Delta o alpha = (alpha (x) alpha) o
+    Delta is the case rho = Delta, f = g = alpha."""
+    left, right = {}, {}
+    for m, a in g(x).items():
+        for key, c in rho(m).items():
+            _bump(left, key, a * c)
+    for (h, m), c in rho(x).items():
+        for key, d in _expand(c, [f(h).items(), g(m).items()]):
+            _bump(right, key, d)
+    return left, right
+
+
+def _coassociativity(rho, delta, f, g, x):
+    """(Delta (x) g) rho(x) and (f (x) rho) rho(x), keyed by three legs
+    (word maps as in _intertwining)."""
+    left, right = {}, {}
+    for (h, m), c in rho(x).items():
+        # g's leg first, so a one-term g costs one product per leg of Delta
+        for (v, hs), d in _expand(c, [g(m).items(), delta(h).items()]):
+            _bump(left, (*hs, v), d)
+        for (v, ms), d in _expand(c, [f(h).items(), rho(m).items()]):
+            _bump(right, (v, *ms), d)
+    return left, right
+
+
+def _multiplicativity(rho, host_prod, prod, u, v):
+    """rho(uv) and rho(u) rho(v): prod and host_prod give the terms of a
+    word product in the domain of rho and in the host.  Legs ((a, b), c1)
+    and ((x, y), c2) add ((c1 * c2) * cs) * ct over the terms (s, cs) of
+    host_prod(a, x) and (t, ct) of prod(b, y)."""
+    left, right = {}, {}
+    for w, c in prod(u, v):
+        for key, d in rho(w).items():
+            _bump(left, key, c * d)
+    second = rho(v).items()
+    for (a, b), c1 in rho(u).items():
+        for (x, y), c2 in second:
+            c = c1 * c2
+            legs = prod(b, y)
+            for s, cs in host_prod(a, x):
+                k = c * cs
+                for t, ct in legs:
+                    _bump(right, (s, t), k * ct)
+    return left, right
+
+
 def _relations_preserved(rep, pres, images, memo):
     """Add the check that the generator images satisfy every defining
     relation of pres, the first violated rule being the witness; memo is
@@ -211,14 +251,14 @@ def verify_morphism(endo, H):
     memo = {(): pres.unit(1)}
     _relations_preserved(rep, pres, images, memo)
 
-    def endo_slot(w):
-        return _slot(word_image(w, images, memo))
+    def endo(w):
+        return word_image(w, images, memo).terms
 
     _scan(rep, "comultiplication_preserved", [range(len(images))],
-          lambda i: (H.untwisted_delta(images[i]),
-                     H.untwisted_delta_word((i,)).map_slots([endo_slot,
-                                                             endo_slot])),
-          lambda i: {"generator": pres.generators[i]})
+          lambda i: _intertwining(lambda w: H.untwisted_delta_word(w).terms,
+                                  endo, endo, (i,)),
+          lambda i: {"generator": pres.generators[i]},
+          render=lambda t: render_legs(t, [(word_key, pres.word_text)] * 2))
     return rep
 
 
@@ -242,20 +282,20 @@ def verify_hom_bialgebra(H, degree):
     table of word products, filled on first use, whose sides are plain
     dicts keyed by words (see _combine) or, for compatibility, by pairs
     of words; only a witness is rendered, to the text of the NCPoly or
-    TensorElement the dict stands for.  delta is the call's memo of the
-    instance coproduct of a word, read by the two coproduct checks and by
-    compatibility, which reads Delta(xy) as the sum of c Delta(w) over
-    the terms c w of xy."""
+    TensorElement the dict stands for.  The coproduct checks and
+    compatibility are those of the comodule rho = Delta, read from delta,
+    the call's memo of the instance coproduct of a word."""
     pres = H.pres._certified()
     rep = Report(f"hom-bialgebra axioms on {H.name or 'instance'}")
     basis = pres.graded_basis(degree)
     at = _at([pres.word_text(w) for w in basis], "xyz")
     idx = range(len(basis))
-    alpha_of = [H.alpha_word(w) for w in basis]
-    alpha_terms = [p.terms.items() for p in alpha_of]
+    alpha_terms = [H.alpha_word(w).terms.items() for w in basis]
     word_prod = _product_table(H.product)
-    delta = cache(H.delta_word)
-    zero_tensor = pres.unit_tensor(2, 0)
+    delta = cache(lambda w: H.delta_word(w).terms)
+
+    def alpha(w):
+        return H.alpha_word(w).terms
 
     def prod(i, j):
         return word_prod(basis[i], basis[j])
@@ -265,24 +305,8 @@ def verify_hom_bialgebra(H, degree):
         return _combine(word_prod, ((u, v, cu * cv) for u, cu in left
                                     for v, cv in right))
 
-    def hom_coassociativity(i):
-        D = delta(basis[i])
-        return (D.map_slots([H._alpha_slot, delta]),
-                D.map_slots([delta, H._alpha_slot]))
-
-    def compatibility(i, j):
-        left, right = linear_image(prod(i, j), delta, zero_tensor).terms, {}
-        for (a, b), c1 in delta(basis[i]).terms.items():
-            for (x, y), c2 in delta(basis[j]).terms.items():
-                c = c1 * c2
-                second = word_prod(b, y)
-                for u, cu in word_prod(a, x):
-                    k = c * cu
-                    for v, cv in second:
-                        _bump(right, (u, v), k * cv)
-        return left, right
-
     poly_text = partial(_render_raw, pres)
+    leg = (word_key, pres.word_text)
 
     _scan(rep, "multiplicativity", [idx] * 2,
           lambda i, j: (linear_image(prod(i, j), H.alpha_word,
@@ -294,10 +318,14 @@ def verify_hom_bialgebra(H, degree):
                            times(prod(i, j), alpha_terms[k])),
           at, degree, poly_text)
     _scan(rep, "comultiplicativity", [idx],
-          lambda i: (H.delta(alpha_of[i]), H.alpha_tensor(delta(basis[i]))),
-          at, degree)
-    _scan(rep, "hom_coassociativity", [idx], hom_coassociativity, at, degree)
-    _scan(rep, "product_coproduct_compatibility", [idx] * 2, compatibility,
-          at, degree,
-          lambda terms: render_legs(terms, [(word_key, pres.word_text)] * 2))
+          lambda i: _intertwining(delta, alpha, alpha, basis[i]),
+          at, degree, lambda t: render_legs(t, [leg] * 2))
+    _scan(rep, "hom_coassociativity", [idx],
+          lambda i: _coassociativity(delta, delta, alpha, alpha,
+                                     basis[i])[::-1],
+          at, degree, lambda t: render_legs(t, [leg] * 3))
+    _scan(rep, "product_coproduct_compatibility", [idx] * 2,
+          lambda i, j: _multiplicativity(delta, word_prod, word_prod,
+                                         basis[i], basis[j]),
+          at, degree, lambda t: render_legs(t, [leg] * 2))
     return rep

@@ -659,19 +659,6 @@ class TensorElement:
             return self.scale(other)
         return NotImplemented
 
-    def map_slots(self, fns):
-        """Apply a per-slot linear map; fns[i] sends a normal word to a
-        TensorElement.  The output slots are those of the images, joined."""
-        out, slots = {}, None
-        for ws, c in self.terms.items():
-            imgs = [f(w) for f, w in zip(fns, ws)]
-            slots = sum((img.slots for img in imgs), ())
-            for keys, v in _expand(c, [img.terms.items() for img in imgs]):
-                _bump(out, sum(keys, ()), v)
-        if slots is None:
-            slots = sum((f(()).slots for f in fns), ())
-        return TensorElement(slots, out, _trusted=True)
-
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented

@@ -1,12 +1,14 @@
-"""Element-level products, the carrier map and the bilinear form on
-elements, as the reference loops of the tests read them.  The package
-multiplies words (HomBialgebra.product, ComoduleAlgebra.product), maps
-carrier words (ComoduleAlgebra.alpha_word) and reads the form on words;
-these extend them to elements, one-term polynomials included."""
+"""Element-level products, per-slot maps, the carrier map and the
+bilinear form on elements, as the reference loops of the tests read
+them.  The package multiplies words (HomBialgebra.product,
+ComoduleAlgebra.product), maps carrier words (ComoduleAlgebra.alpha_word)
+and reads the form on words; these extend them to elements, one-term
+polynomials included."""
 
 from homq.comodule import ComoduleAlgebra
 from homq.hombialg import _product_table
-from homq.ncpoly import NCPoly, linear_image, slotwise
+from homq.ncpoly import (NCPoly, TensorElement, _bump, _expand, linear_image,
+                         slotwise)
 
 
 def carrier_alpha_poly(M, p):
@@ -26,6 +28,28 @@ def element_product(A, u, v):
     if isinstance(A, ComoduleAlgebra):
         return carrier_alpha_poly(A, raw)
     return A.alpha_poly(raw)
+
+
+def map_slots(t, fns):
+    """Apply a per-slot linear map to the TensorElement t; fns[i] sends a
+    normal word to a TensorElement.  The output slots are those of the
+    images, joined."""
+    out, slots = {}, None
+    for ws, c in t.terms.items():
+        imgs = [f(w) for f, w in zip(fns, ws)]
+        slots = sum((img.slots for img in imgs), ())
+        for keys, v in _expand(c, [img.terms.items() for img in imgs]):
+            _bump(out, sum(keys, ()), v)
+    if slots is None:
+        slots = sum((f(()).slots for f in fns), ())
+    return TensorElement(slots, out, _trusted=True)
+
+
+def element_slot(p):
+    """The element p as a one-slot TensorElement, the image map_slots
+    takes."""
+    return TensorElement((p.pres,), {(v,): c for v, c in p.terms.items()},
+                         _trusted=True)
 
 
 def pairwise_product(H, t1, t2):

@@ -5,7 +5,7 @@ import pytest
 from homq import comodule, hombialg
 from homq.scalars import ScalarField, render
 from homq.ncpoly import (NCPoly, Presentation, PresentationError,
-                         TensorElement, _bump, word_key)
+                         TensorElement, _bump, render_legs, word_key)
 from homq.hombialg import (HomBialgebra, MorphismError, _product_table,
                            twist_hom_bialgebra)
 from homq.cobraid import CobraidedHomBialgebra, CobraidingForm
@@ -14,9 +14,11 @@ from homq.comodule import (Comodule, ComoduleAlgebra, ComoduleError,
                            plane_comodule_algebra, twist_comodule_algebra,
                            verify_comodule, verify_comodule_hom_algebra,
                            verify_hybe, verify_mixed_hybe)
+from homq.report import Report, _scan
 from plane_closed_forms import closed_form_coaction, q_binomial
 from quantum_matrices import ALPHA, DELTA, qm2_form, qm2_presentation
-from reference_products import (carrier_alpha_poly, element_product, eval_R,
+from reference_products import (carrier_alpha_poly, element_product,
+                                element_slot, eval_R, map_slots,
                                 pairwise_product)
 
 
@@ -908,3 +910,277 @@ def test_delta_table_refuses_a_value_with_three_legs():
     P = qm2_presentation(F)
     with pytest.raises(PresentationError, match="need two legs"):
         HomBialgebra(P, {**DELTA, "b": P.tensor(3, {("a", "b", "d"): 1})})
+
+
+# a carrier over an equal field ----------------------------------------------
+
+
+def plane_over(field, kind, twisted):
+    """The plane coaction plane_comodule_algebra builds over host(twisted),
+    with its carrier presented over field."""
+    carrier = comodule.plane_presentation(field, kind)
+    return ComoduleAlgebra(host(twisted), carrier, STANDARD_RHO,
+                           PLANE_ALPHA if twisted else None,
+                           name=f"{kind}_plane_coaction")
+
+
+EQUAL_FIELD_BUILDS = {
+    "plain": lambda field, kind: plane_over(field, kind, False),
+    "twisted": lambda field, kind: plane_over(field, kind, True),
+    "twist": lambda field, kind: twist_comodule_algebra(
+        plane_over(field, kind, False), ALPHA, PLANE_ALPHA),
+}
+
+
+@pytest.mark.parametrize("kind", comodule.PLANE_KINDS)
+@pytest.mark.parametrize("build", sorted(EQUAL_FIELD_BUILDS))
+def test_a_carrier_over_an_equal_field_gives_the_same_reports(kind, build):
+    reports = []
+    for field in (F, ScalarField(F.variables)):
+        A = EQUAL_FIELD_BUILDS[build](field, kind)
+        assert (A.carrier.field is F) is (field is F)
+        reports.append([text(verify_comodule(A, 3)),
+                        text(verify_comodule(A, 4)),
+                        text(verify_comodule_hom_algebra(A, 4))])
+    assert reports[0] == reports[1]
+
+
+# fields with the host's variable names that still differ from its field
+# (test_comodule_algebra_requires_a_shared_field refuses fewer variables)
+@pytest.mark.parametrize("field", [
+    ScalarField(("t", "xi", "lambda")),
+    ScalarField(F.variables, cyclotomic_order=3)],
+    ids=["other_order", "cyclotomic"])
+def test_a_carrier_over_a_different_field_is_refused(field):
+    with pytest.raises(PresentationError, match="share one scalar field"):
+        plane_over(field, "standard", True)
+
+
+# the coaction checks against element-level reference loops ------------------
+#
+# Each side is built from the element-level maps: the host coproduct
+# H.delta, the twisting maps H.alpha_poly and carrier_alpha_poly, the
+# instance products through element_product and per-slot maps through
+# map_slots.  A graded piece is read through the plane carrier it came
+# from, whose word texts are its labels.
+
+
+def mono(pres, w):
+    return NCPoly(pres, {w: pres.field.one}, _trusted=True)
+
+
+def carrier_maps(M, carrier=None):
+    """The carrier of M, with its coaction rho and carrier map alpha on
+    carrier elements: rho(p) a TensorElement over (host, carrier) and
+    alpha(p) an NCPoly.  A Comodule M needs the carrier presentation."""
+    hpres = M.hom.pres
+    if isinstance(M, ComoduleAlgebra):
+        carrier = M.carrier
+        rho_word = M.rho_word
+
+        def alpha(p):
+            return carrier_alpha_poly(M, p)
+    else:
+        def rho_word(w):
+            return TensorElement(
+                (hpres, carrier),
+                {(hw, carrier.word(lab)): c
+                 for (hw, lab), c in M.rho[carrier.word_text(w)].items()},
+                _trusted=True)
+
+        def alpha(p):
+            raw = {}
+            for w, a in p.terms.items():
+                for lab, c in M.alpha[carrier.word_text(w)].items():
+                    _bump(raw, carrier.word(lab), a * c)
+            return NCPoly(carrier, raw, _trusted=True)
+
+    zero = TensorElement((hpres, carrier), {}, _trusted=True)
+
+    def rho(p):
+        return sum((rho_word(w).scale(c) for w, c in p.terms.items()), zero)
+    return carrier, rho, alpha
+
+
+def reference_verify_comodule(M, degree=None, carrier=None):
+    """verify_comodule with every side a map_slots of a coaction value."""
+    H = M.hom
+    hpres = H.pres
+    carrier, rho, alpha = carrier_maps(M, carrier)
+    if isinstance(M, ComoduleAlgebra):
+        degree = 3 if degree is None else degree
+        cases = carrier.graded_basis(degree)
+    else:
+        degree, cases = None, [carrier.word(lab) for lab in M.labels]
+
+    def delta(h):
+        return H.delta(mono(hpres, h))
+
+    def host_alpha(h):
+        return element_slot(H.alpha_poly(mono(hpres, h)))
+
+    def carrier_alpha(m):
+        return element_slot(alpha(mono(carrier, m)))
+
+    def coaction(m):
+        return rho(mono(carrier, m))
+
+    def hom_coassociativity(x):
+        t = coaction(x)
+        return (map_slots(t, [delta, carrier_alpha]).terms,
+                map_slots(t, [host_alpha, coaction]).terms)
+
+    def comultiplicativity(x):
+        return (map_slots(coaction(x), [host_alpha, carrier_alpha]).terms,
+                rho(alpha(mono(carrier, x))).terms)
+
+    rep = Report(f"comodule axioms on {M.name or 'carrier'}")
+    text = carrier.word_text
+    host, leg = (word_key, hpres.word_text), (text, text)
+    for name, sides, legs in [
+            ("coaction_hom_coassociativity", hom_coassociativity,
+             [host, host, leg]),
+            ("coaction_comultiplicativity", comultiplicativity,
+             [host, leg])]:
+        _scan(rep, name, [cases], sides, lambda x: {"element": text(x)},
+              degree, render=lambda t, legs=legs: render_legs(t, legs))
+    return rep
+
+
+def reference_verify_comodule_hom_algebra(M, degree):
+    """verify_comodule_hom_algebra with both sides built from
+    element_product: rho(u v), and rho(u) rho(v) leg by leg."""
+    hpres, carrier = M.hom.pres, M.carrier
+    _, rho, _ = carrier_maps(M)
+    words = carrier.graded_basis(degree)
+    pairs = [(u, v) for u in words for v in words
+             if len(u) + len(v) <= degree]
+
+    def multiplicativity(pair):
+        u, v = (mono(carrier, w) for w in pair)
+        right = TensorElement((hpres, carrier), reference_pair_product(
+            M, Mixed(rho(u)), Mixed(rho(v))), _trusted=True)
+        return rho(element_product(M, u, v)), right
+
+    rep = Report(f"comodule algebra on {M.name or 'carrier'}")
+    _scan(rep, "coaction_multiplicativity", [pairs], multiplicativity,
+          lambda pair: {"left_factor": carrier.word_text(pair[0]),
+                        "right_factor": carrier.word_text(pair[1])}, degree)
+    return rep
+
+
+def non_morphism_host(change):
+    """A host twisted directly along a map of the qm2-fail pool that is
+    not a bialgebra morphism."""
+    return HomBialgebra(qm2_presentation(F), DELTA, dict(ALPHA, **change),
+                        twisted=True, name="qm2_direct")
+
+
+COACTION_ALGEBRAS = {"scaled_plain": scaled_plain_plane, "mixed": mixed_plane}
+for _kind in comodule.PLANE_KINDS:
+    COACTION_ALGEBRAS.update({
+        f"{_kind}_plain": lambda k=_kind: plane(k, twisted=False),
+        f"{_kind}_twisted": lambda k=_kind: plane(k),
+        f"{_kind}_twist": lambda k=_kind: twist_comodule_algebra(
+            plane(k, twisted=False), ALPHA, PLANE_ALPHA),
+        f"{_kind}_non_morphism_c": lambda k=_kind: plane_comodule_algebra(
+            non_morphism_host({"c": {"c": 1}}), k),
+        f"{_kind}_non_morphism_a": lambda k=_kind: plane_comodule_algebra(
+            non_morphism_host({"a": {"a": "lambda"}}), k),
+    })
+
+
+# the algebras whose comodule and comodule-algebra checks fail, so that
+# their witnesses are compared too
+FAILING_ALGEBRAS = {"mixed": (False, False), "scaled_plain": (False, True)}
+for _kind in comodule.PLANE_KINDS:
+    for _map in "ac":
+        FAILING_ALGEBRAS[f"{_kind}_non_morphism_{_map}"] = (False, False)
+
+
+@pytest.mark.parametrize("name", sorted(COACTION_ALGEBRAS))
+def test_coaction_contractions_match_reference_loops(name):
+    A = COACTION_ALGEBRAS[name]()
+    comodule_rep = verify_comodule(A, 3)
+    algebra_rep = verify_comodule_hom_algebra(A, 3)
+    assert (comodule_rep.passed, algebra_rep.passed) == \
+        FAILING_ALGEBRAS.get(name, (True, True))
+    assert text(comodule_rep) == text(reference_verify_comodule(A, 3))
+    assert text(algebra_rep) == \
+        text(reference_verify_comodule_hom_algebra(A, 3))
+
+
+# name -> (plane kind, piece builder, whether verify_comodule passes)
+COACTION_PIECES = {
+    "standard_1": ("standard", lambda: plane("standard").piece(1), True),
+    "standard_2": ("standard", lambda: plane("standard").piece(2), True),
+    "standard_base_2": (
+        "standard", lambda: plane("standard").piece(2, base=True), False),
+    "fermionic_2": ("fermionic", lambda: plane("fermionic").piece(2), True),
+    "plain_standard_2": (
+        "standard", lambda: plain_plane("standard").piece(2), True),
+    "scaled_plain_1": (
+        "standard", lambda: scaled_plain_plane().piece(1), False),
+    "corrupted_rho_row": ("standard", corrupted_rho_piece, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COACTION_PIECES))
+def test_piece_contractions_match_reference_loops(name):
+    kind, build, passes = COACTION_PIECES[name]
+    rep = verify_comodule(build())
+    assert rep.passed is passes
+    carrier = comodule.plane_presentation(F, kind)
+    assert text(rep) == \
+        text(reference_verify_comodule(build(), carrier=carrier))
+
+
+def reference_intertwining(A, alpha_h, alpha_a):
+    """The witness of the first carrier generator at which the coaction
+    of the untwisted A does not intertwine alpha_h and alpha_a, with both
+    sides built from element-level maps, or None."""
+    hpres = A.hom.pres
+    carrier, rho, _ = carrier_maps(A)
+    H = HomBialgebra(hpres, A.hom.delta_gen, alpha_h)
+    moved = ComoduleAlgebra(A.host, carrier, A.rho_gen, alpha_a)
+
+    def host_alpha(h):
+        return element_slot(H.alpha_poly(mono(hpres, h)))
+
+    def carrier_alpha(m):
+        return element_slot(carrier_alpha_poly(moved, mono(carrier, m)))
+
+    for i, g in enumerate(carrier.generators):
+        x = mono(carrier, (i,))
+        left = rho(carrier_alpha_poly(moved, x))
+        right = map_slots(rho(x), [host_alpha, carrier_alpha])
+        if left != right:
+            return {"generator": g, "left": left.render(),
+                    "right": right.render()}
+    return None
+
+
+IDENTITY_HOST_MAP = {g: {g: 1} for g in "abcd"}
+INTERTWINING_MAPS = {
+    "plane_alpha": (ALPHA, PLANE_ALPHA),
+    "identity_carrier_map": (ALPHA, {"x": {"x": 1}, "y": {"y": 1}}),
+    "xi_lambda_x": (ALPHA, {"x": {"x": "xi * lambda"},
+                            "y": {"y": "xi * lambda^-1"}}),
+    "identity_host_map": (IDENTITY_HOST_MAP, PLANE_ALPHA),
+    "identity_maps": (IDENTITY_HOST_MAP, {"x": {"x": 1}, "y": {"y": 1}}),
+}
+
+
+@pytest.mark.parametrize("kind", comodule.PLANE_KINDS)
+@pytest.mark.parametrize("name", sorted(INTERTWINING_MAPS))
+def test_intertwining_matches_reference_loop(kind, name):
+    alpha_h, alpha_a = INTERTWINING_MAPS[name]
+    A = plane(kind, twisted=False)
+    want = reference_intertwining(A, alpha_h, alpha_a)
+    assert (want is None) is name.endswith(("plane_alpha", "identity_maps"))
+    if want is None:
+        assert twist_comodule_algebra(A, alpha_h, alpha_a).twisted
+    else:
+        with pytest.raises(ComoduleError) as info:
+            twist_comodule_algebra(A, alpha_h, alpha_a)
+        assert info.value.witness == want

@@ -11,7 +11,8 @@ from homq.hombialg import (HomBialgebra, MorphismError, twist_hom_bialgebra,
                            verify_morphism, verify_hom_bialgebra,
                            _product_table)
 from quantum_matrices import ALPHA, DELTA, qm2_presentation
-from reference_products import element_product, pairwise_product
+from reference_products import (element_product, element_slot, map_slots,
+                                pairwise_product)
 
 
 F = ScalarField(("t", "lambda"))
@@ -173,7 +174,7 @@ def test_identity_twist_equals_plain_verification():
 def test_zero_tensor_maps_to_the_zero_of_the_image_slots():
     H = twisted()
     P = H.pres
-    out = P.tensor(2, {}).map_slots([H._alpha_slot, H.delta_word])
+    out = map_slots(P.tensor(2, {}), [alpha_slot(H), H.delta_word])
     assert out.slots == (P, P, P) and out.terms == {}
 
 
@@ -497,6 +498,11 @@ def reference_pairwise_product(H, t1, t2):
     return total
 
 
+def alpha_slot(H):
+    """The twisting map of H as a word map to one-slot TensorElements."""
+    return lambda w: element_slot(H.alpha_word(w))
+
+
 def reference_verify_hom_bialgebra(H, degree):
     """verify_hom_bialgebra with every product check expanded through
     element_product for every basis tuple (the pairwise product being
@@ -518,10 +524,12 @@ def reference_verify_hom_bialgebra(H, degree):
     def delta_of(i):
         return H.delta(mono[i])
 
+    alpha = alpha_slot(H)
+
     def hom_coassociativity(i):
         D = delta_of(i)
-        return (D.map_slots([H._alpha_slot, H.delta_word]),
-                D.map_slots([H.delta_word, H._alpha_slot]))
+        return (map_slots(D, [alpha, H.delta_word]),
+                map_slots(D, [H.delta_word, alpha]))
 
     _scan(rep, "multiplicativity", [idx] * 2,
           lambda i, j: (H.alpha_poly(prod(i, j)),
@@ -532,7 +540,8 @@ def reference_verify_hom_bialgebra(H, degree):
                            element_product(H, prod(i, j), alpha_of[k])),
           at, degree)
     _scan(rep, "comultiplicativity", [idx],
-          lambda i: (H.delta(alpha_of[i]), H.alpha_tensor(delta_of(i))),
+          lambda i: (H.delta(alpha_of[i]), map_slots(delta_of(i),
+                                                     [alpha, alpha])),
           at, degree)
     _scan(rep, "hom_coassociativity", [idx], hom_coassociativity, at, degree)
     _scan(rep, "product_coproduct_compatibility", [idx] * 2,
@@ -541,3 +550,55 @@ def reference_verify_hom_bialgebra(H, degree):
                                                    delta_of(j))),
           at, degree)
     return rep
+
+
+def reference_verify_morphism(endo, H):
+    """verify_morphism with each side built from element-level maps: a
+    word goes to the product of its generator images, a rule to the
+    image of each of its sides, and the coproduct check compares
+    Delta(f x) with map_slots of Delta(x) through f on both legs."""
+    pres = H.pres
+    rep = Report(f"morphism on {H.name or 'instance'}")
+    images = [pres.poly(endo[g]) for g in pres.generators]
+
+    def image(w):
+        out = pres.unit(1)
+        for g in w:
+            out = out * images[g]
+        return out
+
+    def image_slot(w):
+        return element_slot(image(w))
+
+    _scan(rep, "relations_preserved", [pres.rules],
+          lambda rule: (image(rule[0]),
+                        sum((image(w).scale(c) for w, c in rule[1].items()),
+                            pres.zero_poly())),
+          lambda rule: {"rule": pres.word_text(rule[0])})
+    _scan(rep, "comultiplication_preserved", [range(len(images))],
+          lambda i: (H.untwisted_delta(images[i]),
+                     map_slots(H.untwisted_delta(pres.poly({(i,): 1})),
+                               [image_slot, image_slot])),
+          lambda i: {"generator": pres.generators[i]})
+    return rep
+
+
+IDENTITY = {g: {g: 1} for g in "abcd"}
+# (endomorphism table, bialgebra builder, whether it is a morphism)
+MORPHISM_CASES = (
+    [("alpha", ALPHA, plain, True), ("identity", IDENTITY, plain, True),
+     ("swap_bc", SWAP_BC, plain, False)]
+    + [(f"non_morphism{change}", dict(ALPHA, **change), plain, False)
+       for change in NON_MORPHISMS]
+    + [(f"sweedler_{name}", dict(g={"g": 1}, x=image), sweedler(image),
+        name == "lambda_x")
+       for name, image in SWEEDLER_TWISTS.items()])
+
+
+@pytest.mark.parametrize(
+    "endo, build, passes",
+    [pytest.param(e, b, p, id=name) for name, e, b, p in MORPHISM_CASES])
+def test_morphism_contraction_matches_reference_loop(endo, build, passes):
+    rep = verify_morphism(endo, build())
+    assert rep.passed is passes
+    assert text(rep) == text(reference_verify_morphism(endo, build()))
