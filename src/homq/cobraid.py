@@ -15,17 +15,18 @@ The instance holds the memos that outlive a call: word_value's, the
 recursion's folds of a coproduct against a generator, the alpha^k word
 images and the power-twisted pair values; a power twist shares all but
 the last with its base.  The verifiers hold theirs for one call:
-R(alpha a, w), R(w, alpha a), products, and the folds of their
-contractions, each kept for one pair of outer cases.
+R(alpha a, w), R(w, alpha a) and products.  Each verifier sweeps its
+cases by rows (see report._scan), so the folds of its contractions,
+which depend only on the outer cases of a row, are locals of the row.
 """
 
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 
 from .hombialg import _combine, _product_table
 from .linalg import kernel_basis
 from .ncpoly import (NCPoly, PresentationError, _bump, _render_raw,
                      json_row, linear_image)
-from .report import Report, _at, _scan
+from .report import Report, _at, _scan, _unzip
 from .scalars import render
 
 
@@ -265,9 +266,10 @@ def verify_cobraided(C, degree):
     it over Delta, scanned (z, x, y); the second swaps the two memos and
     runs over Delta^cop, scanned (x, y, z), and so reads every product
     and value in the order of its axiom.  Products of words come from
-    one table filled on first use.  The coproduct side folds (a, b) once
-    per pair of outer cases into the legs (a2, c inner(b, a1)) of Delta a
-    (see _fold), and each case reads one value per leg.  A term with a
+    one table filled on first use.  A row fixes (a, b) and computes the
+    sides of every c: its coproduct side folds (a, b) once into the legs
+    (a2, c inner(b, a1)) of Delta a (see _fold), and each case reads one
+    value per leg.  A row of braided commutation fixes x.  A term with a
     zero value is dropped before it is multiplied.
     """
     H = C.H
@@ -286,21 +288,22 @@ def verify_cobraided(C, degree):
     word_prod = _product_table(H.product)
 
     def expansion(outer, inner, delta):
-        @lru_cache(maxsize=1)
-        def fold(a, b):
-            return _fold(delta[a], inner, b)
-
-        def sides(a, b, c):
-            left = right = zero
-            for w, k in word_prod(b, c):
-                v = outer(a, w)
-                if v:
-                    left = left + k * v
-            for a2, u in fold(a, b):
-                v = inner(c, a2)
-                if v:
-                    right = right + u * v
-            return left, right
+        def sides(a, b):
+            fold = _fold(delta[a], inner, b)
+            lefts, rights = [], []
+            for c in basis:
+                left = right = zero
+                for w, k in word_prod(b, c):
+                    v = outer(a, w)
+                    if v:
+                        left = left + k * v
+                for a2, u in fold:
+                    v = inner(c, a2)
+                    if v:
+                        right = right + u * v
+                lefts.append(left)
+                rights.append(right)
+            return lefts, rights
         return sides
 
     def commutation(x, y):
@@ -323,7 +326,8 @@ def verify_cobraided(C, degree):
     _scan(rep, "second_slot_product_expansion", [basis] * 3,
           expansion(alpha_left, alpha_right, cop_of), _at(names, "xyz"),
           degree)
-    _scan(rep, "braided_commutation", [basis] * 2, commutation,
+    _scan(rep, "braided_commutation", [basis] * 2,
+          lambda x: _unzip(commutation(x, y) for y in basis),
           _at(names, "xy"), degree, partial(_render_raw, pres))
     return rep
 
@@ -341,13 +345,14 @@ def verify_oqhybe(C, degree):
             = sum R(alpha y1, z1) R(alpha x1, z2) R(x2, y2)
 
     Both read sum f(x1, y1) g(x2, z1) h(y2, z2) = sum h(y1, z1) g(x1, z2)
-    f(x2, y2), and each side is a partial contraction.  For a pair (x, y)
-    the fold U_xy contracts the legs of x and y that f takes, (x1, y1) on
-    the left and (x2, y2) on the right, and holds its non-zero entries by
-    the other two legs.  For z, V_z contracts the coproduct of z with the
-    two other factors at those legs; the factor on z1 is folded per
-    (z, leg) on first use (see _fold), so V_z costs one product per leg
-    z2.  Each triple is the sparse dot product of U_xy with V_z.
+    f(x2, y2), and each side is a partial contraction.  A row fixes the
+    pair (x, y) and builds its fold U_xy once: it contracts the legs of x
+    and y that f takes, (x1, y1) on the left and (x2, y2) on the right,
+    and holds its non-zero entries by the other two legs.  For z, V_z
+    contracts the coproduct of z with the two other factors at those
+    legs; the factor on z1 is folded per (z, leg) on first use (see
+    _fold), so V_z costs one product per leg z2.  Each triple of the row
+    is the sparse dot product of U_xy with V_z.
     """
     H = C.H
     pres = H.pres._certified()
@@ -355,6 +360,7 @@ def verify_oqhybe(C, degree):
     rep = Report(f"operator Yang-Baxter identities on {C.name or 'instance'}")
     basis = pres.graded_basis(degree)
     names = [pres.word_text(w) for w in basis]
+    idx = range(len(basis))
     delta_of = [list(H.delta_word(w).terms.items()) for w in basis]
     R = C.word_pair_value
     alpha_first = cache(lambda x, w: C.alpha_value(x, w, 1, 0))
@@ -362,8 +368,7 @@ def verify_oqhybe(C, degree):
     z1_fold = cache(lambda k, g, a: _fold(delta_of[k], g, a))
 
     def ybe_form(f, g, h):
-        @lru_cache(maxsize=1)
-        def fold(i, j):
+        def sides(i, j):
             left, right = {}, {}
             for (x1, x2), cx in delta_of[i]:
                 for (y1, y2), cy in delta_of[j]:
@@ -374,27 +379,25 @@ def verify_oqhybe(C, degree):
                     u = f(x2, y2)
                     if u:
                         _bump(right, (x1, y1), c * u)
-            return ([(a, b, u) for (a, b), u in left.items()],
-                    [(a, b, u) for (a, b), u in right.items()])
-
-        def sides(i, j, k):
-            left, right = fold(i, j)
-            lhs = rhs = zero
-            for a, b, u in left:
-                v = _dot(z1_fold(k, g, a), h, b, zero)
-                if v:
-                    lhs = lhs + u * v
-            for a, b, u in right:
-                v = _dot(z1_fold(k, h, b), g, a, zero)
-                if v:
-                    rhs = rhs + u * v
-            return lhs, rhs
+            lefts, rights = [], []
+            for k in idx:
+                lhs = rhs = zero
+                for (a, b), u in left.items():
+                    v = _dot(z1_fold(k, g, a), h, b, zero)
+                    if v:
+                        lhs = lhs + u * v
+                for (a, b), u in right.items():
+                    v = _dot(z1_fold(k, h, b), g, a, zero)
+                    if v:
+                        rhs = rhs + u * v
+                lefts.append(lhs)
+                rights.append(rhs)
+            return lefts, rights
         return sides
 
-    idx = [range(len(basis))] * 3
-    _scan(rep, "operator_ybe_first_form", idx,
+    _scan(rep, "operator_ybe_first_form", [idx] * 3,
           ybe_form(alpha_second, alpha_second, R), _at(names, "xyz"), degree)
-    _scan(rep, "operator_ybe_second_form", idx,
+    _scan(rep, "operator_ybe_second_form", [idx] * 3,
           ybe_form(R, alpha_first, alpha_first), _at(names, "xyz"), degree)
     return rep
 
@@ -406,7 +409,8 @@ def check_alpha_invariance(C, degree):
     rep = Report(f"alpha invariance on {C.name or 'instance'}")
     basis = pres.graded_basis(degree)
     _scan(rep, "alpha_invariance", [basis] * 2,
-          lambda x, y: (C.alpha_value(x, y, 1, 1), C.word_pair_value(x, y)),
+          lambda x: ([C.alpha_value(x, y, 1, 1) for y in basis],
+                     [C.word_pair_value(x, y) for y in basis]),
           _at({w: pres.word_text(w) for w in basis}, "xy"), degree)
     return rep
 

@@ -16,7 +16,7 @@ Every coaction check is one of the contractions of hombialg.py, which
 also check a Hom-bialgebra as the comodule rho = Delta over itself.
 """
 
-from functools import cache, partial
+from functools import cache
 
 from .cobraid import CobraidedHomBialgebra, check_alpha_invariance
 from .hombialg import (MorphismError, _coassociativity, _intertwining,
@@ -25,7 +25,7 @@ from .hombialg import (MorphismError, _coassociativity, _intertwining,
 from .ncpoly import (Presentation, PresentationError, TensorElement, _bump,
                      _expand, generator_table, json_row, linear_image,
                      render_legs, slotwise, word_image, word_key)
-from .report import Report, _scan
+from .report import Report, _scan, _unzip
 from .scalars import render
 
 
@@ -280,10 +280,12 @@ def verify_comodule(M, degree=None):
     # the carrier leg sorts by its text, so labels and words sort alike
     host, leg = (word_key, H.pres.word_text), (text, text)
     _scan(rep, "coaction_hom_coassociativity", [cases],
-          partial(_coassociativity, rho_row, delta, host_alpha, alpha_row),
+          lambda: _unzip(_coassociativity(rho_row, delta, host_alpha,
+                                          alpha_row, x) for x in cases),
           where, degree, render=lambda t: render_legs(t, [host, host, leg]))
     _scan(rep, "coaction_comultiplicativity", [cases],
-          lambda x: _intertwining(rho_row, host_alpha, alpha_row, x)[::-1],
+          lambda: _unzip(_intertwining(rho_row, host_alpha, alpha_row,
+                                       x)[::-1] for x in cases),
           where, degree, render=lambda t: render_legs(t, [host, leg]))
     return rep
 
@@ -400,7 +402,8 @@ def _braid_scan(rep, name, labels, ops, alphas, one):
         return state
 
     _scan(rep, name, labels,
-          lambda *case: (chain(lhs, case), chain(rhs, case)),
+          lambda i, j: _unzip((chain(lhs, (i, j, k)), chain(rhs, (i, j, k)))
+                              for k in labels[2]),
           lambda i, j, k: {"triple": f"{i} (x) {j} (x) {k}"},
           render=lambda t: render_legs(t, [_LABEL] * 3))
 
@@ -431,7 +434,8 @@ def verify_hybe(B):
                 _bump(right, key, c * d)
         return _twist_legs(ent.get((i, j), {}), alpha, alpha), right
 
-    _scan(rep, "alpha_commutation", [labels] * 2, commutation,
+    _scan(rep, "alpha_commutation", [labels] * 2,
+          lambda i: _unzip(commutation(i, j) for j in labels),
           lambda i, j: {"pair": f"{i} (x) {j}"},
           render=lambda t: render_legs(t, [_LABEL] * 2))
     return rep
@@ -481,11 +485,13 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
         raise MorphismError(arep)
 
     irep = Report()
-    _scan(irep, "intertwining", [range(len(carrier.generators))],
-          lambda gi: _intertwining(
+    gens = range(len(carrier.generators))
+    _scan(irep, "intertwining", [gens],
+          lambda: _unzip(_intertwining(
               lambda w: A.base_rho_word(w).terms,
               lambda w: twisted_h.alpha_word(w).terms,
-              lambda w: word_image(w, a_images, a_memo).terms, (gi,)),
+              lambda w: word_image(w, a_images, a_memo).terms, (gi,))
+              for gi in gens),
           lambda gi: {"generator": carrier.generators[gi]},
           render=lambda t: render_legs(t, [(word_key, H.pres.word_text),
                                            (word_key, carrier.word_text)]))
@@ -521,8 +527,9 @@ def verify_comodule_hom_algebra(M, degree):
     carrier_product = _product_table(M.product)
 
     _scan(rep, "coaction_multiplicativity", [pairs],
-          lambda pair: _multiplicativity(rho, M.hom.product, carrier_product,
-                                         *pair),
+          lambda: _unzip(_multiplicativity(rho, M.hom.product,
+                                           carrier_product, *pair)
+                         for pair in pairs),
           lambda pair: {"left_factor": carrier.word_text(pair[0]),
                         "right_factor": carrier.word_text(pair[1])}, degree,
           lambda t: render_legs(t, [(word_key, hpres.word_text),

@@ -24,7 +24,7 @@ from functools import cache, partial
 from .ncpoly import (Presentation, TensorElement, PresentationError, _bump,
                      _expand, _render_raw, generator_table, json_row,
                      linear_image, render_legs, word_image, word_key)
-from .report import Report, _at, _scan
+from .report import Report, _at, _scan, _unzip
 from .scalars import render
 
 
@@ -238,7 +238,8 @@ def _relations_preserved(rep, pres, images, memo):
                 linear_image(rp.items(), lambda v: word_image(v, images, memo),
                              pres.zero_poly()))
 
-    _scan(rep, "relations_preserved", [pres.rules], sides,
+    _scan(rep, "relations_preserved", [pres.rules],
+          lambda: _unzip(map(sides, pres.rules)),
           lambda rule: {"rule": pres.word_text(rule[0])})
 
 
@@ -254,9 +255,11 @@ def verify_morphism(endo, H):
     def endo(w):
         return word_image(w, images, memo).terms
 
-    _scan(rep, "comultiplication_preserved", [range(len(images))],
-          lambda i: _intertwining(lambda w: H.untwisted_delta_word(w).terms,
-                                  endo, endo, (i,)),
+    gens = range(len(images))
+    _scan(rep, "comultiplication_preserved", [gens],
+          lambda: _unzip(_intertwining(
+              lambda w: H.untwisted_delta_word(w).terms, endo, endo, (i,))
+              for i in gens),
           lambda i: {"generator": pres.generators[i]},
           render=lambda t: render_legs(t, [(word_key, pres.word_text)] * 2))
     return rep
@@ -282,50 +285,56 @@ def verify_hom_bialgebra(H, degree):
     table of word products, filled on first use, whose sides are plain
     dicts keyed by words (see _combine) or, for compatibility, by pairs
     of words; only a witness is rendered, to the text of the NCPoly or
-    TensorElement the dict stands for.  The coproduct checks and
-    compatibility are those of the comodule rho = Delta, read from delta,
-    the call's memo of the instance coproduct of a word."""
+    TensorElement the dict stands for.  Each check sweeps its cases by
+    rows (see report._scan): a row of multiplicativity reads alpha(x)
+    once, and a row of Hom-associativity reads alpha(x) and xy once.
+    The coproduct checks and compatibility are those of the comodule
+    rho = Delta, read from delta, the call's memo of the instance
+    coproduct of a word; each coproduct check is one row."""
     pres = H.pres._certified()
     rep = Report(f"hom-bialgebra axioms on {H.name or 'instance'}")
     basis = pres.graded_basis(degree)
-    at = _at([pres.word_text(w) for w in basis], "xyz")
-    idx = range(len(basis))
-    alpha_terms = [H.alpha_word(w).terms.items() for w in basis]
+    at = _at({w: pres.word_text(w) for w in basis}, "xyz")
+    alpha_terms = {w: H.alpha_word(w).terms.items() for w in basis}
     word_prod = _product_table(H.product)
     delta = cache(lambda w: H.delta_word(w).terms)
 
     def alpha(w):
         return H.alpha_word(w).terms
 
-    def prod(i, j):
-        return word_prod(basis[i], basis[j])
-
     def times(left, right):
         # the instance product of two sums of (word, coefficient) pairs
         return _combine(word_prod, ((u, v, cu * cv) for u, cu in left
                                     for v, cv in right))
 
+    def multiplicativity(x):
+        ax = alpha_terms[x]
+        return ([linear_image(word_prod(x, y), H.alpha_word,
+                              pres.zero_poly()).terms for y in basis],
+                [times(ax, alpha_terms[y]) for y in basis])
+
+    def hom_associativity(x, y):
+        ax, xy = alpha_terms[x], word_prod(x, y)
+        return ([times(ax, word_prod(y, z)) for z in basis],
+                [times(xy, alpha_terms[z]) for z in basis])
+
     poly_text = partial(_render_raw, pres)
     leg = (word_key, pres.word_text)
 
-    _scan(rep, "multiplicativity", [idx] * 2,
-          lambda i, j: (linear_image(prod(i, j), H.alpha_word,
-                                     pres.zero_poly()).terms,
-                        times(alpha_terms[i], alpha_terms[j])),
-          at, degree, poly_text)
-    _scan(rep, "hom_associativity", [idx] * 3,
-          lambda i, j, k: (times(alpha_terms[i], prod(j, k)),
-                           times(prod(i, j), alpha_terms[k])),
-          at, degree, poly_text)
-    _scan(rep, "comultiplicativity", [idx],
-          lambda i: _intertwining(delta, alpha, alpha, basis[i]),
+    _scan(rep, "multiplicativity", [basis] * 2, multiplicativity, at, degree,
+          poly_text)
+    _scan(rep, "hom_associativity", [basis] * 3, hom_associativity, at,
+          degree, poly_text)
+    _scan(rep, "comultiplicativity", [basis],
+          lambda: _unzip(_intertwining(delta, alpha, alpha, x)
+                         for x in basis),
           at, degree, lambda t: render_legs(t, [leg] * 2))
-    _scan(rep, "hom_coassociativity", [idx],
-          lambda i: _coassociativity(delta, delta, alpha, alpha,
-                                     basis[i])[::-1],
+    _scan(rep, "hom_coassociativity", [basis],
+          lambda: _unzip(_coassociativity(delta, delta, alpha, alpha, x)[::-1]
+                         for x in basis),
           at, degree, lambda t: render_legs(t, [leg] * 3))
-    _scan(rep, "product_coproduct_compatibility", [idx] * 2,
-          lambda i, j: _multiplicativity(delta, word_prod, word_prod,
-                                         basis[i], basis[j]),
+    _scan(rep, "product_coproduct_compatibility", [basis] * 2,
+          lambda x: _unzip(_multiplicativity(delta, word_prod, word_prod, x, y)
+                           for y in basis),
           at, degree, lambda t: render_legs(t, [leg] * 2))
     return rep

@@ -87,22 +87,45 @@ class timed:
 
 def _scan(rep, name, slots, sides, where, degree=None, render=None):
     """Add the check `name` to rep.  Case tuples take one case from each
-    sequence in `slots` and are visited in lexicographic order, first
-    slot outermost; the first tuple whose two sides(*case) differ is the
-    witness.  It holds the location where(*case), then both sides
-    rendered by `render`, or by their own render() when none is given."""
+    sequence in `slots`, first slot outermost, and are swept by rows: a
+    row fixes one case of every slot but the last, the rows come in
+    lexicographic order, and sides(*outer) returns two lists, the left
+    and the right sides of every case of the last slot, in order (or
+    None in both for a case whose sides are equal, see _unzip).  A
+    one-slot check is one row, sides().  The witness is the first tuple
+    in lexicographic order whose sides differ, found as the first index
+    at which the two lists of the first unequal row differ, so a failing
+    check computes at most the rest of its witness row.  It holds the
+    location where(*case), then both sides rendered by `render`, or by
+    their own render() when none is given."""
+    *outer_slots, last = slots
     with timed() as tm:
         witness = None
-        for case in product(*slots):
-            left, right = sides(*case)
+        for outer in product(*outer_slots):
+            left, right = sides(*outer)
             if left != right:
+                i = next(i for i, (l, r) in enumerate(zip(left, right))
+                         if l != r)
                 show = render or (lambda side: side.render())
-                witness = where(*case)
-                witness["left"] = show(left)
-                witness["right"] = show(right)
+                witness = where(*outer, last[i])
+                witness["left"] = show(left[i])
+                witness["right"] = show(right[i])
                 break
     rep.add(name, "fail" if witness else "pass", witness=witness,
             degree=degree, wall_time=tm.seconds)
+
+
+def _unzip(pairs):
+    """The row of a check whose cases share no work, from the (left,
+    right) sides of each case: a case whose two sides are equal is None
+    in both lists, so a row keeps only the sides of its failing cases."""
+    left, right = [], []
+    for a, b in pairs:
+        if a == b:
+            a = b = None
+        left.append(a)
+        right.append(b)
+    return left, right
 
 
 def _at(names, letters):

@@ -53,20 +53,23 @@ key (an exponent -2^61, or a span of 2^61 or more) renders; ``num`` and
 
 A verifier multiplies values from a small set over and over (the roots
 of unity of a bicharacter, the monomials q^a*lambda^b of a twisted form),
-so each ScalarField keeps one product table.  A product with the field's
-``one`` (which ``from_int(1)`` returns) is the other operand, found by
-identity before any dict is compared.  A one-term Laurent value (every
-value of Q(zeta_n), which has no variables) gets a small int id the
-first time it is a product operand: the field's registry maps its
-content, the exponent key and the coefficient (a Q(zeta_n) one as its
-tuple ``v``), to an id drawn from one process-wide counter, so no id
-ever names two values, even after a registry is emptied or in another
+so each ScalarField keeps one product table.  A one-term Laurent value
+(every value of Q(zeta_n), which has no variables) gets a small int id,
+its ``_k``, the first time it is a product operand: the field's registry
+maps its content, the exponent key and the coefficient (a Q(zeta_n) one
+as its tuple ``v``), to an id drawn from one process-wide counter, so no
+id ever names two values, even after a registry is emptied or in another
 field equal to this one.  A product of two such values is looked up by
-its pair of ids, and a miss computes it as before and stores it.  The
-table and the registry are each emptied when they hold _PRODUCTS_SIZE
-entries.  A stored product is the same value a miss would compute, and
-no operation changes a Scalar's value, so no result depends on what the
-table or the registry held.
+its pair of ids, and a miss computes it as before and stores it.
+``Scalar.__mul__`` looks the pair up first, before any coercion, when
+both operands already carry an id and share one field object; a product
+with the field's ``one`` (which ``from_int(1)`` returns) is the other
+operand, found by identity before any dict is compared.  Likewise
+``Scalar.__add__`` returns the other operand when one operand is the
+field's ``zero`` object.  The table and the registry are each emptied
+when they hold _PRODUCTS_SIZE entries.  A stored product is the same
+value a miss would compute, and no operation changes a Scalar's value,
+so no result depends on what the table or the registry held.
 
 The parser accepts integer literals, declared variable names, ``zeta``
 (when the field has a cyclotomic order), the sugar ``q`` for ``t^2`` and
@@ -748,11 +751,15 @@ class Scalar:
         return None
 
     def __add__(self, other):
-        if type(other) is not Scalar or other.field is not self.field:
+        f = self.field
+        if other is f.zero:
+            return self
+        if self is f.zero and type(other) is Scalar and other.field is f:
+            return other
+        if type(other) is not Scalar or other.field is not f:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        f = self.field
         a, b = self.laurent, other.laurent
         if a == {}:
             return other
@@ -799,11 +806,16 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other):
-        if type(other) is not Scalar or other.field is not self.field:
+        f = self.field
+        if (self._k and type(other) is Scalar and other._k
+                and other.field is f):
+            p = f._products.get((self._k, other._k))
+            if p is not None:
+                return p
+        if type(other) is not Scalar or other.field is not f:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        f = self.field
         if self is f.one:
             return other
         if other is f.one:

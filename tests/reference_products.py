@@ -3,12 +3,23 @@ bilinear form on elements, as the reference loops of the tests read
 them.  The package multiplies words (HomBialgebra.product,
 ComoduleAlgebra.product), maps carrier words (ComoduleAlgebra.alpha_word)
 and reads the form on words; these extend them to elements, one-term
-polynomials included."""
+polynomials included.  per_case turns a reference's sides of one case
+into the rows that report._scan sweeps."""
 
 from homq.comodule import ComoduleAlgebra
 from homq.hombialg import _product_table
 from homq.ncpoly import (NCPoly, TensorElement, _bump, _expand, linear_image,
                          slotwise)
+
+
+def per_case(sides, last):
+    """The row sides of report._scan from sides(*case) of one case: for
+    the outer cases, the left and the right sides of every case of the
+    sequence last, each case computed on its own."""
+    def row(*outer):
+        pairs = [sides(*outer, c) for c in last]
+        return [l for l, _ in pairs], [r for _, r in pairs]
+    return row
 
 
 def carrier_alpha_poly(M, p):

@@ -1,5 +1,6 @@
 import json
-from itertools import count
+from functools import cache
+from itertools import count, product
 
 import pytest
 
@@ -1113,3 +1114,137 @@ def reference_verify_oqhybe(C, degree):
     rep.add("operator_ybe_second_form", "fail" if witness else "pass",
             witness=witness, degree=degree, wall_time=tm.seconds)
     return rep
+
+
+def _per_case_report(title, degree, basis, names, checks):
+    """A Report of plain per-case loops: each check is (name, letters,
+    sides), its cases the tuples of basis words in lexicographic order,
+    the first letter outermost, and sides(*case) gives both sides of one
+    case; the first case whose sides differ is the witness."""
+    rep = Report(title)
+    for name, letters, sides in checks:
+        witness = None
+        for case in product(basis, repeat=len(letters)):
+            left, right = sides(*case)
+            if left != right:
+                witness = {s: names[w] for s, w in sorted(zip(letters, case))}
+                witness.update(left=left.render(), right=right.render())
+                break
+        rep.add(name, "fail" if witness else "pass", witness=witness,
+                degree=degree)
+    return rep
+
+
+def _axiom_readers(C, degree):
+    """The basis, its names, the coproduct legs of a word, the instance
+    product of two words as an NCPoly, and R(alpha^i m, alpha^j n) on
+    words, each read once."""
+    H = C.H
+    pres = H.pres
+    basis = pres.graded_basis(degree)
+    one = pres.field.one
+    delta = cache(lambda w: list(H.delta_word(w).terms.items()))
+    times = cache(lambda u, v: element_product(
+        H, NCPoly(pres, {u: one}, _trusted=True),
+        NCPoly(pres, {v: one}, _trusted=True)))
+    r_alpha = cache(C.alpha_value)
+    return basis, {w: pres.word_text(w) for w in basis}, delta, times, r_alpha
+
+
+def axiom_verify_cobraided(C, degree):
+    """verify_cobraided read case by case off its docstring's axiom
+    texts, with the instance form R(a, b) = C.word_pair_value(a, b) and
+    R(alpha^i a, alpha^j b) = C.alpha_value(a, b, i, j)."""
+    basis, names, delta, times, R_a = _axiom_readers(C, degree)
+    R = C.word_pair_value
+    zero = C.H.pres.field.zero
+
+    def first_expansion(z, x, y):
+        # R(xy, alpha z) = sum R(alpha x, z1) R(alpha y, z2)
+        return (sum((c * R_a(w, z, 0, 1)
+                     for w, c in times(x, y).terms.items()), zero),
+                sum((c * R_a(x, z1, 1, 0) * R_a(y, z2, 1, 0)
+                     for (z1, z2), c in delta(z)), zero))
+
+    def second_expansion(x, y, z):
+        # R(alpha x, yz) = sum R(x1, alpha z) R(x2, alpha y)
+        return (sum((c * R_a(x, w, 1, 0)
+                     for w, c in times(y, z).terms.items()), zero),
+                sum((c * R_a(x1, z, 0, 1) * R_a(x2, y, 0, 1)
+                     for (x1, x2), c in delta(x)), zero))
+
+    def commutation(x, y):
+        # sum y1 x1 R(x2, y2) = sum R(x1, y1) x2 y2
+        pres = C.H.pres
+        left = right = pres.zero_poly()
+        for (x1, x2), cx in delta(x):
+            for (y1, y2), cy in delta(y):
+                left = left + times(y1, x1).scale(cx * cy * R(x2, y2))
+                right = right + times(x2, y2).scale(cx * cy * R(x1, y1))
+        return left, right
+
+    return _per_case_report(
+        f"cobraided axioms on {C.name or 'instance'}", degree, basis, names,
+        [("first_slot_product_expansion", "zxy", first_expansion),
+         ("second_slot_product_expansion", "xyz", second_expansion),
+         ("braided_commutation", "xy", commutation)])
+
+
+def axiom_verify_oqhybe(C, degree):
+    """verify_oqhybe read case by case off its docstring's axiom texts; a
+    term is dropped once one factor is zero."""
+    basis, names, delta, _, R_a = _axiom_readers(C, degree)
+    R = C.word_pair_value
+    zero = C.H.pres.field.zero
+
+    def form(f, g, h):
+        # sum f(x1, y1) g(x2, z1) h(y2, z2) = sum h(y1, z1) g(x1, z2) f(x2, y2)
+        def sides(x, y, z):
+            left = right = zero
+            for (x1, x2), cx in delta(x):
+                for (y1, y2), cy in delta(y):
+                    u, v = f(x1, y1), f(x2, y2)
+                    for (z1, z2), cz in delta(z):
+                        c = cx * cy * cz
+                        if u and (a := g(x2, z1)):
+                            left = left + c * u * a * h(y2, z2)
+                        if v and (b := g(x1, z2)):
+                            right = right + c * h(y1, z1) * b * v
+            return left, right
+        return sides
+
+    def alpha_first(a, b):
+        return R_a(a, b, 1, 0)
+
+    def alpha_second(a, b):
+        return R_a(a, b, 0, 1)
+
+    return _per_case_report(
+        f"operator Yang-Baxter identities on {C.name or 'instance'}", degree,
+        basis, names,
+        # R(x1, alpha y1) R(x2, alpha z1) R(y2, z2)
+        [("operator_ybe_first_form", "xyz",
+          form(alpha_second, alpha_second, R)),
+         # R(x1, y1) R(alpha x2, z1) R(alpha y2, z2)
+         ("operator_ybe_second_form", "xyz",
+          form(R, alpha_first, alpha_first))])
+
+
+# the corrupted forms of the benchmark's qm2-fail pool
+QM2_FAIL_FORMS = ([(("a", "a"), v) for v in ("q", "q^-1", "2", "q_half^3")]
+                  + [(("d", "d"), v) for v in ("q_half^-1", "q", "2")]
+                  + [(("b", "c"), 0)])
+AXIOM_CASES = ([("qm2", twisted_instance, 2), ("z13", _z13(0), 12)]
+               + [(f"{l}{r}={v}", _corrupted((l, r), v), 2)
+                  for (l, r), v in QM2_FAIL_FORMS])
+
+
+@pytest.mark.parametrize("verifier, oracle", [
+    (verify_cobraided, axiom_verify_cobraided),
+    (verify_oqhybe, axiom_verify_oqhybe)], ids=["cobraided", "oqhybe"])
+@pytest.mark.parametrize("build, degree", [
+    pytest.param(b, d, id=name) for name, b, d in AXIOM_CASES])
+def test_row_verifiers_match_the_axiom_texts(build, degree, verifier,
+                                             oracle):
+    assert verifier(build(), degree).to_json() == \
+        oracle(build(), degree).to_json()

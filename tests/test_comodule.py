@@ -19,7 +19,7 @@ from plane_closed_forms import closed_form_coaction, q_binomial
 from quantum_matrices import ALPHA, DELTA, qm2_form, qm2_presentation
 from reference_products import (carrier_alpha_poly, element_product,
                                 element_slot, eval_R, map_slots,
-                                pairwise_product)
+                                pairwise_product, per_case)
 
 
 F = ScalarField(("t", "lambda", "xi"))
@@ -1042,7 +1042,8 @@ def reference_verify_comodule(M, degree=None, carrier=None):
              [host, host, leg]),
             ("coaction_comultiplicativity", comultiplicativity,
              [host, leg])]:
-        _scan(rep, name, [cases], sides, lambda x: {"element": text(x)},
+        _scan(rep, name, [cases], per_case(sides, cases),
+              lambda x: {"element": text(x)},
               degree, render=lambda t, legs=legs: render_legs(t, legs))
     return rep
 
@@ -1063,7 +1064,8 @@ def reference_verify_comodule_hom_algebra(M, degree):
         return rho(element_product(M, u, v)), right
 
     rep = Report(f"comodule algebra on {M.name or 'carrier'}")
-    _scan(rep, "coaction_multiplicativity", [pairs], multiplicativity,
+    _scan(rep, "coaction_multiplicativity", [pairs],
+          per_case(multiplicativity, pairs),
           lambda pair: {"left_factor": carrier.word_text(pair[0]),
                         "right_factor": carrier.word_text(pair[1])}, degree)
     return rep

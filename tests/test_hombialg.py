@@ -12,7 +12,7 @@ from homq.hombialg import (HomBialgebra, MorphismError, twist_hom_bialgebra,
                            _product_table)
 from quantum_matrices import ALPHA, DELTA, qm2_presentation
 from reference_products import (element_product, element_slot, map_slots,
-                                pairwise_product)
+                                pairwise_product, per_case)
 
 
 F = ScalarField(("t", "lambda"))
@@ -532,22 +532,26 @@ def reference_verify_hom_bialgebra(H, degree):
                 map_slots(D, [H.delta_word, alpha]))
 
     _scan(rep, "multiplicativity", [idx] * 2,
-          lambda i, j: (H.alpha_poly(prod(i, j)),
-                        element_product(H, alpha_of[i], alpha_of[j])),
+          per_case(lambda i, j: (H.alpha_poly(prod(i, j)),
+                                 element_product(H, alpha_of[i], alpha_of[j])),
+                   idx),
           at, degree)
     _scan(rep, "hom_associativity", [idx] * 3,
-          lambda i, j, k: (element_product(H, alpha_of[i], prod(j, k)),
-                           element_product(H, prod(i, j), alpha_of[k])),
+          per_case(lambda i, j, k: (
+              element_product(H, alpha_of[i], prod(j, k)),
+              element_product(H, prod(i, j), alpha_of[k])), idx),
           at, degree)
     _scan(rep, "comultiplicativity", [idx],
-          lambda i: (H.delta(alpha_of[i]), map_slots(delta_of(i),
-                                                     [alpha, alpha])),
+          per_case(lambda i: (H.delta(alpha_of[i]),
+                              map_slots(delta_of(i), [alpha, alpha])), idx),
           at, degree)
-    _scan(rep, "hom_coassociativity", [idx], hom_coassociativity, at, degree)
+    _scan(rep, "hom_coassociativity", [idx],
+          per_case(hom_coassociativity, idx), at, degree)
     _scan(rep, "product_coproduct_compatibility", [idx] * 2,
-          lambda i, j: (H.delta(prod(i, j)),
-                        reference_pairwise_product(H, delta_of(i),
-                                                   delta_of(j))),
+          per_case(lambda i, j: (H.delta(prod(i, j)),
+                                 reference_pairwise_product(H, delta_of(i),
+                                                            delta_of(j))),
+                   idx),
           at, degree)
     return rep
 
@@ -571,14 +575,17 @@ def reference_verify_morphism(endo, H):
         return element_slot(image(w))
 
     _scan(rep, "relations_preserved", [pres.rules],
-          lambda rule: (image(rule[0]),
-                        sum((image(w).scale(c) for w, c in rule[1].items()),
-                            pres.zero_poly())),
+          per_case(lambda rule: (
+              image(rule[0]),
+              sum((image(w).scale(c) for w, c in rule[1].items()),
+                  pres.zero_poly())), pres.rules),
           lambda rule: {"rule": pres.word_text(rule[0])})
-    _scan(rep, "comultiplication_preserved", [range(len(images))],
-          lambda i: (H.untwisted_delta(images[i]),
-                     map_slots(H.untwisted_delta(pres.poly({(i,): 1})),
-                               [image_slot, image_slot])),
+    gens = range(len(images))
+    _scan(rep, "comultiplication_preserved", [gens],
+          per_case(lambda i: (
+              H.untwisted_delta(images[i]),
+              map_slots(H.untwisted_delta(pres.poly({(i,): 1})),
+                        [image_slot, image_slot])), gens),
           lambda i: {"generator": pres.generators[i]})
     return rep
 

@@ -1175,6 +1175,20 @@ def test_one_term_products_match_reference_cold_and_warm(pair):
             assert cold.field is x.field
             assert x * y is cold
             assert x.field._products[x._k, y._k] is cold
+            # operands interned by content: the stored object again
+            assert again._k == x._k and again * y is cold
+    # the sum with the field's zero is the other operand
+    zero = a.field.zero
+    assert zero + a is a and a + zero is a
+    # with the table and the registry emptied, interned operands compute
+    # their product again, then read it from the table
+    a.field._products.clear()
+    a.field._ids.clear()
+    for got in (a * b, a * b):
+        assert got == want and render(got) == render(want)
+    # an int operand is coerced, on either side
+    assert 3 * a == reference_mul(a, 3) and a * 3 == 3 * a
+    assert zero + 3 == a.field.from_int(3) and 3 + zero == zero + 3
 
 
 def _rebuilt(s):
