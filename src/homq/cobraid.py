@@ -151,15 +151,14 @@ class CobraidedHomBialgebra:
 
     def alpha_value(self, m, n, i, j):
         """R(alpha^(p+i) m, alpha^(p+j) n) for words m and n, R the stored
-        form and p the alpha_power: the sum of cu cv R(u, v) over the
-        terms of the two memoised images, each value read through
-        word_value.  A term whose value is zero is dropped before it is
-        scaled.  The sum itself is not memoised."""
-        p = self.alpha_power
-        v_terms = self._alpha_terms(p + j, n)
-        return sum((cu * cv * r for u, cu in self._alpha_terms(p + i, m)
-                    for v, cv in v_terms if (r := word_value(self, u, v))),
-                   self.H.pres.field.zero)
+        form and p the alpha_power: the sum of cu (sum of cv R(u, v))
+        over the terms of the two memoised images, each sum a _dot and
+        each value read through word_value.  The sum is not memoised."""
+        p, f = self.alpha_power, self.H.pres.field
+        read = partial(word_value, self)
+        return _dot(self._alpha_terms(p + i, m),
+                    lambda vs, u: _dot(vs, read, u, f),
+                    self._alpha_terms(p + j, n), f)
 
     def _alpha_terms(self, k, w):
         """The terms of alpha^k(w) as a tuple of (word, coefficient)
@@ -208,41 +207,49 @@ def _eval(C, m, n):
     if hit is not None:
         return hit
     H = C.H
-    val = H.pres.field.zero
+    field = H.pres.field
     if len(m) <= 1:
         # comultiply the first slot against the second slot's leading
         # generator: R(x, hz) = sum R(x1, z) R(x2, h)
-        h, z = n[:1], n[1:]
-        for (w1, w2), c in H.untwisted_delta_word(m).terms.items():
-            if (a := _eval(C, w1, z)) and (b := _eval(C, w2, h)):
-                val = val + c * (a * b)
+        def read(a, w):
+            return _eval(C, w, a)
+        fold = _fold(H.untwisted_delta_word(m).terms.items(), read, n[1:],
+                     field)
+        b = n[:1]
     else:
         # peel the first slot's leading generator, comultiply the
         # second slot: R(g m', n) = sum R(g, n1) R(m', n2)
-        g, rest = m[:1], m[1:]
+        g, b = m[:1], m[1:]
         read = partial(_eval, C)
         fold = C._fold_cache.get((g, n))
         if fold is None:
             fold = C._fold_cache[g, n] = _fold(
-                H.untwisted_delta_word(n).terms.items(), read, g)
-        val = _dot(fold, read, rest, val)
-    memo[key] = val
+                H.untwisted_delta_word(n).terms.items(), read, g, field)
+    val = memo[key] = _dot(fold, read, b, field)
     return val
 
 
-def _fold(legs, read, a):
+def _fold(legs, read, a, field):
     """The legs (l2, c read(a, l1)) of the legs ((l1, l2), c) whose
-    value read(a, l1) is not zero, in order: the coproduct side of the
-    verifiers' contractions and the peel of the form recursion."""
-    return [(l2, c * v) for (l1, l2), c in legs if (v := read(a, l1))]
+    value read(a, l1) is not the field's zero, in order: the coproduct
+    side of the verifiers' contractions and both steps of the form
+    recursion.  No product has the field's one as an operand."""
+    zero, one = field.zero, field.one
+    return [(l2, v if c is one else c if v is one else c * v)
+            for (l1, l2), c in legs if (v := read(a, l1)) is not zero]
 
 
-def _dot(fold, read, b, out):
-    """out plus the sum of u read(b, l2) over the legs (l2, u) of a
-    _fold; a term whose read(b, l2) is zero is dropped before it is scaled."""
+def _dot(fold, read, b, field):
+    """The sum of u read(b, l2) over the legs (l2, u) of a _fold, or of
+    any (key, coefficient) pairs.  A value that is the field's zero is
+    dropped, no product has the field's one as an operand, and the sum
+    takes its first term without adding it to zero (see scalars)."""
+    zero, one = field.zero, field.one
+    out = zero
     for l2, u in fold:
-        if v := read(b, l2):
-            out = out + u * v
+        if (v := read(b, l2)) is not zero:
+            t = v if u is one else u if v is one else u * v
+            out = t if out is zero else out + t
     return out
 
 
@@ -268,13 +275,15 @@ def verify_cobraided(C, degree):
     and value in the order of its axiom.  Products of words come from
     one table filled on first use.  A row fixes (a, b) and computes the
     sides of every c: its coproduct side folds (a, b) once into the legs
-    (a2, c inner(b, a1)) of Delta a (see _fold), and each case reads one
-    value per leg.  A row of braided commutation fixes x.  A term with a
-    zero value is dropped before it is multiplied.
+    (a2, c inner(b, a1)) of Delta a (see _fold), and each side of a case
+    is one _dot.  A row of braided commutation fixes x.  A term whose
+    value is the field's zero is dropped before it is multiplied, and no
+    product has the field's one as an operand (see scalars).
     """
     H = C.H
     pres = H.pres._certified()
-    zero = pres.field.zero
+    field = pres.field
+    zero, one = field.zero, field.one
     rep = Report(f"cobraided axioms on {C.name or 'instance'}")
     basis = pres.graded_basis(degree)
     names = {w: pres.word_text(w) for w in basis}
@@ -289,21 +298,9 @@ def verify_cobraided(C, degree):
 
     def expansion(outer, inner, delta):
         def sides(a, b):
-            fold = _fold(delta[a], inner, b)
-            lefts, rights = [], []
-            for c in basis:
-                left = right = zero
-                for w, k in word_prod(b, c):
-                    v = outer(a, w)
-                    if v:
-                        left = left + k * v
-                for a2, u in fold:
-                    v = inner(c, a2)
-                    if v:
-                        right = right + u * v
-                lefts.append(left)
-                rights.append(right)
-            return lefts, rights
+            fold = _fold(delta[a], inner, b, field)
+            return ([_dot(word_prod(b, c), outer, a, field) for c in basis],
+                    [_dot(fold, inner, c, field) for c in basis])
         return sides
 
     def commutation(x, y):
@@ -312,13 +309,13 @@ def verify_cobraided(C, degree):
             for (y1, y2), cy in delta_of[y]:
                 r_left = C.word_pair_value(x2, y2)
                 r_right = C.word_pair_value(x1, y1)
-                if r_left or r_right:
-                    c = cx * cy
-                    if r_left:
-                        left.append((y1, x1, c * r_left))
-                    if r_right:
-                        right.append((x2, y2, c * r_right))
-        return _combine(word_prod, left), _combine(word_prod, right)
+                if r_left is not zero or r_right is not zero:
+                    c = cy if cx is one else cx if cy is one else cx * cy
+                    if r_left is not zero:
+                        left.append((y1, x1, c, r_left))
+                    if r_right is not zero:
+                        right.append((x2, y2, c, r_right))
+        return _combine(word_prod, left, one), _combine(word_prod, right, one)
 
     _scan(rep, "first_slot_product_expansion", [basis] * 3,
           expansion(alpha_right, alpha_left, delta_of), _at(names, "zxy"),
@@ -352,11 +349,13 @@ def verify_oqhybe(C, degree):
     contracts the coproduct of z with the two other factors at those
     legs; the factor on z1 is folded per (z, leg) on first use (see
     _fold), so V_z costs one product per leg z2.  Each triple of the row
-    is the sparse dot product of U_xy with V_z.
+    is the sparse dot product of U_xy with V_z, which, as _dot, drops the
+    field's zero and multiplies by no one.
     """
     H = C.H
     pres = H.pres._certified()
-    zero = pres.field.zero
+    field = pres.field
+    zero, one = field.zero, field.one
     rep = Report(f"operator Yang-Baxter identities on {C.name or 'instance'}")
     basis = pres.graded_basis(degree)
     names = [pres.word_text(w) for w in basis]
@@ -365,31 +364,31 @@ def verify_oqhybe(C, degree):
     R = C.word_pair_value
     alpha_first = cache(lambda x, w: C.alpha_value(x, w, 1, 0))
     alpha_second = cache(lambda w, z: C.alpha_value(w, z, 0, 1))
-    z1_fold = cache(lambda k, g, a: _fold(delta_of[k], g, a))
+    z1_fold = cache(lambda k, g, a: _fold(delta_of[k], g, a, field))
 
     def ybe_form(f, g, h):
         def sides(i, j):
             left, right = {}, {}
             for (x1, x2), cx in delta_of[i]:
                 for (y1, y2), cy in delta_of[j]:
-                    c = cx * cy
-                    u = f(x1, y1)
-                    if u:
-                        _bump(left, (x2, y2), c * u)
-                    u = f(x2, y2)
-                    if u:
-                        _bump(right, (x1, y1), c * u)
+                    c = cy if cx is one else cx if cy is one else cx * cy
+                    if (u := f(x1, y1)) is not zero:
+                        _bump(left, (x2, y2),
+                              u if c is one else c if u is one else c * u)
+                    if (u := f(x2, y2)) is not zero:
+                        _bump(right, (x1, y1),
+                              u if c is one else c if u is one else c * u)
             lefts, rights = [], []
             for k in idx:
                 lhs = rhs = zero
                 for (a, b), u in left.items():
-                    v = _dot(z1_fold(k, g, a), h, b, zero)
-                    if v:
-                        lhs = lhs + u * v
+                    if (v := _dot(z1_fold(k, g, a), h, b, field)) is not zero:
+                        t = v if u is one else u if v is one else u * v
+                        lhs = t if lhs is zero else lhs + t
                 for (a, b), u in right.items():
-                    v = _dot(z1_fold(k, h, b), g, a, zero)
-                    if v:
-                        rhs = rhs + u * v
+                    if (v := _dot(z1_fold(k, h, b), g, a, field)) is not zero:
+                        t = v if u is one else u if v is one else u * v
+                        rhs = t if rhs is zero else rhs + t
                 lefts.append(lhs)
                 rights.append(rhs)
             return lefts, rights

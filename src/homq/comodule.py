@@ -339,6 +339,7 @@ def bvw_operator(V, W=None, name=""):
     coactions through the form and swap the carrier legs."""
     W = V if W is None else W
     C = _require_cobraided(V, W)
+    zero, one = C.H.pres.field.zero, C.H.pres.field.one
     entries = {}
     for i in V.labels:
         rv = V.rho[i]
@@ -347,8 +348,10 @@ def bvw_operator(V, W=None, name=""):
             for (hw_w, k), cw in W.rho[j].items():
                 for (hw_v, l), cv in rv.items():
                     r = C.word_pair_value(hw_w, hw_v)
-                    if not r.is_zero():
-                        _bump(img, (k, l), r * cw * cv)
+                    if r is not zero:
+                        r = cw if r is one else r if cw is one else r * cw
+                        _bump(img, (k, l),
+                              cv if r is one else r if cv is one else r * cv)
             if img:
                 entries[(i, j)] = img
     return YBOperator(V.labels, W.labels, entries, V.alpha, W.alpha,
@@ -528,7 +531,8 @@ def verify_comodule_hom_algebra(M, degree):
 
     _scan(rep, "coaction_multiplicativity", [pairs],
           lambda: _unzip(_multiplicativity(rho, M.hom.product,
-                                           carrier_product, *pair)
+                                           carrier_product, *pair,
+                                           hpres.field.one)
                          for pair in pairs),
           lambda pair: {"left_factor": carrier.word_text(pair[0]),
                         "right_factor": carrier.word_text(pair[1])}, degree,

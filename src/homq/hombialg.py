@@ -165,16 +165,16 @@ def _product_table(product):
     return prod
 
 
-def _combine(prod, terms):
-    """The sum of c * prod(u, v) over the (u, v, c) triples of terms, as
+def _combine(prod, terms, one):
+    """The sum of a * b * prod(u, v) over the (u, v, a, b) of terms, as
     the plain dict word -> coefficient that _bump sums, so it compares
-    like the NCPoly it stands for and renders with _render_raw; a pair
-    with a zero coefficient is not looked up."""
+    like the NCPoly it stands for and renders with _render_raw.  No
+    product has the field's one as an operand."""
     raw = {}
-    for u, v, c in terms:
-        if c:
-            for w, cw in prod(u, v):
-                _bump(raw, w, c * cw)
+    for u, v, a, b in terms:
+        c = b if a is one else a if b is one else a * b
+        for w, cw in prod(u, v):
+            _bump(raw, w, c if cw is one else cw if c is one else c * cw)
     return raw
 
 
@@ -206,24 +206,26 @@ def _coassociativity(rho, delta, f, g, x):
     return left, right
 
 
-def _multiplicativity(rho, host_prod, prod, u, v):
+def _multiplicativity(rho, host_prod, prod, u, v, one):
     """rho(uv) and rho(u) rho(v): prod and host_prod give the terms of a
     word product in the domain of rho and in the host.  Legs ((a, b), c1)
     and ((x, y), c2) add ((c1 * c2) * cs) * ct over the terms (s, cs) of
-    host_prod(a, x) and (t, ct) of prod(b, y)."""
+    host_prod(a, x) and (t, ct) of prod(b, y).  No product has the
+    field's one as an operand."""
     left, right = {}, {}
     for w, c in prod(u, v):
         for key, d in rho(w).items():
-            _bump(left, key, c * d)
+            _bump(left, key, d if c is one else c if d is one else c * d)
     second = rho(v).items()
     for (a, b), c1 in rho(u).items():
         for (x, y), c2 in second:
-            c = c1 * c2
+            c = c2 if c1 is one else c1 if c2 is one else c1 * c2
             legs = prod(b, y)
             for s, cs in host_prod(a, x):
-                k = c * cs
+                k = cs if c is one else c if cs is one else c * cs
                 for t, ct in legs:
-                    _bump(right, (s, t), k * ct)
+                    _bump(right, (s, t),
+                          ct if k is one else k if ct is one else k * ct)
     return left, right
 
 
@@ -292,6 +294,7 @@ def verify_hom_bialgebra(H, degree):
     rho = Delta, read from delta, the call's memo of the instance
     coproduct of a word; each coproduct check is one row."""
     pres = H.pres._certified()
+    one = pres.field.one
     rep = Report(f"hom-bialgebra axioms on {H.name or 'instance'}")
     basis = pres.graded_basis(degree)
     at = _at({w: pres.word_text(w) for w in basis}, "xyz")
@@ -304,8 +307,8 @@ def verify_hom_bialgebra(H, degree):
 
     def times(left, right):
         # the instance product of two sums of (word, coefficient) pairs
-        return _combine(word_prod, ((u, v, cu * cv) for u, cu in left
-                                    for v, cv in right))
+        return _combine(word_prod, ((u, v, cu, cv) for u, cu in left
+                                    for v, cv in right), one)
 
     def multiplicativity(x):
         ax = alpha_terms[x]
@@ -334,7 +337,7 @@ def verify_hom_bialgebra(H, degree):
                          for x in basis),
           at, degree, lambda t: render_legs(t, [leg] * 3))
     _scan(rep, "product_coproduct_compatibility", [basis] * 2,
-          lambda x: _unzip(_multiplicativity(delta, word_prod, word_prod, x, y)
-                           for y in basis),
+          lambda x: _unzip(_multiplicativity(delta, word_prod, word_prod, x, y,
+                                             one) for y in basis),
           at, degree, lambda t: render_legs(t, [leg] * 2))
     return rep

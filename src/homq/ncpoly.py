@@ -194,7 +194,8 @@ class Presentation:
                     out = sub
                 else:
                     for u, sc in sub.items():
-                        _bump(out, u, c * sc)
+                        _bump(out, u, sc if c is one else c if sc is one
+                              else c * sc)
             acc = cache[w[:k + 1]] = out
         return acc
 
@@ -207,7 +208,8 @@ class Presentation:
         the benchmark workloads and the tests, at most 5 words were ever
         pending."""
         out = {}
-        pending = {w: (self.field.one, 0)}
+        one = self.field.one
+        pending = {w: (one, 0)}
         while pending:
             u = max(pending, key=word_key)
             c, start = pending.pop(u)
@@ -221,7 +223,8 @@ class Presentation:
             for rw, rc in rp.items():
                 v = pre + rw + post
                 hit = pending.get(v)
-                nc = c * rc if hit is None else hit[0] + c * rc
+                p = rc if c is one else c if rc is one else c * rc
+                nc = p if hit is None else hit[0] + p
                 if nc.is_zero():
                     pending.pop(v, None)
                 else:
@@ -495,12 +498,14 @@ class NCPoly:
             return NotImplemented
         self._check(other)
         pres = self.pres
+        one = pres.field.one
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                c = c1 * c2
+                c = c2 if c1 is one else c1 if c2 is one else c1 * c2
                 for v, sc in pres.normal_word(w1 + w2).items():
-                    _bump(out, v, c * sc)
+                    _bump(out, v, sc if c is one else c if sc is one
+                          else c * sc)
         return NCPoly(pres, out, _trusted=True)
 
     def __rmul__(self, other):
@@ -550,13 +555,16 @@ def _expand(c, slot_terms):
     order; each leg keeps its own keys (words, carrier labels or tuples
     of them), and every caller sums the terms with _bump.  Prefixes are
     extended slot by slot, so each prefix coefficient is computed once:
-    c * a, then (c * a) * b, and so on."""
+    c * a, then (c * a) * b, and so on, with no product by the field's
+    one."""
+    one = c.field.one
     prefixes = [((), c)]
     for terms in slot_terms:
         grown = []
         for ws, pc in prefixes:
             for w, tc in terms:
-                grown.append((ws + (w,), pc * tc))
+                grown.append((ws + (w,), tc if pc is one else
+                              pc if tc is one else pc * tc))
         prefixes = grown
     return prefixes
 
@@ -568,11 +576,13 @@ def slotwise(t1, t2, muls):
     ((c1 * c2) * a) * b ... for the slot coefficients a, b, ..."""
     t1._check(t2)
     out = {}
+    one = t1.slots[0].field.one
     for ws, c1 in t1.terms.items():
         for vs, c2 in t2.terms.items():
-            for key, c in _expand(c1 * c2, [mul(w, v) for mul, w, v
-                                            in zip(muls, ws, vs)]):
-                _bump(out, key, c)
+            c = c2 if c1 is one else c1 if c2 is one else c1 * c2
+            for key, d in _expand(c, [mul(w, v) for mul, w, v
+                                      in zip(muls, ws, vs)]):
+                _bump(out, key, d)
     return TensorElement(t1.slots, out, _trusted=True)
 
 
@@ -728,8 +738,9 @@ def linear_image(terms, image, zero):
     result has the same slots."""
     out = {}
     for w, c in terms:
+        one = c.field.one
         for key, v in image(w).terms.items():
-            _bump(out, key, c * v)
+            _bump(out, key, v if c is one else c if v is one else c * v)
     if isinstance(zero, NCPoly):
         return NCPoly(zero.pres, out, _trusted=True)
     return TensorElement(zero.slots, out, _trusted=True)

@@ -63,13 +63,23 @@ field equal to this one.  A product of two such values is looked up by
 its pair of ids, and a miss computes it as before and stores it.
 ``Scalar.__mul__`` looks the pair up first, before any coercion, when
 both operands already carry an id and share one field object; a product
-with the field's ``one`` (which ``from_int(1)`` returns) is the other
-operand, found by identity before any dict is compared.  Likewise
-``Scalar.__add__`` returns the other operand when one operand is the
-field's ``zero`` object.  The table and the registry are each emptied
-when they hold _PRODUCTS_SIZE entries.  A stored product is the same
-value a miss would compute, and no operation changes a Scalar's value,
-so no result depends on what the table or the registry held.
+with the field's ``one`` is the other operand, found by identity before
+any dict is compared.  Likewise ``Scalar.__add__`` returns the other
+operand when one operand is the field's ``zero`` object.  The table and
+the registry are each emptied when they hold _PRODUCTS_SIZE entries.  A
+stored product is the same value a miss would compute, and no operation
+changes a Scalar's value, so no result depends on what the table or the
+registry held.
+
+Every result of arithmetic (and ``from_int``) equal to 0 or 1 is the
+field's ``zero`` or ``one`` object, so the contractions of the other
+modules test both by identity and make no call for them: a value that
+``is zero`` is skipped, a product reads ``v if k is one else k * v``
+(and the mirror test), and a sum starts at ``zero`` and takes its first
+term by ``acc = t if acc is zero else acc + t``.  These tests only skip
+work.  A field equal to another is not the same object, and neither
+are its zero and one, so every test that decides a value (``is_zero``,
+``__bool__``, ``ncpoly._bump``'s drop of a zero entry) compares values.
 
 The parser accepts integer literals, declared variable names, ``zeta``
 (when the field has a cyclotomic order), the sugar ``q`` for ``t^2`` and
@@ -660,7 +670,9 @@ class ScalarField:
 
 def _laurent(field, terms, bound):
     """The Scalar whose Laurent dict is terms (nonzero coefficients), with
-    ``bound`` bound; the field's one when that is 1."""
+    ``bound`` bound; the field's zero or one when that is 0 or 1."""
+    if not terms:
+        return field.zero
     if terms == field._one_poly:
         return field.one
     s = object.__new__(Scalar)
@@ -681,9 +693,9 @@ class Scalar:
     is bits 64i to 64i + 63 and holds e_i + 2^61, with -2^61 <= e_i <
     2^61, a key with a bit 62 or 63 set in any field is refused, and
     ``num`` and ``den`` of a Laurent value unpack its keys once, in
-    ``_split``.  A value equal to 1 that arithmetic produces is the
-    field's ``one``.  ``_k`` is the id of a one-term Laurent value once
-    it has been a product operand.
+    ``_split``.  A value equal to 0 or 1 that arithmetic produces is the
+    field's ``zero`` or ``one``.  ``_k`` is the id of a one-term Laurent
+    value once it has been a product operand.
 
     A Laurent value also carries ``bound``, an upper bound on every |e_i|
     of its terms, which arithmetic derives from its operands without
@@ -766,10 +778,7 @@ class Scalar:
         if b == {}:
             return self
         if a is not None and b is not None:
-            num = _p_add(a, b)
-            if not num:
-                return f.zero
-            return _laurent(f, num, max(self.bound, other.bound))
+            return _laurent(f, _p_add(a, b), max(self.bound, other.bound))
         (n1, d1), (n2, d2) = self._view(), other._view()
         g = _p_gcd(d1, d2, f)
         e1 = _p_div_exact(d1, g, f)

@@ -1,19 +1,23 @@
 import json
-from functools import cache
+from collections import Counter
+from functools import cache, reduce
 from itertools import count, product
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from homq.scalars import _PRODUCTS_SIZE, ScalarField, render
-from homq.ncpoly import NCPoly, Presentation, PresentationError
-from homq.hombialg import (HomBialgebra, twist_hom_bialgebra,
+from homq.scalars import (_PRODUCTS_SIZE, Scalar, ScalarField, parse_scalar,
+                          render)
+from homq.ncpoly import NCPoly, Presentation, PresentationError, _bump, _expand
+from homq.hombialg import (HomBialgebra, _combine, twist_hom_bialgebra,
                            verify_hom_bialgebra)
 from homq.report import Report, timed
 from homq.cobraid import (CobraidingForm, CobraidedHomBialgebra,
                           CobraidingError, InjectivityError, word_value,
                           verify_cobraided, verify_oqhybe,
                           check_alpha_invariance, twist_R_power,
-                          alpha_kernel_witness)
+                          alpha_kernel_witness, _dot, _fold)
 from quantum_matrices import (ALPHA, DELTA, R_NONZERO, UNIT_ROW,
                               qm2_form, qm2_presentation)
 from reference_products import element_product, eval_R
@@ -530,8 +534,9 @@ def test_reports_do_not_depend_on_the_product_table(field, make, degree,
 
 
 def test_alpha_zero_image_multiplies_by_identity():
-    # alpha_value multiplies by the coefficient of an alpha^0 image, which
-    # is the field's one, so each such product returns its other operand
+    # the coefficient of an alpha^0 image is the field's one, so
+    # alpha_value makes no product by it, and one would return its other
+    # operand
     for C in (twisted_instance(), zn_instance()):
         one = C.H.pres.field.one
         for w in C.H.pres.basis_level(2):
@@ -1248,3 +1253,123 @@ def test_row_verifiers_match_the_axiom_texts(build, degree, verifier,
                                              oracle):
     assert verifier(build(), degree).to_json() == \
         oracle(build(), degree).to_json()
+
+
+# no trivial Scalar arithmetic in the contractions ---------------------------
+
+
+def _count_trivial_operations(monkeypatch):
+    """Wrap Scalar + and * to count every call, and the calls with an
+    operand that is its field's zero object (+) or one object (*)."""
+    counts = Counter()
+
+    def counting(op, name, trivial):
+        def wrapped(a, b):
+            counts[name] += 1
+            if any(type(s) is Scalar and s is trivial(s.field)
+                   for s in (a, b)):
+                counts[name + " trivial"] += 1
+            return op(a, b)
+        return wrapped
+
+    add = counting(Scalar.__add__, "add", lambda f: f.zero)
+    times = counting(Scalar.__mul__, "mul", lambda f: f.one)
+    for name, op in (("__add__", add), ("__radd__", add),
+                     ("__mul__", times), ("__rmul__", times)):
+        monkeypatch.setattr(Scalar, name, op)
+    return counts
+
+
+@pytest.mark.parametrize("build, degree", [
+    pytest.param(twisted_instance, 2, id="twisted_qm2"),
+    pytest.param(_z13(0), 12, id="z13")])
+def test_verifiers_add_no_zero_and_multiply_by_no_one(build, degree,
+                                                      monkeypatch):
+    # from a cold instance, so the form recursion and the word images
+    # are counted too
+    C = build()
+    counts = _count_trivial_operations(monkeypatch)
+    reports = [verify(C, degree) for verify in
+               (verify_cobraided, verify_oqhybe, check_alpha_invariance)]
+    monkeypatch.undo()
+    assert counts["mul"] > 1000
+    assert counts["add trivial"] == counts["mul trivial"] == 0
+    assert reports[0].to_json() == \
+        axiom_verify_cobraided(build(), degree).to_json()
+    assert reports[1].to_json() == \
+        axiom_verify_oqhybe(build(), degree).to_json()
+    assert reports[2].passed
+
+
+# the contraction helpers against multiplying and adding every term; the
+# values include the zero and one of F and equal values of a second field
+# object equal to F, whose zero and one are not F's objects
+F_EQUAL = ScalarField(("t", "lambda"))
+VALUE_TEXTS = ("0", "1", "-1", "t", "2*t/lambda", "t/(t + lambda)",
+               "t - lambda")
+VALUES = [parse_scalar(text, field) for field in (F, F_EQUAL)
+          for text in VALUE_TEXTS]
+value = st.sampled_from(VALUES)
+key = st.integers(0, 3)
+
+
+def _naive_sum(terms):
+    """The dict key -> sum of the values of terms, zero sums dropped."""
+    out = {}
+    for k, v in terms:
+        out[k] = out.get(k, F.zero) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def test_value_pool_holds_both_fields_zero_and_one():
+    assert VALUES[0] is F.zero and VALUES[1] is F.one
+    assert F_EQUAL == F and F_EQUAL is not F
+    assert VALUES[len(VALUE_TEXTS)] is F_EQUAL.zero is not F.zero
+    assert VALUES[len(VALUE_TEXTS) + 1] is F_EQUAL.one is not F.one
+
+
+@settings(max_examples=300, deadline=None)
+@given(legs=st.lists(st.tuples(st.tuples(key, key), value), max_size=6),
+       reads=st.lists(value, min_size=16, max_size=16), a=key, b=key)
+def test_fold_and_dot_match_every_term(legs, reads, a, b):
+    def read(x, leg):
+        return reads[4 * x + leg]
+
+    fold = _fold(legs, read, a, F)
+    assert [(l2, u) for l2, u in fold if u] == [
+        (l2, u) for (l1, l2), c in legs if (u := c * read(a, l1))]
+    assert _dot(fold, read, b, F) == sum(
+        (c * read(a, l1) * read(b, l2) for (l1, l2), c in legs), F.zero)
+    pairs = [(l1, c) for (l1, _), c in legs]
+    assert _dot(pairs, read, b, F) == sum(
+        (c * read(b, l1) for l1, c in pairs), F.zero)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=value,
+       slots=st.lists(st.lists(st.tuples(key, value), max_size=3),
+                      max_size=3))
+def test_expand_matches_every_term(c, slots):
+    terms = _expand(c, slots)
+    every = [(tuple(k for k, _ in legs), reduce(mul, (v for _, v in legs), c))
+             for legs in product(*slots)]
+    assert terms == every
+    acc = {}
+    for k, v in terms:
+        _bump(acc, k, v)
+    assert acc == _naive_sum(every)
+    assert all(acc.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=st.dictionaries(st.tuples(key, key),
+                             st.lists(st.tuples(key, value), max_size=3)),
+       terms=st.lists(st.tuples(key, key, value, value), max_size=6))
+def test_combine_matches_every_term(table, terms):
+    def prod(u, v):
+        return tuple(table.get((u, v), ()))
+
+    raw = _combine(prod, terms, F.one)
+    assert raw == _naive_sum((w, a * b * cw) for u, v, a, b in terms
+                             for w, cw in prod(u, v))
+    assert all(raw.values())

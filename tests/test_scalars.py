@@ -1113,6 +1113,20 @@ def test_a_result_equal_to_one_is_the_field_one():
     assert F_Z5.zeta() ** 5 is F_Z5.one
 
 
+def test_a_result_equal_to_zero_is_the_field_zero():
+    x, zero = parse_scalar("t/lambda + 2", F_TL), F_TL.zero
+    for s in (x - x, x + (-x), 0 * x, x * 0, F_TL.from_int(0),
+              parse_scalar("t - t", F_TL), parse_scalar("t - lambda", F_TL)
+              + parse_scalar("lambda - t", F_TL)):
+        assert s is zero
+    y = parse_scalar("t/(t + lambda)", F_TL)   # a (num, den) value
+    assert y.laurent is None
+    assert y - y is zero and y + parse_scalar("-t/(t + lambda)", F_TL) is zero
+    zeta = F_Z5.zeta()
+    assert sum((zeta ** k for k in range(1, 5)), F_Z5.one) is F_Z5.zero
+    assert scalars._laurent(F_TL, {}, 0) is zero
+
+
 def test_one_operand_returns_the_other():
     # the one-term values are also product table operands
     for text, field in (("(t + lambda)/t^2", F_TL), ("3*t/lambda", F_TL),
