@@ -13,7 +13,10 @@ so the table stays valid data for both the plain and the twisted reading
 of the same instance.
 
 Every coaction check is one of the contractions of hombialg.py, which
-also check a Hom-bialgebra as the comodule rho = Delta over itself.
+also check a Hom-bialgebra as the comodule rho = Delta over itself.  The
+two braid checks contract the three operator stages of a side through
+memos of one call, and read the right side as the left side of the
+mirrored triple (see _braid_scan).
 """
 
 from functools import cache
@@ -23,7 +26,7 @@ from .hombialg import (MorphismError, _coassociativity, _intertwining,
                        _multiplicativity, _product_table,
                        _relations_preserved, _word_terms, twist_hom_bialgebra)
 from .ncpoly import (Presentation, PresentationError, TensorElement, _bump,
-                     _expand, generator_table, json_row, linear_image,
+                     _expand, _linear, generator_table, json_row, linear_image,
                      render_legs, slotwise, word_image, word_key)
 from .report import Report, _scan, _unzip
 from .scalars import render
@@ -368,45 +371,60 @@ def b_alpha_operator(V, W=None, name=""):
     return B
 
 
-# three-leg composition helpers; states are dicts (p, q, r) -> Scalar
-
 # a carrier leg: sorted by its label, rendered as text
 _LABEL = (lambda x: x, str)
 
 
-def _apply(front, entries, alpha, state):
-    """Apply (Op (x) alpha) when front, the operator on legs 0,1 and alpha
-    on leg 2; otherwise (alpha (x) Op), alpha on leg 0 and the operator on
-    legs 1,2."""
-    out = {}
-    for (p, q, r), c in state.items():
-        pair, leg = ((p, q), r) if front else ((q, r), p)
-        for (kl, m), d in _expand(c, [entries.get(pair, {}).items(),
-                                      alpha.get(leg, {}).items()]):
-            _bump(out, (*kl, m) if front else (m, *kl), d)
-    return out
-
-
-def _braid_scan(rep, name, labels, ops, alphas, one):
+def _braid_scan(rep, name, labels, ops, alphas):
     """Add the braid check `name` over the label triples of U, V, W:
     ops are the entries of B_UV, B_UW and B_VW, alphas the carrier maps
     of U, V and W.  The left side applies alpha_U (x) B_VW, then
     B_UW (x) alpha_V, then alpha_W (x) B_UV; the right side applies
-    B_UV (x) alpha_W, then alpha_V (x) B_UW, then B_VW (x) alpha_U."""
-    b_uv, b_uw, b_vw = ops
-    a_u, a_v, a_w = alphas
-    lhs = [(False, b_vw, a_u), (True, b_uw, a_v), (False, b_uv, a_w)]
-    rhs = [(True, b_uv, a_w), (False, b_uw, a_v), (True, b_vw, a_u)]
+    B_UV (x) alpha_W, then alpha_V (x) B_UW, then B_VW (x) alpha_U.
 
-    def chain(stages, case):
-        state = {case: one}
-        for front, entries, alpha in stages:
-            state = _apply(front, entries, alpha, state)
-        return state
+    The left side of (i, j, k) is a sparse contraction: the sum over the
+    row B_VW(j, k) -> (k1, l1) of each entry times tail(i, k1, l1), the
+    two other stages, which factor at B_UV into memos of two labels:
+    outer(i, k1) = (alpha_W (x) 1) B_UW (alpha_U (x) 1) keyed (x, u2) and
+    inner(l1, u2) = B_UV (1 (x) alpha_V) keyed (y, z).  The memos live
+    for one call.  The right side of (i, j, k) is the left side of
+    (k, j, i), legs reversed, for the operators conjugated by the flip
+    and alpha_U, alpha_W exchanged: reversing the three legs turns each
+    stage of one side into the flipped stage of the other, in order.
+    No product has the field's one as an operand."""
+    def contraction(ops, alphas):
+        b_uv, b_uw, b_vw = ops
+        a_u, a_v, a_w = alphas
 
+        @cache
+        def outer(i, k1):
+            img = _linear(a_u.get(i, {}).items(),
+                          lambda i2: b_uw.get((i2, k1), {}))
+            return _linear(img.items(), lambda xu: {
+                (x, xu[1]): d for x, d in a_w.get(xu[0], {}).items()})
+
+        @cache
+        def inner(l1, u2):
+            return _linear(a_v.get(l1, {}).items(),
+                           lambda l2: b_uv.get((u2, l2), {}))
+
+        @cache
+        def tail(i, k1, l1):
+            return _linear(outer(i, k1).items(), lambda xu: {
+                (xu[0], *yz): d for yz, d in inner(l1, xu[1]).items()})
+
+        return lambda i, j, k: _linear(b_vw.get((j, k), {}).items(),
+                                       lambda kl: tail(i, *kl))
+
+    left = contraction(ops, alphas)
+    right = contraction([{(q, p): {(s, r): c for (r, s), c in img.items()}
+                          for (p, q), img in e.items()} for e in ops[::-1]],
+                        alphas[::-1])
     _scan(rep, name, labels,
-          lambda i, j: _unzip((chain(lhs, (i, j, k)), chain(rhs, (i, j, k)))
-                              for k in labels[2]),
+          lambda i, j: _unzip(
+              (left(i, j, k),
+               {key[::-1]: c for key, c in right(k, j, i).items()})
+              for k in labels[2]),
           lambda i, j, k: {"triple": f"{i} (x) {j} (x) {k}"},
           render=lambda t: render_legs(t, [_LABEL] * 3))
 
@@ -421,21 +439,16 @@ def verify_hybe(B):
     if B.alpha_v != B.alpha_w:
         raise ComoduleError("operator must act on a square carrier pair: "
                             "the carrier maps of its two factors differ")
-    labels = B.v_labels
-    alpha = B.alpha_v
+    labels, alpha, one = B.v_labels, B.alpha_v, B.field.one
     rep = Report(f"Yang-Baxter operator checks on {B.name or 'operator'}")
     ent = B.entries
-    _braid_scan(rep, "hybe", [labels] * 3, (ent,) * 3, (alpha,) * 3,
-                B.field.one)
+    _braid_scan(rep, "hybe", [labels] * 3, (ent,) * 3, (alpha,) * 3)
 
     def commutation(i, j):
         # (alpha (x) alpha) after B, and B after (alpha (x) alpha)
-        right = {}
-        for pair, c in _twist_legs({(i, j): B.field.one}, alpha,
-                                   alpha).items():
-            for key, d in ent.get(pair, {}).items():
-                _bump(right, key, c * d)
-        return _twist_legs(ent.get((i, j), {}), alpha, alpha), right
+        return (_twist_legs(ent.get((i, j), {}), alpha, alpha),
+                _linear(_twist_legs({(i, j): one}, alpha, alpha).items(),
+                        lambda pair: ent.get(pair, {})))
 
     _scan(rep, "alpha_commutation", [labels] * 2,
           lambda i: _unzip(commutation(i, j) for j in labels),
@@ -460,7 +473,7 @@ def verify_mixed_hybe(U, V, W):
     rep.extend(inv)
     ops = [bvw_operator(X, Y).entries for X, Y in ((U, V), (U, W), (V, W))]
     _braid_scan(rep, "mixed_hybe", [U.labels, V.labels, W.labels], ops,
-                (U.alpha, V.alpha, W.alpha), C.H.pres.field.one)
+                (U.alpha, V.alpha, W.alpha))
     return rep
 
 

@@ -22,7 +22,7 @@ _coassociativity and _multiplicativity.
 from functools import cache, partial
 
 from .ncpoly import (Presentation, TensorElement, PresentationError, _bump,
-                     _expand, _render_raw, generator_table, json_row,
+                     _expand, _linear, _render_raw, generator_table, json_row,
                      linear_image, render_legs, word_image, word_key)
 from .report import Report, _at, _scan, _unzip
 from .scalars import render
@@ -183,10 +183,7 @@ def _intertwining(rho, f, g, x):
     map gives a plain dict: rho keyed by (host word, carrier key), f and
     g keyed by word or carrier key.  Delta o alpha = (alpha (x) alpha) o
     Delta is the case rho = Delta, f = g = alpha."""
-    left, right = {}, {}
-    for m, a in g(x).items():
-        for key, c in rho(m).items():
-            _bump(left, key, a * c)
+    left, right = _linear(g(x).items(), rho), {}
     for (h, m), c in rho(x).items():
         for key, d in _expand(c, [f(h).items(), g(m).items()]):
             _bump(right, key, d)

@@ -11,7 +11,8 @@ Normal forms are computed at the word level and memoised per presentation:
 normal_word extends the longest memoised prefix of a word one generator at
 a time, so the rewriter only ever sees a normal word followed by one
 generator.  Elements and tensors are sums over such word normal forms, and
-a word map extends to them through linear_image.
+a word map extends to them through linear_image (to the dicts of
+coefficients that the verifiers sum, through _linear).
 
 One matcher scans for the leftmost rule match from a start position: from
 len(u) - max_lhs when all of u but its last letter is normal, and in the
@@ -311,11 +312,7 @@ class Presentation:
         return {pre + rw + post: rc for rw, rc in rp.items()}
 
     def _nf_raw(self, raw):
-        out = {}
-        for w, c in raw.items():
-            for v, sc in self.normal_word(w).items():
-                _bump(out, v, c * sc)
-        return out
+        return _linear(raw.items(), self.normal_word)
 
     def _ambiguities(self, degree):
         """The ambiguities (i, j, w, p) with len(w) <= degree, where rule
@@ -730,17 +727,24 @@ def word_image(w, images, memo):
     return acc
 
 
-def linear_image(terms, image, zero):
-    """Linear extension of a word map: the sum of c times image(w) over
-    the (w, c) pairs of terms, for NCPoly and TensorElement images
-    alike.  Every image term is added into one dict with _bump, so no
-    partial sum is built; zero is the zero of the image's slots, and the
-    result has the same slots."""
+def _linear(terms, image):
+    """The sum of c times image(w) over the (w, c) pairs of terms, each
+    image a dict key -> Scalar, as one dict that _bump sums, so no
+    partial sum is built.  No product has the field's one as an
+    operand."""
     out = {}
     for w, c in terms:
         one = c.field.one
-        for key, v in image(w).terms.items():
+        for key, v in image(w).items():
             _bump(out, key, v if c is one else c if v is one else c * v)
+    return out
+
+
+def linear_image(terms, image, zero):
+    """Linear extension of a word map, as _linear, for NCPoly and
+    TensorElement images alike; zero is the zero of the image's slots,
+    and the result has the same slots."""
+    out = _linear(terms, lambda w: image(w).terms)
     if isinstance(zero, NCPoly):
         return NCPoly(zero.pres, out, _trusted=True)
     return TensorElement(zero.slots, out, _trusted=True)

@@ -65,7 +65,9 @@ its pair of ids, and a miss computes it as before and stores it.
 both operands already carry an id and share one field object; a product
 with the field's ``one`` is the other operand, found by identity before
 any dict is compared.  Likewise ``Scalar.__add__`` returns the other
-operand when one operand is the field's ``zero`` object.  The table and
+operand when one operand is the field's ``zero`` object.  A value of
+another, equal field is first re-homed into the left operand's field,
+keeping its id, so that no result belongs to another field.  The table and
 the registry are each emptied when they hold _PRODUCTS_SIZE entries.  A
 stored product is the same value a miss would compute, and no operation
 changes a Scalar's value, so no result depends on what the table or the
@@ -755,8 +757,19 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field is self.field or other.field == self.field:
+            f = self.field
+            if other.field is f:
                 return other
+            if other.field == f:
+                # re-homed, so that identity tests against f.zero and
+                # f.one see it; an id names its content in every field
+                a = other.laurent
+                if a is None:
+                    return Scalar(f, *other._pair)
+                s = _laurent(f, a, other.bound)
+                if len(a) == 1 and s is not f.one:
+                    s._k = other._k or other._id()
+                return s
             raise ScalarError("scalars from different fields")
         if isinstance(other, int):
             return self.field.from_int(other)

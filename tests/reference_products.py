@@ -4,7 +4,9 @@ them.  The package multiplies words (HomBialgebra.product,
 ComoduleAlgebra.product), maps carrier words (ComoduleAlgebra.alpha_word)
 and reads the form on words; these extend them to elements, one-term
 polynomials included.  per_case turns a reference's sides of one case
-into the rows that report._scan sweeps."""
+into the rows that report._scan sweeps.  braid_sides pushes a triple of
+carrier labels through the three operator stages of each side of the
+braid identity."""
 
 from homq.comodule import ComoduleAlgebra
 from homq.hombialg import _product_table
@@ -81,3 +83,37 @@ def eval_R(C, u, v):
     return sum((cm * cn * r for wm, cm in pres.terms_of(u)
                 for wn, cn in v_terms if (r := C.word_pair_value(wm, wn))),
                pres.field.zero)
+
+
+def _apply(front, entries, alpha, state):
+    """Apply (Op (x) alpha) when front, the operator on legs 0,1 and alpha
+    on leg 2; otherwise (alpha (x) Op), alpha on leg 0 and the operator on
+    legs 1,2.  States are dicts (p, q, r) -> Scalar."""
+    out = {}
+    for (p, q, r), c in state.items():
+        pair, leg = ((p, q), r) if front else ((q, r), p)
+        for (kl, m), d in _expand(c, [entries.get(pair, {}).items(),
+                                      alpha.get(leg, {}).items()]):
+            _bump(out, (*kl, m) if front else (m, *kl), d)
+    return out
+
+
+def braid_sides(ops, alphas, one):
+    """sides(i, j, k) of the braid identity on U (x) V (x) W, each side
+    the triple pushed through three stages: ops are the entries of B_UV,
+    B_UW and B_VW, alphas the carrier maps of U, V and W.  The left side
+    applies alpha_U (x) B_VW, then B_UW (x) alpha_V, then alpha_W (x)
+    B_UV; the right side applies B_UV (x) alpha_W, then alpha_V (x) B_UW,
+    then B_VW (x) alpha_U."""
+    b_uv, b_uw, b_vw = ops
+    a_u, a_v, a_w = alphas
+    lhs = [(False, b_vw, a_u), (True, b_uw, a_v), (False, b_uv, a_w)]
+    rhs = [(True, b_uv, a_w), (False, b_uw, a_v), (True, b_vw, a_u)]
+
+    def chain(stages, case):
+        state = {case: one}
+        for front, entries, alpha in stages:
+            state = _apply(front, entries, alpha, state)
+        return state
+
+    return lambda i, j, k: (chain(lhs, (i, j, k)), chain(rhs, (i, j, k)))

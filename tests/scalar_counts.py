@@ -1,0 +1,28 @@
+"""A count of the Scalar operations a call makes, with the trivial ones
+apart: the contraction tests pin those to zero (see homq.scalars)."""
+
+from collections import Counter
+
+from homq.scalars import Scalar
+
+
+def count_trivial_operations(monkeypatch):
+    """Wrap Scalar + and * to count every call, and the calls with an
+    operand that is its field's zero object (+) or one object (*)."""
+    counts = Counter()
+
+    def counting(op, name, trivial):
+        def wrapped(a, b):
+            counts[name] += 1
+            if any(type(s) is Scalar and s is trivial(s.field)
+                   for s in (a, b)):
+                counts[name + " trivial"] += 1
+            return op(a, b)
+        return wrapped
+
+    add = counting(Scalar.__add__, "add", lambda f: f.zero)
+    times = counting(Scalar.__mul__, "mul", lambda f: f.one)
+    for name, op in (("__add__", add), ("__radd__", add),
+                     ("__mul__", times), ("__rmul__", times)):
+        monkeypatch.setattr(Scalar, name, op)
+    return counts

@@ -1,5 +1,4 @@
 import json
-from collections import Counter
 from functools import cache, reduce
 from itertools import count, product
 from operator import mul
@@ -7,8 +6,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homq.scalars import (_PRODUCTS_SIZE, Scalar, ScalarField, parse_scalar,
-                          render)
+from homq.scalars import _PRODUCTS_SIZE, ScalarField, parse_scalar, render
 from homq.ncpoly import NCPoly, Presentation, PresentationError, _bump, _expand
 from homq.hombialg import (HomBialgebra, _combine, twist_hom_bialgebra,
                            verify_hom_bialgebra)
@@ -21,6 +19,7 @@ from homq.cobraid import (CobraidingForm, CobraidedHomBialgebra,
 from quantum_matrices import (ALPHA, DELTA, R_NONZERO, UNIT_ROW,
                               qm2_form, qm2_presentation)
 from reference_products import element_product, eval_R
+from scalar_counts import count_trivial_operations
 
 
 F = ScalarField(("t", "lambda"))
@@ -1258,28 +1257,6 @@ def test_row_verifiers_match_the_axiom_texts(build, degree, verifier,
 # no trivial Scalar arithmetic in the contractions ---------------------------
 
 
-def _count_trivial_operations(monkeypatch):
-    """Wrap Scalar + and * to count every call, and the calls with an
-    operand that is its field's zero object (+) or one object (*)."""
-    counts = Counter()
-
-    def counting(op, name, trivial):
-        def wrapped(a, b):
-            counts[name] += 1
-            if any(type(s) is Scalar and s is trivial(s.field)
-                   for s in (a, b)):
-                counts[name + " trivial"] += 1
-            return op(a, b)
-        return wrapped
-
-    add = counting(Scalar.__add__, "add", lambda f: f.zero)
-    times = counting(Scalar.__mul__, "mul", lambda f: f.one)
-    for name, op in (("__add__", add), ("__radd__", add),
-                     ("__mul__", times), ("__rmul__", times)):
-        monkeypatch.setattr(Scalar, name, op)
-    return counts
-
-
 @pytest.mark.parametrize("build, degree", [
     pytest.param(twisted_instance, 2, id="twisted_qm2"),
     pytest.param(_z13(0), 12, id="z13")])
@@ -1288,7 +1265,7 @@ def test_verifiers_add_no_zero_and_multiply_by_no_one(build, degree,
     # from a cold instance, so the form recursion and the word images
     # are counted too
     C = build()
-    counts = _count_trivial_operations(monkeypatch)
+    counts = count_trivial_operations(monkeypatch)
     reports = [verify(C, degree) for verify in
                (verify_cobraided, verify_oqhybe, check_alpha_invariance)]
     monkeypatch.undo()

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homq import comodule, hombialg
 from homq.scalars import ScalarField, render
@@ -17,9 +18,10 @@ from homq.comodule import (Comodule, ComoduleAlgebra, ComoduleError,
 from homq.report import Report, _scan
 from plane_closed_forms import closed_form_coaction, q_binomial
 from quantum_matrices import ALPHA, DELTA, qm2_form, qm2_presentation
-from reference_products import (carrier_alpha_poly, element_product,
-                                element_slot, eval_R, map_slots,
-                                pairwise_product, per_case)
+from reference_products import (braid_sides, carrier_alpha_poly,
+                                element_product, element_slot, eval_R,
+                                map_slots, pairwise_product, per_case)
+from scalar_counts import count_trivial_operations
 
 
 F = ScalarField(("t", "lambda", "xi"))
@@ -1186,3 +1188,83 @@ def test_intertwining_matches_reference_loop(kind, name):
         with pytest.raises(ComoduleError) as info:
             twist_comodule_algebra(A, alpha_h, alpha_a)
         assert info.value.witness == want
+
+
+# no trivial Scalar arithmetic in the coaction and braid contractions -------
+
+
+@pytest.mark.parametrize("build", [lambda: plain_plane("standard"),
+                                   lambda: plane("standard")],
+                         ids=["plain", "twisted"])
+def test_verifiers_add_no_zero_and_multiply_by_no_one(build, monkeypatch):
+    # from a cold instance, so the coactions of the words, the carrier's
+    # confluence check, the pieces and the operators are counted too
+    A = build()
+    counts = count_trivial_operations(monkeypatch)
+    reports = [verify_comodule(A, 3), verify_comodule_hom_algebra(A, 3),
+               verify_hybe(bvw_operator(A.piece(2))),
+               verify_hybe(b_alpha_operator(A.piece(2, base=True))),
+               verify_mixed_hybe(*(A.piece(d) for d in (1, 2, 3)))]
+    monkeypatch.undo()
+    assert counts["mul"] > 500
+    assert counts["add trivial"] == counts["mul trivial"] == 0
+    assert all(rep.passed for rep in reports)
+
+
+# the braid contraction against the stage chain -----------------------------
+#
+# Sparse operators on carriers of one to three labels, with entries and
+# carrier maps drawn from a pool of the field's one, two monomials and a
+# two-term value.  Most such operators fail the braid identity, so the
+# witness triples and their rendered sides are compared too.
+
+BRAID_VALUES = [F.one] + [F.parse(v) for v in ("t", "xi^2/lambda", "t - 1")]
+braid_value = st.sampled_from(BRAID_VALUES)
+
+
+def braid_labels(prefix):
+    return st.integers(1, 3).map(
+        lambda n: tuple(f"{prefix}{i}" for i in range(n)))
+
+
+def braid_operators(xs, ys):
+    """Sparse entries of an operator X (x) Y -> Y (x) X, with at least
+    one non-empty row."""
+    row = st.dictionaries(st.sampled_from([(y, x) for y in ys for x in xs]),
+                          braid_value, min_size=1, max_size=3)
+    return st.dictionaries(st.sampled_from([(x, y) for x in xs for y in ys]),
+                           row, min_size=1, max_size=len(xs) * len(ys))
+
+
+def braid_maps(labels):
+    """A diagonal carrier map, or one whose rows are any sparse rows (an
+    empty row is the zero image)."""
+    diagonal = st.tuples(*[braid_value] * len(labels)).map(
+        lambda vs: {a: {a: v} for a, v in zip(labels, vs)})
+    rows = st.tuples(*[st.dictionaries(st.sampled_from(labels), braid_value,
+                                       max_size=2)] * len(labels)).map(
+        lambda rs: dict(zip(labels, rs)))
+    return diagonal | rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_braid_contraction_matches_the_stage_chain(data):
+    if data.draw(st.booleans(), label="square"):
+        # one operator on every pair of legs and one map on every leg, as
+        # verify_hybe checks them
+        labels = [data.draw(braid_labels("u"))] * 3
+        ops = (data.draw(braid_operators(labels[0], labels[0])),) * 3
+        alphas = (data.draw(braid_maps(labels[0])),) * 3
+    else:
+        labels = [data.draw(braid_labels(p)) for p in "uvw"]
+        ops = tuple(data.draw(braid_operators(labels[a], labels[b]))
+                    for a, b in ((0, 1), (0, 2), (1, 2)))
+        alphas = tuple(data.draw(braid_maps(xs)) for xs in labels)
+    rep, want = Report(), Report()
+    comodule._braid_scan(rep, "braid", labels, ops, alphas)
+    _scan(want, "braid", labels,
+          per_case(braid_sides(ops, alphas, F.one), labels[2]),
+          lambda i, j, k: {"triple": f"{i} (x) {j} (x) {k}"},
+          render=lambda t: render_legs(t, [comodule._LABEL] * 3))
+    assert text(rep) == text(want)

@@ -1271,6 +1271,26 @@ def test_products_across_equal_fields(texts, variables, order):
                 assert render(p) == render(reference_mul(x, y))
 
 
+def test_trivial_operands_across_equal_fields():
+    # a sum with zero or a product with one gives a value of the left
+    # operand's field, as every other mixed sum and product does, so that
+    # identity tests against that field's zero and one see it
+    F, G = (ScalarField(("t",)) for _ in range(2))
+    x = G.var("t")
+    assert (F.zero + x).field is F and (F.one * x).field is F
+    for y in (x, parse_scalar("3*t^-2", G), parse_scalar("1/(t + 1)", G)):
+        for got, want, field in ((F.zero + y, y, F), (F.one * y, y, F),
+                                 (y + F.zero, y, G), (y * F.one, y, G),
+                                 (F.zero - y, -y, F)):
+            assert got == want and got.field is field
+    assert F.zero + G.one is F.one and F.one * G.zero is F.zero
+    assert F.one * G.one is F.one and F.zero + G.zero is F.zero
+    # a one-term value keeps its id, which names its content in F too
+    t = F.var("t")
+    p = t * x
+    assert F._products[t._k, x._k] is p and t * x is p
+
+
 def _token_count(path):
     skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
     with open(path, "rb") as f:
