@@ -418,13 +418,16 @@ def alpha_kernel_witness(H):
     """Search the graded pieces up to the presentation's max degree for
     a nonzero element killed by the structure map: the first kernel
     vector of the lowest degree that has one.  Returns None when every
-    piece has trivial kernel."""
+    piece has trivial kernel.  The pieces come from one walk of the
+    levels, which stops at the first empty one; a negative max degree
+    raises ValueError."""
     pres = H.pres
     field = pres.field
-    for d in range(1, pres.max_degree + 1):
-        words = pres.basis_level(d)
+    for d, words in enumerate(pres._levels(pres.max_degree)):
         if not words:
             break
+        if not d:
+            continue   # the unit, which the structure map fixes
         images = [H.alpha_word(w) for w in words]
         support = sorted({m for p in images for m in p.terms},
                          key=lambda w: (len(w), w))

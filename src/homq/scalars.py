@@ -7,24 +7,24 @@ Every coefficient in this package is a scalar drawn from a field
 of multivariate rational functions over a cyclotomic extension of the
 rationals.  No floats anywhere: a rational coefficient is a Python
 ``int`` until a division makes it a ``fractions.Fraction``, and every
-division goes through ``_recip``.  Coefficients compare by value
-(``Fraction(2) == 2``, and the two hash alike), so a coefficient stays
-whatever arithmetic returns.  One dense ``_udivmod`` does every
-polynomial division with remainder, the reduction of every Q(zeta_n)
-value modulo the cyclotomic polynomial included.
+division goes through ``_recip``, which alone loads ``fractions``.
+Coefficients compare by value (``Fraction(2) == 2``, and the two hash
+alike), so a coefficient stays whatever arithmetic returns.  One dense
+``_udivmod`` does every polynomial division with remainder, the
+reduction of every Q(zeta_n) value modulo the cyclotomic polynomial
+included.
 
 Every scalar has exactly one form, so equality is plain structural
 equality on coefficient values, which is what every verifier in the
-package relies on.  A
-value whose reduced denominator is a monomial (a Laurent polynomial, the
-common case) is one dict {exponent key: coefficient}; between two of
-them ``*`` and ``+`` are a product and a sum with no cancellation.  Any
-other value is a coprime (numerator, denominator) pair, the denominator
-monic under graded lex with the declared variable order, and arithmetic
-that meets one goes through a multivariate gcd.
+package relies on.  A value whose reduced denominator is a monomial (a
+Laurent polynomial, the common case) is one dict {exponent key:
+coefficient}; between two of them ``*`` and ``+`` are a product and a
+sum with no cancellation.  Any other value is a coprime (numerator,
+denominator) pair, whose arithmetic is ``homq.ratfunc``: this module
+imports it only in the branches that meet such a pair.
 
-Every polynomial dict here, Laurent, numerator, denominator or gcd
-operand, is keyed by packed exponent vectors: a key is one non-negative
+Every polynomial dict, Laurent, numerator or denominator, is keyed by
+packed exponent vectors: a key is one non-negative
 int whose 64-bit field i (bits 64i to 64i + 63) holds e_i + 2^61, so an
 exponent is valid when -2^61 <= e_i < 2^61.  With z the field's zero key
 ``_zero_exp``, which is also the key of the unit, a product of monomials
@@ -35,13 +35,12 @@ its own field, by overflow or by the borrow of an underflow.  A key that
 fails that one AND (``_checked``) raises ScalarError("exponent out of
 range"), so no exponent wraps.  The exact guard runs on every key of
 ``_split`` (but the one ``render`` makes, below), ``Scalar.__init__``, a
-monomial ``Scalar.inverse`` and every product of the (num, den) path.  A
+monomial ``Scalar.inverse`` and every product of ``ratfunc``.  A
 Laurent product or power runs it only when the operands' exponent bounds
 (see ``Scalar``) sum to 2^61 or more: below that, every exponent of the
 result has |e_i| < 2^61, so every field of every key it can emit holds a
 value in (0, 2^62), no borrow or carry crosses a field, and no key can
-fail.  ``_p_div_exact`` tests each quotient key for exponents in [0,
-2^61) with one AND too.  ``ScalarField._pack`` and ``_unpack`` convert
+fail.  ``ScalarField._pack`` and ``_unpack`` convert
 between keys and exponent tuples, and ``_pack`` refuses an exponent out
 of range the same way.  Only code that reads one variable at a time
 unpacks: graded lex order, rendering, ``_split``, the exponent bound of
@@ -55,23 +54,29 @@ A verifier multiplies values from a small set over and over (the roots
 of unity of a bicharacter, the monomials q^a*lambda^b of a twisted form),
 so each ScalarField keeps one product table.  A one-term Laurent value
 (every value of Q(zeta_n), which has no variables) gets a small int id,
-its ``_k``, the first time it is a product operand: the field's registry
-maps its content, the exponent key and the coefficient (a Q(zeta_n) one
-as its tuple ``v``), to an id drawn from one process-wide counter, so no
-id ever names two values, even after a registry is emptied or in another
-field equal to this one.  A product of two such values is looked up by
-its pair of ids, and a miss computes it as before and stores it.
+its ``_k``, the first time it is a product operand.  The field's registry
+interns such values: it maps a content, the exponent key and the
+coefficient (a Q(zeta_n) one as its tuple ``v``), to the first value
+seen with it, whose ``_k`` is drawn from one process-wide counter, and a
+later value of that content takes the same id.  So no id ever names two
+contents, even after a registry is emptied or in another field equal to
+this one.  A product of two such values is looked up by its pair of
+ids; a miss computes it as before, then stores and returns the
+registry's value of its content (or the field's ``one``).  So equal
+one-term products are one object while the registry holds them, and a
+comparison of lists or dicts of them (the rows of ``report._scan`` and
+``_unzip``) succeeds by identity, with no ``__eq__`` call.
 ``Scalar.__mul__`` looks the pair up first, before any coercion, when
 both operands already carry an id and share one field object; a product
 with the field's ``one`` is the other operand, found by identity before
 any dict is compared.  Likewise ``Scalar.__add__`` returns the other
 operand when one operand is the field's ``zero`` object.  A value of
 another, equal field is first re-homed into the left operand's field,
-keeping its id, so that no result belongs to another field.  The table and
-the registry are each emptied when they hold _PRODUCTS_SIZE entries.  A
-stored product is the same value a miss would compute, and no operation
-changes a Scalar's value, so no result depends on what the table or the
-registry held.
+keeping its id, so that no result belongs to another field.  The table
+and the registry are each emptied when they hold _PRODUCTS_SIZE
+entries.  A stored product is equal to the value a miss would compute,
+and no operation changes a Scalar's value, so no result's value depends
+on what the table or the registry held.
 
 Every result of arithmetic (and ``from_int``) equal to 0 or 1 is the
 field's ``zero`` or ``one`` object, so the contractions of the other
@@ -94,7 +99,6 @@ syntax error while ``q^-1`` is fine.
 from __future__ import annotations
 
 import re
-from fractions import Fraction as _Q
 from functools import lru_cache, reduce
 from itertools import count
 from operator import add as _add, or_ as _or, sub as _sub
@@ -136,14 +140,19 @@ class ScalarZeroDivision(ScalarError):
 def _recip(c):
     """Exact 1/c of a nonzero coefficient.
 
-    A rational becomes a _Q (an int of +-1 stays an int), so no division
-    can produce a float; a cyclotomic number or a Scalar, its inverse.
+    An int of +-1 stays an int, any other int becomes a
+    ``fractions.Fraction``, so no division can produce a float; a
+    Fraction gives its reciprocal, a cyclotomic number or a Scalar its
+    inverse.  ``fractions`` is imported here, on the first division by an
+    int other than +-1, so a process that never makes a Fraction never
+    loads it.
     """
     if isinstance(c, int):
-        return c if c == 1 or c == -1 else _Q(1, c)
-    if isinstance(c, _Q):
-        return 1 / c
-    return c.inverse()
+        if c == 1 or c == -1:
+            return c
+        from fractions import Fraction
+        return Fraction(1, c)
+    return c.inverse() if isinstance(c, (_CycNumBase, Scalar)) else 1 / c
 
 
 def _utrim(a):
@@ -166,17 +175,6 @@ def _udivmod(a, b):
             for j in range(db):
                 a[i + j] -= c * b[j]
     return q, _utrim(a[:db])
-
-
-def _ugcd(a, b):
-    """Monic gcd of dense a and b (b may be empty).  Each remainder is made
-    monic before it divides, or its scalar factor swells with every step."""
-    while b:
-        inv = _recip(b[-1])
-        b = [c * inv for c in b]
-        a, b = b, _udivmod(a, b)[1]
-    inv = _recip(a[-1])
-    return [c * inv for c in a]
 
 
 @lru_cache(maxsize=None)
@@ -398,149 +396,6 @@ def _p_lead(A, field):
     return max(A, key=lambda e: _grlex(e, field))
 
 
-def _p_div_exact(A, B, field):
-    """Quotient A / B, or None when B does not divide A exactly."""
-    z = field._zero_exp
-    out = {}
-    R = dict(A)
-    eB = _p_lead(B, field)
-    cinv = _recip(B[eB])
-    while R:
-        eR = _p_lead(R, field)
-        d = eR - eB
-        # every exponent of x^d lies in [0, 2^61): each field has bit 61
-        # (a bit of z) and no guard bit
-        if d + z & (field._g | z) != z:
-            return None
-        q = R[eR] * cinv
-        out[d + z] = q
-        for e2, c2 in B.items():
-            e = d + e2
-            p = q * c2
-            s = R.get(e)
-            if s is None:
-                R[e] = -p
-            else:
-                s = s - p
-                if s:
-                    R[e] = s
-                else:
-                    del R[e]
-    return out
-
-
-# The bound on the dense Euclid of _p_gcd.  On main-variable degrees d_A
-# and d_B it does about (d_A + 1)(d_B + 1) coefficient operations, and a
-# gcd is refused, before any list is allocated, when that product passes
-# (_DENSE_MAX + 1)^2.  Over Q, two generic polynomials of degree 256 take
-# about 4 s (2-vCPU x86-64 host), and the cost grows faster than the
-# product; a sparse pair such as t + 1 and t^300 + 1 costs little, and
-# t^(2^60) + 1 would need one list slot per degree.
-_DENSE_MAX = 256
-
-
-@lru_cache(maxsize=None)
-def _subfield_for(names, order):
-    return ScalarField(names, order)
-
-
-def _p_gcd(A, B, field):
-    """gcd of two nonzero polynomial dicts, up to a nonzero constant.
-
-    The last variable in use is the main one.  The content in it is a
-    gcd in the other variables, and the primitive part comes from a dense
-    monic Euclid over their fraction field (Q, or Q(zeta_n), when there
-    are none), which keeps intermediate coefficient growth in check.  A
-    pair whose main-variable degrees pass the bound above is refused.
-    """
-    # the fields of the exponents that are not zero in some key
-    moved = reduce(_or, (e ^ field._zero_exp for e in (*A, *B)))
-    used = [i for i in range(field.nvars) if moved >> 64 * i & _MASK]
-    if not used:
-        return dict(field._one_poly)
-    m = used[-1]
-    da, db = (max((e >> 64 * m & _MASK) - _BIAS for e in P) for P in (A, B))
-    if (da + 1) * (db + 1) > (_DENSE_MAX + 1) ** 2:
-        raise ScalarError(f"a gcd of degrees {da} and {db} is past the "
-                          f"dense limit {_DENSE_MAX}")
-    others = tuple(used[:-1])
-    sub = _subfield_for(tuple(field.variables[i] for i in others),
-                        field.cyclotomic_order)
-
-    def content(P):
-        groups = {}
-        for e, c in P.items():
-            k = (e >> 64 * m & _MASK) - _BIAS
-            groups.setdefault(k, {})[e - (k << 64 * m)] = c
-        g = {}
-        for part in groups.values():
-            g = part if not g else _p_gcd(g, part, field)
-            if _is_const(g, field):
-                break
-        return g
-
-    cont_g = _p_gcd(content(A), content(B), field)
-
-    def to_scalar_coeffs(P, top):
-        groups = {}
-        for e, c in P.items():
-            e = field._unpack(e)
-            groups.setdefault(e[m], {})[sub._pack([e[i] for i in others])] = c
-        out = [sub.zero] * (top + 1)
-        for d, poly in groups.items():
-            out[d] = Scalar(sub, poly, sub._one_poly)
-        return out
-
-    h = _ugcd(to_scalar_coeffs(A, da), to_scalar_coeffs(B, db))
-
-    # clear denominators and take the primitive part in the main variable
-    den_prod = dict(sub._one_poly)
-    for c in h:
-        if c.num:
-            den_prod = _p_mul(den_prod, c.den, sub)
-    cont = {}
-    numerators = []
-    for c in h:
-        if c.num:
-            n = _p_mul(c.num, _p_div_exact(den_prod, c.den, sub), sub)
-            cont = n if not cont else _p_gcd(cont, n, sub)
-        else:
-            n = {}
-        numerators.append(n)
-    if not _is_const(cont, sub):
-        numerators = [_p_div_exact(n, cont, sub) if n else n
-                      for n in numerators]
-    flat = {}
-    for d, n in enumerate(numerators):
-        for sub_e, c in n.items():
-            e = [0] * field.nvars
-            for i, k in zip(others, sub._unpack(sub_e)):
-                e[i] = k
-            e[m] = d
-            flat[field._pack(e)] = c
-    return _p_mul(cont_g, flat, field)
-
-
-def _is_const(g, field):
-    return len(g) == 1 and field._zero_exp in g
-
-
-def _cancel(P, Q, field):
-    """Divide gcd(P, Q) out of both; inputs nonzero, dicts not mutated."""
-    if len(Q) == 1:
-        # gcd with a monomial is the common monomial factor
-        ((d, c),) = Q.items()
-        P, e = _split(P, d, field)
-        return P, (Q if e == d else {e: c})
-    if len(P) == 1:
-        Q, P = _cancel(Q, P, field)
-        return P, Q
-    g = _p_gcd(P, Q, field)
-    if _is_const(g, field):
-        return P, Q
-    return _p_div_exact(P, g, field), _p_div_exact(Q, g, field)
-
-
 # ---------------------------------------------------------------------------
 # fields and scalars
 
@@ -697,7 +552,8 @@ class Scalar:
     ``num`` and ``den`` of a Laurent value unpack its keys once, in
     ``_split``.  A value equal to 0 or 1 that arithmetic produces is the
     field's ``zero`` or ``one``.  ``_k`` is the id of a one-term Laurent
-    value once it has been a product operand.
+    value once it has been a product operand or the registry's value of
+    a product (see ``_interned``).
 
     A Laurent value also carries ``bound``, an upper bound on every |e_i|
     of its terms, which arithmetic derives from its operands without
@@ -731,16 +587,23 @@ class Scalar:
 
     def _id(self):
         """Give a one-term Laurent value the id of its content."""
+        k = self._k = self._interned()._k
+        return k
+
+    def _interned(self):
+        """The value the field's registry holds for this one-term Laurent
+        value's content: the first one registered with it, or this value,
+        given a new id, when there is none."""
         ((e, c),) = self.laurent.items()
         ids = self.field._ids
         key = (e, c.v if isinstance(c, _CycNumBase) else c)
-        k = ids.get(key)
-        if k is None:
+        s = ids.get(key)
+        if s is None:
             if len(ids) >= _PRODUCTS_SIZE:
                 ids.clear()
-            k = ids[key] = next(_IDS)
-        self._k = k
-        return k
+            s = ids[key] = self
+            self._k = next(_IDS)
+        return s
 
     num = property(lambda self: self._view()[0])
     den = property(lambda self: self._view()[1])
@@ -792,19 +655,8 @@ class Scalar:
             return self
         if a is not None and b is not None:
             return _laurent(f, _p_add(a, b), max(self.bound, other.bound))
-        (n1, d1), (n2, d2) = self._view(), other._view()
-        g = _p_gcd(d1, d2, f)
-        e1 = _p_div_exact(d1, g, f)
-        e2 = _p_div_exact(d2, g, f)
-        num = _p_add(_p_mul(n1, e2, f), _p_mul(n2, e1, f))
-        if not num:
-            return f.zero
-        # common factors of the sum with the denominator sit inside g
-        h = g if _is_const(g, f) else _p_gcd(num, g, f)
-        if not _is_const(h, f):
-            num = _p_div_exact(num, h, f)
-            g = _p_div_exact(g, h, f)
-        return f._coprime_make(num, _p_mul(_p_mul(g, e1, f), e2, f))
+        from .ratfunc import add
+        return add(self, other)
 
     __radd__ = __add__
 
@@ -858,18 +710,14 @@ class Scalar:
             bound = self.bound + other.bound
             p = _laurent(f, _p_mul(a, b, f, bound >= _BIAS), bound)
             if key:
+                if p is not f.one:
+                    p = p._interned()
                 products[key] = p
             return p
         if a == {} or b == {}:
             return f.zero
-        # cross-cancel so the product of the reduced parts is coprime
-        (n1, d1), (n2, d2) = self._view(), other._view()
-        one = f._one_poly
-        if d2 != one:
-            n1, d2 = _cancel(n1, d2, f)
-        if d1 != one:
-            n2, d1 = _cancel(n2, d1, f)
-        return f._coprime_make(_p_mul(n1, n2, f), _p_mul(d1, d2, f))
+        from .ratfunc import mul
+        return mul(self, other)
 
     __rmul__ = __mul__
 
@@ -894,8 +742,8 @@ class Scalar:
             f = self.field
             return _laurent(f, _checked({2 * f._zero_exp - e: _recip(c)},
                                         f._g), self.bound)
-        num, den = self._view()
-        return self.field._coprime_make(dict(den), dict(num))
+        from .ratfunc import inverse
+        return inverse(self)
 
     def __pow__(self, n):
         if not isinstance(n, int):

@@ -1,5 +1,7 @@
 """A count of the Scalar operations a call makes, with the trivial ones
-apart: the contraction tests pin those to zero (see homq.scalars)."""
+apart: the contraction tests pin those to zero (see homq.scalars).  The
+comparisons by value are counted too: equal one-term products are one
+object, so comparing containers of them makes no such call."""
 
 from collections import Counter
 
@@ -7,8 +9,9 @@ from homq.scalars import Scalar
 
 
 def count_trivial_operations(monkeypatch):
-    """Wrap Scalar + and * to count every call, and the calls with an
-    operand that is its field's zero object (+) or one object (*)."""
+    """Wrap Scalar +, * and == to count every call, and the calls of +
+    and * with an operand that is its field's zero object (+) or one
+    object (*)."""
     counts = Counter()
 
     def counting(op, name, trivial):
@@ -22,7 +25,9 @@ def count_trivial_operations(monkeypatch):
 
     add = counting(Scalar.__add__, "add", lambda f: f.zero)
     times = counting(Scalar.__mul__, "mul", lambda f: f.one)
+    equal = counting(Scalar.__eq__, "eq", lambda f: None)
     for name, op in (("__add__", add), ("__radd__", add),
-                     ("__mul__", times), ("__rmul__", times)):
+                     ("__mul__", times), ("__rmul__", times),
+                     ("__eq__", equal)):
         monkeypatch.setattr(Scalar, name, op)
     return counts

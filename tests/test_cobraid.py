@@ -591,6 +591,29 @@ def test_kernel_search_stops_at_the_first_empty_piece():
     assert verify_cobraided(twist_R_power(C, 1), 2).passed
 
 
+def test_kernel_search_builds_each_level_once(monkeypatch):
+    # Z/13 at max degree 12 has 12 nonempty levels past the unit, and one
+    # walk builds each of them once
+    P = Presentation.__dict__["_next_level"]
+    calls = []
+
+    def counted(self, level):
+        calls.append(len(level))
+        return P(self, level)
+
+    H = z13_instance(ScalarField((), cyclotomic_order=13)).H
+    monkeypatch.setattr(Presentation, "_next_level", counted)
+    assert alpha_kernel_witness(H) is None
+    assert calls == [1] * 12
+
+
+def test_kernel_search_refuses_a_negative_max_degree():
+    P = Presentation("g", [("ggg", {"1": 1})], F5, max_degree=-1)
+    H = HomBialgebra(P, {"g": {("g", "g"): 1}})
+    with pytest.raises(ValueError, match="nonnegative"):
+        alpha_kernel_witness(H)
+
+
 def test_injectivity_witness():
     FQ = ScalarField(("t",))
     P = Presentation("x", [("xx", {})], FQ, max_degree=4)
@@ -1276,6 +1299,20 @@ def test_verifiers_add_no_zero_and_multiply_by_no_one(build, degree,
     assert reports[1].to_json() == \
         axiom_verify_oqhybe(build(), degree).to_json()
     assert reports[2].passed
+
+
+def test_z13_verifiers_compare_no_scalar_by_value(monkeypatch):
+    # equal one-term products are one object, so every row comparison of
+    # _scan (list ==) and _unzip (dict ==) succeeds by identity
+    C = _z13(0)()
+    counts = count_trivial_operations(monkeypatch)
+    reports = [verify_cobraided(C, 12), verify_oqhybe(C, 12)]
+    monkeypatch.undo()
+    assert counts["mul"] > 1000 and counts["eq"] == 0
+    assert reports[0].to_json() == \
+        axiom_verify_cobraided(_z13(0)(), 12).to_json()
+    assert reports[1].to_json() == \
+        axiom_verify_oqhybe(_z13(0)(), 12).to_json()
 
 
 # the contraction helpers against multiplying and adding every term; the

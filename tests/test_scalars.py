@@ -1,6 +1,8 @@
 import operator
+import os
 import pathlib
 import random
+import subprocess
 import sys
 import time
 import tokenize
@@ -11,7 +13,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from homq import scalars
+from homq import ratfunc, scalars
 from homq.cobraid import CobraidedHomBialgebra, verify_cobraided
 from homq.comodule import plane_comodule_algebra, verify_comodule
 from homq.hombialg import HomBialgebra, twist_hom_bialgebra
@@ -26,17 +28,14 @@ from homq.scalars import (
     _CycNumBase,
     _Parser,
     _PRODUCTS_SIZE,
-    _cancel,
     _cyc_class,
-    _is_const,
     _p_add,
-    _p_div_exact,
-    _p_gcd,
     _p_mul,
     _uinv_mod,
     parse_scalar,
     render,
 )
+from homq.ratfunc import _cancel, _is_const, _p_div_exact, _p_gcd
 from quantum_matrices import ALPHA, DELTA, qm2_form, qm2_presentation
 
 
@@ -95,7 +94,7 @@ def test_a_gcd_past_the_dense_limit_is_refused():
     # coefficient operations: a dense pair of degree _DENSE_MAX + 1, and a
     # binomial that would take one list slot per degree, 2^60 of them; both
     # are refused before a list is allocated
-    d = scalars._DENSE_MAX + 1
+    d = ratfunc._DENSE_MAX + 1
     for a, b in ((f"1/(t^{d} + t + 1)", f"1/(t^{d} + 2)"),
                  (f"1/(t^{2 ** 60} + 1)", "1/(t + 1)")):
         a, b = parse_scalar(a, F_T), parse_scalar(b, F_T)
@@ -1228,6 +1227,58 @@ def test_equal_operands_reach_one_table_entry(texts, field, monkeypatch):
     assert a2 is not a and b2 is not b
     assert a2 * b2 is p and a * b2 is p and len(calls) == 1
     assert (a2._k, b2._k) == (a._k, b._k)
+
+
+def test_equal_one_term_products_are_one_object():
+    field = ScalarField(("t", "lambda"))
+    t, lam = field.var("t"), field.var("lambda")
+    assert (t * lam) * t is (t ** 2) * lam
+    # the registry keeps the first value seen with a content, here an
+    # operand, and every later product with that content is that value
+    z13 = ScalarField((), cyclotomic_order=13)
+    zeta = z13.zeta()
+    x = zeta ** 7
+    assert x * zeta == zeta ** 8
+    assert zeta ** 3 * zeta ** 4 is x and zeta * zeta ** 6 is x
+    assert zeta ** 6 * x is z13.one
+
+
+_LAURENT_IMPORTS = """
+import sys
+import homq.comodule
+from homq.cobraid import (CobraidedHomBialgebra, CobraidingForm,
+                          verify_cobraided)
+from homq.hombialg import HomBialgebra, twist_hom_bialgebra
+from homq.ncpoly import Presentation
+from homq.scalars import ScalarField, parse_scalar
+
+def loaded():
+    return [m for m in ("fractions", "homq.ratfunc") if m in sys.modules]
+
+F5 = ScalarField((), cyclotomic_order=5)
+P = Presentation("g", [("ggggg", {"1": 1})], F5, max_degree=4)
+H = twist_hom_bialgebra(HomBialgebra(P, {"g": {("g", "g"): 1}}),
+                        {"g": {"gg": 1}})
+C = CobraidedHomBialgebra(
+    H, CobraidingForm(P, {("g", "g"): "zeta"}, {"g": 1}, {"g": 1}))
+assert verify_cobraided(C, 4).passed
+print(loaded())
+F = ScalarField(("t",))
+print(parse_scalar("1/(t + 1)", F).render(), loaded())
+print(parse_scalar("t/3", F).render(), loaded())
+"""
+
+
+def test_the_laurent_path_loads_neither_ratfunc_nor_fractions():
+    # a fresh interpreter, since this one has loaded both
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(scalars.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _LAURENT_IMPORTS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [
+        "[]",
+        "1/(t + 1) ['homq.ratfunc']",
+        "t/3 ['fractions', 'homq.ratfunc']"]
 
 
 def test_an_id_is_never_reused():
