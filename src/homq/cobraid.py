@@ -24,8 +24,8 @@ from functools import cache, partial
 
 from .hombialg import _combine, _product_table
 from .linalg import kernel_basis
-from .ncpoly import (NCPoly, PresentationError, _bump, _render_raw,
-                     json_row, linear_image)
+from .ncpoly import (NCPoly, PresentationError, _bump, _linear,
+                     _render_raw, json_row)
 from .report import Report, _at, _scan, _unzip
 from .scalars import render
 
@@ -168,9 +168,9 @@ class CobraidedHomBialgebra:
             return ((w, H.pres.field.one),)
         hit = self._alpha_cache.get((k, w))
         if hit is None:
-            hit = self._alpha_cache[k, w] = tuple(linear_image(
-                self._alpha_terms(k - 1, w), H.alpha_word,
-                H.pres.zero_poly()).terms.items())
+            hit = self._alpha_cache[k, w] = tuple(_linear(
+                self._alpha_terms(k - 1, w),
+                lambda v: H.alpha_word(v).terms).items())
         return hit
 
     def to_json(self):

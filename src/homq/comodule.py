@@ -257,8 +257,9 @@ class ComoduleAlgebra:
 def verify_comodule(M, degree=None):
     """Check Hom-coassociativity and comultiplicativity of the coaction
     on the carrier basis (up to total degree for algebra carriers), as
-    hombialg._coassociativity and _intertwining, through a call-local
-    memo of the host coproduct of a word."""
+    hombialg._coassociativity and _intertwining.  The host coproduct of
+    a word is read as it comes: over the quantum planes no call reads
+    that of one word twice, so a memo of the call would not pay."""
     H = M.hom
     H.pres._certified()
     rep = Report(f"comodule axioms on {M.name or 'carrier'}")
@@ -272,7 +273,8 @@ def verify_comodule(M, degree=None):
         degree, cases, text = None, M.labels, str
         rho_row, alpha_row = M.rho.__getitem__, M.alpha.__getitem__
 
-    delta = cache(lambda w: H.delta_word(w).terms)
+    def delta(w):
+        return H.delta_word(w).terms
 
     def host_alpha(w):
         return H.alpha_word(w).terms
@@ -530,22 +532,22 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
 def verify_comodule_hom_algebra(M, degree):
     """Check that the instance coaction is multiplicative for the
     instance products on basis-monomial pairs of total degree at most
-    `degree`, as hombialg._multiplicativity.  Carrier products and the
-    coaction of a word are read from memos local to this call, host
-    products as they come, since no two pairs share one."""
+    `degree`, as hombialg._multiplicativity.  Carrier products are read
+    from a memo local to this call, host products as they come, since no
+    two pairs share one, and the coaction of a word from the instance's
+    own memos (see ComoduleAlgebra.rho_word)."""
     hpres = M.hom.pres._certified()
     carrier = M.carrier._certified()
     words = carrier.graded_basis(degree)
     rep = Report(f"comodule algebra on {M.name or 'carrier'}")
     pairs = [(u, v) for u in words for v in words
              if len(u) + len(v) <= degree]
-    rho = cache(lambda w: M.rho_word(w).terms)
     carrier_product = _product_table(M.product)
 
     _scan(rep, "coaction_multiplicativity", [pairs],
-          lambda: _unzip(_multiplicativity(rho, M.hom.product,
-                                           carrier_product, *pair,
-                                           hpres.field.one)
+          lambda: _unzip(_multiplicativity(lambda w: M.rho_word(w).terms,
+                                           M.hom.product, carrier_product,
+                                           *pair, hpres.field.one)
                          for pair in pairs),
           lambda pair: {"left_factor": carrier.word_text(pair[0]),
                         "right_factor": carrier.word_text(pair[1])}, degree,

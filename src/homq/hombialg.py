@@ -140,27 +140,26 @@ class HomBialgebra:
 def _word_terms(pres, u, v, alpha_word):
     """The (word, coefficient) pairs of the normal form of u + v, mapped
     through alpha_word, the memoised twisting map of a twisted instance,
-    unless it is None: the twisted product alpha(uv).  No one-term
-    NCPoly is built."""
+    unless it is None: the twisted product alpha(uv).  No NCPoly is
+    built."""
     terms = pres.normal_word(u + v).items()
     if alpha_word is None:
         return terms
-    return linear_image(terms, alpha_word, pres.zero_poly()).terms.items()
+    return _linear(terms, lambda w: alpha_word(w).terms).items()
 
 
 def _product_table(product):
     """A memo of a word-level instance product (see _word_terms) that
     lives as long as the returned prod: prod(u, v) is the tuple of (word,
-    coefficient) terms of product(u, v), filled on first use, with equal
-    coefficients stored as one object."""
+    coefficient) terms of product(u, v), filled on first use.  The
+    coefficients are stored as they come: equal one-term ones are
+    already one object (see homq.scalars), so the memo hashes none."""
     table = {}
-    coefs = {}
 
     def prod(u, v):
         hit = table.get((u, v))
         if hit is None:
-            hit = table[u, v] = tuple((w, coefs.setdefault(c, c))
-                                      for w, c in product(u, v))
+            hit = table[u, v] = tuple(product(u, v))
         return hit
     return prod
 
@@ -309,8 +308,7 @@ def verify_hom_bialgebra(H, degree):
 
     def multiplicativity(x):
         ax = alpha_terms[x]
-        return ([linear_image(word_prod(x, y), H.alpha_word,
-                              pres.zero_poly()).terms for y in basis],
+        return ([_linear(word_prod(x, y), alpha) for y in basis],
                 [times(ax, alpha_terms[y]) for y in basis])
 
     def hom_associativity(x, y):

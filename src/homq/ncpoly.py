@@ -170,9 +170,9 @@ class Presentation:
         c*x of the prefix's normal form, of c times the normal form of
         x + g, each read from the memo or, on a miss, computed: x is
         normal, so x + g goes to _reduce only when a rule matches it
-        from len(x + g) - max_lhs on.  Every new prefix is memoised.  So
-        only words x + g with x normal are ever reduced, and there is no
-        recursion depth to run out of.  On a confluent presentation
+        from len(x + g) - max_lhs on.  Every new prefix is memoised, in
+        a dict of its own.  So only words x + g with x normal are ever
+        reduced, and there is no recursion depth to run out of.  On a confluent presentation
         every reduction order gives the one normal form (Bergman's
         diamond lemma), so the order chosen here changes nothing but the
         cost; on any other no order gives a meaningful one (see the
@@ -191,12 +191,9 @@ class Presentation:
                         self._reduce(v)
                         if self._find_match(v, len(v) - self._max_lhs)
                         else {v: one})
-                if len(acc) == 1 and c is one:
-                    out = sub
-                else:
-                    for u, sc in sub.items():
-                        _bump(out, u, sc if c is one else c if sc is one
-                              else c * sc)
+                for u, sc in sub.items():
+                    _bump(out, u, sc if c is one else c if sc is one
+                          else c * sc)
             acc = cache[w[:k + 1]] = out
         return acc
 

@@ -69,8 +69,8 @@ comparison of lists or dicts of them (the rows of ``report._scan`` and
 ``Scalar.__mul__`` looks the pair up first, before any coercion, when
 both operands already carry an id and share one field object; a product
 with the field's ``one`` is the other operand, found by identity before
-any dict is compared.  Likewise ``Scalar.__add__`` returns the other
-operand when one operand is the field's ``zero`` object.  A value of
+any dict is compared.  ``Scalar.__add__`` returns the other operand,
+coerced, when one operand is zero, so ``zero + x is x``.  A value of
 another, equal field is first re-homed into the left operand's field,
 keeping its id, so that no result belongs to another field.  The table
 and the registry are each emptied when they hold _PRODUCTS_SIZE
@@ -329,15 +329,9 @@ def _p_neg(A):
 def _p_mul(A, B, field, checked=True):
     """A * B; its keys pass the guard unless checked is false, which a
     caller may pass only when no exponent of the product can leave the
-    range."""
+    range.  One loop serves every size, and an empty operand gives the
+    empty product, so Scalar.__mul__ tests no Laurent zero."""
     z = field._zero_exp
-    if len(B) == 1:
-        A, B = B, A
-    if len(A) == 1:
-        ((ea, ca),) = A.items()
-        ea -= z
-        out = {ea + eb: ca * cb for eb, cb in B.items()}
-        return _checked(out, field._g) if checked else out
     out = {}
     for ea, ca in A.items():
         ea -= z
@@ -536,8 +530,7 @@ def _laurent(field, terms, bound):
     s.field = field
     s.laurent = terms
     s.bound = bound
-    s._pair = None
-    s._h = s._k = None
+    s._pair = s._k = None
     return s
 
 
@@ -561,14 +554,14 @@ class Scalar:
     value is built from keys, the sum of the operands' bounds for a
     product (n times the base's for a power), the larger one for a sum,
     the operand's for a negative or an inverse.  A product whose bound
-    is below 2^61 skips the guard."""
+    is below 2^61 skips the guard.  The hash is not cached, since no
+    verifier hashes a Scalar."""
 
-    __slots__ = ("field", "laurent", "bound", "_pair", "_h", "_k")
+    __slots__ = ("field", "laurent", "bound", "_pair", "_k")
 
     def __init__(self, field, num, den):
         self.field, self._pair = field, (num, den)
-        self._h = self._k = None
-        self.laurent = self.bound = None
+        self.laurent = self.bound = self._k = None
         if len(den) == 1:
             (d,) = den
             off = field._zero_exp - d
@@ -640,10 +633,6 @@ class Scalar:
 
     def __add__(self, other):
         f = self.field
-        if other is f.zero:
-            return self
-        if self is f.zero and type(other) is Scalar and other.field is f:
-            return other
         if type(other) is not Scalar or other.field is not f:
             other = self._coerce(other)
             if other is None:
@@ -696,8 +685,6 @@ class Scalar:
             return self
         a, b = self.laurent, other.laurent
         if a is not None and b is not None:
-            if not a or not b:
-                return f.zero
             key = None
             if len(a) == 1 == len(b):
                 products = f._products
@@ -774,20 +761,22 @@ class Scalar:
             self.laurent is not None or self._pair == other._pair)
 
     def __hash__(self):
-        if self._h is None:
-            # equal values have one form, so equal Laurent dicts or
-            # numerators; a rational constant hashes as that rational,
-            # since it equals the int it may be
-            a = self.laurent
-            c = 0 if a == {} else None
-            if a is not None and len(a) == 1:
-                c = a.get(self.field._zero_exp)
-            if isinstance(c, _CycNumBase):
-                c = None if any(c.v[1:]) else c.v[0]
-            self._h = hash(frozenset(
-                (self._pair[0] if a is None else a).items())
-                if c is None else c)
-        return self._h
+        # equal values have one form, so equal Laurent dicts or
+        # numerators; a rational constant hashes as that rational, since
+        # it equals the int it may be.  Any other value hashes through
+        # its exponent tuples: a packed key hashes modulo 2^61 - 1, where
+        # the keys of lambda and t^8 in Q(t, lambda) agree.
+        a = self.laurent
+        c = 0 if a == {} else None
+        if a is not None and len(a) == 1:
+            c = a.get(self.field._zero_exp)
+        if isinstance(c, _CycNumBase):
+            c = None if any(c.v[1:]) else c.v[0]
+        if c is not None:
+            return hash(c)
+        unpack = self.field._unpack
+        return hash(frozenset((unpack(e), v) for e, v in (
+            self._pair[0] if a is None else a).items()))
 
     def __repr__(self):
         return f"Scalar({render(self)})"

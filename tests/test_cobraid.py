@@ -454,6 +454,14 @@ def test_power_twist_values():
     assert C2.word_pair_value(g, g) == zeta
 
 
+def test_repr_gives_the_name_and_the_power():
+    C1 = twist_R_power(zn_instance(), 1)
+    assert repr(zn_instance()) == "<CobraidedHomBialgebra zn5_twisted>"
+    assert repr(C1) == "<CobraidedHomBialgebra zn5_twisted, power 1>"
+    assert repr(twist_R_power(C1, 1)) == \
+        "<CobraidedHomBialgebra zn5_twisted, power 2>"
+
+
 def test_power_twist_closure():
     C1 = twist_R_power(zn_instance(), 1)
     assert verify_cobraided(C1, 3).passed
@@ -1299,6 +1307,18 @@ def test_verifiers_add_no_zero_and_multiply_by_no_one(build, degree,
     assert reports[1].to_json() == \
         axiom_verify_oqhybe(build(), degree).to_json()
     assert reports[2].passed
+
+
+def test_twisted_qm2_verifiers_hash_no_scalar(monkeypatch):
+    # the product tables store coefficients as they come, and no other
+    # memo of a verifier is keyed by a Scalar
+    C = twisted_instance()
+    counts = count_trivial_operations(monkeypatch)
+    reports = [verify_hom_bialgebra(C.H, 2), verify_cobraided(C, 2),
+               verify_oqhybe(C, 2)]
+    monkeypatch.undo()
+    assert counts["mul"] > 1000 and counts["hash"] == 0
+    assert all(rep.passed for rep in reports)
 
 
 def test_z13_verifiers_compare_no_scalar_by_value(monkeypatch):

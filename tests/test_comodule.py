@@ -1208,6 +1208,7 @@ def test_verifiers_add_no_zero_and_multiply_by_no_one(build, monkeypatch):
     monkeypatch.undo()
     assert counts["mul"] > 500
     assert counts["add trivial"] == counts["mul trivial"] == 0
+    assert counts["hash"] == 0
     assert all(rep.passed for rep in reports)
 
 

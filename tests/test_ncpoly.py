@@ -188,6 +188,23 @@ def test_contradictory_rules_fail():
     assert any(f["word"] == "ba" for f in res.failures)
 
 
+def test_confluence_result_json_and_repr():
+    # the shape in which a report of the certificate will print it
+    res = contradictory().check_local_confluence(4)
+    assert res.to_json() == {
+        "degree": 4, "overlaps_checked": 2, "passed": False,
+        "failures": [
+            {"rule_pair": [0, 1], "word": "ba", "first": "(1)*ab",
+             "second": "(2)*ab"},
+            {"rule_pair": [1, 0], "word": "ba", "first": "(2)*ab",
+             "second": "(1)*ab"}]}
+    assert repr(res) == "<ConfluenceResult degree=4 checked=2 FAIL(2)>"
+    res = plane_standard().check_local_confluence(3)
+    assert res.to_json() == {"degree": 3, "overlaps_checked": 0,
+                             "passed": True, "failures": []}
+    assert repr(res) == "<ConfluenceResult degree=3 checked=0 pass>"
+
+
 def special_rules(da_coef):
     # determinant-one quantum 2x2 with generator order b < c < a < d; the
     # consistent system needs da -> 1 + q*bc
@@ -658,6 +675,18 @@ def test_poly_powers():
 
 
 # tensor elements ---------------------------------------------------------------
+
+
+def test_reprs_and_comparisons_with_other_types():
+    P = plane_standard()
+    assert repr(P) == "<Presentation plane: 2 generators, 1 rules>"
+    assert repr(Presentation("x", [], F)) == \
+        "<Presentation presentation: 1 generators, 0 rules>"
+    t = P.tensor(2, {("x", "y"): "q"})
+    assert repr(P.poly({"yx": 1})) == "NCPoly((t^2)*xy)"
+    assert repr(t) == "TensorElement((t^2)*[x (x) y])"
+    assert t.__eq__(P.gen("x")) is NotImplemented
+    assert t != P.gen("x") and t != 2
 
 
 def test_tensor_slots_are_normalized():

@@ -6,6 +6,17 @@ from hypothesis import given, strategies as st
 from homq.report import Report, _at, _scan, _unzip
 
 
+def test_reprs_give_the_title_and_the_state():
+    rep = Report("demo")
+    rep.add("a", "pass")
+    assert repr(rep) == "<Report demo: 1 checks, pass>"
+    rep.add("b", "fail", {"x": "ab"})
+    assert repr(rep) == "<Report demo: 2 checks, 1 failing>"
+    assert [repr(c) for c in rep.checks] == ["<Check a: pass>",
+                                             "<Check b: fail>"]
+    assert repr(Report()) == "<Report checks: 0 checks, pass>"
+
+
 class Side:
     """A compared value that renders itself."""
 

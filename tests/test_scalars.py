@@ -314,6 +314,27 @@ def test_division_by_zero_scalar():
         parse_scalar("(t - t)^-1", F_T)
 
 
+def test_zero_below_the_scalar_layer():
+    # Scalar.inverse refuses zero before these layers see it
+    with pytest.raises(ScalarZeroDivision):
+        _cyc_class(5).ZERO.inverse()
+    with pytest.raises(ScalarZeroDivision):
+        F_T._coprime_make(dict(F_T._one_poly), {})
+    assert F_T._coprime_make({}, parse_scalar("t + 1", F_T).num) is F_T.zero
+
+
+def test_operands_of_other_types_are_not_implemented():
+    zeta = _cyc_class(5).ZETA
+    assert repr(zeta) == "cyc5('0', '1', '0', '0')"
+    for other in (1, _cyc_class(3).ZETA, F_Z5.zeta()):
+        assert zeta.__eq__(other) is NotImplemented and zeta != other
+    t = F_T.var("t")
+    for n in (2.0, Fraction(1, 2)):
+        assert t.__pow__(n) is NotImplemented
+        with pytest.raises(TypeError):
+            t ** n
+
+
 def test_field_declaration_errors():
     with pytest.raises(ValueError):
         ScalarField(("zeta",))
@@ -454,6 +475,24 @@ def test_equal_rational_constants_hash_equal(n, d):
         assert hash(q * d) == hash(n)
 
 
+def test_keys_equal_modulo_the_hash_prime_hash_apart():
+    # an int hashes modulo 2^61 - 1, where 2^64 is 8, so the packed keys
+    # of lambda and t^8 hash alike; their exponent tuples do not
+    for a, b in (("lambda", "t^8"), ("t*lambda^2", "t^9*lambda"),
+                 ("3/lambda", "3*t^-8"), ("t + lambda", "t + t^8")):
+        x, y = parse_scalar(a, F_TL), parse_scalar(b, F_TL)
+        assert x != y and hash(x) != hash(y)
+    apart, z5 = ScalarField(("t", "lambda")), ScalarField((), 5)
+    for text in ("2", "1/2", "t^8*lambda/3", "(t + lambda)/(t - 1)"):
+        x, y = parse_scalar(text, F_TL), parse_scalar(text, apart)
+        assert x == y and hash(x) == hash(y)
+    assert hash(parse_scalar("1/2", F_TL)) == hash(Fraction(1, 2))
+    for text in ("3/2", "zeta^2 + 1"):
+        x, y = parse_scalar(text, F_Z5), parse_scalar(text, z5)
+        assert x == y and hash(x) == hash(y)
+    assert hash(F_Z5.from_int(3) / 2) == hash(Fraction(3, 2))
+
+
 # independent oracle ----------------------------------------------------------
 
 
@@ -465,6 +504,15 @@ def _to_sympy(field, poly_dict, syms):
             term *= s ** k
         total += term
     return sympy.expand(total)
+
+
+def test_exact_division_refuses_a_non_divisor():
+    def num(text):
+        return parse_scalar(text, F_TL).num
+    assert _p_div_exact(num("t^2 + 1"), num("t + 1"), F_TL) is None
+    assert _p_div_exact(num("t + lambda"), num("t^2"), F_TL) is None
+    assert _p_div_exact(num("t^2 - lambda^2"), num("t + lambda"), F_TL) == \
+        num("t - lambda")
 
 
 def test_gcd_reduction_against_sympy():
@@ -1170,7 +1218,10 @@ def _apart(s):
 @example((parse_scalar("3*t/lambda", F_TL), parse_scalar("t^-1/2", F_TL)))
 @example((parse_scalar("zeta^3", F_Z13), parse_scalar("zeta^11", F_Z13)))
 def test_one_term_products_match_reference_cold_and_warm(pair):
-    a, b = pair
+    # from an empty registry and operands with no id, so no registry is
+    # emptied while the example runs and forgets the content of a
+    a, b = (Scalar(s.field, dict(s.num), dict(s.den)) for s in pair)
+    a.field._ids.clear()
     want = reference_mul(a, b)
     a2, b2 = _apart(a), _apart(b)
     for x, y in ((a, b), (a2, b2), (a, b2), (a2, b)):
