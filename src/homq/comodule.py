@@ -4,8 +4,8 @@ Carriers come in two shapes.  A finite labeled basis (Comodule) is what
 the Yang-Baxter operators act on.  A presented algebra whose coaction
 extends multiplicatively from a generator table (ComoduleAlgebra) covers
 the two quantum planes; its graded pieces collapse back to finite carriers.
-The coaction values of an algebra carrier are TensorElements whose two
-slots are the host presentation and the carrier.
+The coaction values of an algebra carrier are dicts keyed by (host word,
+carrier word), and of a finite carrier dicts keyed by (host word, label).
 
 The coaction of a twisted comodule algebra is always derived from the
 stored untwisted generator table composed with the carrier twisting map,
@@ -19,15 +19,17 @@ memos of one call, and read the right side as the left side of the
 mirrored triple (see _braid_scan).
 """
 
-from functools import cache
+from functools import cache, partial
 
 from .cobraid import CobraidedHomBialgebra, check_alpha_invariance
 from .hombialg import (MorphismError, _coassociativity, _intertwining,
                        _multiplicativity, _product_table,
-                       _relations_preserved, _word_terms, twist_hom_bialgebra)
+                       _relations_preserved, _word_map, _word_terms,
+                       twist_hom_bialgebra)
 from .ncpoly import (Presentation, PresentationError, TensorElement, _bump,
-                     _expand, _linear, generator_table, json_row, linear_image,
-                     render_legs, slotwise, word_image, word_key)
+                     _expand, _linear, generator_table, json_row,
+                     poly_product, render_legs, slotwise, word_image,
+                     word_key)
 from .report import Report, _scan, _unzip
 from .scalars import render
 
@@ -92,8 +94,8 @@ class Comodule:
 
         def rho_entry(spec, val):
             hspec, lab2 = spec
-            return lab2, (((hw, lab2), c)
-                          for hw, c in pres.poly({hspec: val}).terms.items())
+            return lab2, (((hw, lab2), c) for hw, c in pres._nf_raw(
+                pres._raw_poly({hspec: val})).items())
 
         self.rho = _label_table(self.labels, rho_table, "rho table",
                                 rho_entry)
@@ -164,26 +166,32 @@ class ComoduleAlgebra:
                 "host and carrier must share one scalar field")
 
         slots = (hpres, carrier)
-        self.rho_gen = generator_table(
-            carrier, rho_table, "rho table",
-            lambda t: t if isinstance(t, TensorElement)
-            else TensorElement(slots, dict(t)))
-        if any(t.slots != slots for t in self.rho_gen):
-            raise PresentationError("element of a different presentation")
+
+        def two_slots(t):
+            te = t if isinstance(t, TensorElement) else TensorElement(slots, t)
+            if te.slots != slots:
+                raise PresentationError("element of a different presentation")
+            return te.terms
+
+        self.rho_gen = generator_table(carrier, rho_table, "rho table",
+                                       two_slots)
         if alpha_table is None:
             alpha_table = [carrier.gen(g) for g in carrier.generators]
         self.alpha_gen = generator_table(carrier, alpha_table, "alpha table")
 
-        self._alpha_memo = {(): carrier.unit(1)}
-        self._zero = TensorElement(slots, {}, _trusted=True)
-        self._base_rho_memo = {(): TensorElement(
-            slots, {((), ()): carrier.field.one}, _trusted=True)}
+        one = carrier.field.one
+        self._alpha_memo = {(): {(): one}}
+        self._alpha_times = partial(poly_product, carrier)
+        self._base_rho_memo = {(): {((), ()): one}}
+        self._base_rho_times = partial(slotwise,
+                                       muls=[p.concat for p in slots])
         self._rho_cache = {}
 
     # carrier maps ------------------------------------------------------------
 
     def alpha_word(self, w):
-        return word_image(w, self.alpha_gen, self._alpha_memo)
+        return word_image(w, self.alpha_gen, self._alpha_memo,
+                          self._alpha_times)
 
     def product(self, u, v):
         """The carrier's own product of two words (see _word_terms)."""
@@ -196,11 +204,8 @@ class ComoduleAlgebra:
         """The untwisted coaction of a carrier word: the stored table
         extended multiplicatively by ncpoly.word_image, from the unit
         1 (x) 1, through a memo that lives as long as the instance."""
-        return word_image(w, self.rho_gen, self._base_rho_memo)
-
-    def base_rho(self, p):
-        return linear_image(self.carrier.terms_of(p), self.base_rho_word,
-                            self._zero)
+        return word_image(w, self.rho_gen, self._base_rho_memo,
+                          self._base_rho_times)
 
     def rho_word(self, w):
         """The instance coaction: the stored table composed with the
@@ -209,15 +214,18 @@ class ComoduleAlgebra:
             return self.base_rho_word(w)
         hit = self._rho_cache.get(w)
         if hit is None:
-            hit = self._rho_cache[w] = self.base_rho(self.alpha_word(w))
+            hit = self._rho_cache[w] = _linear(self.alpha_word(w).items(),
+                                               self.base_rho_word)
         return hit
 
     def pair_product(self, t1, t2):
         """Slotwise product with the instance multiplications: the host
         word products are read as they come, the carrier ones from a
         word-product table local to this call."""
-        return slotwise(t1, t2, [self.hom.product,
-                                 _product_table(self.product)])
+        t1._check(t2)
+        return TensorElement(t1.slots, slotwise(
+            t1.terms, t2.terms,
+            [self.hom.product, _product_table(self.product)]), _trusted=True)
 
     # graded pieces -------------------------------------------------------------
 
@@ -243,9 +251,9 @@ class ComoduleAlgebra:
         for w, lab in zip(words, labels):
             t = self.base_rho_word(w) if base else self.rho_word(w)
             rho_table[lab] = {(hw, label(cw, w, "coaction")): c
-                              for (hw, cw), c in t.terms.items()}
+                              for (hw, cw), c in t.items()}
             alpha_table[lab] = {label(v, w, "twisting map"): c
-                                for v, c in self.alpha_word(w).terms.items()}
+                                for v, c in self.alpha_word(w).items()}
         return Comodule(self.host, labels, rho_table, alpha_table,
                         name=name or (self.name and
                                       f"{self.name} degree-{degree} piece"))
@@ -267,17 +275,10 @@ def verify_comodule(M, degree=None):
         degree = 3 if degree is None else degree
         carrier = M.carrier._certified()
         cases, text = carrier.graded_basis(degree), carrier.word_text
-        rho_row, alpha_row = (lambda x: M.rho_word(x).terms,
-                              lambda x: M.alpha_word(x).terms)
+        rho_row, alpha_row = M.rho_word, M.alpha_word
     else:
         degree, cases, text = None, M.labels, str
         rho_row, alpha_row = M.rho.__getitem__, M.alpha.__getitem__
-
-    def delta(w):
-        return H.delta_word(w).terms
-
-    def host_alpha(w):
-        return H.alpha_word(w).terms
 
     def where(x):
         return {"element": text(x)}
@@ -285,11 +286,11 @@ def verify_comodule(M, degree=None):
     # the carrier leg sorts by its text, so labels and words sort alike
     host, leg = (word_key, H.pres.word_text), (text, text)
     _scan(rep, "coaction_hom_coassociativity", [cases],
-          lambda: _unzip(_coassociativity(rho_row, delta, host_alpha,
+          lambda: _unzip(_coassociativity(rho_row, H.delta_word, H.alpha_word,
                                           alpha_row, x) for x in cases),
           where, degree, render=lambda t: render_legs(t, [host, host, leg]))
     _scan(rep, "coaction_comultiplicativity", [cases],
-          lambda: _unzip(_intertwining(rho_row, host_alpha, alpha_row,
+          lambda: _unzip(_intertwining(rho_row, H.alpha_word, alpha_row,
                                        x)[::-1] for x in cases),
           where, degree, render=lambda t: render_legs(t, [host, leg]))
     return rep
@@ -497,19 +498,16 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
 
     a_images = generator_table(carrier, alpha_a, "alpha table")
     arep = Report(f"algebra morphism on {carrier.name or 'carrier'}")
-    a_memo = {(): carrier.unit(1)}
-    _relations_preserved(arep, carrier, a_images, a_memo)
+    a_word = _word_map(carrier, a_images)
+    _relations_preserved(arep, carrier, a_word)
     if not arep.passed:
         raise MorphismError(arep)
 
     irep = Report()
     gens = range(len(carrier.generators))
     _scan(irep, "intertwining", [gens],
-          lambda: _unzip(_intertwining(
-              lambda w: A.base_rho_word(w).terms,
-              lambda w: twisted_h.alpha_word(w).terms,
-              lambda w: word_image(w, a_images, a_memo).terms, (gi,))
-              for gi in gens),
+          lambda: _unzip(_intertwining(A.base_rho_word, twisted_h.alpha_word,
+                                       a_word, (gi,)) for gi in gens),
           lambda gi: {"generator": carrier.generators[gi]},
           render=lambda t: render_legs(t, [(word_key, H.pres.word_text),
                                            (word_key, carrier.word_text)]))
@@ -545,9 +543,9 @@ def verify_comodule_hom_algebra(M, degree):
     carrier_product = _product_table(M.product)
 
     _scan(rep, "coaction_multiplicativity", [pairs],
-          lambda: _unzip(_multiplicativity(lambda w: M.rho_word(w).terms,
-                                           M.hom.product, carrier_product,
-                                           *pair, hpres.field.one)
+          lambda: _unzip(_multiplicativity(M.rho_word, M.hom.product,
+                                           carrier_product, *pair,
+                                           hpres.field.one)
                          for pair in pairs),
           lambda pair: {"left_factor": carrier.word_text(pair[0]),
                         "right_factor": carrier.word_text(pair[1])}, degree,

@@ -1,8 +1,10 @@
 """Hom-bialgebra structures on presented algebras.
 
-A structure is stored as generator tables: a comultiplication table sending
-each generator to an arity-2 tensor, and a twisting-map table sending each
-generator to an element.  Both extend multiplicatively.  The twisted flag
+A structure is stored as generator tables, parsed once into dicts of
+normal words: a comultiplication table sending each generator to a dict
+keyed by pairs of words, and a twisting-map table sending each generator
+to a dict keyed by words.  Both extend multiplicatively through
+ncpoly.word_image, and every word map returns such a dict.  The twisted flag
 selects between the plain bialgebra reading (product = concatenation,
 coproduct = table extension, twisting map along for the ride) and the
 twisted reading where the product is alpha after multiplication and the
@@ -21,9 +23,10 @@ _coassociativity and _multiplicativity.
 
 from functools import cache, partial
 
-from .ncpoly import (Presentation, TensorElement, PresentationError, _bump,
-                     _expand, _linear, _render_raw, generator_table, json_row,
-                     linear_image, render_legs, word_image, word_key)
+from .ncpoly import (NCPoly, Presentation, TensorElement, PresentationError,
+                     _bump, _expand, _linear, _poly_json, _render_raw,
+                     generator_table, json_row, poly_product, render_legs,
+                     slotwise, word_image, word_key)
 from .report import Report, _at, _scan, _unzip
 from .scalars import render
 
@@ -51,7 +54,7 @@ class HomBialgebra:
                 raise PresentationError("delta table values need two legs")
             if te.slots != (pres, pres):
                 raise PresentationError("element of a different presentation")
-            return te
+            return te.terms
 
         self.delta_gen = generator_table(pres, delta_table, "delta table",
                                          two_legs)
@@ -59,17 +62,21 @@ class HomBialgebra:
             alpha_table = [pres.gen(g) for g in pres.generators]
         self.alpha_gen = generator_table(pres, alpha_table, "alpha table")
 
-        self._alpha_memo = {(): pres.unit(1)}
-        self._delta_memo = {(): pres.unit_tensor(2)}
+        one = pres.field.one
+        self._alpha_memo = {(): {(): one}}
+        self._alpha_times = partial(poly_product, pres)
+        self._delta_memo = {(): {((), ()): one}}
+        self._delta_times = partial(slotwise, muls=[pres.concat] * 2)
 
     # the twisting map --------------------------------------------------------
 
     def alpha_word(self, w):
-        return word_image(w, self.alpha_gen, self._alpha_memo)
+        return word_image(w, self.alpha_gen, self._alpha_memo,
+                          self._alpha_times)
 
     def alpha_poly(self, p):
-        return linear_image(self.pres.terms_of(p), self.alpha_word,
-                            self.pres.zero_poly())
+        return NCPoly(self.pres, _linear(self.pres.terms_of(p),
+                                         self.alpha_word), _trusted=True)
 
     # products ----------------------------------------------------------------
 
@@ -81,21 +88,20 @@ class HomBialgebra:
     # coproducts ----------------------------------------------------------------
 
     def untwisted_delta_word(self, w):
-        return word_image(w, self.delta_gen, self._delta_memo)
-
-    def untwisted_delta(self, p):
-        return linear_image(self.pres.terms_of(p), self.untwisted_delta_word,
-                            self.pres.unit_tensor(2, 0))
+        return word_image(w, self.delta_gen, self._delta_memo,
+                          self._delta_times)
 
     def delta(self, p):
         """The instance's own comultiplication (twisted when flagged)."""
-        if self.twisted:
-            p = self.alpha_poly(p)
-        return self.untwisted_delta(p)
+        pres = self.pres
+        return TensorElement((pres, pres), _linear(pres.terms_of(p),
+                                                   self.delta_word),
+                             _trusted=True)
 
     def delta_word(self, w):
         if self.twisted:
-            return self.untwisted_delta(self.alpha_word(w))
+            return _linear(self.alpha_word(w).items(),
+                           self.untwisted_delta_word)
         return self.untwisted_delta_word(w)
 
     # serialization ---------------------------------------------------------------
@@ -106,14 +112,13 @@ class HomBialgebra:
         delta = {}
         alpha = {}
         for i, g in enumerate(pres.generators):
-            te = self.delta_gen[i]
             legs = [{"legs": [pres.word_text(ws[0]), pres.word_text(ws[1])],
                      "coef": render(c)}
                     for ws, c in sorted(
-                        te.terms.items(),
+                        self.delta_gen[i].items(),
                         key=lambda t: (word_key(t[0][0]), word_key(t[0][1])))]
             delta[g] = legs
-            alpha[g] = self.alpha_gen[i].to_json()
+            alpha[g] = _poly_json(pres, self.alpha_gen[i])
         out["delta"] = delta
         out["alpha"] = alpha
         out["twisted"] = self.twisted
@@ -140,12 +145,11 @@ class HomBialgebra:
 def _word_terms(pres, u, v, alpha_word):
     """The (word, coefficient) pairs of the normal form of u + v, mapped
     through alpha_word, the memoised twisting map of a twisted instance,
-    unless it is None: the twisted product alpha(uv).  No NCPoly is
-    built."""
-    terms = pres.normal_word(u + v).items()
+    unless it is None: the twisted product alpha(uv)."""
+    terms = pres.concat(u, v)
     if alpha_word is None:
         return terms
-    return _linear(terms, lambda w: alpha_word(w).terms).items()
+    return _linear(terms, alpha_word).items()
 
 
 def _product_table(product):
@@ -225,20 +229,23 @@ def _multiplicativity(rho, host_prod, prod, u, v, one):
     return left, right
 
 
-def _relations_preserved(rep, pres, images, memo):
+def _relations_preserved(rep, pres, image):
     """Add the check that the generator images satisfy every defining
-    relation of pres, the first violated rule being the witness; memo is
-    the caller's word_image memo of images."""
-
-    def sides(rule):
-        lw, rp = rule
-        return (word_image(lw, images, memo),
-                linear_image(rp.items(), lambda v: word_image(v, images, memo),
-                             pres.zero_poly()))
-
+    relation of pres, the first violated rule being the witness; image
+    is the caller's word map of the images (see _word_map)."""
     _scan(rep, "relations_preserved", [pres.rules],
-          lambda: _unzip(map(sides, pres.rules)),
-          lambda rule: {"rule": pres.word_text(rule[0])})
+          lambda: _unzip((image(lw), _linear(rp.items(), image))
+                         for lw, rp in pres.rules),
+          lambda rule: {"rule": pres.word_text(rule[0])},
+          render=partial(_render_raw, pres))
+
+
+def _word_map(pres, images):
+    """The multiplicative extension of the generator images of pres to
+    words, as poly_product multiplies them, through a memo that lives as
+    long as the returned map."""
+    memo, times = {(): {(): pres.field.one}}, partial(poly_product, pres)
+    return lambda w: word_image(w, images, memo, times)
 
 
 def verify_morphism(endo, H):
@@ -247,17 +254,12 @@ def verify_morphism(endo, H):
     pres = H.pres._certified()
     images = generator_table(pres, endo, "endomorphism table")
     rep = Report(f"morphism on {H.name or 'instance'}")
-    memo = {(): pres.unit(1)}
-    _relations_preserved(rep, pres, images, memo)
-
-    def endo(w):
-        return word_image(w, images, memo).terms
-
+    endo = _word_map(pres, images)
+    _relations_preserved(rep, pres, endo)
     gens = range(len(images))
     _scan(rep, "comultiplication_preserved", [gens],
-          lambda: _unzip(_intertwining(
-              lambda w: H.untwisted_delta_word(w).terms, endo, endo, (i,))
-              for i in gens),
+          lambda: _unzip(_intertwining(H.untwisted_delta_word, endo, endo,
+                                       (i,)) for i in gens),
           lambda i: {"generator": pres.generators[i]},
           render=lambda t: render_legs(t, [(word_key, pres.word_text)] * 2))
     return rep
@@ -294,12 +296,10 @@ def verify_hom_bialgebra(H, degree):
     rep = Report(f"hom-bialgebra axioms on {H.name or 'instance'}")
     basis = pres.graded_basis(degree)
     at = _at({w: pres.word_text(w) for w in basis}, "xyz")
-    alpha_terms = {w: H.alpha_word(w).terms.items() for w in basis}
+    alpha = H.alpha_word
+    alpha_terms = {w: alpha(w).items() for w in basis}
     word_prod = _product_table(H.product)
-    delta = cache(lambda w: H.delta_word(w).terms)
-
-    def alpha(w):
-        return H.alpha_word(w).terms
+    delta = cache(H.delta_word)
 
     def times(left, right):
         # the instance product of two sums of (word, coefficient) pairs

@@ -10,9 +10,12 @@ rewriting terminate.
 Normal forms are computed at the word level and memoised per presentation:
 normal_word extends the longest memoised prefix of a word one generator at
 a time, so the rewriter only ever sees a normal word followed by one
-generator.  Elements and tensors are sums over such word normal forms, and
-a word map extends to them through linear_image (to the dicts of
-coefficients that the verifiers sum, through _linear).
+generator.  Elements and tensors are sums over such word normal forms,
+held as plain dicts: word -> coefficient in one slot, tuple of words ->
+coefficient in several.  word_image extends a generator table of such
+dicts multiplicatively through one dict product, poly_product for one
+slot and slotwise for several, and _linear extends a word map linearly;
+NCPoly and TensorElement wrap the same two products.
 
 One matcher scans for the leftmost rule match from a start position: from
 len(u) - max_lhs when all of u but its last letter is normal, and in the
@@ -232,6 +235,10 @@ class Presentation:
     def is_normal_word(self, w):
         return self._find_match(w) is None
 
+    def concat(self, u, v):
+        """The (word, coefficient) pairs of the normal form of u + v."""
+        return self.normal_word(u + v).items()
+
     # element constructors ----------------------------------------------------
 
     def gen(self, name):
@@ -370,11 +377,8 @@ class Presentation:
     # serialization ---------------------------------------------------------------
 
     def to_json(self):
-        rules = []
-        for lw, rp in self.rules:
-            rhs = [{"mono": self.word_text(v), "coef": render(c)}
-                   for v, c in sorted(rp.items(), key=lambda t: word_key(t[0]))]
-            rules.append({"lhs": self.word_text(lw), "rhs": rhs})
+        rules = [{"lhs": self.word_text(lw), "rhs": _poly_json(self, rp)}
+                 for lw, rp in self.rules]
         return {"generators": list(self.generators), "rules": rules,
                 "max_degree": self.max_degree}
 
@@ -403,6 +407,13 @@ def json_row(what, entries, key, value):
             raise PresentationError(f"{what} repeats {k!r}")
         out[k] = e[value]
     return out
+
+
+def _poly_json(pres, raw):
+    """The JSON of a dict word -> Scalar of pres, as NCPoly.to_json and
+    the rules of Presentation.to_json write it."""
+    return [{"mono": pres.word_text(w), "coef": render(c)}
+            for w, c in sorted(raw.items(), key=lambda t: word_key(t[0]))]
 
 
 def _render_raw(pres, raw):
@@ -491,16 +502,8 @@ class NCPoly:
         if not isinstance(other, NCPoly):
             return NotImplemented
         self._check(other)
-        pres = self.pres
-        one = pres.field.one
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                c = c2 if c1 is one else c1 if c2 is one else c1 * c2
-                for v, sc in pres.normal_word(w1 + w2).items():
-                    _bump(out, v, sc if c is one else c if sc is one
-                          else c * sc)
-        return NCPoly(pres, out, _trusted=True)
+        return NCPoly(self.pres, poly_product(self.pres, self.terms,
+                                              other.terms), _trusted=True)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -531,9 +534,7 @@ class NCPoly:
         return f"NCPoly({self.render()})"
 
     def to_json(self):
-        return [{"mono": self.pres.word_text(w), "coef": render(c)}
-                for w, c in sorted(self.terms.items(),
-                                   key=lambda t: word_key(t[0]))]
+        return _poly_json(self.pres, self.terms)
 
     @classmethod
     def from_json(cls, data, pres):
@@ -563,21 +564,31 @@ def _expand(c, slot_terms):
     return prefixes
 
 
-def slotwise(t1, t2, muls):
-    """Slotwise product of two tensors with the same slots: muls[i](u, v)
-    gives the (word, coefficient) pairs of the product of two words in
-    slot i.  Each product term of a pair of tensor terms has coefficient
-    ((c1 * c2) * a) * b ... for the slot coefficients a, b, ..."""
-    t1._check(t2)
+def poly_product(pres, a, b):
+    """The product of two dicts word -> Scalar of pres, as the one dict of
+    normal words that _linear sums.  No product has the field's one as an
+    operand."""
+    one = pres.field.one
+    return _linear(((w1 + w2, c2 if c1 is one else c1 if c2 is one
+                     else c1 * c2) for w1, c1 in a.items()
+                    for w2, c2 in b.items()), pres.normal_word)
+
+
+def slotwise(a, b, muls):
+    """Slotwise product of two dicts keyed by tuples of one word per slot:
+    muls[i](u, v) gives the (word, coefficient) pairs of the product of
+    two words in slot i.  Each product term of a pair of terms has
+    coefficient ((c1 * c2) * a) * b ... for the slot coefficients a, b,
+    ..., and no product has the field's one as an operand."""
     out = {}
-    one = t1.slots[0].field.one
-    for ws, c1 in t1.terms.items():
-        for vs, c2 in t2.terms.items():
+    for ws, c1 in a.items():
+        one = c1.field.one
+        for vs, c2 in b.items():
             c = c2 if c1 is one else c1 if c2 is one else c1 * c2
             for key, d in _expand(c, [mul(w, v) for mul, w, v
                                       in zip(muls, ws, vs)]):
                 _bump(out, key, d)
-    return TensorElement(t1.slots, out, _trusted=True)
+    return out
 
 
 def render_legs(terms, legs):
@@ -654,9 +665,10 @@ class TensorElement:
             return self.scale(other)
         if not isinstance(other, TensorElement):
             return NotImplemented
-        return slotwise(self, other,
-                        [lambda u, v, p=p: p.normal_word(u + v).items()
-                         for p in self.slots])
+        self._check(other)
+        return TensorElement(self.slots, slotwise(
+            self.terms, other.terms, [p.concat for p in self.slots]),
+            _trusted=True)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -682,13 +694,14 @@ def generator_table(pres, table, what, convert=None):
     """The images of the generators, in generator order, under a table
     keyed by generator (a list or tuple is read in generator order).
     Two keys that name one generator, such as "a" and (0,), raise.  Each
-    value goes through convert; by default an NCPoly is read through
-    pres.terms_of, which refuses an element of another presentation, and
-    any other value as a polynomial of pres."""
+    value goes through convert.  By default the image is a dict word ->
+    Scalar of normal words: an NCPoly is read through pres.terms_of,
+    which refuses an element of another presentation, and any other
+    value as the terms of a polynomial, as pres.poly reads them."""
     if convert is None:
         def convert(val):
-            return (NCPoly(pres, pres.terms_of(val), _trusted=True)
-                    if isinstance(val, NCPoly) else pres.poly(val))
+            return (dict(pres.terms_of(val)) if isinstance(val, NCPoly)
+                    else pres._nf_raw(pres._raw_poly(val)))
     if isinstance(table, (list, tuple)):
         if len(table) != len(pres.generators):
             raise PresentationError(f"{what} has wrong length")
@@ -709,18 +722,20 @@ def generator_table(pres, table, what, convert=None):
     return images
 
 
-def word_image(w, images, memo):
-    """Multiplicative extension: the image of a word under gen -> images[i],
-    for NCPoly and TensorElement images alike.  memo maps words to their
-    images and must hold the unit's image at ().  The longest memoised
-    prefix of w is extended one generator at a time, ((unit * g1) * g2)
-    * ..., storing every new prefix, so a value does not depend on which
-    words were asked for before."""
+def word_image(w, images, memo, times):
+    """Multiplicative extension: the image of a word under gen ->
+    images[i], each image a dict and times(a, b) the dict of their
+    product (poly_product or slotwise).  memo maps words to their images
+    and must hold the unit's image at ().  The longest memoised prefix of
+    w is extended one generator at a time, ((unit * g1) * g2) * ...,
+    storing every new prefix, so a value does not depend on which words
+    were asked for before.  The stored dicts are shared, and no caller
+    may change one."""
     n = len(w)
     while (acc := memo.get(w[:n])) is None:
         n -= 1
     for k in range(n, len(w)):
-        acc = memo[w[:k + 1]] = acc * images[w[k]]
+        acc = memo[w[:k + 1]] = times(acc, images[w[k]])
     return acc
 
 
@@ -735,13 +750,3 @@ def _linear(terms, image):
         for key, v in image(w).items():
             _bump(out, key, v if c is one else c if v is one else c * v)
     return out
-
-
-def linear_image(terms, image, zero):
-    """Linear extension of a word map, as _linear, for NCPoly and
-    TensorElement images alike; zero is the zero of the image's slots,
-    and the result has the same slots."""
-    out = _linear(terms, lambda w: image(w).terms)
-    if isinstance(zero, NCPoly):
-        return NCPoly(zero.pres, out, _trusted=True)
-    return TensorElement(zero.slots, out, _trusted=True)

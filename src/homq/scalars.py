@@ -96,8 +96,6 @@ Exponents are integer literals, possibly negative; ``q^(-1)`` is a
 syntax error while ``q^-1`` is fine.
 """
 
-from __future__ import annotations
-
 import re
 from functools import lru_cache, reduce
 from itertools import count
@@ -393,7 +391,6 @@ def _p_lead(A, field):
 # ---------------------------------------------------------------------------
 # fields and scalars
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = {"zeta"}
 # entries of a field's product table, or of its id registry, before it
 # is emptied
@@ -417,7 +414,8 @@ class ScalarField:
         variables = tuple(variables)
         seen = set()
         for name in variables:
-            if not _NAME_RE.match(name):
+            if not (isinstance(name, str) and name.isascii()
+                    and name.isidentifier()):
                 raise ValueError(f"bad variable name {name!r}")
             if name in _RESERVED:
                 raise ValueError(f"variable name {name!r} is reserved")

@@ -10,7 +10,7 @@ braid identity."""
 
 from homq.comodule import ComoduleAlgebra
 from homq.hombialg import _product_table
-from homq.ncpoly import (NCPoly, TensorElement, _bump, _expand, linear_image,
+from homq.ncpoly import (NCPoly, TensorElement, _bump, _expand, _linear,
                          slotwise)
 
 
@@ -28,8 +28,8 @@ def carrier_alpha_poly(M, p):
     """The carrier map of a ComoduleAlgebra M on an element p of its
     carrier, read through Presentation.terms_of, which refuses an element
     of another presentation."""
-    return linear_image(M.carrier.terms_of(p), M.alpha_word,
-                        M.carrier.zero_poly())
+    return NCPoly(M.carrier, _linear(M.carrier.terms_of(p), M.alpha_word),
+                  _trusted=True)
 
 
 def element_product(A, u, v):
@@ -68,7 +68,9 @@ def element_slot(p):
 def pairwise_product(H, t1, t2):
     """Slotwise product of two arity-2 tensors using the instance product."""
     prod = _product_table(H.product)
-    return slotwise(t1, t2, [prod, prod])
+    t1._check(t2)
+    return TensorElement(t1.slots, slotwise(t1.terms, t2.terms, [prod, prod]),
+                         _trusted=True)
 
 
 def eval_R(C, u, v):

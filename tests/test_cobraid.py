@@ -725,7 +725,7 @@ def reference_eval(C, m, n, second_first, memo):
         # generator: R(x, hz) = sum R(x1, z) R(x2, h)
         h, z = n[0], n[1:]
         val = field.zero
-        for (w1, w2), c in H.untwisted_delta_word(m).terms.items():
+        for (w1, w2), c in H.untwisted_delta_word(m).items():
             val = val + c * (reference_eval(C, w1, z, second_first, memo)
                              * reference_eval(C, w2, (h,), second_first, memo))
     else:
@@ -733,7 +733,7 @@ def reference_eval(C, m, n, second_first, memo):
         # second slot: R(g m', n) = sum R(g, n1) R(m', n2)
         g, rest = m[0], m[1:]
         val = field.zero
-        for (w1, w2), c in H.untwisted_delta_word(n).terms.items():
+        for (w1, w2), c in H.untwisted_delta_word(n).items():
             val = val + c * (reference_eval(C, (g,), w1, second_first, memo)
                              * reference_eval(C, rest, w2, second_first, memo))
     memo[key] = val
@@ -1178,7 +1178,7 @@ def _axiom_readers(C, degree):
     pres = H.pres
     basis = pres.graded_basis(degree)
     one = pres.field.one
-    delta = cache(lambda w: list(H.delta_word(w).terms.items()))
+    delta = cache(lambda w: list(H.delta_word(w).items()))
     times = cache(lambda u, v: element_product(
         H, NCPoly(pres, {u: one}, _trusted=True),
         NCPoly(pres, {v: one}, _trusted=True)))

@@ -1,6 +1,7 @@
 import heapq
 import operator
 import random
+from functools import partial
 from itertools import product
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from homq.scalars import ScalarField, render
 from homq.ncpoly import (Presentation, PresentationError, NCPoly,
-                         TensorElement, _bump, word_key, word_image,
-                         linear_image, generator_table)
+                         TensorElement, _bump, _linear, generator_table,
+                         poly_product, word_image, word_key)
 from homq.cobraid import (CobraidedHomBialgebra, CobraidingForm,
                           check_alpha_invariance, verify_cobraided,
                           verify_oqhybe)
@@ -764,33 +765,34 @@ def test_tensor_times_scalar_from_either_side():
 
 def test_word_image_multiplicative():
     P = qm2_presentation(F)
-    images = {P.word("a")[0]: P.gen("a").scale(2),
-              P.word("b")[0]: P.gen("b"),
-              P.word("c")[0]: P.gen("c"),
-              P.word("d")[0]: P.gen("d")}
-    w = P.word("ab")
-    assert word_image(w, images, {(): P.unit(1)}) == P.poly({"ab": 2})
-    p = P.poly({"da": 1})
-    img = linear_image(p.terms.items(),
-                       lambda w: word_image(w, images, {(): P.unit(1)}),
-                       P.zero_poly())
-    assert img == P.poly({"ad": 2, "bc": "q - q^-1"})
+    images = {P.word(g)[0]: P.poly({g: 2 if g == "a" else 1}).terms
+              for g in "abcd"}
+
+    def image(w):
+        return word_image(w, images, {(): {(): F.one}},
+                          partial(poly_product, P))
+
+    assert image(P.word("ab")) == P.poly({"ab": 2}).terms
+    img = _linear(P.poly({"da": 1}).terms.items(), image)
+    assert img == P.poly({"ad": 2, "bc": "q - q^-1"}).terms
 
 
-def reference_linear_image(terms, image, zero):
+def reference_linear(terms, image, zero):
+    """The sum of image(w).scale(c) in the element arithmetic."""
     total = zero
     for w, c in terms:
         total = total + image(w).scale(c)
     return total
 
 
-def test_linear_image_matches_the_sum_of_scaled_images():
+def test_linear_matches_the_sum_of_scaled_images():
     P = qm2_presentation(F)
-    images = [P.poly({"da": 1}), P.poly({"ab": 2, "c": "q"}), P.gen("d")]
-    memo = {(): P.unit(1)}
+    images = [P.poly(t).terms for t in ({"da": 1}, {"ab": 2, "c": "q"},
+                                        {"d": 1})]
+    memo, times = {(): {(): F.one}}, partial(poly_product, P)
 
     def poly_image(w):
-        return word_image(w, images, memo)
+        return NCPoly(P, word_image(w, images, memo, times), _trusted=True)
 
     def tensor_image(w):
         return P.tensor(2, {(w, w): 1, (w, "1"): "q"})
@@ -803,20 +805,27 @@ def test_linear_image_matches_the_sum_of_scaled_images():
              (a, F.from_int(3)), (b, minus)]
     for image, zero in ((poly_image, P.zero_poly()),
                         (tensor_image, P.unit_tensor(2, 0))):
-        got = linear_image(terms, image, zero)
-        want = reference_linear_image(terms, image, zero)
-        assert got == want and got.render() == want.render()
-        assert type(got) is type(zero) and not got.is_zero()
+        got = _linear(terms, lambda w: image(w).terms)
+        want = reference_linear(terms, image, zero)
+        assert type(got) is dict and got and got == want.terms
 
 
-def test_linear_image_of_no_terms_is_the_zero_of_its_slots():
+def test_linear_of_no_terms_is_the_zero_of_its_slots():
+    """_linear of no terms is an empty dict, and each element map that it
+    builds gives the zero of its own slots."""
     P, Q = qm2_presentation(F), plane_standard()
-    zero = P.zero_poly()
-    got = linear_image([], None, zero)
+    got = _linear([], None)
+    assert type(got) is dict and not got
+    H = HomBialgebra(P, DELTA)
+    got = H.alpha_poly(P.zero_poly())
     assert type(got) is NCPoly and got.pres is P and got.is_zero()
-    zero = TensorElement((P, Q), {})
-    got = linear_image([], None, zero)
-    assert type(got) is TensorElement and got.slots == (P, Q)
+    got = H.delta(P.zero_poly())
+    assert type(got) is TensorElement and got.slots == (P, P)
+    assert got.is_zero()
+    A = plane_comodule_algebra(H, "standard")
+    zero = TensorElement((P, A.carrier), {})
+    got = A.pair_product(zero, zero)
+    assert type(got) is TensorElement and got.slots == (P, A.carrier)
     assert got.is_zero()
 
 
@@ -875,7 +884,8 @@ def test_generator_table_dict_and_list_agree():
     P = plane_standard()
     by_name = generator_table(P, {"y": {"x": 1}, "x": {"y": "q"}}, "map")
     by_order = generator_table(P, [{"y": "q"}, P.gen("x")], "map")
-    assert by_name == by_order == [P.poly({"y": "q"}), P.gen("x")]
+    assert by_name == by_order == [P.poly({"y": "q"}).terms, P.gen("x").terms]
+    assert all(type(img) is dict for img in by_name + by_order)
 
 
 @pytest.mark.parametrize("table, message", [

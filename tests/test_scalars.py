@@ -342,10 +342,25 @@ def test_field_declaration_errors():
         ScalarField(("x", "x"))
     with pytest.raises(ValueError):
         ScalarField(("t", "q"))
-    with pytest.raises(ValueError):
-        ScalarField(("2bad",))
     with pytest.raises(ValueError, match="cyclotomic_order"):
         ScalarField(cyclotomic_order=0)
+
+
+@pytest.mark.parametrize("name, accepted", [
+    ("x", True), ("_t1", True), ("X_2y", True), ("lambda", True),
+    ("if", True),
+    ("", False), ("2bad", False), ("x\n", False), ("\u00e9", False),
+    ("a b", False), ("x-y", False), (5, False), (b"t", False),
+    (None, False), (("t",), False)])
+def test_variable_names(name, accepted):
+    """A variable name is an ASCII identifier, a keyword included; any
+    other value, a non-string too, is refused with the module's
+    ValueError."""
+    if accepted:
+        assert ScalarField(("t", name)).variables == ("t", name)
+    else:
+        with pytest.raises(ValueError, match="bad variable name"):
+            ScalarField(("t", name))
 
 
 def test_mixed_field_arithmetic_rejected():
@@ -1330,6 +1345,18 @@ def test_the_laurent_path_loads_neither_ratfunc_nor_fractions():
         "[]",
         "1/(t + 1) ['homq.ratfunc']",
         "t/3 ['fractions', 'homq.ratfunc']"]
+
+
+def test_the_package_import_loads_no_future_module():
+    # a fresh interpreter without site, whose start-up loads no
+    # __future__, so only the package could load it
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(scalars.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, homq.comodule; print('__future__' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_an_id_is_never_reused():
