@@ -68,6 +68,9 @@ class CobraidingForm:
             return w
 
         def gen_pair(spec):
+            if len(spec) != 2:
+                raise PresentationError(f"gen_table key {spec!r}: expected "
+                                        f"2 slots, got {len(spec)}")
             l, r = spec
             return gen_word(l), gen_word(r)
 
@@ -130,6 +133,9 @@ class CobraidedHomBialgebra:
         if form.pres is not H.pres and form.pres.to_json() != H.pres.to_json():
             raise PresentationError("form and bialgebra disagree on the "
                                     "underlying presentation")
+        if type(alpha_power) is not int or alpha_power < 0:
+            raise ValueError("alpha_power must be a nonnegative int, got "
+                             f"{alpha_power!r}")
         self.H = H
         self.form = form
         self.alpha_power = alpha_power

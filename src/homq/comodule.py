@@ -93,6 +93,9 @@ class Comodule:
             raise PresentationError("duplicate carrier labels")
 
         def rho_entry(spec, val):
+            if len(spec) != 2:
+                raise PresentationError(f"rho table key {spec!r}: expected "
+                                        f"2 slots, got {len(spec)}")
             hspec, lab2 = spec
             return lab2, (((hw, lab2), c) for hw, c in pres._nf_raw(
                 pres._raw_poly({hspec: val})).items())

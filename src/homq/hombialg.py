@@ -50,7 +50,7 @@ class HomBialgebra:
 
         def two_legs(val):
             te = val if isinstance(val, TensorElement) else pres.tensor(2, val)
-            if te.arity != 2:
+            if len(te.slots) != 2:
                 raise PresentationError("delta table values need two legs")
             if te.slots != (pres, pres):
                 raise PresentationError("element of a different presentation")

@@ -33,7 +33,7 @@ alone, so normal_word gives each word one answer, whatever was asked for
 before.
 """
 
-from .scalars import Scalar, render
+from .scalars import Scalar, parse_scalar, render
 
 
 class PresentationError(Exception):
@@ -140,7 +140,7 @@ class Presentation:
         if isinstance(c, int):
             return self.field.from_int(c)
         if isinstance(c, str):
-            return self.field.parse(c)
+            return parse_scalar(c, self.field)
         raise PresentationError(f"bad coefficient {c!r}")
 
     def _raw_poly(self, spec):
@@ -250,9 +250,6 @@ class Presentation:
             return NCPoly(self, {}, _trusted=True)
         return NCPoly(self, {(): s}, _trusted=True)
 
-    def zero_poly(self):
-        return NCPoly(self, {}, _trusted=True)
-
     def terms_of(self, p):
         """The (word, coefficient) pairs of p, which must be an element of
         this presentation: a word of another one indexes other
@@ -266,13 +263,6 @@ class Presentation:
 
     def tensor(self, arity, terms):
         return TensorElement((self,) * arity, terms)
-
-    def unit_tensor(self, arity, c=1):
-        s = self.coef(c)
-        if s.is_zero():
-            return TensorElement((self,) * arity, {}, _trusted=True)
-        return TensorElement((self,) * arity, {((),) * arity: s},
-                             _trusted=True)
 
     # graded structure ---------------------------------------------------------
 
@@ -492,7 +482,7 @@ class NCPoly:
     def scale(self, c):
         c = self.pres.coef(c)
         if c.is_zero():
-            return self.pres.zero_poly()
+            return self.pres.unit(0)
         return NCPoly(self.pres, {w: c * s for w, s in self.terms.items()},
                       _trusted=True)
 
@@ -631,10 +621,6 @@ class TensorElement:
                                      for p, w in zip(slots, ws)]):
                 _bump(out, v, sc)
         self.terms = out
-
-    @property
-    def arity(self):
-        return len(self.slots)
 
     def is_zero(self):
         return not self.terms

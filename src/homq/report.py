@@ -70,21 +70,6 @@ class Report:
         return f"<Report {self.title or 'checks'}: {n} checks, {state}>"
 
 
-class timed:
-    """Context manager feeding wall time into a report entry."""
-
-    def __init__(self):
-        self.seconds = None
-
-    def __enter__(self):
-        self._t0 = time.monotonic()
-        return self
-
-    def __exit__(self, *exc):
-        self.seconds = time.monotonic() - self._t0
-        return False
-
-
 def _scan(rep, name, slots, sides, where, degree=None, render=None):
     """Add the check `name` to rep.  Case tuples take one case from each
     sequence in `slots`, first slot outermost, and are swept by rows: a
@@ -99,20 +84,20 @@ def _scan(rep, name, slots, sides, where, degree=None, render=None):
     location where(*case), then both sides rendered by `render`, or by
     their own render() when none is given."""
     *outer_slots, last = slots
-    with timed() as tm:
-        witness = None
-        for outer in product(*outer_slots):
-            left, right = sides(*outer)
-            if left != right:
-                i = next(i for i, (l, r) in enumerate(zip(left, right))
-                         if l != r)
-                show = render or (lambda side: side.render())
-                witness = where(*outer, last[i])
-                witness["left"] = show(left[i])
-                witness["right"] = show(right[i])
-                break
+    t0 = time.monotonic()
+    witness = None
+    for outer in product(*outer_slots):
+        left, right = sides(*outer)
+        if left != right:
+            i = next(i for i, (l, r) in enumerate(zip(left, right))
+                     if l != r)
+            show = render or (lambda side: side.render())
+            witness = where(*outer, last[i])
+            witness["left"] = show(left[i])
+            witness["right"] = show(right[i])
+            break
     rep.add(name, "fail" if witness else "pass", witness=witness,
-            degree=degree, wall_time=tm.seconds)
+            degree=degree, wall_time=time.monotonic() - t0)
 
 
 def _unzip(pairs):

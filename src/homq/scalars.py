@@ -482,9 +482,6 @@ class ScalarField:
             raise ZetaUnavailable()
         return _laurent(self, {self._zero_exp: self._cyc.ZETA}, 0)
 
-    def parse(self, text):
-        return parse_scalar(text, self)
-
     # exponent keys ---------------------------------------------------------
 
     def _pack(self, e):
@@ -826,13 +823,6 @@ class _Parser:
         self.i += 1
         return tok
 
-    def parse(self):
-        value = self._expr()
-        kind, text, pos = self._peek()
-        if kind != "end":
-            raise ScalarSyntaxError(f"unexpected {text!r}", pos)
-        return value
-
     def _expr(self):
         value = self._term()
         while True:
@@ -918,7 +908,12 @@ class _Parser:
 
 
 def parse_scalar(text, field):
-    return _Parser(text, field).parse()
+    parser = _Parser(text, field)
+    value = parser._expr()
+    kind, text, pos = parser._peek()
+    if kind != "end":
+        raise ScalarSyntaxError(f"unexpected {text!r}", pos)
+    return value
 
 
 # ---------------------------------------------------------------------------

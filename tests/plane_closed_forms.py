@@ -5,11 +5,12 @@ the Gaussian binomials in q^2 they are written with."""
 
 from homq.comodule import PLANE_KINDS, ComoduleError, _carrier_scalars
 from homq.ncpoly import TensorElement
+from homq.scalars import parse_scalar
 
 
 def q_squared_int(field, n):
     """1 + q^2 + ... + q^(2(n-1)) as an exact scalar."""
-    q2 = field.parse("q^2")
+    q2 = parse_scalar("q^2", field)
     total = field.zero
     power = field.one
     for _ in range(n):
@@ -45,7 +46,7 @@ def closed_form_coaction(A, kind, i, j, xi=None, lam=None):
     carrier = A.carrier
     field = carrier.field
     xi, lam = _carrier_scalars(carrier, A.twisted, xi, lam)
-    q = field.parse("q")
+    q = parse_scalar("q", field)
     lam_inv = lam.inverse()
 
     raw = {}

@@ -10,7 +10,7 @@ from homq.scalars import _PRODUCTS_SIZE, ScalarField, parse_scalar, render
 from homq.ncpoly import NCPoly, Presentation, PresentationError, _bump, _expand
 from homq.hombialg import (HomBialgebra, _combine, twist_hom_bialgebra,
                            verify_hom_bialgebra)
-from homq.report import Report, timed
+from homq.report import Report
 from homq.cobraid import (CobraidingForm, CobraidedHomBialgebra,
                           CobraidingError, InjectivityError, word_value,
                           verify_cobraided, verify_oqhybe,
@@ -43,9 +43,9 @@ def twisted_instance(field=F, **kw):
 def test_generator_values():
     C = plain_instance()
     P = C.H.pres
-    assert eval_R(C, P.gen("a"), P.gen("a")) == F.parse("q_half")
+    assert eval_R(C, P.gen("a"), P.gen("a")) == parse_scalar("q_half", F)
     assert eval_R(C, P.gen("b"), P.gen("c")) == \
-        F.parse("q_half^-1 * (q - q^-1)")
+        parse_scalar("q_half^-1 * (q - q^-1)", F)
     assert eval_R(C, P.gen("a"), P.gen("b")).is_zero()
 
 
@@ -82,7 +82,7 @@ def test_bilinearity():
     u = P.poly({"a": 2, "b": "q"})
     got = eval_R(C, u, P.gen("c"))
     want = (F.from_int(2) * eval_R(C, P.gen("a"), P.gen("c"))
-            + F.parse("q") * eval_R(C, P.gen("b"), P.gen("c")))
+            + parse_scalar("q", F) * eval_R(C, P.gen("b"), P.gen("c")))
     assert got == want
 
 
@@ -188,8 +188,8 @@ def test_form_memo_is_per_host():
         HomBialgebra(P, {"g": {legs: 1}, "h": {("h", "h"): 1}}), form)
         for legs in (("g", "g"), ("g", "h"))]
     g, gh = P.gen("g"), P.poly({"gh": 1})
-    assert eval_R(hosts[0], g, gh) == FT.parse("t")
-    assert eval_R(hosts[1], g, gh) == FT.parse("2*t")
+    assert eval_R(hosts[0], g, gh) == parse_scalar("t", FT)
+    assert eval_R(hosts[1], g, gh) == parse_scalar("2*t", FT)
     # two forms on one bialgebra: the word values and the recursion's
     # folds of the true form must not leak into the host of R(a, a) = 2,
     # compared with a host on a bialgebra of its own
@@ -320,6 +320,25 @@ def test_form_key_that_is_not_a_generator_refused(table, units):
         CobraidingForm(P, table, {**UNIT_ROW, **units}, dict(UNIT_ROW))
 
 
+@pytest.mark.parametrize("key", [("a", "b", "b"), ("a",), "aab"],
+                         ids=["three_slots", "one_slot", "three_letters"])
+def test_form_refuses_a_gen_table_key_without_two_slots(key):
+    P = qm2_presentation(F)
+    table = {**_qm2_tables()["gen_table"], key: 1}
+    with pytest.raises(PresentationError) as exc:
+        CobraidingForm(P, table, dict(UNIT_ROW), dict(UNIT_ROW))
+    assert str(exc.value) == (f"gen_table key {key!r}: expected 2 slots, "
+                              f"got {len(key)}")
+
+
+def test_form_reads_a_two_letter_gen_table_key_as_two_slots():
+    P = qm2_presentation(F)
+    tables = _qm2_tables()
+    letters = {l + r: c for (l, r), c in tables["gen_table"].items()}
+    assert CobraidingForm(P, letters, dict(UNIT_ROW), dict(UNIT_ROW)).table \
+        == CobraidingForm(P, **tables).table
+
+
 # serialization ---------------------------------------------------------------
 
 
@@ -337,7 +356,7 @@ def test_unit_unit_is_the_value_on_the_unit_pair():
     form = CobraidingForm(P, _qm2_tables()["gen_table"], dict(UNIT_ROW),
                           dict(UNIT_ROW), unit_unit="q")
     C = CobraidedHomBialgebra(HomBialgebra(P, DELTA, name="qm2"), form)
-    assert eval_R(C, P.unit(1), P.unit(1)) == F.parse("q")
+    assert eval_R(C, P.unit(1), P.unit(1)) == parse_scalar("q", F)
     data = form.to_json()
     assert data["unit_unit"] == "t^2"
     assert CobraidingForm.from_json(data, P).to_json() == data
@@ -563,6 +582,20 @@ def test_power_twist_refuses_a_negative_power():
         twist_R_power(zn_instance(), -1)
 
 
+@pytest.mark.parametrize("power", [-1, 1.5, "1"])
+def test_instance_refuses_a_power_that_is_not_a_nonnegative_int(power):
+    C = zn_instance()
+    with pytest.raises(ValueError) as exc:
+        CobraidedHomBialgebra(C.H, C.form, alpha_power=power)
+    assert str(exc.value) == \
+        f"alpha_power must be a nonnegative int, got {power!r}"
+
+
+def test_power_twist_refuses_a_power_that_is_not_an_int():
+    with pytest.raises(ValueError, match="got 1.5$"):
+        twist_R_power(zn_instance(), 1.5)
+
+
 @pytest.mark.parametrize("verify, degree", [(verify_oqhybe, -3),
                                              (check_alpha_invariance, -2)])
 def test_negative_degree_is_refused(verify, degree):
@@ -657,7 +690,7 @@ def test_integer_group_power_twist():
             ("v", "u"): "q^-1", ("v", "v"): "q"},
         {"u": 1, "v": 1}, {"u": 1, "v": 1})
     C = CobraidedHomBialgebra(H, form)
-    q = FQ.parse("q")
+    q = parse_scalar("q", FQ)
     assert eval_R(C, P.poly({"uu": 1}), P.gen("v")) == q ** -2
     C1 = twist_R_power(C, 1)
     assert C1.word_pair_value(P.word("u"), P.word("u")) == q ** 9
@@ -963,89 +996,86 @@ def reference_verify_cobraided(C, degree):
             p = prod[(i, j)] = element_product(H, mono[i], mono[j])
         return p
 
-    with timed() as tm:
-        witness = None
-        for k in range(n):
-            az = alpha_of[k]
-            dz = delta_of[k]
-            for i in range(n):
-                ax = alpha_of[i]
-                for j in range(n):
-                    left = eval_R(C, get_prod(i, j), az)
-                    right = pres.field.zero
-                    for (z1, z2), c in dz:
-                        right = right + c * (eval_R(C, ax, {z1: 1})
-                                             * eval_R(C, alpha_of[j], {z2: 1}))
-                    if left != right:
-                        witness = {"x": names[i], "y": names[j], "z": names[k],
-                                   "left": render(left), "right": render(right)}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    rep.add("first_slot_product_expansion", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
-
-    with timed() as tm:
-        witness = None
+    witness = None
+    for k in range(n):
+        az = alpha_of[k]
+        dz = delta_of[k]
         for i in range(n):
             ax = alpha_of[i]
-            dx = delta_of[i]
             for j in range(n):
-                ay = alpha_of[j]
-                for k in range(n):
-                    left = eval_R(C, ax, get_prod(j, k))
-                    right = pres.field.zero
-                    for (x1, x2), c in dx:
-                        right = right + c * (eval_R(C, {x1: 1}, alpha_of[k])
-                                             * eval_R(C, {x2: 1}, ay))
-                    if left != right:
-                        witness = {"x": names[i], "y": names[j], "z": names[k],
-                                   "left": render(left), "right": render(right)}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    rep.add("second_slot_product_expansion", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
-
-    with timed() as tm:
-        witness = None
-        pw = {}
-
-        def wprod(u, v):
-            p = pw.get((u, v))
-            if p is None:
-                pu = NCPoly(pres, {u: one}, _trusted=True)
-                pv = NCPoly(pres, {v: one}, _trusted=True)
-                p = pw[(u, v)] = element_product(H, pu, pv)
-            return p
-
-        for i in range(n):
-            dx = delta_of[i]
-            for j in range(n):
-                dy = delta_of[j]
-                left = pres.zero_poly()
-                right = pres.zero_poly()
-                for (x1, x2), cx in dx:
-                    for (y1, y2), cy in dy:
-                        c = cx * cy
-                        lc = c * C.word_pair_value(x2, y2)
-                        if not lc.is_zero():
-                            left = left + wprod(y1, x1).scale(lc)
-                        rc = c * C.word_pair_value(x1, y1)
-                        if not rc.is_zero():
-                            right = right + wprod(x2, y2).scale(rc)
+                left = eval_R(C, get_prod(i, j), az)
+                right = pres.field.zero
+                for (z1, z2), c in dz:
+                    right = right + c * (eval_R(C, ax, {z1: 1})
+                                         * eval_R(C, alpha_of[j], {z2: 1}))
                 if left != right:
-                    witness = {"x": names[i], "y": names[j],
-                               "left": left.render(), "right": right.render()}
+                    witness = {"x": names[i], "y": names[j], "z": names[k],
+                               "left": render(left), "right": render(right)}
                     break
             if witness:
                 break
+        if witness:
+            break
+    rep.add("first_slot_product_expansion", "fail" if witness else "pass",
+            witness=witness, degree=degree)
+
+    witness = None
+    for i in range(n):
+        ax = alpha_of[i]
+        dx = delta_of[i]
+        for j in range(n):
+            ay = alpha_of[j]
+            for k in range(n):
+                left = eval_R(C, ax, get_prod(j, k))
+                right = pres.field.zero
+                for (x1, x2), c in dx:
+                    right = right + c * (eval_R(C, {x1: 1}, alpha_of[k])
+                                         * eval_R(C, {x2: 1}, ay))
+                if left != right:
+                    witness = {"x": names[i], "y": names[j], "z": names[k],
+                               "left": render(left), "right": render(right)}
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    rep.add("second_slot_product_expansion", "fail" if witness else "pass",
+            witness=witness, degree=degree)
+
+    witness = None
+    pw = {}
+
+    def wprod(u, v):
+        p = pw.get((u, v))
+        if p is None:
+            pu = NCPoly(pres, {u: one}, _trusted=True)
+            pv = NCPoly(pres, {v: one}, _trusted=True)
+            p = pw[(u, v)] = element_product(H, pu, pv)
+        return p
+
+    for i in range(n):
+        dx = delta_of[i]
+        for j in range(n):
+            dy = delta_of[j]
+            left = pres.unit(0)
+            right = pres.unit(0)
+            for (x1, x2), cx in dx:
+                for (y1, y2), cy in dy:
+                    c = cx * cy
+                    lc = c * C.word_pair_value(x2, y2)
+                    if not lc.is_zero():
+                        left = left + wprod(y1, x1).scale(lc)
+                    rc = c * C.word_pair_value(x1, y1)
+                    if not rc.is_zero():
+                        right = right + wprod(x2, y2).scale(rc)
+            if left != right:
+                witness = {"x": names[i], "y": names[j],
+                           "left": left.render(), "right": right.render()}
+                break
+        if witness:
+            break
     rep.add("braided_commutation", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
+            witness=witness, degree=degree)
     return rep
 
 
@@ -1081,73 +1111,71 @@ def reference_verify_oqhybe(C, degree):
             v = la[(w, m)] = eval_R(C, H.alpha_word(w), {m: 1})
         return v
 
-    with timed() as tm:
-        witness = None
-        for i in range(n):
-            dx = delta_of[i]
-            for j in range(n):
-                dy = delta_of[j]
-                for k in range(n):
-                    dz = delta_of[k]
-                    left = field.zero
-                    right = field.zero
-                    for (x1, x2), cx in dx:
-                        for (y1, y2), cy in dy:
-                            cxy = cx * cy
-                            for (z1, z2), cz in dz:
-                                c = cxy * cz
-                                left = left + c * (
-                                    r_plain_alpha(x1, y1)
-                                    * r_plain_alpha(x2, z1)
-                                    * C.word_pair_value(y2, z2))
-                                right = right + c * (
-                                    C.word_pair_value(y1, z1)
-                                    * r_plain_alpha(x1, z2)
-                                    * r_plain_alpha(x2, y2))
-                    if left != right:
-                        witness = {"x": names[i], "y": names[j], "z": names[k],
-                                   "left": render(left), "right": render(right)}
-                        break
-                if witness:
+    witness = None
+    for i in range(n):
+        dx = delta_of[i]
+        for j in range(n):
+            dy = delta_of[j]
+            for k in range(n):
+                dz = delta_of[k]
+                left = field.zero
+                right = field.zero
+                for (x1, x2), cx in dx:
+                    for (y1, y2), cy in dy:
+                        cxy = cx * cy
+                        for (z1, z2), cz in dz:
+                            c = cxy * cz
+                            left = left + c * (
+                                r_plain_alpha(x1, y1)
+                                * r_plain_alpha(x2, z1)
+                                * C.word_pair_value(y2, z2))
+                            right = right + c * (
+                                C.word_pair_value(y1, z1)
+                                * r_plain_alpha(x1, z2)
+                                * r_plain_alpha(x2, y2))
+                if left != right:
+                    witness = {"x": names[i], "y": names[j], "z": names[k],
+                               "left": render(left), "right": render(right)}
                     break
             if witness:
                 break
+        if witness:
+            break
     rep.add("operator_ybe_first_form", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
+            witness=witness, degree=degree)
 
-    with timed() as tm:
-        witness = None
-        for i in range(n):
-            dx = delta_of[i]
-            for j in range(n):
-                dy = delta_of[j]
-                for k in range(n):
-                    dz = delta_of[k]
-                    left = field.zero
-                    right = field.zero
-                    for (x1, x2), cx in dx:
-                        for (y1, y2), cy in dy:
-                            cxy = cx * cy
-                            for (z1, z2), cz in dz:
-                                c = cxy * cz
-                                left = left + c * (
-                                    C.word_pair_value(x1, y1)
-                                    * r_alpha_plain(x2, z1)
-                                    * r_alpha_plain(y2, z2))
-                                right = right + c * (
-                                    r_alpha_plain(y1, z1)
-                                    * r_alpha_plain(x1, z2)
-                                    * C.word_pair_value(x2, y2))
-                    if left != right:
-                        witness = {"x": names[i], "y": names[j], "z": names[k],
-                                   "left": render(left), "right": render(right)}
-                        break
-                if witness:
+    witness = None
+    for i in range(n):
+        dx = delta_of[i]
+        for j in range(n):
+            dy = delta_of[j]
+            for k in range(n):
+                dz = delta_of[k]
+                left = field.zero
+                right = field.zero
+                for (x1, x2), cx in dx:
+                    for (y1, y2), cy in dy:
+                        cxy = cx * cy
+                        for (z1, z2), cz in dz:
+                            c = cxy * cz
+                            left = left + c * (
+                                C.word_pair_value(x1, y1)
+                                * r_alpha_plain(x2, z1)
+                                * r_alpha_plain(y2, z2))
+                            right = right + c * (
+                                r_alpha_plain(y1, z1)
+                                * r_alpha_plain(x1, z2)
+                                * C.word_pair_value(x2, y2))
+                if left != right:
+                    witness = {"x": names[i], "y": names[j], "z": names[k],
+                               "left": render(left), "right": render(right)}
                     break
             if witness:
                 break
+        if witness:
+            break
     rep.add("operator_ybe_second_form", "fail" if witness else "pass",
-            witness=witness, degree=degree, wall_time=tm.seconds)
+            witness=witness, degree=degree)
     return rep
 
 
@@ -1211,7 +1239,7 @@ def axiom_verify_cobraided(C, degree):
     def commutation(x, y):
         # sum y1 x1 R(x2, y2) = sum R(x1, y1) x2 y2
         pres = C.H.pres
-        left = right = pres.zero_poly()
+        left = right = pres.unit(0)
         for (x1, x2), cx in delta(x):
             for (y1, y2), cy in delta(y):
                 left = left + times(y1, x1).scale(cx * cy * R(x2, y2))

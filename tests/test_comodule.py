@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homq import comodule, hombialg
-from homq.scalars import ScalarField, render
+from homq.scalars import ScalarField, parse_scalar, render
 from homq.ncpoly import (NCPoly, Presentation, PresentationError,
                          TensorElement, _bump, render_legs, word_key)
 from homq.hombialg import (HomBialgebra, MorphismError, _product_table,
@@ -569,13 +569,30 @@ def test_comodule_refuses_malformed_tables(labels, rho, alpha, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("key", [("a", "x", "x"), ("a",), "aab"],
+                         ids=["three_slots", "one_slot", "three_letters"])
+def test_comodule_refuses_a_rho_key_without_two_slots(key):
+    rho = dict(STANDARD_RHO, x={**STANDARD_RHO["x"], key: 1})
+    with pytest.raises(PresentationError) as info:
+        Comodule(host(), "xy", rho)
+    assert str(info.value) == (f"rho table key {key!r}: expected 2 slots, "
+                               f"got {len(key)}")
+
+
+def test_comodule_reads_a_two_letter_rho_key_as_two_slots():
+    letters = {lab: {"".join(k): c for k, c in row.items()}
+               for lab, row in STANDARD_RHO.items()}
+    assert Comodule(host(), "xy", letters).rho == \
+        Comodule(host(), "xy", STANDARD_RHO).rho
+
+
 def test_comodule_tables_sum_entries_and_drop_zeros():
     # ba normalizes to q ab, so both host specs land on the entry (ab, x)
     M = Comodule(host(), "xy",
                  {"x": {("ab", "x"): 2, ("ba", "x"): "q^-1", ("a", "y"): 0},
                   "y": {("ab", "x"): 1, ("ba", "x"): "-q^-1"}},
                  {"x": {"x": 1, "y": 0}, "y": {}})
-    assert M.rho == {"x": {(M.hom.pres.word("ab"), "x"): F.parse("3")},
+    assert M.rho == {"x": {(M.hom.pres.word("ab"), "x"): parse_scalar("3", F)},
                      "y": {}}
     assert M.alpha == {"x": {"x": F.one}, "y": {}}
     assert Comodule(host(), "xy", STANDARD_RHO).alpha == \
@@ -1227,7 +1244,8 @@ def test_verifiers_add_no_zero_and_multiply_by_no_one(build, monkeypatch):
 # two-term value.  Most such operators fail the braid identity, so the
 # witness triples and their rendered sides are compared too.
 
-BRAID_VALUES = [F.one] + [F.parse(v) for v in ("t", "xi^2/lambda", "t - 1")]
+BRAID_VALUES = [F.one] + [parse_scalar(v, F)
+                          for v in ("t", "xi^2/lambda", "t - 1")]
 braid_value = st.sampled_from(BRAID_VALUES)
 
 

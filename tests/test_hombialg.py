@@ -10,7 +10,10 @@ from homq.report import Report, _at, _scan
 from homq.hombialg import (HomBialgebra, MorphismError, twist_hom_bialgebra,
                            verify_morphism, verify_hom_bialgebra,
                            _product_table)
-from quantum_matrices import ALPHA, DELTA, qm2_presentation
+from homq.cobraid import CobraidedHomBialgebra, verify_cobraided, verify_oqhybe
+from homq.comodule import (bvw_operator, plane_comodule_algebra,
+                           verify_comodule, verify_hybe)
+from quantum_matrices import ALPHA, DELTA, qm2_form, qm2_presentation
 from reference_products import (element_product, element_slot, map_slots,
                                 pairwise_product, per_case)
 
@@ -242,9 +245,17 @@ def test_report_shape():
     assert {"multiplicativity", "hom_associativity", "comultiplicativity",
             "hom_coassociativity", "product_coproduct_compatibility"} == \
         set(names)
-    assert all(c["wall_time"] is None for c in data["checks"])
-    timed_data = rep.to_json(timings=True)
-    assert all(isinstance(c["wall_time"], float) for c in timed_data["checks"])
+    # every check is timed by its scan, and the time is left out by default
+    H = twisted()
+    C = CobraidedHomBialgebra(H, qm2_form(H.pres))
+    A = plane_comodule_algebra(C, "standard", xi=1)
+    for report in (rep, verify_cobraided(C, 1), verify_oqhybe(C, 1),
+                   verify_comodule(A, 2),
+                   verify_hybe(bvw_operator(A.piece(1)))):
+        assert report.checks
+        assert all(c["wall_time"] is None for c in report.to_json()["checks"])
+        assert all(isinstance(c["wall_time"], float)
+                   for c in report.to_json(timings=True)["checks"])
 
 
 # pinned failure reports ----------------------------------------------
@@ -483,7 +494,7 @@ def test_product_table_is_call_local():
 def reference_pairwise_product(H, t1, t2):
     """Slotwise product of two arity-2 tensors using the instance product."""
     pres = H.pres
-    total = pres.unit_tensor(2, 0)
+    total = pres.tensor(2, {})
     for (w1, w2), c1 in t1.terms.items():
         p1 = NCPoly(pres, {w1: pres.field.one}, _trusted=True)
         p2 = NCPoly(pres, {w2: pres.field.one}, _trusted=True)
@@ -520,9 +531,9 @@ def table_delta(H, p):
     pres = H.pres
     gens = [TensorElement((pres, pres), t, _trusted=True)
             for t in H.delta_gen]
-    total = pres.unit_tensor(2, 0)
+    total = pres.tensor(2, {})
     for w, c in p.terms.items():
-        acc = pres.unit_tensor(2)
+        acc = pres.tensor(2, {("1", "1"): 1})
         for g in w:
             acc = acc * gens[g]
         total = total + acc.scale(c)
@@ -603,7 +614,7 @@ def reference_verify_morphism(endo, H):
           per_case(lambda rule: (
               image(rule[0]),
               sum((image(w).scale(c) for w, c in rule[1].items()),
-                  pres.zero_poly())), pres.rules),
+                  pres.unit(0))), pres.rules),
           lambda rule: {"rule": pres.word_text(rule[0])})
     gens = range(len(images))
     _scan(rep, "comultiplication_preserved", [gens],

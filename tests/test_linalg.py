@@ -4,7 +4,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from homq.linalg import kernel_basis, rref
-from homq.scalars import ScalarField
+from homq.scalars import ScalarField, parse_scalar
 
 
 FQ = ScalarField(())
@@ -73,7 +73,7 @@ def test_rational_function_matrix():
     text = [["t", "1", "t^2", "0"],
             ["1", "t^-1", "t + 1", "t"],
             ["t + 1", "1 + t^-1", "t^2 + t + 1", "t"]]
-    rows = [[FT.parse(c) for c in row] for row in text]
+    rows = [[parse_scalar(c, FT) for c in row] for row in text]
     red, pivots = rref(rows)
     want, want_pivots = sympy.Matrix(
         [[sympy.sympify(c.replace("^", "**"), locals={"t": T}) for c in row]

@@ -79,7 +79,7 @@ def host_maps():
     P = H.pres
     alpha = elements(P, H.alpha_gen)
     delta = tensors((P, P), H.delta_gen)
-    unit, zero = P.unit_tensor(2), P.unit_tensor(2, 0)
+    unit, zero = P.tensor(2, {("1", "1"): 1}), P.tensor(2, {})
     maps = {"alpha_word": (H.alpha_word, alpha, P.unit(1)),
             "untwisted_delta_word": (H.untwisted_delta_word, delta, unit),
             "delta_word": (H.delta_word, after(alpha, delta, unit, zero),
