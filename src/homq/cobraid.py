@@ -24,7 +24,8 @@ from functools import cache, partial
 
 from .hombialg import _combine, _product_table
 from .linalg import kernel_basis
-from .ncpoly import PresentationError, _bump, _linear, _render_raw, json_row
+from .ncpoly import (PresentationError, _bump, _key_slots, _linear,
+                     _render_raw, json_row)
 from .report import Report, _at, _scan, _unzip
 from .scalars import render
 
@@ -68,10 +69,7 @@ class CobraidingForm:
             return w
 
         def gen_pair(spec):
-            if len(spec) != 2:
-                raise PresentationError(f"gen_table key {spec!r}: expected "
-                                        f"2 slots, got {len(spec)}")
-            l, r = spec
+            l, r = _key_slots(spec, 2, "gen_table")
             return gen_word(l), gen_word(r)
 
         self.table = table = {}
@@ -450,8 +448,9 @@ def twist_R_power(C, n):
     """Compose the instance form with n extra iterates of the structure
     map in both slots.  Requires the structure map to be injective on
     every graded piece up to the presentation's max degree."""
-    if n < 0:
-        raise ValueError("power must be nonnegative")
+    if type(n) is not int or n < 0:
+        raise ValueError("alpha_power must be a nonnegative int, got "
+                         f"{n!r}")
     if n == 0:
         return C
     witness = alpha_kernel_witness(C.H)

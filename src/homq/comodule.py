@@ -5,7 +5,8 @@ the Yang-Baxter operators act on.  A presented algebra whose coaction
 extends multiplicatively from a generator table (ComoduleAlgebra) covers
 the two quantum planes; its graded pieces collapse back to finite carriers.
 The coaction values of an algebra carrier are dicts keyed by (host word,
-carrier word), and of a finite carrier dicts keyed by (host word, label).
+carrier word), a generator table extended by ncpoly.word_map, and of a
+finite carrier dicts keyed by (host word, label).
 
 The coaction of a twisted comodule algebra is always derived from the
 stored untwisted generator table composed with the carrier twisting map,
@@ -19,17 +20,15 @@ memos of one call, and read the right side as the left side of the
 mirrored triple (see _braid_scan).
 """
 
-from functools import cache, partial
+from functools import cache
 
 from .cobraid import CobraidedHomBialgebra, check_alpha_invariance
 from .hombialg import (MorphismError, _coassociativity, _intertwining,
                        _multiplicativity, _product_table,
-                       _relations_preserved, _word_map, _word_terms,
-                       twist_hom_bialgebra)
+                       _relations_preserved, _word_terms, twist_hom_bialgebra)
 from .ncpoly import (Presentation, PresentationError, TensorElement, _bump,
-                     _expand, _linear, generator_table, json_row,
-                     poly_product, render_legs, slotwise, word_image,
-                     word_key)
+                     _key_slots, _legs, _linear, generator_table, json_row,
+                     render_legs, slotwise, word_key, word_map)
 from .report import Report, _scan, _unzip
 from .scalars import render
 
@@ -93,10 +92,7 @@ class Comodule:
             raise PresentationError("duplicate carrier labels")
 
         def rho_entry(spec, val):
-            if len(spec) != 2:
-                raise PresentationError(f"rho table key {spec!r}: expected "
-                                        f"2 slots, got {len(spec)}")
-            hspec, lab2 = spec
+            hspec, lab2 = _key_slots(spec, 2, "rho table")
             return lab2, (((hw, lab2), c) for hw, c in pres._nf_raw(
                 pres._raw_poly({hspec: val})).items())
 
@@ -168,33 +164,17 @@ class ComoduleAlgebra:
             raise PresentationError(
                 "host and carrier must share one scalar field")
 
-        slots = (hpres, carrier)
-
-        def two_slots(t):
-            te = t if isinstance(t, TensorElement) else TensorElement(slots, t)
-            if te.slots != slots:
-                raise PresentationError("element of a different presentation")
-            return te.terms
-
         self.rho_gen = generator_table(carrier, rho_table, "rho table",
-                                       two_slots)
-        if alpha_table is None:
-            alpha_table = [carrier.gen(g) for g in carrier.generators]
+                                       (hpres, carrier))
         self.alpha_gen = generator_table(carrier, alpha_table, "alpha table")
-
-        one = carrier.field.one
-        self._alpha_memo = {(): {(): one}}
-        self._alpha_times = partial(poly_product, carrier)
-        self._base_rho_memo = {(): {((), ()): one}}
-        self._base_rho_times = partial(slotwise,
-                                       muls=[p.concat for p in slots])
+        self._alpha = word_map(carrier, self.alpha_gen)
+        self._base_rho = word_map(carrier, self.rho_gen, (hpres, carrier))
         self._rho_cache = {}
 
     # carrier maps ------------------------------------------------------------
 
     def alpha_word(self, w):
-        return word_image(w, self.alpha_gen, self._alpha_memo,
-                          self._alpha_times)
+        return self._alpha(w)
 
     def product(self, u, v):
         """The carrier's own product of two words (see _word_terms)."""
@@ -205,10 +185,9 @@ class ComoduleAlgebra:
 
     def base_rho_word(self, w):
         """The untwisted coaction of a carrier word: the stored table
-        extended multiplicatively by ncpoly.word_image, from the unit
+        extended multiplicatively by ncpoly.word_map, from the unit
         1 (x) 1, through a memo that lives as long as the instance."""
-        return word_image(w, self.rho_gen, self._base_rho_memo,
-                          self._base_rho_times)
+        return self._base_rho(w)
 
     def rho_word(self, w):
         """The instance coaction: the stored table composed with the
@@ -332,17 +311,6 @@ def _require_cobraided(V, W):
     return V.host
 
 
-def _twist_legs(img, alpha_k, alpha_l):
-    """(alpha_k (x) alpha_l) applied to a dict (k, l) -> Scalar, each
-    alpha a carrier matrix keyed by label; a missing row is zero."""
-    out = {}
-    for (k, l), c in img.items():
-        for key, d in _expand(c, [alpha_k.get(k, {}).items(),
-                                  alpha_l.get(l, {}).items()]):
-            _bump(out, key, d)
-    return out
-
-
 def bvw_operator(V, W=None, name=""):
     """The braiding-style operator: pair the host legs of the two
     coactions through the form and swap the carrier legs."""
@@ -373,7 +341,8 @@ def b_alpha_operator(V, W=None, name=""):
     legs."""
     B = bvw_operator(V, W, name)
     B.entries = {ij: out for ij, img in B.entries.items()
-                 if (out := _twist_legs(img, B.alpha_w, B.alpha_v))}
+                 if (out := _legs(img, [B.alpha_w.__getitem__,
+                                        B.alpha_v.__getitem__]))}
     return B
 
 
@@ -449,11 +418,12 @@ def verify_hybe(B):
     rep = Report(f"Yang-Baxter operator checks on {B.name or 'operator'}")
     ent = B.entries
     _braid_scan(rep, "hybe", [labels] * 3, (ent,) * 3, (alpha,) * 3)
+    twice = [alpha.__getitem__] * 2
 
     def commutation(i, j):
         # (alpha (x) alpha) after B, and B after (alpha (x) alpha)
-        return (_twist_legs(ent.get((i, j), {}), alpha, alpha),
-                _linear(_twist_legs({(i, j): one}, alpha, alpha).items(),
+        return (_legs(ent.get((i, j), {}), twice),
+                _linear(_legs({(i, j): one}, twice).items(),
                         lambda pair: ent.get(pair, {})))
 
     _scan(rep, "alpha_commutation", [labels] * 2,
@@ -501,7 +471,7 @@ def twist_comodule_algebra(A, alpha_h, alpha_a, name=""):
 
     a_images = generator_table(carrier, alpha_a, "alpha table")
     arep = Report(f"algebra morphism on {carrier.name or 'carrier'}")
-    a_word = _word_map(carrier, a_images)
+    a_word = word_map(carrier, a_images)
     _relations_preserved(arep, carrier, a_word)
     if not arep.passed:
         raise MorphismError(arep)

@@ -1,14 +1,15 @@
 """Hom-bialgebra structures on presented algebras.
 
-A structure is stored as generator tables, parsed once into dicts of
-normal words: a comultiplication table sending each generator to a dict
-keyed by pairs of words, and a twisting-map table sending each generator
-to a dict keyed by words.  Both extend multiplicatively through
-ncpoly.word_image, and every word map returns such a dict.  The twisted flag
-selects between the plain bialgebra reading (product = concatenation,
-coproduct = table extension, twisting map along for the ride) and the
-twisted reading where the product is alpha after multiplication and the
-coproduct is the table extension after alpha.
+A structure is stored as generator tables, parsed once by
+ncpoly.generator_table into dicts of normal words: a comultiplication
+table sending each generator to a dict keyed by pairs of words, and a
+twisting-map table sending each generator to a dict keyed by words.
+Each extends multiplicatively through its own ncpoly.word_map, and every
+word map returns such a dict.  The twisted flag selects between the plain
+bialgebra reading (product = concatenation, coproduct = table extension,
+twisting map along for the ride) and the twisted reading where the
+product is alpha after multiplication and the coproduct is the table
+extension after alpha.
 
 The product works on words.  The product checks of verify_hom_bialgebra
 compare plain dicts, keyed by words or by pairs of words, and render only
@@ -24,9 +25,9 @@ _coassociativity and _multiplicativity.
 from functools import cache, partial
 
 from .ncpoly import (NCPoly, Presentation, TensorElement, PresentationError,
-                     _bump, _expand, _linear, _poly_json, _render_raw,
-                     generator_table, json_row, poly_product, render_legs,
-                     slotwise, word_image, word_key)
+                     _bump, _expand, _legs, _linear, _poly_json, _render_raw,
+                     generator_table, json_row, render_legs, word_key,
+                     word_map)
 from .report import Report, _at, _scan, _unzip
 from .scalars import render
 
@@ -47,32 +48,16 @@ class HomBialgebra:
         self.pres = pres
         self.name = name or pres.name
         self.twisted = twisted
-
-        def two_legs(val):
-            te = val if isinstance(val, TensorElement) else pres.tensor(2, val)
-            if len(te.slots) != 2:
-                raise PresentationError("delta table values need two legs")
-            if te.slots != (pres, pres):
-                raise PresentationError("element of a different presentation")
-            return te.terms
-
         self.delta_gen = generator_table(pres, delta_table, "delta table",
-                                         two_legs)
-        if alpha_table is None:
-            alpha_table = [pres.gen(g) for g in pres.generators]
+                                         (pres, pres))
         self.alpha_gen = generator_table(pres, alpha_table, "alpha table")
-
-        one = pres.field.one
-        self._alpha_memo = {(): {(): one}}
-        self._alpha_times = partial(poly_product, pres)
-        self._delta_memo = {(): {((), ()): one}}
-        self._delta_times = partial(slotwise, muls=[pres.concat] * 2)
+        self._alpha = word_map(pres, self.alpha_gen)
+        self._delta = word_map(pres, self.delta_gen, (pres, pres))
 
     # the twisting map --------------------------------------------------------
 
     def alpha_word(self, w):
-        return word_image(w, self.alpha_gen, self._alpha_memo,
-                          self._alpha_times)
+        return self._alpha(w)
 
     def alpha_poly(self, p):
         return NCPoly(self.pres, _linear(self.pres.terms_of(p),
@@ -88,8 +73,7 @@ class HomBialgebra:
     # coproducts ----------------------------------------------------------------
 
     def untwisted_delta_word(self, w):
-        return word_image(w, self.delta_gen, self._delta_memo,
-                          self._delta_times)
+        return self._delta(w)
 
     def delta(self, p):
         """The instance's own comultiplication (twisted when flagged)."""
@@ -186,11 +170,7 @@ def _intertwining(rho, f, g, x):
     map gives a plain dict: rho keyed by (host word, carrier key), f and
     g keyed by word or carrier key.  Delta o alpha = (alpha (x) alpha) o
     Delta is the case rho = Delta, f = g = alpha."""
-    left, right = _linear(g(x).items(), rho), {}
-    for (h, m), c in rho(x).items():
-        for key, d in _expand(c, [f(h).items(), g(m).items()]):
-            _bump(right, key, d)
-    return left, right
+    return _linear(g(x).items(), rho), _legs(rho(x), [f, g])
 
 
 def _coassociativity(rho, delta, f, g, x):
@@ -232,20 +212,12 @@ def _multiplicativity(rho, host_prod, prod, u, v, one):
 def _relations_preserved(rep, pres, image):
     """Add the check that the generator images satisfy every defining
     relation of pres, the first violated rule being the witness; image
-    is the caller's word map of the images (see _word_map)."""
+    is the caller's word map of the images (see ncpoly.word_map)."""
     _scan(rep, "relations_preserved", [pres.rules],
           lambda: _unzip((image(lw), _linear(rp.items(), image))
                          for lw, rp in pres.rules),
           lambda rule: {"rule": pres.word_text(rule[0])},
           render=partial(_render_raw, pres))
-
-
-def _word_map(pres, images):
-    """The multiplicative extension of the generator images of pres to
-    words, as poly_product multiplies them, through a memo that lives as
-    long as the returned map."""
-    memo, times = {(): {(): pres.field.one}}, partial(poly_product, pres)
-    return lambda w: word_image(w, images, memo, times)
 
 
 def verify_morphism(endo, H):
@@ -254,7 +226,7 @@ def verify_morphism(endo, H):
     pres = H.pres._certified()
     images = generator_table(pres, endo, "endomorphism table")
     rep = Report(f"morphism on {H.name or 'instance'}")
-    endo = _word_map(pres, images)
+    endo = word_map(pres, images)
     _relations_preserved(rep, pres, endo)
     gens = range(len(images))
     _scan(rep, "comultiplication_preserved", [gens],

@@ -12,10 +12,11 @@ normal_word extends the longest memoised prefix of a word one generator at
 a time, so the rewriter only ever sees a normal word followed by one
 generator.  Elements and tensors are sums over such word normal forms,
 held as plain dicts: word -> coefficient in one slot, tuple of words ->
-coefficient in several.  word_image extends a generator table of such
-dicts multiplicatively through one dict product, poly_product for one
-slot and slotwise for several, and _linear extends a word map linearly;
-NCPoly and TensorElement wrap the same two products.
+coefficient in several.  generator_table reads generator images into
+such dicts and word_map extends them multiplicatively, through
+poly_product for one slot and slotwise for several; _linear extends a
+word map linearly and _legs one map per leg.  NCPoly and TensorElement
+wrap the same two products.
 
 One matcher scans for the leftmost rule match from a start position: from
 len(u) - max_lhs when all of u but its last letter is normal, and in the
@@ -32,6 +33,8 @@ failing one.  Still, _reduce reads no memo and depends on its argument
 alone, so normal_word gives each word one answer, whatever was asked for
 before.
 """
+
+from functools import partial
 
 from .scalars import Scalar, parse_scalar, render
 
@@ -53,6 +56,16 @@ def _bump(acc, key, c):
         acc.pop(key, None)
     else:
         acc[key] = cur
+
+
+def _key_slots(spec, n, what):
+    """spec, a table key of n slots, unchanged; a key of another length,
+    or of none, raises a PresentationError that names it."""
+    got = len(spec) if hasattr(spec, "__len__") else type(spec).__name__
+    if got != n:
+        raise PresentationError(
+            f"{what} key {spec!r}: expected {n} slots, got {got}")
+    return spec
 
 
 class Presentation:
@@ -232,9 +245,6 @@ class Presentation:
                     pending[v] = (nc, start)
         return out
 
-    def is_normal_word(self, w):
-        return self._find_match(w) is None
-
     def concat(self, u, v):
         """The (word, coefficient) pairs of the normal form of u + v."""
         return self.normal_word(u + v).items()
@@ -347,7 +357,7 @@ class Presentation:
         if cert is None:
             cert = self._certificate = self.check_local_confluence(
                 2 * self._max_lhs - 1)
-        if not cert:
+        if not cert.passed:
             f = cert.failures[0]
             raise PresentationError(
                 f"{self.name or 'presentation'} is not confluent: the "
@@ -422,9 +432,6 @@ class ConfluenceResult:
         self.checked = checked
         self.failures = failures
         self.passed = not failures
-
-    def __bool__(self):
-        return self.passed
 
     def to_json(self):
         return {"degree": self.degree, "overlaps_checked": self.checked,
@@ -610,10 +617,8 @@ class TensorElement:
             return
         out = {}
         for ws, c in raw.items():
-            if len(ws) != len(slots):
-                raise PresentationError(
-                    f"expected {len(slots)} slots, got {len(ws)}")
-            ws = tuple(p.word(w) for p, w in zip(slots, ws))
+            ws = tuple(p.word(w) for p, w in zip(
+                slots, _key_slots(ws, len(slots), "tensor")))
             c = slots[0].coef(c)
             if c.is_zero():
                 continue
@@ -676,18 +681,21 @@ class TensorElement:
         return f"TensorElement({self.render()})"
 
 
-def generator_table(pres, table, what, convert=None):
+def generator_table(pres, table, what, slots=None):
     """The images of the generators, in generator order, under a table
     keyed by generator (a list or tuple is read in generator order).
-    Two keys that name one generator, such as "a" and (0,), raise.  Each
-    value goes through convert.  By default the image is a dict word ->
-    Scalar of normal words: an NCPoly is read through pres.terms_of,
-    which refuses an element of another presentation, and any other
-    value as the terms of a polynomial, as pres.poly reads them."""
-    if convert is None:
-        def convert(val):
-            return (dict(pres.terms_of(val)) if isinstance(val, NCPoly)
-                    else pres._nf_raw(pres._raw_poly(val)))
+    Two keys that name one generator, such as "a" and (0,), raise.
+    Without slots an image is a dict word -> Scalar of normal words: an
+    NCPoly is read through pres.terms_of, which refuses an element of
+    another presentation, and any other value as the terms of a
+    polynomial, as pres.poly reads them.  With slots, the two
+    presentations of a coproduct or a coaction, an image is a dict keyed
+    by pairs of words: a TensorElement must lie over slots, and any other
+    value is read as the terms of one.  No table is the identity, whose
+    images {(i,): one} are built directly."""
+    if table is None:
+        one = pres.field.one
+        return [{(i,): one} for i in range(len(pres.generators))]
     if isinstance(table, (list, tuple)):
         if len(table) != len(pres.generators):
             raise PresentationError(f"{what} has wrong length")
@@ -701,28 +709,59 @@ def generator_table(pres, table, what, convert=None):
             raise PresentationError(
                 f"{what} key {gspec!r} repeats generator "
                 f"{pres.generators[w[0]]}")
-        images[w[0]] = convert(val)
+        if slots is None:
+            images[w[0]] = (dict(pres.terms_of(val)) if isinstance(val, NCPoly)
+                            else pres._nf_raw(pres._raw_poly(val)))
+            continue
+        if not isinstance(val, TensorElement):
+            val = TensorElement(slots, val)
+        if len(val.slots) != len(slots):
+            raise PresentationError(f"{what} values need two legs")
+        if val.slots != slots:
+            raise PresentationError("element of a different presentation")
+        images[w[0]] = val.terms
     for g, img in zip(pres.generators, images):
         if img is None:
             raise PresentationError(f"generator {g} missing from {what}")
     return images
 
 
-def word_image(w, images, memo, times):
-    """Multiplicative extension: the image of a word under gen ->
-    images[i], each image a dict and times(a, b) the dict of their
-    product (poly_product or slotwise).  memo maps words to their images
-    and must hold the unit's image at ().  The longest memoised prefix of
-    w is extended one generator at a time, ((unit * g1) * g2) * ...,
-    storing every new prefix, so a value does not depend on which words
-    were asked for before.  The stored dicts are shared, and no caller
-    may change one."""
-    n = len(w)
-    while (acc := memo.get(w[:n])) is None:
-        n -= 1
-    for k in range(n, len(w)):
-        acc = memo[w[:k + 1]] = times(acc, images[w[k]])
-    return acc
+def word_map(pres, images, slots=None):
+    """The multiplicative extension of the generator images of pres to
+    words, gen i -> images[i], through a memo that lives as long as the
+    returned map.  Without slots each image is a dict word -> Scalar and
+    poly_product multiplies them; with slots each is keyed by one word
+    per slot and slotwise multiplies them, each slot by its concat.  The
+    map extends the longest memoised prefix of a word one generator at a
+    time, ((1 * g1) * g2) * ..., storing every new prefix, so a value
+    does not depend on which words were asked for before.  The stored
+    dicts are shared, and no caller may change one."""
+    one = pres.field.one
+    if slots is None:
+        memo, times = {(): {(): one}}, partial(poly_product, pres)
+    else:
+        memo = {(): {((),) * len(slots): one}}
+        times = partial(slotwise, muls=[p.concat for p in slots])
+
+    def image(w):
+        n = len(w)
+        while (acc := memo.get(w[:n])) is None:
+            n -= 1
+        for k in range(n, len(w)):
+            acc = memo[w[:k + 1]] = times(acc, images[w[k]])
+        return acc
+    return image
+
+
+def _legs(img, maps):
+    """(maps[0] (x) maps[1] (x) ...) applied to a dict keyed by tuples of
+    legs, maps[i] giving the dict image of leg i, as one dict that _bump
+    sums; each key's images are read in leg order."""
+    out = {}
+    for key, c in img.items():
+        for k, d in _expand(c, [f(x).items() for f, x in zip(maps, key)]):
+            _bump(out, k, d)
+    return out
 
 
 def _linear(terms, image):

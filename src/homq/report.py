@@ -7,6 +7,8 @@ import json
 import time
 from itertools import product
 
+from . import scalars
+
 
 class Check:
     __slots__ = ("name", "status", "witness", "degree", "wall_time")
@@ -82,7 +84,7 @@ def _scan(rep, name, slots, sides, where, degree=None, render=None):
     at which the two lists of the first unequal row differ, so a failing
     check computes at most the rest of its witness row.  It holds the
     location where(*case), then both sides rendered by `render`, or by
-    their own render() when none is given."""
+    scalars.render when none is given."""
     *outer_slots, last = slots
     t0 = time.monotonic()
     witness = None
@@ -91,7 +93,7 @@ def _scan(rep, name, slots, sides, where, degree=None, render=None):
         if left != right:
             i = next(i for i, (l, r) in enumerate(zip(left, right))
                      if l != r)
-            show = render or (lambda side: side.render())
+            show = render or scalars.render
             witness = where(*outer, last[i])
             witness["left"] = show(left[i])
             witness["right"] = show(right[i])

@@ -776,9 +776,6 @@ class Scalar:
     def __repr__(self):
         return f"Scalar({render(self)})"
 
-    def render(self):
-        return render(self)
-
 
 # ---------------------------------------------------------------------------
 # parsing

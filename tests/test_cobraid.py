@@ -6,6 +6,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homq import cobraid
 from homq.scalars import _PRODUCTS_SIZE, ScalarField, parse_scalar, render
 from homq.ncpoly import NCPoly, Presentation, PresentationError, _bump, _expand
 from homq.hombialg import (HomBialgebra, _combine, twist_hom_bialgebra,
@@ -596,6 +597,20 @@ def test_power_twist_refuses_a_power_that_is_not_an_int():
         twist_R_power(zn_instance(), 1.5)
 
 
+@pytest.mark.parametrize("power", [-1, 1.5, "1"])
+def test_power_twist_refuses_a_bad_power_before_the_kernel_search(
+        monkeypatch, power):
+    def search(H):
+        raise AssertionError("the kernel search ran")
+
+    C = zn_instance()
+    monkeypatch.setattr(cobraid, "alpha_kernel_witness", search)
+    with pytest.raises(ValueError) as exc:
+        twist_R_power(C, power)
+    assert str(exc.value) == \
+        f"alpha_power must be a nonnegative int, got {power!r}"
+
+
 @pytest.mark.parametrize("verify, degree", [(verify_oqhybe, -3),
                                              (check_alpha_invariance, -2)])
 def test_negative_degree_is_refused(verify, degree):
@@ -1181,17 +1196,18 @@ def reference_verify_oqhybe(C, degree):
 
 def _per_case_report(title, degree, basis, names, checks):
     """A Report of plain per-case loops: each check is (name, letters,
-    sides), its cases the tuples of basis words in lexicographic order,
-    the first letter outermost, and sides(*case) gives both sides of one
-    case; the first case whose sides differ is the witness."""
+    sides, show), its cases the tuples of basis words in lexicographic
+    order, the first letter outermost, and sides(*case) gives both sides
+    of one case; the first case whose sides differ is the witness, its
+    sides rendered by show."""
     rep = Report(title)
-    for name, letters, sides in checks:
+    for name, letters, sides, show in checks:
         witness = None
         for case in product(basis, repeat=len(letters)):
             left, right = sides(*case)
             if left != right:
                 witness = {s: names[w] for s, w in sorted(zip(letters, case))}
-                witness.update(left=left.render(), right=right.render())
+                witness.update(left=show(left), right=show(right))
                 break
         rep.add(name, "fail" if witness else "pass", witness=witness,
                 degree=degree)
@@ -1248,9 +1264,9 @@ def axiom_verify_cobraided(C, degree):
 
     return _per_case_report(
         f"cobraided axioms on {C.name or 'instance'}", degree, basis, names,
-        [("first_slot_product_expansion", "zxy", first_expansion),
-         ("second_slot_product_expansion", "xyz", second_expansion),
-         ("braided_commutation", "xy", commutation)])
+        [("first_slot_product_expansion", "zxy", first_expansion, render),
+         ("second_slot_product_expansion", "xyz", second_expansion, render),
+         ("braided_commutation", "xy", commutation, NCPoly.render)])
 
 
 def axiom_verify_oqhybe(C, degree):
@@ -1287,10 +1303,10 @@ def axiom_verify_oqhybe(C, degree):
         basis, names,
         # R(x1, alpha y1) R(x2, alpha z1) R(y2, z2)
         [("operator_ybe_first_form", "xyz",
-          form(alpha_second, alpha_second, R)),
+          form(alpha_second, alpha_second, R), render),
          # R(x1, y1) R(alpha x2, z1) R(alpha y2, z2)
          ("operator_ybe_second_form", "xyz",
-          form(R, alpha_first, alpha_first))])
+          form(R, alpha_first, alpha_first), render)])
 
 
 # the corrupted forms of the benchmark's qm2-fail pool

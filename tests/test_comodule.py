@@ -935,6 +935,45 @@ def test_delta_table_refuses_a_value_with_three_legs():
     P = qm2_presentation(F)
     with pytest.raises(PresentationError, match="need two legs"):
         HomBialgebra(P, {**DELTA, "b": P.tensor(3, {("a", "b", "d"): 1})})
+    H, carrier = host(), comodule.plane_presentation(F, "standard")
+    legs = TensorElement((P, carrier, carrier), {("d", "y", "y"): 1})
+    with pytest.raises(PresentationError,
+                       match="^rho table values need two legs$"):
+        ComoduleAlgebra(H, carrier, {**STANDARD_RHO, "y": legs})
+
+
+# a table key of two slots that has no length at all
+KEYLESS_TABLES = {
+    "rho_table": ("rho table", lambda P: Comodule(
+        host(), "xy", dict(STANDARD_RHO, x={**STANDARD_RHO["x"], 5: 1}))),
+    "gen_table": ("gen_table", lambda P: CobraidingForm(P, {5: 1}, {}, {})),
+    "tensor": ("tensor", lambda P: HomBialgebra(P, {**DELTA, "b": {5: 1}})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEYLESS_TABLES))
+def test_tables_refuse_a_key_without_a_length(name):
+    what, build = KEYLESS_TABLES[name]
+    with pytest.raises(PresentationError) as info:
+        build(qm2_presentation(F))
+    assert str(info.value) == f"{what} key 5: expected 2 slots, got int"
+
+
+def test_identity_tables_build_no_element(monkeypatch):
+    """No alpha table is the identity, whose images are built as dicts:
+    neither constructor builds an NCPoly per generator."""
+    P, H = qm2_presentation(F), host()
+    carrier = comodule.plane_presentation(F, "standard")
+
+    def build(*args, **kw):
+        raise AssertionError("an NCPoly was built")
+
+    monkeypatch.setattr(NCPoly, "__init__", build)
+    B = HomBialgebra(P, DELTA)
+    A = ComoduleAlgebra(H, carrier, STANDARD_RHO)
+    one = F.one
+    assert B.alpha_gen == [{(i,): one} for i in range(4)]
+    assert A.alpha_gen == [{(0,): one}, {(1,): one}]
 
 
 # a carrier over an equal field ----------------------------------------------
@@ -1094,7 +1133,8 @@ def reference_verify_comodule_hom_algebra(M, degree):
     _scan(rep, "coaction_multiplicativity", [pairs],
           per_case(multiplicativity, pairs),
           lambda pair: {"left_factor": carrier.word_text(pair[0]),
-                        "right_factor": carrier.word_text(pair[1])}, degree)
+                        "right_factor": carrier.word_text(pair[1])}, degree,
+          TensorElement.render)
     return rep
 
 

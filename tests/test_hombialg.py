@@ -571,24 +571,25 @@ def reference_verify_hom_bialgebra(H, degree):
           per_case(lambda i, j: (H.alpha_poly(prod(i, j)),
                                  element_product(H, alpha_of[i], alpha_of[j])),
                    idx),
-          at, degree)
+          at, degree, NCPoly.render)
     _scan(rep, "hom_associativity", [idx] * 3,
           per_case(lambda i, j, k: (
               element_product(H, alpha_of[i], prod(j, k)),
               element_product(H, prod(i, j), alpha_of[k])), idx),
-          at, degree)
+          at, degree, NCPoly.render)
     _scan(rep, "comultiplicativity", [idx],
           per_case(lambda i: (H.delta(alpha_of[i]),
                               map_slots(delta_of(i), [alpha, alpha])), idx),
-          at, degree)
+          at, degree, TensorElement.render)
     _scan(rep, "hom_coassociativity", [idx],
-          per_case(hom_coassociativity, idx), at, degree)
+          per_case(hom_coassociativity, idx), at, degree,
+          TensorElement.render)
     _scan(rep, "product_coproduct_compatibility", [idx] * 2,
           per_case(lambda i, j: (H.delta(prod(i, j)),
                                  reference_pairwise_product(H, delta_of(i),
                                                             delta_of(j))),
                    idx),
-          at, degree)
+          at, degree, TensorElement.render)
     return rep
 
 
@@ -615,14 +616,16 @@ def reference_verify_morphism(endo, H):
               image(rule[0]),
               sum((image(w).scale(c) for w, c in rule[1].items()),
                   pres.unit(0))), pres.rules),
-          lambda rule: {"rule": pres.word_text(rule[0])})
+          lambda rule: {"rule": pres.word_text(rule[0])},
+          render=NCPoly.render)
     gens = range(len(images))
     _scan(rep, "comultiplication_preserved", [gens],
           per_case(lambda i: (
               table_delta(H, images[i]),
               map_slots(table_delta(H, pres.poly({(i,): 1})),
                         [image_slot, image_slot])), gens),
-          lambda i: {"generator": pres.generators[i]})
+          lambda i: {"generator": pres.generators[i]},
+          render=TensorElement.render)
     return rep
 
 

@@ -1,5 +1,6 @@
-"""Every name a module of homq imports is used in the scope it is
-imported into, so a deleted caller cannot leave its import behind."""
+"""Every name a module of homq or of its tests imports is used in the
+scope it is imported into, so a deleted caller cannot leave its import
+behind."""
 
 import ast
 import pathlib
@@ -8,7 +9,8 @@ import pytest
 
 import homq
 
-MODULES = sorted(pathlib.Path(homq.__file__).parent.glob("*.py"))
+MODULES = (sorted(pathlib.Path(homq.__file__).parent.glob("*.py"))
+           + sorted(pathlib.Path(__file__).parent.glob("*.py")))
 SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)
 
 

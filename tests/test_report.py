@@ -18,7 +18,8 @@ def test_reprs_give_the_title_and_the_state():
 
 
 class Side:
-    """A compared value that renders itself."""
+    """A compared value with its own render(), which a scan of Sides
+    passes as its renderer."""
 
     def __init__(self, value):
         self.value = value
@@ -50,7 +51,8 @@ def test_scan_stops_at_first_mismatch():
         return [Side(i * j) for j in range(3)], [Side(0)] * 3
 
     rep = Report()
-    _scan(rep, "c", [range(3)] * 2, sides, lambda i, j: {"i": i, "j": j})
+    _scan(rep, "c", [range(3)] * 2, sides, lambda i, j: {"i": i, "j": j},
+          render=Side.render)
     assert rows == [0, 1]
     assert rep.checks[0].witness == {"i": 1, "j": 1, "left": "<1>",
                                      "right": "<0>"}
@@ -61,7 +63,7 @@ def test_scan_witness_is_the_first_mismatch_of_its_row():
     _scan(rep, "c", [range(2), range(4)],
           lambda i: ([Side(0), Side(i), Side(2), Side(i)],
                      [Side(0), Side(0), Side(0), Side(0)]),
-          lambda i, j: {"i": i, "j": j})
+          lambda i, j: {"i": i, "j": j}, render=Side.render)
     assert rep.checks[0].witness == {"i": 0, "j": 2, "left": "<2>",
                                      "right": "<0>"}
 
@@ -70,7 +72,7 @@ def test_scan_witness_keys_location_then_sides():
     rep = Report()
     _scan(rep, "c", [["p", "q"], ["r"]],
           lambda a: ([Side(a)], [Side("p")]),
-          lambda a, b: {"second": b, "first": a})
+          lambda a, b: {"second": b, "first": a}, render=Side.render)
     (check,) = rep.checks
     assert check.status == "fail"
     assert list(check.witness) == ["second", "first", "left", "right"]
@@ -119,7 +121,7 @@ def test_scan_where_is_called_only_on_failure():
     _scan(rep, "c", ["xy", range(5)],
           lambda a: ([Side(i) for i in range(5)],
                      [Side(min(i, 2) if a == "y" else i) for i in range(5)]),
-          where)
+          where, render=Side.render)
     # where gets the full case tuple, outer cases and the last one
     assert located == [("y", 3)]
     assert rep.checks[0].witness == {"case": ["y", 3], "left": "<3>",
@@ -134,7 +136,7 @@ def test_scan_one_slot_check_is_one_row():
         return [Side(i) for i in range(3)], [Side(0)] * 3
 
     rep = Report()
-    _scan(rep, "c", [range(3)], sides, lambda i: {"i": i})
+    _scan(rep, "c", [range(3)], sides, lambda i: {"i": i}, render=Side.render)
     assert rows == [()]
     assert rep.checks[0].witness == {"i": 1, "left": "<1>", "right": "<0>"}
     # an empty slot is one empty row, and passes
@@ -149,7 +151,7 @@ def test_unzip_keeps_only_the_sides_of_failing_cases():
     rep = Report()
     _scan(rep, "c", [range(4)],
           lambda: _unzip((Side(i), Side(min(i, 1))) for i in range(4)),
-          lambda i: {"i": i})
+          lambda i: {"i": i}, render=Side.render)
     assert rep.checks[0].witness == {"i": 2, "left": "<2>", "right": "<1>"}
 
 
@@ -183,7 +185,8 @@ def test_row_scan_witness_equals_the_per_case_loop(data):
         return [Side(a) for a, _ in row], [Side(b) for _, b in row]
 
     rep = Report()
-    _scan(rep, "c", slots, sides, lambda *case: {"case": list(case)})
+    _scan(rep, "c", slots, sides, lambda *case: {"case": list(case)},
+          render=Side.render)
     want = _per_case_witness(slots, table)
     assert rep.checks[0].witness == want
     # the rows up to the witness row, and no later one

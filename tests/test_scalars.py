@@ -1316,7 +1316,7 @@ from homq.cobraid import (CobraidedHomBialgebra, CobraidingForm,
                           verify_cobraided)
 from homq.hombialg import HomBialgebra, twist_hom_bialgebra
 from homq.ncpoly import Presentation
-from homq.scalars import ScalarField, parse_scalar
+from homq.scalars import ScalarField, parse_scalar, render
 
 def loaded():
     return [m for m in ("fractions", "homq.ratfunc") if m in sys.modules]
@@ -1330,8 +1330,8 @@ C = CobraidedHomBialgebra(
 assert verify_cobraided(C, 4).passed
 print(loaded())
 F = ScalarField(("t",))
-print(parse_scalar("1/(t + 1)", F).render(), loaded())
-print(parse_scalar("t/3", F).render(), loaded())
+print(render(parse_scalar("1/(t + 1)", F)), loaded())
+print(render(parse_scalar("t/3", F)), loaded())
 """
 
 
